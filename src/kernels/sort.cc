@@ -1,106 +1,365 @@
 #include "kernels/sort.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/selection.h"
+#include "kernels/sort_internal.h"
 
 namespace tqp::kernels {
 
 namespace {
 
-// Three-way lexicographic comparison of rows i and j of `a`.
-template <typename T>
-int CompareRowsTyped(const T* p, int64_t cols, int64_t i, int64_t j) {
-  const T* ri = p + i * cols;
-  const T* rj = p + j * cols;
-  for (int64_t c = 0; c < cols; ++c) {
-    if (ri[c] < rj[c]) return -1;
-    if (rj[c] < ri[c]) return 1;
-  }
-  return 0;
+// ---- Stable argsort core ------------------------------------------------------
+
+constexpr int kDigitBits = 11;
+constexpr int64_t kBuckets = int64_t{1} << kDigitBits;
+// Below this the 2^11-bucket histograms cost more than the comparison sort.
+constexpr int64_t kRadixMinRows = 1024;
+
+Status RunTasks(const TaskRunner& run, int64_t tasks,
+                const std::function<Status(int64_t, int64_t)>& fn) {
+  if (tasks <= 1 || !run) return fn(0, tasks);
+  return run(tasks, fn);
 }
 
 template <typename T>
-void StableArgsortTyped(const Tensor& a, bool ascending, int64_t* out) {
-  const T* p = a.data<T>();
-  const int64_t cols = a.cols();
-  std::iota(out, out + a.rows(), int64_t{0});
-  std::stable_sort(out, out + a.rows(), [&](int64_t i, int64_t j) {
-    const int c = CompareRowsTyped<T>(p, cols, i, j);
+bool IsNaN(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return v != v;
+  } else {
+    return false;
+  }
+}
+
+/// Order-preserving map to unsigned 64-bit: a < b (operator<) iff
+/// OrderedBits(a) < OrderedBits(b), and a == b iff the bits are equal — so
+/// floats fold -0.0 into +0.0, the two zeros operator< treats as ties.
+template <typename T>
+uint64_t OrderedBits(T v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, uint8_t>) {
+    return static_cast<uint64_t>(v);
+  } else if constexpr (std::is_same_v<T, int32_t>) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(v) ^ 0x80000000u);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+  } else {
+    using U = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+    constexpr U kSign = U{1} << (sizeof(U) * 8 - 1);
+    const U u = std::bit_cast<U>(v == T{0} ? T{0} : v);
+    return static_cast<uint64_t>((u & kSign) != 0 ? static_cast<U>(~u) : (u | kSign));
+  }
+}
+
+/// LSD radix argsort of p[0, n) (one key column) into out, as row ids offset
+/// by `base`. Sets *nan_found instead of sorting when a key is NaN.
+template <typename T>
+Status RadixArgsort(const T* p, int64_t n, bool ascending, int64_t base,
+                    int64_t* out, int64_t chunks, const TaskRunner& run,
+                    bool* nan_found) {
+  const auto key = [ascending](T v) {
+    const uint64_t k = OrderedBits(v);
+    return ascending ? k : ~k;
+  };
+  const auto chunk_lo = [n, chunks](int64_t c) { return n * c / chunks; };
+  const auto for_chunks = [&](const std::function<void(int64_t, int64_t, int64_t)>& fn) {
+    return RunTasks(run, chunks, [&](int64_t cb, int64_t ce) -> Status {
+      for (int64_t c = cb; c < ce; ++c) fn(c, chunk_lo(c), chunk_lo(c + 1));
+      return Status::OK();
+    });
+  };
+
+  // 1. Key range (and the NaN check that gates the radix path).
+  std::vector<uint64_t> cmin(static_cast<size_t>(chunks),
+                             std::numeric_limits<uint64_t>::max());
+  std::vector<uint64_t> cmax(static_cast<size_t>(chunks), 0);
+  std::vector<uint8_t> cnan(static_cast<size_t>(chunks), 0);
+  TQP_RETURN_NOT_OK(for_chunks([&](int64_t c, int64_t lo, int64_t hi) {
+    uint64_t mn = std::numeric_limits<uint64_t>::max();
+    uint64_t mx = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      if (IsNaN(p[i])) {
+        cnan[static_cast<size_t>(c)] = 1;
+        return;
+      }
+      const uint64_t k = key(p[i]);
+      mn = std::min(mn, k);
+      mx = std::max(mx, k);
+    }
+    cmin[static_cast<size_t>(c)] = mn;
+    cmax[static_cast<size_t>(c)] = mx;
+  }));
+  if (std::find(cnan.begin(), cnan.end(), 1) != cnan.end()) {
+    *nan_found = true;
+    return Status::OK();
+  }
+  const uint64_t kmin = *std::min_element(cmin.begin(), cmin.end());
+  const uint64_t range = *std::max_element(cmax.begin(), cmax.end()) - kmin;
+  if (range == 0) {
+    std::iota(out, out + n, base);
+    return Status::OK();
+  }
+
+  // 2. Layout: (key - min) << index_bits | row when both fit in one word.
+  const int key_bits = 64 - std::countl_zero(range);
+  const int index_bits = 64 - std::countl_zero(static_cast<uint64_t>(n - 1));
+  const bool packed = key_bits + index_bits <= 64;
+  const int shift0 = packed ? index_bits : 0;
+  const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
+  const uint64_t index_mask = (uint64_t{1} << index_bits) - 1;
+
+  // Packed: words live in `out` and one n-word scratch. Unpacked: keys
+  // ping-pong between two n-word buffers and row ids between `out` and a
+  // third. Each side starts where `passes` scatters end in `out`.
+  const auto words = [n] {
+    return std::make_unique_for_overwrite<uint64_t[]>(static_cast<size_t>(n));
+  };
+  const std::unique_ptr<uint64_t[]> scratch = words();
+  const std::unique_ptr<uint64_t[]> keys_a = packed ? nullptr : words();
+  const std::unique_ptr<uint64_t[]> keys_b = packed ? nullptr : words();
+  const bool start_in_out = passes % 2 == 0;
+  auto* out_words = reinterpret_cast<uint64_t*>(out);
+  auto* scratch_ids = reinterpret_cast<int64_t*>(scratch.get());
+  uint64_t* src = packed ? (start_in_out ? out_words : scratch.get()) : keys_a.get();
+  uint64_t* dst = packed ? (start_in_out ? scratch.get() : out_words) : keys_b.get();
+  int64_t* src_ids = start_in_out ? out : scratch_ids;
+  int64_t* dst_ids = start_in_out ? scratch_ids : out;
+
+  // hist[(c * passes + pass) * kBuckets + digit]: per-chunk digit counts,
+  // later rewritten in place into that chunk's scatter offsets.
+  std::vector<int64_t> hist(static_cast<size_t>(chunks * passes * kBuckets), 0);
+  const auto digit = [shift0](uint64_t w, int pass) {
+    return static_cast<size_t>((w >> (shift0 + pass * kDigitBits)) & (kBuckets - 1));
+  };
+  const auto chunk_hist = [&](int64_t c, int pass) {
+    return hist.data() + (c * passes + pass) * kBuckets;
+  };
+
+  // 3. Build the words and every pass's histogram in one read of the keys.
+  TQP_RETURN_NOT_OK(for_chunks([&](int64_t c, int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const uint64_t k = key(p[i]) - kmin;
+      const uint64_t w = packed ? (k << index_bits) | static_cast<uint64_t>(i) : k;
+      src[i] = w;
+      if (!packed) src_ids[i] = base + i;
+      for (int pass = 0; pass < passes; ++pass) ++chunk_hist(c, pass)[digit(w, pass)];
+    }
+  }));
+
+  // A pass whose digit is the same for every row leaves the order as is.
+  std::vector<int> live;
+  for (int pass = 0; pass < passes; ++pass) {
+    bool trivial = false;
+    for (int64_t d = 0; d < kBuckets && !trivial; ++d) {
+      int64_t total = 0;
+      for (int64_t c = 0; c < chunks; ++c) total += chunk_hist(c, pass)[d];
+      trivial = total == n;
+    }
+    if (!trivial) live.push_back(pass);
+  }
+
+  // 4. One stable scatter per live digit. Offsets in (digit, chunk) order
+  // keep every chunk's rows behind the earlier chunks' equal digits.
+  bool decoded = false;
+  for (size_t li = 0; li < live.size(); ++li) {
+    const int pass = live[li];
+    if (li > 0 && chunks > 1) {
+      // Chunk membership changed since step 3: recount this digit.
+      TQP_RETURN_NOT_OK(for_chunks([&](int64_t c, int64_t lo, int64_t hi) {
+        int64_t* h = chunk_hist(c, pass);
+        std::fill(h, h + kBuckets, 0);
+        for (int64_t i = lo; i < hi; ++i) ++h[digit(src[i], pass)];
+      }));
+    }
+    int64_t running = 0;
+    for (int64_t d = 0; d < kBuckets; ++d) {
+      for (int64_t c = 0; c < chunks; ++c) {
+        int64_t& h = chunk_hist(c, pass)[d];
+        const int64_t count = h;
+        h = running;
+        running += count;
+      }
+    }
+    // The last packed scatter into `out` writes row ids, not words.
+    const bool decode = packed && li + 1 == live.size() && dst == out_words;
+    TQP_RETURN_NOT_OK(for_chunks([&](int64_t c, int64_t lo, int64_t hi) {
+      int64_t* off = chunk_hist(c, pass);
+      if (!packed) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const int64_t at = off[digit(src[i], pass)]++;
+          dst[at] = src[i];
+          dst_ids[at] = src_ids[i];
+        }
+      } else if (decode) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const uint64_t w = src[i];
+          out[off[digit(w, pass)]++] = base + static_cast<int64_t>(w & index_mask);
+        }
+      } else {
+        for (int64_t i = lo; i < hi; ++i) {
+          const uint64_t w = src[i];
+          dst[off[digit(w, pass)]++] = w;
+        }
+      }
+    }));
+    std::swap(src, dst);
+    std::swap(src_ids, dst_ids);
+    decoded = decode;
+  }
+
+  // 5. Row ids into `out`, unless the last scatter already put them there.
+  if (packed && !decoded) {
+    TQP_RETURN_NOT_OK(for_chunks([&](int64_t, int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        out[i] = base + static_cast<int64_t>(src[i] & index_mask);
+      }
+    }));
+  } else if (!packed && src_ids != out) {
+    std::memcpy(out, src_ids, static_cast<size_t>(n) * sizeof(int64_t));
+  }
+  return Status::OK();
+}
+
+/// Stable comparison argsort of rows [begin, end) (any width, any values):
+/// chunks sort concurrently, then pairwise merge rounds. std::merge takes
+/// the left range on ties and every id on the left is smaller, so the result
+/// is exactly one std::stable_sort's.
+template <typename T>
+Status ComparisonArgsort(const T* p, int64_t cols, int64_t begin, int64_t end,
+                         bool ascending, int64_t* out, int64_t chunks,
+                         const TaskRunner& run) {
+  const int64_t n = end - begin;
+  const auto cmp = [p, cols, ascending](int64_t i, int64_t j) {
+    const int c = CompareRows<T>(p + i * cols, p + j * cols, cols);
     return ascending ? c < 0 : c > 0;
-  });
-}
-
-template <typename T, typename V>
-int64_t LowerBoundRow(const T* data, int64_t n, V v) {
-  int64_t lo = 0;
-  int64_t hi = n;
-  while (lo < hi) {
-    const int64_t mid = (lo + hi) / 2;
-    if (data[mid] < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  };
+  std::iota(out, out + n, begin);
+  const int64_t chunk = (n + chunks - 1) / chunks;
+  if (chunk <= 0) return Status::OK();
+  TQP_RETURN_NOT_OK(RunTasks(run, chunks, [&](int64_t cb, int64_t ce) -> Status {
+    for (int64_t c = cb; c < ce; ++c) {
+      std::stable_sort(out + std::min(n, c * chunk), out + std::min(n, (c + 1) * chunk),
+                       cmp);
     }
+    return Status::OK();
+  }));
+  if (chunk >= n) return Status::OK();
+  std::vector<int64_t> scratch(static_cast<size_t>(n));
+  int64_t* src = out;
+  int64_t* dst = scratch.data();
+  for (int64_t width = chunk; width < n; width *= 2) {
+    const int64_t pairs = (n + 2 * width - 1) / (2 * width);
+    TQP_RETURN_NOT_OK(RunTasks(run, pairs, [&](int64_t pb, int64_t pe) -> Status {
+      for (int64_t pr = pb; pr < pe; ++pr) {
+        const int64_t lo = pr * 2 * width;
+        const int64_t mid = std::min(n, lo + width);
+        const int64_t hi = std::min(n, lo + 2 * width);
+        std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, cmp);
+      }
+      return Status::OK();
+    }));
+    std::swap(src, dst);
   }
-  return lo;
-}
-
-template <typename T, typename V>
-int64_t UpperBoundRow(const T* data, int64_t n, V v) {
-  int64_t lo = 0;
-  int64_t hi = n;
-  while (lo < hi) {
-    const int64_t mid = (lo + hi) / 2;
-    if (data[mid] <= v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  if (src != out) std::memcpy(out, src, static_cast<size_t>(n) * sizeof(int64_t));
+  return Status::OK();
 }
 
 template <typename T>
-void SearchSortedTyped(const Tensor& sorted, const Tensor& values, bool right,
+Status StableArgsortTyped(const Tensor& a, int64_t begin, int64_t end,
+                          bool ascending, int64_t* out, int64_t chunks,
+                          const TaskRunner& run) {
+  const T* p = a.data<T>();
+  const int64_t n = end - begin;
+  chunks = std::clamp<int64_t>(chunks, 1, std::max<int64_t>(1, n));
+  if (a.cols() == 1 && n >= kRadixMinRows) {
+    bool nan_found = false;
+    TQP_RETURN_NOT_OK(
+        RadixArgsort(p + begin, n, ascending, begin, out, chunks, run, &nan_found));
+    if (!nan_found) return Status::OK();
+  }
+  return ComparisonArgsort(p, a.cols(), begin, end, ascending, out, chunks, run);
+}
+
+// ---- Bound search -------------------------------------------------------------
+
+// Probes searched in lockstep: every probe of one call runs the same number
+// of halving steps, so kLanes independent loads are in flight at once.
+constexpr int64_t kLanes = 32;
+
+/// Branchless lower (`kRight` false: first s[i] >= v) or upper (first
+/// s[i] > v) bound of each value in ascending s[0, n).
+template <typename T, bool kRight>
+void SearchSortedTyped(const T* s, int64_t n, const T* v, int64_t k,
                        int64_t* out) {
+  const auto before = [](T x, T probe) { return kRight ? x <= probe : x < probe; };
+  if (n == 0) {
+    std::fill(out, out + k, int64_t{0});
+    return;
+  }
+  const T* base[kLanes];
+  for (int64_t i0 = 0; i0 < k; i0 += kLanes) {
+    const int64_t lanes = std::min(kLanes, k - i0);
+    const T* probe = v + i0;
+    std::fill(base, base + lanes, s);
+    for (int64_t len = n; len > 1;) {
+      const int64_t half = len / 2;
+      len -= half;
+      for (int64_t l = 0; l < lanes; ++l) {
+        base[l] += before(base[l][half], probe[l]) ? half : 0;
+        __builtin_prefetch(base[l] + len / 2);
+      }
+    }
+    for (int64_t l = 0; l < lanes; ++l) {
+      out[i0 + l] = (base[l] - s) + (before(*base[l], probe[l]) ? 1 : 0);
+    }
+  }
+}
+
+template <typename T>
+void SearchSortedDispatch(const Tensor& sorted, const Tensor& values, bool right,
+                          int64_t* out) {
   const T* s = sorted.data<T>();
   const T* v = values.data<T>();
-  const int64_t n = sorted.rows();
-  for (int64_t i = 0; i < values.rows(); ++i) {
-    out[i] = right ? UpperBoundRow<T, T>(s, n, v[i]) : LowerBoundRow<T, T>(s, n, v[i]);
+  if (right) {
+    SearchSortedTyped<T, true>(s, sorted.rows(), v, values.rows(), out);
+  } else {
+    SearchSortedTyped<T, false>(s, sorted.rows(), v, values.rows(), out);
   }
 }
 
 }  // namespace
 
+Status StableArgsortRange(const Tensor& a, int64_t begin, int64_t end,
+                          bool ascending, int64_t* out, int64_t chunks,
+                          const TaskRunner& run) {
+  switch (a.dtype()) {
+    case DType::kBool:
+      return StableArgsortTyped<bool>(a, begin, end, ascending, out, chunks, run);
+    case DType::kUInt8:
+      return StableArgsortTyped<uint8_t>(a, begin, end, ascending, out, chunks, run);
+    case DType::kInt32:
+      return StableArgsortTyped<int32_t>(a, begin, end, ascending, out, chunks, run);
+    case DType::kInt64:
+      return StableArgsortTyped<int64_t>(a, begin, end, ascending, out, chunks, run);
+    case DType::kFloat32:
+      return StableArgsortTyped<float>(a, begin, end, ascending, out, chunks, run);
+    case DType::kFloat64:
+      return StableArgsortTyped<double>(a, begin, end, ascending, out, chunks, run);
+  }
+  return Status::Internal("StableArgsortRange: unknown dtype");
+}
+
 Result<Tensor> ArgsortRows(const Tensor& a, bool ascending) {
   TQP_ASSIGN_OR_RETURN(Tensor out,
                        Tensor::Empty(DType::kInt64, a.rows(), 1, a.device()));
-  int64_t* po = out.mutable_data<int64_t>();
-  switch (a.dtype()) {
-    case DType::kBool:
-      StableArgsortTyped<bool>(a, ascending, po);
-      break;
-    case DType::kUInt8:
-      StableArgsortTyped<uint8_t>(a, ascending, po);
-      break;
-    case DType::kInt32:
-      StableArgsortTyped<int32_t>(a, ascending, po);
-      break;
-    case DType::kInt64:
-      StableArgsortTyped<int64_t>(a, ascending, po);
-      break;
-    case DType::kFloat32:
-      StableArgsortTyped<float>(a, ascending, po);
-      break;
-    case DType::kFloat64:
-      StableArgsortTyped<double>(a, ascending, po);
-      break;
-  }
+  TQP_RETURN_NOT_OK(
+      StableArgsortRange(a, 0, a.rows(), ascending, out.mutable_data<int64_t>()));
   return out;
 }
 
@@ -121,22 +380,22 @@ Result<Tensor> SearchSorted(const Tensor& sorted, const Tensor& values,
   int64_t* po = out.mutable_data<int64_t>();
   switch (sorted.dtype()) {
     case DType::kBool:
-      SearchSortedTyped<bool>(sorted, values, right, po);
+      SearchSortedDispatch<bool>(sorted, values, right, po);
       break;
     case DType::kUInt8:
-      SearchSortedTyped<uint8_t>(sorted, values, right, po);
+      SearchSortedDispatch<uint8_t>(sorted, values, right, po);
       break;
     case DType::kInt32:
-      SearchSortedTyped<int32_t>(sorted, values, right, po);
+      SearchSortedDispatch<int32_t>(sorted, values, right, po);
       break;
     case DType::kInt64:
-      SearchSortedTyped<int64_t>(sorted, values, right, po);
+      SearchSortedDispatch<int64_t>(sorted, values, right, po);
       break;
     case DType::kFloat32:
-      SearchSortedTyped<float>(sorted, values, right, po);
+      SearchSortedDispatch<float>(sorted, values, right, po);
       break;
     case DType::kFloat64:
-      SearchSortedTyped<double>(sorted, values, right, po);
+      SearchSortedDispatch<double>(sorted, values, right, po);
       break;
   }
   return out;

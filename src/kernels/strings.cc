@@ -93,8 +93,22 @@ Result<Tensor> StringCompareScalar(CompareOpKind op, const Tensor& a,
                        Tensor::Empty(DType::kBool, a.rows(), 1, a.device()));
   const uint8_t* p = a.data<uint8_t>();
   bool* o = out.mutable_data<bool>();
+  const int64_t m = a.cols();
+  const bool equality = op == CompareOpKind::kEq || op == CompareOpKind::kNe;
+  if (equality && static_cast<int64_t>(literal.size()) <= m &&
+      (literal.empty() || literal.back() != '\0')) {
+    // A row equals a literal without a trailing NUL exactly when its m bytes
+    // equal the literal zero-padded to m.
+    const bool eq = op == CompareOpKind::kEq;
+    std::string padded = literal;
+    padded.resize(static_cast<size_t>(m), '\0');
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      o[i] = (std::memcmp(p + i * m, padded.data(), static_cast<size_t>(m)) == 0) == eq;
+    }
+    return out;
+  }
   for (int64_t i = 0; i < a.rows(); ++i) {
-    o[i] = ApplyCompare(op, CompareRowLiteral(p + i * a.cols(), a.cols(), literal));
+    o[i] = ApplyCompare(op, CompareRowLiteral(p + i * m, m, literal));
   }
   return out;
 }

@@ -25,7 +25,9 @@ Result<std::vector<std::string>> DecodeStrings(const Tensor& t);
 
 /// \brief Elementwise string comparison against a literal -> bool (n x 1).
 /// Lexicographic byte order; the zero pad sorts before all characters, which
-/// matches SQL semantics for ASCII data.
+/// matches SQL semantics for ASCII data. `=` and `<>` against a literal of
+/// at most m bytes without a trailing NUL compare each row's m bytes to the
+/// literal zero-padded to m in one fixed-width memcmp.
 Result<Tensor> StringCompareScalar(CompareOpKind op, const Tensor& a,
                                    const std::string& literal);
 

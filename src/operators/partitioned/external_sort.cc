@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "kernels/kernels.h"
+#include "kernels/sort_internal.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
 
@@ -56,15 +56,6 @@ void ReleasePage(BufferPool::QueryScope* scope, Page* page, bool pinned) {
   page->rows = Tensor();
 }
 
-template <typename T>
-int CompareRowsT(const T* a, const T* b, int64_t cols) {
-  for (int64_t c = 0; c < cols; ++c) {
-    if (a[c] < b[c]) return -1;
-    if (b[c] < a[c]) return 1;
-  }
-  return 0;
-}
-
 /// Stable-sorts run rows [begin, end) of `keys` and copies keys + row ids
 /// into `run`'s pages in sorted order, registering each page as it is
 /// written so earlier pages can evict while later ones form.
@@ -74,13 +65,8 @@ Status FormRun(const Tensor& keys, int64_t begin, int64_t end, bool ascending,
   const int64_t cols = keys.cols();
   const T* p = keys.data<T>();
   std::vector<int64_t> perm(static_cast<size_t>(end - begin));
-  std::iota(perm.begin(), perm.end(), begin);
-  // The serial comparator's direction rule: a stable sort either way, so
-  // equal keys keep ascending row order in both directions.
-  std::stable_sort(perm.begin(), perm.end(), [&](int64_t i, int64_t j) {
-    const int c = CompareRowsT<T>(p + i * cols, p + j * cols, cols);
-    return ascending ? c < 0 : c > 0;
-  });
+  TQP_RETURN_NOT_OK(
+      kernels::StableArgsortRange(keys, begin, end, ascending, perm.data()));
   run->rows = end - begin;
   const size_t num_pages =
       static_cast<size_t>((run->rows + page_rows - 1) / page_rows);
@@ -126,8 +112,8 @@ Status MergeRuns(std::vector<Run>* runs, int64_t cols, bool ascending,
   };
   // Max-heap comparator: true when run a's current row comes *after* run b's.
   auto after = [&](int a, int b) {
-    const int c = CompareRowsT<T>(key_at(rs[static_cast<size_t>(a)]),
-                                  key_at(rs[static_cast<size_t>(b)]), cols);
+    const int c = kernels::CompareRows<T>(key_at(rs[static_cast<size_t>(a)]),
+                                          key_at(rs[static_cast<size_t>(b)]), cols);
     if (c != 0) return ascending ? c > 0 : c < 0;
     return a > b;  // equal keys: lower run = lower original row ids
   };

@@ -15,8 +15,9 @@ namespace tqp::op::partitioned {
 ///
 /// Returns the same int64 (n x 1) permutation as kernels::ArgsortRows — the
 /// unique stable permutation — for any run count and page size:
-///  - runs cover consecutive row ranges, each stable-sorted with the serial
-///    comparator, so within a run equal keys keep ascending row order;
+///  - runs cover consecutive row ranges, each stable-sorted by the shared
+///    argsort core (kernels::StableArgsortRange), so within a run equal keys
+///    keep ascending row order;
 ///  - the merge breaks key ties toward the lower run, and every row id in
 ///    run i is smaller than every row id in run i+1, so the merged order is
 ///    exactly std::stable_sort's.

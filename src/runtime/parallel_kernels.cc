@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "graph/eval.h"
 #include "kernels/kernels.h"
+#include "kernels/sort_internal.h"
 #include "operators/partitioned/external_sort.h"
 #include "operators/partitioned/partitioned_agg.h"
 #include "runtime/morsel.h"
@@ -477,98 +477,23 @@ Result<Tensor> ParallelRepeatInterleave(const ParallelContext& ctx, const Tensor
   return out;
 }
 
-namespace {
-
-// Three-way lexicographic row comparison, mirroring src/kernels/sort.cc.
-template <typename T>
-int CompareRows(const T* p, int64_t cols, int64_t i, int64_t j) {
-  const T* ri = p + i * cols;
-  const T* rj = p + j * cols;
-  for (int64_t c = 0; c < cols; ++c) {
-    if (ri[c] < rj[c]) return -1;
-    if (rj[c] < ri[c]) return 1;
-  }
-  return 0;
-}
-
-template <typename T>
-Status ParallelStableArgsortTyped(const ParallelContext& ctx, const Tensor& a,
-                                  bool ascending, int64_t* out) {
-  const int64_t n = a.rows();
-  const T* p = a.data<T>();
-  const int64_t cols = a.cols();
-  auto cmp = [p, cols, ascending](int64_t i, int64_t j) {
-    const int c = CompareRows<T>(p, cols, i, j);
-    return ascending ? c < 0 : c > 0;
-  };
-  // Fixed chunking: enough chunks to keep every worker busy, but each chunk
-  // big enough that the O(n log n) sort dominates the O(n) merge rounds.
-  const int64_t target_chunks =
-      std::min<int64_t>(2 * ctx.pool->num_threads(),
-                        std::max<int64_t>(1, n / ctx.min_parallel_rows));
-  const int64_t chunk = (n + target_chunks - 1) / target_chunks;
-  std::iota(out, out + n, int64_t{0});
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(n, chunk, [&](int64_t b, int64_t e) -> Status {
-    std::stable_sort(out + b, out + e, cmp);
-    return Status::OK();
-  }));
-  // Pairwise stable merge rounds. std::merge takes from the first range on
-  // ties, and every index in the left chunk is smaller than every index in
-  // the right chunk, so the final permutation is *the* stable permutation —
-  // identical to a single std::stable_sort.
-  std::vector<int64_t> scratch(static_cast<size_t>(n));
-  int64_t* src = out;
-  int64_t* dst = scratch.data();
-  for (int64_t width = chunk; width < n; width *= 2) {
-    const int64_t pairs = (n + 2 * width - 1) / (2 * width);
-    TQP_RETURN_NOT_OK(
-        ctx.pool->ParallelFor(pairs, 1, [&](int64_t pb, int64_t pe) -> Status {
-          for (int64_t pr = pb; pr < pe; ++pr) {
-            const int64_t lo = pr * 2 * width;
-            const int64_t mid = std::min(n, lo + width);
-            const int64_t hi = std::min(n, lo + 2 * width);
-            std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, cmp);
-          }
-          return Status::OK();
-        }));
-    std::swap(src, dst);
-  }
-  if (src != out) std::memcpy(out, src, static_cast<size_t>(n) * sizeof(int64_t));
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
                                    bool ascending) {
   if (!ShouldParallelize(ctx, a.rows())) {
     return kernels::ArgsortRows(a, ascending);
   }
-  TQP_ASSIGN_OR_RETURN(Tensor out,
-                       Tensor::Empty(DType::kInt64, a.rows(), 1, a.device()));
-  int64_t* po = out.mutable_data<int64_t>();
-  Status st;
-  switch (a.dtype()) {
-    case DType::kBool:
-      st = ParallelStableArgsortTyped<bool>(ctx, a, ascending, po);
-      break;
-    case DType::kUInt8:
-      st = ParallelStableArgsortTyped<uint8_t>(ctx, a, ascending, po);
-      break;
-    case DType::kInt32:
-      st = ParallelStableArgsortTyped<int32_t>(ctx, a, ascending, po);
-      break;
-    case DType::kInt64:
-      st = ParallelStableArgsortTyped<int64_t>(ctx, a, ascending, po);
-      break;
-    case DType::kFloat32:
-      st = ParallelStableArgsortTyped<float>(ctx, a, ascending, po);
-      break;
-    case DType::kFloat64:
-      st = ParallelStableArgsortTyped<double>(ctx, a, ascending, po);
-      break;
-  }
-  TQP_RETURN_NOT_OK(st);
+  const int64_t n = a.rows();
+  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(DType::kInt64, n, 1, a.device()));
+  // Enough chunks to keep every worker busy, each big enough that its
+  // per-pass histogram (or comparison sort) dominates the fan-out.
+  const int64_t chunks = std::min<int64_t>(
+      2 * ctx.pool->num_threads(), std::max<int64_t>(1, n / ctx.min_parallel_rows));
+  const kernels::TaskRunner run =
+      [&ctx](int64_t tasks, const std::function<Status(int64_t, int64_t)>& fn) {
+        return ctx.pool->ParallelFor(tasks, 1, fn);
+      };
+  TQP_RETURN_NOT_OK(kernels::StableArgsortRange(
+      a, 0, n, ascending, out.mutable_data<int64_t>(), chunks, run));
   return out;
 }
 

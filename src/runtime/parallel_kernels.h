@@ -96,10 +96,11 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
                                        const Tensor& segment_ids,
                                        int64_t num_segments);
 
-/// \brief Parallel stable argsort: chunks are stable-sorted concurrently and
-/// then pairwise stable-merged (ties take the lower chunk, i.e. the lower
-/// original index). A stable sort's permutation is unique, so this equals
-/// std::stable_sort's answer exactly.
+/// \brief Parallel stable argsort over kernels::StableArgsortRange: radix
+/// passes histogram and scatter chunks concurrently (offsets in (digit,
+/// chunk) order); the comparison fallback sorts chunks concurrently and
+/// merges them pairwise. A stable sort's permutation is unique, so this
+/// equals std::stable_sort's answer exactly.
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
                                    bool ascending);
 

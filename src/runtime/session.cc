@@ -356,16 +356,15 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
   const std::string normalized = NormalizeSql(job->sql);
   // Cache lookup with in-flight dedup: a burst of identical statements
   // compiles once — the worker that claims the statement compiles it while
-  // the others wait and pick the plan up from the cache. The cache is
-  // (re)checked under the claim loop so a finish between lookup and claim
-  // cannot cause a redundant compilation.
+  // the others wait and pick the plan up from the cache. The lookup runs
+  // under compile_mu_: a compile inserts its plan before it drops its claim
+  // under that mutex, so a miss here means the statement is either claimed
+  // or not compiled yet, never compiled-and-released in between.
   std::shared_ptr<const CompiledQuery> plan;
   {
     MutexLock lock(compile_mu_);
     while (true) {
-      lock.Unlock();
       plan = plan_cache_.Lookup(normalized, options_.compile);
-      lock.Lock();
       if (plan != nullptr) break;
       if (compiling_.count(normalized) == 0) {
         compiling_.insert(normalized);  // our claim; compile below

@@ -4,15 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/random.h"
 #include "kernels/kernels.h"
+#include "operators/partitioned/external_sort.h"
+#include "runtime/parallel_kernels.h"
+#include "runtime/thread_pool.h"
 
 namespace tqp {
 namespace {
 
 using namespace tqp::kernels;  // NOLINT: test file
+using runtime::ThreadPool;
 
 // ---- Elementwise -----------------------------------------------------------
 
@@ -363,6 +374,259 @@ TEST(SortTest, ArgsortPropertyRandom) {
   }
 }
 
+// ---- Sort/search oracles -------------------------------------------------------
+// Every argsort path (serial, morsel-parallel, external merge sort) shares one
+// core, so they are checked against std::stable_sort with the row comparator
+// the kernels used before the radix core, and every searchsorted against
+// std::lower_bound / std::upper_bound.
+
+// Sizes straddle the morsel, which is also the radix path's row threshold.
+constexpr int64_t kOracleMorsel = 1024;
+constexpr int64_t kOracleMinParallel = 2048;
+
+runtime::ParallelContext OracleContext(ThreadPool* pool) {
+  runtime::ParallelContext ctx;
+  ctx.pool = pool;
+  ctx.morsel_rows = kOracleMorsel;
+  ctx.min_parallel_rows = kOracleMinParallel;
+  return ctx;
+}
+
+template <typename T>
+std::vector<int64_t> OracleArgsort(const Tensor& a, bool ascending) {
+  const T* p = a.data<T>();
+  const int64_t cols = a.cols();
+  std::vector<int64_t> idx(static_cast<size_t>(a.rows()));
+  std::iota(idx.begin(), idx.end(), int64_t{0});
+  std::stable_sort(idx.begin(), idx.end(), [&](int64_t i, int64_t j) {
+    int c = 0;
+    for (int64_t k = 0; k < cols && c == 0; ++k) {
+      const T x = p[i * cols + k];
+      const T y = p[j * cols + k];
+      c = x < y ? -1 : (y < x ? 1 : 0);
+    }
+    return ascending ? c < 0 : c > 0;
+  });
+  return idx;
+}
+
+std::vector<int64_t> ToVector(const Tensor& t) {
+  return std::vector<int64_t>(t.data<int64_t>(), t.data<int64_t>() + t.rows());
+}
+
+bool IsPermutation(const std::vector<int64_t>& perm) {
+  std::vector<int64_t> sorted = perm;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] != static_cast<int64_t>(i)) return false;
+  }
+  return true;
+}
+
+enum class KeyShape {
+  kAllEqual,
+  kDuplicates,
+  kNegatives,
+  kExtremes,
+  kSignedZeros,
+  kHashed,
+  kNaN,
+};
+
+const char* KeyShapeName(KeyShape s) {
+  switch (s) {
+    case KeyShape::kAllEqual: return "all-equal";
+    case KeyShape::kDuplicates: return "duplicates";
+    case KeyShape::kNegatives: return "negatives";
+    case KeyShape::kExtremes: return "extremes";
+    case KeyShape::kSignedZeros: return "signed-zeros";
+    case KeyShape::kHashed: return "hashed";
+    case KeyShape::kNaN: return "nan";
+  }
+  return "?";
+}
+
+template <typename T>
+T MakeKey(KeyShape shape, Rng* rng) {
+  using L = std::numeric_limits<T>;
+  const auto pick = [rng](std::initializer_list<T> values) {
+    return *(values.begin() + rng->Uniform(0, static_cast<int64_t>(values.size()) - 1));
+  };
+  switch (shape) {
+    case KeyShape::kAllEqual:
+      return static_cast<T>(1);
+    case KeyShape::kDuplicates:
+      return static_cast<T>(rng->Uniform(0, 7));
+    case KeyShape::kNegatives:
+      if constexpr (std::is_floating_point_v<T>) {
+        return static_cast<T>(rng->UniformDouble(-1000, 1000));
+      } else {
+        return static_cast<T>(rng->Uniform(-1000, 1000));
+      }
+    case KeyShape::kExtremes:
+      if constexpr (std::is_floating_point_v<T>) {
+        return pick({L::lowest(), L::max(), -L::infinity(), L::infinity(),
+                     L::denorm_min(), T{0}, T{-1}, T{1}});
+      } else {
+        return pick({L::lowest(), L::max(), static_cast<T>(L::lowest() + 1),
+                     static_cast<T>(L::max() - 1), T{0}, T{1}});
+      }
+    case KeyShape::kSignedZeros:
+      return pick({static_cast<T>(-0.0), static_cast<T>(0.0), T{1}});
+    case KeyShape::kHashed:
+      if constexpr (std::is_floating_point_v<T>) {
+        using U = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+        T v;
+        do {
+          v = std::bit_cast<T>(static_cast<U>(rng->Next()));
+        } while (std::isnan(v));
+        return v;
+      } else if constexpr (std::is_same_v<T, bool>) {
+        return (rng->Next() & 1) != 0;
+      } else {
+        return static_cast<T>(rng->Next());
+      }
+    case KeyShape::kNaN:
+      if constexpr (std::is_floating_point_v<T>) {
+        return rng->Bernoulli(0.1) ? L::quiet_NaN()
+                                   : static_cast<T>(rng->Uniform(-3, 3));
+      }
+      return T{};
+  }
+  return T{};
+}
+
+template <typename T>
+class ArgsortOracleTest : public ::testing::Test {};
+
+using ArgsortKeyTypes =
+    ::testing::Types<bool, uint8_t, int32_t, int64_t, float, double>;
+TYPED_TEST_SUITE(ArgsortOracleTest, ArgsortKeyTypes);
+
+TYPED_TEST(ArgsortOracleTest, MatchesStdStableSort) {
+  using T = TypeParam;
+  std::vector<KeyShape> shapes{KeyShape::kAllEqual, KeyShape::kDuplicates,
+                               KeyShape::kNegatives, KeyShape::kExtremes,
+                               KeyShape::kHashed};
+  if constexpr (std::is_floating_point_v<T>) {
+    shapes.push_back(KeyShape::kSignedZeros);
+    shapes.push_back(KeyShape::kNaN);
+  }
+  ThreadPool pool(4);
+  const runtime::ParallelContext ctx = OracleContext(&pool);
+  op::partitioned::PartitionConfig four_runs;
+  four_runs.forced_bits = 2;
+  Rng rng(2024);
+  for (KeyShape shape : shapes) {
+    for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{2}, int64_t{300},
+                      kOracleMorsel - 1, kOracleMorsel, kOracleMorsel + 1,
+                      3 * kOracleMinParallel + 17}) {
+      Tensor keys = Tensor::Empty(DTypeOf<T>::value, n, 1).ValueOrDie();
+      for (int64_t i = 0; i < n; ++i) keys.mutable_data<T>()[i] = MakeKey<T>(shape, &rng);
+      for (bool ascending : {true, false}) {
+        const std::string what = std::string(KeyShapeName(shape)) + " n=" +
+                                 std::to_string(n) + (ascending ? " asc" : " desc");
+        const std::vector<int64_t> want = OracleArgsort<T>(keys, ascending);
+        EXPECT_EQ(ToVector(ArgsortRows(keys, ascending).ValueOrDie()), want)
+            << "serial " << what;
+        const std::vector<int64_t> parallel =
+            ToVector(runtime::ParallelArgsortRows(ctx, keys, ascending).ValueOrDie());
+        const std::vector<int64_t> external = ToVector(
+            op::partitioned::ExternalSortRows(ctx, keys, ascending, four_runs, nullptr)
+                .ValueOrDie());
+        if (shape == KeyShape::kNaN) {
+          // operator< is no strict weak order with NaN, so only the serial
+          // comparison sort is pinned to std::stable_sort's exact answer.
+          EXPECT_TRUE(IsPermutation(parallel)) << "parallel " << what;
+          EXPECT_TRUE(IsPermutation(external)) << "external " << what;
+        } else {
+          EXPECT_EQ(parallel, want) << "parallel " << what;
+          EXPECT_EQ(external, want) << "external " << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(ArgsortStringOracleTest, MultiColumnRowsMatchStdStableSort) {
+  Rng rng(5);
+  std::vector<std::string> values;
+  for (int i = 0; i < 3 * kOracleMinParallel; ++i) {
+    values.push_back(std::string(static_cast<size_t>(rng.Uniform(0, 3)),
+                                 static_cast<char>('a' + rng.Uniform(0, 2))));
+  }
+  Tensor keys = EncodeStrings(values).ValueOrDie();
+  ThreadPool pool(4);
+  const runtime::ParallelContext ctx = OracleContext(&pool);
+  for (bool ascending : {true, false}) {
+    const std::vector<int64_t> want = OracleArgsort<uint8_t>(keys, ascending);
+    EXPECT_EQ(ToVector(ArgsortRows(keys, ascending).ValueOrDie()), want);
+    EXPECT_EQ(ToVector(runtime::ParallelArgsortRows(ctx, keys, ascending).ValueOrDie()),
+              want);
+  }
+}
+
+template <typename T>
+void ExpectSearchSortedMatchesStd(const runtime::ParallelContext& ctx,
+                                  std::vector<T> sorted, const std::vector<T>& probes,
+                                  const std::string& what) {
+  std::sort(sorted.begin(), sorted.end());
+  Tensor s = Tensor::Empty(DTypeOf<T>::value, static_cast<int64_t>(sorted.size()), 1)
+                 .ValueOrDie();
+  std::copy(sorted.begin(), sorted.end(), s.mutable_data<T>());
+  Tensor v = Tensor::Empty(DTypeOf<T>::value, static_cast<int64_t>(probes.size()), 1)
+                 .ValueOrDie();
+  std::copy(probes.begin(), probes.end(), v.mutable_data<T>());
+  for (bool right : {false, true}) {
+    std::vector<int64_t> want;
+    for (const T& x : probes) {
+      const auto it = right ? std::upper_bound(sorted.begin(), sorted.end(), x)
+                            : std::lower_bound(sorted.begin(), sorted.end(), x);
+      want.push_back(it - sorted.begin());
+    }
+    const std::string side = what + (right ? " upper" : " lower");
+    EXPECT_EQ(ToVector(SearchSorted(s, v, right).ValueOrDie()), want) << side;
+    EXPECT_EQ(ToVector(runtime::ParallelSearchSorted(ctx, s, v, right).ValueOrDie()),
+              want)
+        << "parallel " << side;
+  }
+}
+
+template <typename T>
+void CheckSearchSortedShapes(const runtime::ParallelContext& ctx, Rng* rng) {
+  const auto random_keys = [rng](int64_t n, int64_t lo, int64_t hi) {
+    std::vector<T> out;
+    for (int64_t i = 0; i < n; ++i) out.push_back(static_cast<T>(rng->Uniform(lo, hi)));
+    return out;
+  };
+  // Probes straddle morsel boundaries: 5 morsels plus a ragged tail.
+  const int64_t k = 5 * kOracleMorsel + 7;
+  ExpectSearchSortedMatchesStd<T>(ctx, {}, random_keys(k, 0, 1), "empty sorted");
+  ExpectSearchSortedMatchesStd<T>(ctx, random_keys(4097, 50, 100),
+                                  random_keys(k, 0, 49), "all below");
+  ExpectSearchSortedMatchesStd<T>(ctx, random_keys(4097, 0, 1),
+                                  random_keys(k, 2, 100), "all above");
+  std::vector<T> runs;
+  for (int v : {0, 1, 7, 9}) runs.insert(runs.end(), 3000, static_cast<T>(v));
+  ExpectSearchSortedMatchesStd<T>(ctx, runs, random_keys(k, 0, 10), "duplicate runs");
+  for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{17}, int64_t{1000}}) {
+    ExpectSearchSortedMatchesStd<T>(ctx, random_keys(n, 0, 100),
+                                    random_keys(k, 0, 101), "n=" + std::to_string(n));
+  }
+}
+
+TEST(SearchSortedOracleTest, MatchesStdBounds) {
+  ThreadPool pool(4);
+  const runtime::ParallelContext ctx = OracleContext(&pool);
+  Rng rng(77);
+  CheckSearchSortedShapes<int64_t>(ctx, &rng);
+  CheckSearchSortedShapes<int32_t>(ctx, &rng);
+  CheckSearchSortedShapes<double>(ctx, &rng);
+  CheckSearchSortedShapes<float>(ctx, &rng);
+  CheckSearchSortedShapes<uint8_t>(ctx, &rng);
+  CheckSearchSortedShapes<bool>(ctx, &rng);
+}
+
 // ---- Strings -------------------------------------------------------------------
 
 TEST(StringTest, EncodeDecodeRoundTrip) {
@@ -381,6 +645,33 @@ TEST(StringTest, CompareScalarLexicographic) {
   Tensor lt = StringCompareScalar(CompareOpKind::kLt, t, "apple").ValueOrDie();
   EXPECT_FALSE(lt.at<bool>(0));
   EXPECT_TRUE(lt.at<bool>(2));  // "app" < "apple" (prefix rule)
+}
+
+TEST(StringTest, CompareScalarEqualityMatchesRowCompare) {
+  // Width 4, with an empty row, a full-width row and an interior NUL.
+  const std::vector<std::string> rows{"",   "a",    "ab",  "abc",
+                                      "abd", "abcd", "b",   std::string("a\0b", 3)};
+  Tensor t = EncodeStrings(rows, /*min_width=*/4).ValueOrDie();
+  ASSERT_EQ(t.cols(), 4);
+  const std::vector<std::string> trimmed = DecodeStrings(t).ValueOrDie();
+  const std::vector<std::string> literals{"",
+                                          "abc",
+                                          "abcd",                      // exactly the width
+                                          "abcde",                     // longer than the width
+                                          std::string("ab\0", 3),      // trailing NUL
+                                          std::string("a\0b", 3)};     // interior NUL
+  for (const std::string& lit : literals) {
+    Tensor eq = StringCompareScalar(CompareOpKind::kEq, t, lit).ValueOrDie();
+    Tensor ne = StringCompareScalar(CompareOpKind::kNe, t, lit).ValueOrDie();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      // The general path's rule: the row minus its zero pad equals the literal.
+      const bool want = trimmed[i] == lit;
+      EXPECT_EQ(eq.at<bool>(static_cast<int64_t>(i)), want)
+          << "row " << i << " = literal of size " << lit.size();
+      EXPECT_EQ(ne.at<bool>(static_cast<int64_t>(i)), !want)
+          << "row " << i << " <> literal of size " << lit.size();
+    }
+  }
 }
 
 TEST(StringTest, LikeAllPatternShapes) {

@@ -25,6 +25,7 @@ EXPECTED_RULE = {
     "env_int": "env-int",
     "fault_sites": "fault-sites",
     "substr_string_view": "substr-string-view",
+    "build_artifacts": "build-artifacts",
 }
 
 RULE_ID_RE = re.compile(r"\[([a-z-]+)\]")

@@ -820,7 +820,14 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
+  std::promise<void> jammed;
+  pool.Submit([&jammed, gate] {
+    jammed.set_value();
+    gate.wait();
+  });
+  // The worker pops its own queue LIFO: a job submitted before it picks up
+  // the gate would run ahead of it.
+  jammed.get_future().wait();
 
   runtime::SchedulerOptions options;
   options.pool = &pool;
@@ -843,7 +850,14 @@ TEST_F(SessionTest, BackpressureShedsLowPriorityFirst) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
+  std::promise<void> jammed;
+  pool.Submit([&jammed, gate] {
+    jammed.set_value();
+    gate.wait();
+  });
+  // The worker pops its own queue LIFO: a job submitted before it picks up
+  // the gate would run ahead of it.
+  jammed.get_future().wait();
 
   runtime::SchedulerOptions options;
   options.pool = &pool;

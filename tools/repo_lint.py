@@ -27,6 +27,11 @@ fault-sites          The FaultSite enum (fault.h), the FaultSiteName spelling
 substr-string-view   A std::string_view must not be initialized from
                      .substr(): substr on a std::string returns a temporary
                      that dies at the semicolon, leaving the view dangling.
+build-artifacts      No build output may be committed: a file git would
+                     commit (tracked, or untracked and not ignored) must not
+                     be a CMakeCache.txt, an object file (*.o) or a Ninja
+                     state file (.ninja_*). Build trees belong in ignored
+                     directories (build/, build-*/).
 
 Usage
 -----
@@ -39,8 +44,10 @@ invocations pass it, fixture runs do not.
 """
 
 import argparse
+import fnmatch
 import os
 import re
+import subprocess
 import sys
 
 # String-valued TQP_* environment knobs: these carry names/specs/paths, not
@@ -364,6 +371,58 @@ def check_substr_string_view(root):
     return findings
 
 
+# -------------------------------------------------------- build-artifacts --
+BUILD_ARTIFACT_PATTERNS = ("CMakeCache.txt", "*.o", ".ninja_*")
+
+
+def ignored_dir_patterns(root):
+    """Directory patterns ("name/") from the root .gitignore, for trees that
+    are not git checkouts."""
+    path = os.path.join(root, ".gitignore")
+    if not os.path.isfile(path):
+        return []
+    patterns = []
+    for line in open(path, encoding="utf-8"):
+        line = line.strip()
+        if line.endswith("/") and "/" not in line[:-1] and not line.startswith("#"):
+            patterns.append(line[:-1])
+    return patterns
+
+
+def committable_files(root):
+    """Paths (relative to root) that `git add -A` would commit: tracked files
+    plus untracked, non-ignored ones. Outside a git work tree, every file not
+    under a .gitignore'd directory."""
+    proc = subprocess.run(
+        ["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    if proc.returncode == 0:
+        return [p for p in proc.stdout.decode("utf-8").split("\0") if p]
+    ignored = ignored_dir_patterns(root) + [".git"]
+    files = []
+    for dirpath, dirnames, names in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not any(fnmatch.fnmatch(d, pat) for pat in ignored)]
+        files.extend(os.path.relpath(os.path.join(dirpath, n), root)
+                     for n in names)
+    return files
+
+
+def check_build_artifacts(root):
+    findings = []
+    for rel in sorted(committable_files(root)):
+        parts = rel.split("/")
+        if "lint_fixtures" in parts[:-1]:
+            continue  # golden fixtures exist to trigger rules
+        if any(fnmatch.fnmatch(parts[-1], pat) for pat in BUILD_ARTIFACT_PATTERNS):
+            findings.append(Finding(
+                "build-artifacts", rel, 1,
+                "build output would be committed; build in an ignored "
+                "directory (build/, build-*/) and `git rm --cached` it"))
+    return findings
+
+
 def check_anchors(root):
     findings = []
     for rel in ANCHOR_FILES:
@@ -381,6 +440,7 @@ RULES = [
     ("env-int", check_env_int),
     ("fault-sites", check_fault_sites),
     ("substr-string-view", check_substr_string_view),
+    ("build-artifacts", check_build_artifacts),
 ]
 
 
