@@ -1,11 +1,7 @@
 // ABL3 — aggregation algorithm ablation: the paper's sort-based group-by
 // (argsort + boundaries + segmented reduce, what the TQP compiler emits) vs
-// hash-based grouping, plus the radix-partitioned aggregation vs the
-// monolithic morsel-parallel grouping, sweeping the number of distinct
-// groups. The partitioned columns report the partition count the budget
-// chose, the recursion depth, and bytes spilled through the partition
-// buffers; the timed pipeline includes the float SUM, which the
-// partition-ordered accumulation keeps exact in parallel.
+// hash-based grouping, sweeping the number of distinct groups. Both run
+// single-threaded and include the float SUM.
 //
 // Emits JSON (one object) on stdout so CI can track the trajectory per
 // commit; the human-readable summary goes to stderr.
@@ -17,11 +13,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "operators/hash_groupby.h"
-#include "operators/partitioned/partition.h"
-#include "operators/partitioned/partitioned_agg.h"
-#include "runtime/parallel_operators.h"
-#include "runtime/thread_pool.h"
-#include "tensor/buffer_pool.h"
 
 using namespace tqp;  // NOLINT: bench binary
 
@@ -29,18 +20,15 @@ int main(int argc, char** argv) {
   const double arg = bench::ScaleFactorArg(argc, argv, 1.0);
   const int64_t n = static_cast<int64_t>(arg * 1e6);
   const bench::TimingProtocol protocol{1, 3};
-  runtime::ThreadPool* pool = runtime::ThreadPool::Global();
   std::fprintf(stderr,
-               "=== ABL3: sort vs hash vs partitioned group-by (%lld rows, "
-               "SUM, %d threads) ===\n",
-               static_cast<long long>(n), pool->num_threads());
-  std::fprintf(stderr, "%10s %11s %10s %10s %10s %7s %6s %6s %8s\n", "groups",
-               "sort (ms)", "hash (ms)", "mono (ms)", "part (ms)", "m/p",
-               "parts", "depth", "spill MB");
+               "=== ABL3: sort vs hash group-by (%lld rows, SUM) ===\n",
+               static_cast<long long>(n));
+  std::fprintf(stderr, "%10s %11s %10s %10s\n", "groups", "sort (ms)",
+               "hash (ms)", "sort/hash");
 
   std::printf("{\n  \"bench\": \"abl_groupby\",\n  \"rows\": %lld,\n"
-              "  \"threads\": %d,\n  \"configs\": [",
-              static_cast<long long>(n), pool->num_threads());
+              "  \"configs\": [",
+              static_cast<long long>(n));
   Rng rng(3);
   Tensor values = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
   for (int64_t i = 0; i < n; ++i) {
@@ -67,66 +55,22 @@ int main(int argc, char** argv) {
               op::GroupedReduce(ReduceOpKind::kSum, values, g).status());
         },
         protocol);
-
-    // Monolithic morsel-parallel grouping vs the radix-partitioned
-    // aggregation, both followed by the same parallel float SUM (exact via
-    // the partition-ordered accumulation). The partitioned path is called
-    // directly so its partition choice is observable regardless of
-    // row-count routing thresholds.
-    runtime::ParallelContext ctx;
-    ctx.pool = pool;
-    const bench::PoolTimedRun mono = bench::MeasureWithPool(
-        [&] {
-          auto g = runtime::ParallelHashGroupIds(ctx, key_cols).ValueOrDie();
-          TQP_CHECK_OK(
-              runtime::ParallelGroupedReduce(ctx, ReduceOpKind::kSum, values, g)
-                  .status());
-        },
-        protocol);
-    op::partitioned::PartitionConfig config;
-    config.budget_bytes = BufferPool::ResolveMemoryBudget(0);
-    config.forced_bits = op::partitioned::ForcedPartitionBits();
-    op::partitioned::PartitionStats stats;
-    const bench::PoolTimedRun part = bench::MeasureWithPool(
-        [&] {
-          stats = {};
-          auto g = op::partitioned::PartitionedHashGroupIds(ctx, key_cols,
-                                                            config, &stats)
-                       .ValueOrDie();
-          TQP_CHECK_OK(
-              runtime::ParallelGroupedReduce(ctx, ReduceOpKind::kSum, values, g)
-                  .status());
-        },
-        protocol);
-    const double ratio = part.seconds > 0 ? mono.seconds / part.seconds : 0.0;
+    const double ratio = hash_sec > 0 ? sort_sec / hash_sec : 0.0;
     std::printf(
         "%s\n    {\"groups\": %lld, \"sort_ms\": %.4f, \"hash_ms\": %.4f,"
-        "\n     \"monolithic_ms\": %.4f, \"partitioned_ms\": %.4f,"
-        " \"partitioned_speedup\": %.4f,"
-        "\n     \"partitions\": %lld, \"recursion_depth\": %lld,"
-        " \"repartitions\": %lld, \"spilled_mb\": %.3f,"
-        " \"peak_alloc_mb\": %.3f}",
+        " \"sort_over_hash\": %.4f}",
         first ? "" : ",", static_cast<long long>(groups), sort_sec * 1e3,
-        hash_sec * 1e3, mono.seconds * 1e3, part.seconds * 1e3, ratio,
-        static_cast<long long>(stats.partitions),
-        static_cast<long long>(stats.recursion_depth),
-        static_cast<long long>(stats.repartitions), part.spilled_mb,
-        part.peak_alloc_mb);
+        hash_sec * 1e3, ratio);
     first = false;
-    std::fprintf(stderr, "%10lld %11.3f %10.3f %10.3f %10.3f %6.2fx %6lld "
-                 "%6lld %8.2f\n",
+    std::fprintf(stderr, "%10lld %11.3f %10.3f %9.2fx\n",
                  static_cast<long long>(groups), sort_sec * 1e3,
-                 hash_sec * 1e3, mono.seconds * 1e3, part.seconds * 1e3, ratio,
-                 static_cast<long long>(stats.partitions),
-                 static_cast<long long>(stats.recursion_depth),
-                 part.spilled_mb);
+                 hash_sec * 1e3, ratio);
   }
   std::printf("]\n}\n");
   std::fprintf(stderr,
                "\n(sort-based is what the tensor compiler emits — it is "
-               "expressible as pure tensor ops and scales on GPUs; the "
-               "partitioned aggregation makes each partition's hash table "
-               "cache-sized and spillable, and its group ids still match the "
-               "serial first-seen order exactly)\n");
+               "expressible as pure tensor ops and scales on GPUs; hash-based "
+               "grouping is the classic CPU operator the serial ColumnarEngine "
+               "baseline runs)\n");
   return 0;
 }

@@ -1,10 +1,7 @@
 // ABL2 — join algorithm ablation: the paper's tensor-friendly
 // sort+searchsorted join (what the TQP compiler emits) vs a classic CPU
-// build+probe hash join, plus the radix-partitioned grace hash join vs the
-// monolithic morsel-parallel build+probe, across build/probe sizes and key
-// skew. The partitioned columns report the partition count the budget chose,
-// the recursion depth skew forced, and bytes spilled through the partition
-// buffers.
+// build+probe hash join, across build/probe sizes and key skew. Both run
+// single-threaded, so the columns compare algorithms, not parallelism.
 //
 // Emits JSON (one object) on stdout so CI can track the trajectory per
 // commit; the human-readable summary goes to stderr.
@@ -16,11 +13,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "operators/hash_join.h"
-#include "operators/partitioned/grace_join.h"
-#include "operators/partitioned/partition.h"
-#include "runtime/parallel_operators.h"
-#include "runtime/thread_pool.h"
-#include "tensor/buffer_pool.h"
 
 using namespace tqp;  // NOLINT: bench binary
 
@@ -41,19 +33,13 @@ Tensor RandomKeys(int64_t n, int64_t domain, double zipf_theta, uint64_t seed) {
 int main(int argc, char** argv) {
   const double scale = bench::ScaleFactorArg(argc, argv, 1.0);
   const bench::TimingProtocol protocol{2, 5};
-  runtime::ThreadPool* pool = runtime::ThreadPool::Global();
-  std::fprintf(stderr,
-               "=== ABL2: sort-merge vs hash vs partitioned join (%d threads) "
-               "===\n",
-               pool->num_threads());
-  std::fprintf(stderr,
-               "%9s %9s %5s %10s %9s %9s %9s %7s %6s %6s %8s %9s\n", "probe",
-               "build", "skew", "sm (ms)", "hash(ms)", "mono(ms)", "part(ms)",
-               "m/p", "parts", "depth", "spill MB", "out rows");
+  std::fprintf(stderr, "=== ABL2: sort-merge vs hash join ===\n");
+  std::fprintf(stderr, "%9s %9s %5s %10s %9s %7s %9s\n", "probe", "build",
+               "skew", "sm (ms)", "hash(ms)", "sm/hash", "out rows");
 
   std::printf("{\n  \"bench\": \"abl_join\",\n  \"scale_factor\": %.4f,\n"
-              "  \"threads\": %d,\n  \"configs\": [",
-              scale, pool->num_threads());
+              "  \"configs\": [",
+              scale);
   struct Config {
     int64_t probe;
     int64_t build;
@@ -79,64 +65,24 @@ int main(int argc, char** argv) {
     const double hash_sec = bench::MedianTime(
         [&] { TQP_CHECK_OK(op::HashJoinIndices(probe, build).status()); },
         protocol);
-
-    // Monolithic morsel-parallel build+probe vs the radix-partitioned grace
-    // join, both on the shared pool. The grace join is called directly so
-    // its partition choice is observable regardless of row-count routing
-    // thresholds.
-    runtime::ParallelContext ctx;
-    ctx.pool = pool;
-    const bench::PoolTimedRun mono = bench::MeasureWithPool(
-        [&] {
-          TQP_CHECK_OK(
-              runtime::ParallelHashJoinIndices(ctx, probe, build).status());
-        },
-        protocol);
-    op::partitioned::PartitionConfig config;
-    config.budget_bytes = BufferPool::ResolveMemoryBudget(0);
-    config.forced_bits = op::partitioned::ForcedPartitionBits();
-    op::partitioned::PartitionStats stats;
-    const bench::PoolTimedRun part = bench::MeasureWithPool(
-        [&] {
-          stats = {};
-          TQP_CHECK_OK(op::partitioned::GraceHashJoinIndices(ctx, probe, build,
-                                                             config, &stats)
-                           .status());
-        },
-        protocol);
-    const double ratio = part.seconds > 0 ? mono.seconds / part.seconds : 0.0;
+    const double ratio = hash_sec > 0 ? sm_sec / hash_sec : 0.0;
     std::printf(
         "%s\n    {\"probe\": %lld, \"build\": %lld, \"zipf\": %.2f,"
         "\n     \"sortmerge_ms\": %.4f, \"hash_ms\": %.4f,"
-        " \"monolithic_ms\": %.4f, \"partitioned_ms\": %.4f,"
-        "\n     \"partitioned_speedup\": %.4f, \"partitions\": %lld,"
-        " \"recursion_depth\": %lld, \"repartitions\": %lld,"
-        "\n     \"spilled_mb\": %.3f, \"peak_alloc_mb\": %.3f,"
-        " \"out_rows\": %lld}",
+        " \"sortmerge_over_hash\": %.4f, \"out_rows\": %lld}",
         first ? "" : ",", static_cast<long long>(probe_n),
         static_cast<long long>(build_n), cfg.zipf, sm_sec * 1e3,
-        hash_sec * 1e3, mono.seconds * 1e3, part.seconds * 1e3, ratio,
-        static_cast<long long>(stats.partitions),
-        static_cast<long long>(stats.recursion_depth),
-        static_cast<long long>(stats.repartitions), part.spilled_mb,
-        part.peak_alloc_mb, static_cast<long long>(out_rows));
+        hash_sec * 1e3, ratio, static_cast<long long>(out_rows));
     first = false;
-    std::fprintf(stderr,
-                 "%9lld %9lld %5.1f %10.3f %9.3f %9.3f %9.3f %6.2fx %6lld "
-                 "%6lld %8.2f %9lld\n",
+    std::fprintf(stderr, "%9lld %9lld %5.1f %10.3f %9.3f %6.2fx %9lld\n",
                  static_cast<long long>(probe_n),
                  static_cast<long long>(build_n), cfg.zipf, sm_sec * 1e3,
-                 hash_sec * 1e3, mono.seconds * 1e3, part.seconds * 1e3, ratio,
-                 static_cast<long long>(stats.partitions),
-                 static_cast<long long>(stats.recursion_depth),
-                 part.spilled_mb, static_cast<long long>(out_rows));
+                 hash_sec * 1e3, ratio, static_cast<long long>(out_rows));
   }
   std::printf("]\n}\n");
   std::fprintf(stderr,
                "\n(sort-merge is the GPU-expressible formulation the compiler "
-               "emits; the grace join partitions build and probe by key hash "
-               "so each build partition is cache-sized and spillable — its "
-               "win over the monolithic build grows with build size and "
-               "thread count)\n");
+               "emits; the hash join is the classic CPU operator the serial "
+               "ColumnarEngine baseline runs)\n");
   return 0;
 }

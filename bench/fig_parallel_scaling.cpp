@@ -23,8 +23,8 @@
 //
 // Q18 is the breaker-bound row: a multi-join plus a large group-by, so its
 // wall time is dominated by pipeline breakers rather than streamed scans —
-// the configuration the radix-partitioned breaker backend targets (also
-// measured with partitioned_breakers on).
+// the configuration the external merge sort targets (also measured with
+// partitioned_breakers on).
 
 #include <cstdio>
 #include <cstdlib>

@@ -20,9 +20,8 @@
 //   \pool                           shared thread-pool and buffer-pool stats,
 //                                   current budget and session spill totals
 //   \device cpu|gpu                 choose the device (gpu = simulator)
-//   \engine tqp|volcano|columnar    choose the engine family (columnar runs
-//                                   its hash operators morsel-parallel when
-//                                   the parallel backend is selected)
+//   \engine tqp|volcano|columnar    choose the engine family (columnar is
+//                                   the serial hash-operator baseline)
 //   \plan <sql>                     print the optimized physical plan
 //   \program <sql>                  print the compiled tensor program ops
 //   \fusion on|off                  pipelined/static backends: single-pass
@@ -37,12 +36,11 @@
 //                                   toward a target per-morsel service time
 //                                   (bounded; results bit-identical)
 //   \partitions on|off              parallel/pipelined backends: evaluate
-//                                   pipeline breakers (join build, group-by,
-//                                   sort) through the radix-partitioned
-//                                   grace-join / partitioned-aggregation /
-//                                   external-sort operators — budget-aware
-//                                   partition counts, spillable partitions
-//                                   (results bit-identical)
+//                                   argsort (the breaker joins, group-bys
+//                                   and ORDER BY lower to) through the
+//                                   external merge sort — budget-aware run
+//                                   counts, spillable runs (results
+//                                   bit-identical)
 //   \explain pipelines <sql>        print the pipeline step DAG for <sql>
 //                                   (steps, dependency edges, release sets),
 //                                   then run it once and show each
@@ -128,8 +126,7 @@ struct ShellState {
   // pipelined/static: expression tier (kDefault -> TQP_EXPR_BACKEND).
   ExprBackend expr_backend = ExprBackend::kDefault;
   bool adaptive_morsels = false;  // pipelined: service-time morsel sizing
-  // parallel/pipelined: radix-partitioned pipeline breakers (grace join,
-  // partitioned aggregation, external sort).
+  // parallel/pipelined: external merge sort at argsort breakers.
   bool partitioned_breakers = false;
   int64_t budget_mb = 0;    // per-query memory budget (0 = env default)
   // Per-query deadline for every later statement, milliseconds
@@ -205,13 +202,7 @@ void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
     watch.Reset();
     result_or = volcano.ExecuteSql(sql);
   } else if (state->engine == "columnar") {
-    // With the parallel backend selected, the columnar engine's hash
-    // join/group-by operators run morsel-parallel on the shared pool.
-    runtime::ThreadPool* pool = state->target == ExecutorTarget::kParallel
-                                    ? runtime::ThreadPool::Global()
-                                    : nullptr;
-    ColumnarEngine columnar(&catalog, nullptr, DeviceKind::kCpu,
-                            /*charge_transfers=*/true, pool);
+    ColumnarEngine columnar(&catalog);
     watch.Reset();
     result_or = columnar.ExecuteSql(sql);
   } else {

@@ -6,8 +6,6 @@
 #include "operators/expr_vector_eval.h"
 #include "operators/hash_groupby.h"
 #include "operators/hash_join.h"
-#include "operators/partitioned/partition.h"
-#include "runtime/parallel_operators.h"
 
 namespace tqp {
 
@@ -21,8 +19,6 @@ struct Ctx {
   Device* device;
   bool charge_transfers = true;
   int64_t kernels = 0;
-  // Morsel-parallel execution of the hash operators (null pool = serial).
-  runtime::ParallelContext par;
 
   // Charges one materializing kernel pass to the simulated clock.
   void Charge(int64_t bytes_read, int64_t bytes_written, bool irregular = false,
@@ -227,8 +223,7 @@ Result<Block> ExecJoin(const PlanNode& node, Ctx* ctx) {
     ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes(), true);
     TQP_ASSIGN_OR_RETURN(
         Tensor ids,
-        runtime::ParallelSemiJoinIndices(ctx->par, lk, rk,
-                                         node.join_type == sql::JoinType::kAnti));
+        op::SemiJoinIndices(lk, rk, node.join_type == sql::JoinType::kAnti));
     Block out;
     for (const Tensor& c : left.columns) {
       ctx->Charge(c.nbytes(), c.nbytes(), true);
@@ -242,7 +237,7 @@ Result<Block> ExecJoin(const PlanNode& node, Ctx* ctx) {
   op::JoinIndices indices;
   if (node.join_algo == JoinAlgo::kHash) {
     ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes() * 2, true);
-    TQP_ASSIGN_OR_RETURN(indices, runtime::ParallelHashJoinIndices(ctx->par, lk, rk));
+    TQP_ASSIGN_OR_RETURN(indices, op::HashJoinIndices(lk, rk));
   } else {
     const int64_t n = std::max<int64_t>(rk.rows(), 2);
     ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes() * 2, true,
@@ -372,7 +367,7 @@ Result<Block> ExecAggregate(const PlanNode& node, Ctx* ctx) {
     int64_t key_bytes = 0;
     for (const Tensor& k : keys) key_bytes += k.nbytes();
     ctx->Charge(key_bytes, in.rows * 8, true);
-    TQP_ASSIGN_OR_RETURN(groups, runtime::ParallelHashGroupIds(ctx->par, keys));
+    TQP_ASSIGN_OR_RETURN(groups, op::HashGroupIds(keys));
   } else {
     int64_t key_bytes = 0;
     for (const Tensor& k : keys) key_bytes += k.nbytes();
@@ -395,9 +390,7 @@ Result<Block> ExecAggregate(const PlanNode& node, Ctx* ctx) {
       TQP_ASSIGN_OR_RETURN(values, EvalCharged(*agg.arg, in, ctx));
     }
     ctx->Charge(values.nbytes() + in.rows * 8, groups.num_groups * 8, true);
-    TQP_ASSIGN_OR_RETURN(Tensor r,
-                         runtime::ParallelGroupedReduce(ctx->par, agg.op, values,
-                                                        groups));
+    TQP_ASSIGN_OR_RETURN(Tensor r, op::GroupedReduce(agg.op, values, groups));
     if (r.dtype() != PhysicalType(agg.result_type())) {
       TQP_ASSIGN_OR_RETURN(r, Cast(r, PhysicalType(agg.result_type())));
     }
@@ -471,11 +464,7 @@ Result<Block> Exec(const PlanNode& node, Ctx* ctx) {
 }  // namespace
 
 Result<Table> ColumnarEngine::Execute(const PlanPtr& plan) const {
-  Ctx ctx{catalog_, models_, GetDevice(device_), charge_transfers_, 0, {}};
-  ctx.par.pool = pool_;
-  // The baseline honors the process-wide breaker default only (no per-query
-  // option surface here); the env knob keeps A/B runs symmetric.
-  ctx.par.partitioned_breakers = op::partitioned::DefaultPartitionedBreakers();
+  Ctx ctx{catalog_, models_, GetDevice(device_), charge_transfers_, 0};
   TQP_ASSIGN_OR_RETURN(Block result, Exec(*plan, &ctx));
   last_kernels_ = ctx.kernels;
   std::vector<Column> columns;

@@ -8,7 +8,6 @@
 #include "ml/model.h"
 #include "plan/catalog.h"
 #include "plan/physical_planner.h"
-#include "runtime/thread_pool.h"
 
 namespace tqp {
 
@@ -21,18 +20,19 @@ namespace tqp {
 /// one materialized pass per expression node — the extra memory traffic and
 /// kernel launches are exactly what TQP's compiled programs avoid. Runs on
 /// the CPU or (with simulated timing) on the GPU device.
+///
+/// Serial by design: hash joins and hash group-bys call the single-threaded
+/// operators in src/operators (op::HashJoinIndices, op::SemiJoinIndices,
+/// op::HashGroupIds, op::GroupedReduce), which keeps the baseline's numbers
+/// single-threaded and makes its results a reference the TPC-H
+/// differentials compare TQP's sort-based joins and group-bys against.
 class ColumnarEngine {
  public:
-  /// `pool` (optional) runs the hash join/semi-join/group-by operators
-  /// morsel-parallel on that thread pool (see src/runtime); results are
-  /// bit-identical to the serial operators. Null = serial (the baseline's
-  /// default, keeping ablation numbers single-threaded).
   ColumnarEngine(const Catalog* catalog, const ml::ModelRegistry* models = nullptr,
                  DeviceKind device = DeviceKind::kCpu,
-                 bool charge_transfers = true,
-                 runtime::ThreadPool* pool = nullptr)
+                 bool charge_transfers = true)
       : catalog_(catalog), models_(models), device_(device),
-        charge_transfers_(charge_transfers), pool_(pool) {}
+        charge_transfers_(charge_transfers) {}
 
   Result<Table> Execute(const PlanPtr& plan) const;
   Result<Table> ExecuteSql(const std::string& sql,
@@ -47,7 +47,6 @@ class ColumnarEngine {
   const ml::ModelRegistry* models_;
   DeviceKind device_;
   bool charge_transfers_ = true;
-  runtime::ThreadPool* pool_ = nullptr;  // not owned; null = serial operators
   mutable int64_t last_kernels_ = 0;
 };
 

@@ -38,8 +38,8 @@ struct CompileOptions {
   ExprBackend expr_backend = ExprBackend::kDefault;
   /// See ExecOptions::adaptive_morsels (service-time-driven morsel sizing).
   bool adaptive_morsels = false;
-  /// See ExecOptions::partitioned_breakers (radix-partitioned grace join /
-  /// partitioned aggregation / external sort at pipeline breakers).
+  /// See ExecOptions::partitioned_breakers (external merge sort for every
+  /// argsort breaker).
   bool partitioned_breakers = false;
   /// See ExecOptions::step_scheduler — priority-aware step dispatch (not
   /// owned). Set by the QueryScheduler so steps of concurrent queries

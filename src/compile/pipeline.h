@@ -73,11 +73,10 @@ struct Pipeline {
 struct PipelineStep {
   int serial_node = -1;  // >= 0: evaluate this node whole
   int pipeline = -1;     // >= 0: stream plan.pipelines[pipeline]
-  /// True when the serial node is a pipeline breaker the radix-partitioned
-  /// operators can evaluate (sort, segmented reduction — the shapes joins
-  /// and group-bys lower into): under ExecOptions::partitioned_breakers
-  /// these steps route through src/operators/partitioned with budget-aware
-  /// partition counts and spillable partition buffers.
+  /// True when the serial node is a pipeline breaker joins and group-bys
+  /// lower into (argsort, segmented reduction); \explain pipelines marks
+  /// it. Under ExecOptions::partitioned_breakers the argsort steps run the
+  /// external merge sort in src/operators/partitioned.
   bool breaker = false;
   /// Schedule indices of earlier steps whose products this step consumes
   /// (sorted, deduped). Empty => the step is a DAG root and can start

@@ -46,8 +46,14 @@ enum class ExprBackend : int8_t {
 const char* ExprBackendName(ExprBackend backend);
 
 /// \brief Maps kDefault to the TQP_EXPR_BACKEND environment choice
-/// ("interp" | "simd"; interp when unset), explicit values to themselves.
+/// (parsed once per process by ParseExprBackend), explicit values to
+/// themselves.
 ExprBackend ResolveExprBackend(ExprBackend backend);
+
+/// \brief Parses a TQP_EXPR_BACKEND value: "interp" or "simd" select that
+/// tier; null or empty selects interp silently; any other value (a typo,
+/// "SIMD", "avx2") logs a warning and falls back to interp.
+ExprBackend ParseExprBackend(const char* value);
 
 /// \brief Hook for per-op profiling (implemented in src/profiler).
 class OpProfiler {
@@ -103,13 +109,12 @@ struct ExecOptions {
   /// results bit-identical at any size). Default off; TQP_ADAPTIVE_MORSEL=1
   /// flips the default.
   bool adaptive_morsels = false;
-  /// Parallel/Pipelined executors: evaluate pipeline breakers (hash-join
-  /// build+probe, grouping, sort) through the radix-partitioned operators in
-  /// src/operators/partitioned — cache-sized partition counts chosen from
-  /// the query budget, recursive re-partitioning of skewed partitions, and
-  /// spillable partition buffers. Results are bit-identical either way; this
-  /// is the partitioning A/B switch. Default off; TQP_PARTITIONED_BREAKERS=1
-  /// flips the default.
+  /// Parallel/Pipelined executors: evaluate argsort — the pipeline breaker
+  /// every join, GROUP BY and ORDER BY lowers to — through the external
+  /// merge sort in src/operators/partitioned: run counts chosen from the
+  /// query budget and spillable run pages. Results are bit-identical either
+  /// way; this is the partitioning A/B switch. Default off;
+  /// TQP_PARTITIONED_BREAKERS=1 flips the default.
   bool partitioned_breakers = false;
   /// Parallel/Pipelined executors: when set (not owned; must share `pool`),
   /// step/node tasks dispatch through this priority-aware StepScheduler

@@ -140,13 +140,11 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
     }
   }
 
-  // Partitioned pipeline-breaker spans (grace join, partitioned aggregation,
-  // external sort): per-kind partition totals, deepest recursion, and bytes
-  // spilled through the partition buffers.
+  // Partitioned pipeline-breaker spans (the external sort): per-kind run
+  // totals and bytes spilled through the run pages.
   struct BreakerRow {
     int64_t calls = 0;
     int64_t partitions = 0;
-    int64_t max_depth = 0;
     int64_t spilled_bytes = 0;
   };
   std::map<std::string, BreakerRow> breaker_rows;
@@ -156,7 +154,6 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
     BreakerRow& br = breaker_rows[e.name];
     ++br.calls;
     br.partitions += EventArg(e, "partitions");
-    br.max_depth = std::max(br.max_depth, EventArg(e, "recursion_depth"));
     br.spilled_bytes += EventArg(e, "spilled_bytes");
   }
 
@@ -255,8 +252,7 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   }
   for (const auto& [name, br] : breaker_rows) {
     os << "\nbreaker " << name << ": calls=" << br.calls
-       << " partitions=" << br.partitions << " max_depth=" << br.max_depth
-       << " spilled="
+       << " partitions=" << br.partitions << " spilled="
        << FormatDouble(static_cast<double>(br.spilled_bytes) / 1e6, 2)
        << " MB";
   }

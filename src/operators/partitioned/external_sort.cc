@@ -280,7 +280,6 @@ Result<Tensor> ExternalSortRows(const runtime::ParallelContext& ctx,
   local.spilled_bytes =
       (scope != nullptr ? scope->stats().spilled_bytes : 0) - spilled_before;
   span.AddArg("partitions", local.partitions);
-  span.AddArg("recursion_depth", local.recursion_depth);
   span.AddArg("spilled_bytes", local.spilled_bytes);
   RecordBreakerStats("external_sort", local);
   if (stats != nullptr) *stats = local;

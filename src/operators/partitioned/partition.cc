@@ -4,154 +4,20 @@
 
 #include "common/env.h"
 #include "obs/metrics.h"
-#include "runtime/morsel.h"
 
 namespace tqp::op::partitioned {
-
-namespace {
-
-Result<std::vector<int64_t>> NodeHistogram(const runtime::ParallelContext& ctx,
-                                           const std::vector<int32_t>& node_of,
-                                           int num_nodes) {
-  const int64_t n = static_cast<int64_t>(node_of.size());
-  const std::vector<runtime::RowRange> morsels =
-      runtime::PartitionRows(n, runtime::MorselRows(ctx));
-  std::vector<std::vector<int64_t>> counts(
-      morsels.size(), std::vector<int64_t>(static_cast<size_t>(num_nodes), 0));
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1,
-      [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t m = mb; m < me; ++m) {
-          auto& c = counts[static_cast<size_t>(m)];
-          const runtime::RowRange r = morsels[static_cast<size_t>(m)];
-          for (int64_t i = r.begin; i < r.end; ++i) {
-            ++c[static_cast<size_t>(node_of[static_cast<size_t>(i)])];
-          }
-        }
-        return Status::OK();
-      }));
-  std::vector<int64_t> total(static_cast<size_t>(num_nodes), 0);
-  for (const auto& c : counts) {
-    for (int q = 0; q < num_nodes; ++q) {
-      total[static_cast<size_t>(q)] += c[static_cast<size_t>(q)];
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
-Result<RadixSplit> BuildRadixSplit(const runtime::ParallelContext& ctx,
-                                   const std::vector<uint64_t>& hashes, int bits,
-                                   int64_t max_rows, PartitionStats* stats,
-                                   std::vector<int32_t>* leaf_of,
-                                   std::vector<int64_t>* leaf_count) {
-  const int64_t n = static_cast<int64_t>(hashes.size());
-  const int fan = 1 << bits;
-  std::vector<int32_t> node_of(static_cast<size_t>(n));
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      n, runtime::MorselRows(ctx), [&](int64_t b, int64_t e) -> Status {
-        for (int64_t i = b; i < e; ++i) {
-          node_of[static_cast<size_t>(i)] = static_cast<int32_t>(
-              PartitionOfHash(hashes[static_cast<size_t>(i)], 0, bits));
-        }
-        return Status::OK();
-      }));
-  RadixSplit split;
-  split.bits = bits;
-  int num_nodes = fan;
-  split.child_base.assign(static_cast<size_t>(num_nodes), -1);
-  std::vector<int64_t> parent_count(static_cast<size_t>(num_nodes), -1);
-  std::vector<bool> final_leaf(static_cast<size_t>(num_nodes), false);
-  std::vector<int64_t> count;
-  for (int level = 0;; ++level) {
-    TQP_ASSIGN_OR_RETURN(count, NodeHistogram(ctx, node_of, num_nodes));
-    for (int q = 0; q < num_nodes; ++q) {
-      const auto uq = static_cast<size_t>(q);
-      if (split.child_base[uq] < 0 && !final_leaf[uq] && parent_count[uq] >= 0 &&
-          count[uq] == parent_count[uq]) {
-        final_leaf[uq] = true;  // no progress: give up splitting this leaf
-        ++stats->fallbacks;
-      }
-    }
-    if (max_rows <= 0 || level >= kMaxRecursionDepth) break;
-    const int old_nodes = num_nodes;
-    bool any = false;
-    for (int q = 0; q < old_nodes; ++q) {
-      const auto uq = static_cast<size_t>(q);
-      if (split.child_base[uq] >= 0 || final_leaf[uq] || count[uq] <= max_rows) {
-        continue;
-      }
-      split.child_base[uq] = num_nodes;
-      num_nodes += fan;
-      any = true;
-      ++stats->repartitions;
-    }
-    if (!any) break;
-    stats->recursion_depth = level + 1;
-    split.child_base.resize(static_cast<size_t>(num_nodes), -1);
-    parent_count.resize(static_cast<size_t>(num_nodes), -1);
-    final_leaf.resize(static_cast<size_t>(num_nodes), false);
-    for (int q = 0; q < old_nodes; ++q) {
-      const auto uq = static_cast<size_t>(q);
-      if (split.child_base[uq] < 0 || count[uq] <= max_rows) continue;
-      for (int c = 0; c < fan; ++c) {
-        parent_count[static_cast<size_t>(split.child_base[uq] + c)] = count[uq];
-      }
-    }
-    TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-        n, runtime::MorselRows(ctx), [&](int64_t b, int64_t e) -> Status {
-          for (int64_t i = b; i < e; ++i) {
-            const auto q = static_cast<size_t>(node_of[static_cast<size_t>(i)]);
-            if (split.child_base[q] >= 0) {
-              node_of[static_cast<size_t>(i)] = static_cast<int32_t>(
-                  split.child_base[q] +
-                  PartitionOfHash(hashes[static_cast<size_t>(i)], level + 1, bits));
-            }
-          }
-          return Status::OK();
-        }));
-  }
-  // Leaves still above max_rows at the depth cap build monolithically.
-  for (int q = 0; q < num_nodes; ++q) {
-    const auto uq = static_cast<size_t>(q);
-    if (split.child_base[uq] < 0 && !final_leaf[uq] && max_rows > 0 &&
-        count[uq] > max_rows) {
-      ++stats->fallbacks;
-    }
-  }
-  split.leaf_index.assign(static_cast<size_t>(num_nodes), -1);
-  leaf_count->clear();
-  for (int q = 0; q < num_nodes; ++q) {
-    const auto uq = static_cast<size_t>(q);
-    if (split.child_base[uq] >= 0) continue;
-    split.leaf_index[uq] = split.num_leaves++;
-    leaf_count->push_back(count[uq]);
-  }
-  leaf_of->resize(static_cast<size_t>(n));
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      n, runtime::MorselRows(ctx), [&](int64_t b, int64_t e) -> Status {
-        for (int64_t i = b; i < e; ++i) {
-          (*leaf_of)[static_cast<size_t>(i)] = split.leaf_index[static_cast<size_t>(
-              node_of[static_cast<size_t>(i)])];
-        }
-        return Status::OK();
-      }));
-  stats->partitions = split.num_leaves;
-  return split;
-}
 
 int ChoosePartitionBits(int64_t rows, int64_t bytes_per_row,
                         int64_t budget_bytes, int threads) {
   if (rows <= 0) return 0;
   bytes_per_row = std::max<int64_t>(1, bytes_per_row);
   // Thread fan-out: smallest k with 2^k >= 2*threads keeps every worker fed
-  // even when partition sizes skew 2:1.
+  // even when run costs skew 2:1.
   int k = 0;
   const int64_t want = int64_t{2} * std::max(1, threads);
   while ((int64_t{1} << k) < want && k < kMaxPartitionBits) ++k;
-  // With a budget, one partition's working set (partition rows doubled for
-  // hash-table overhead) must fit in a quarter of it.
+  // With a budget, one run's working set (run rows doubled for sort
+  // scratch) must fit in a quarter of it.
   if (budget_bytes > 0) {
     const int64_t target = std::max<int64_t>(1, budget_bytes / 4);
     while (k < kMaxPartitionBits &&
@@ -159,17 +25,9 @@ int ChoosePartitionBits(int64_t rows, int64_t bytes_per_row,
       ++k;
     }
   }
-  // Never split below kMinPartitionRows rows per partition.
+  // Never split below kMinPartitionRows rows per run.
   while (k > 0 && (rows >> k) < kMinPartitionRows) --k;
   return k;
-}
-
-int64_t MaxPartitionRows(const PartitionConfig& config, int64_t bytes_per_row) {
-  if (config.max_partition_rows > 0) return config.max_partition_rows;
-  if (config.budget_bytes <= 0) return 0;  // unbudgeted: no recursion
-  bytes_per_row = std::max<int64_t>(1, bytes_per_row);
-  return std::max(kMinPartitionRows,
-                  config.budget_bytes / 4 / (bytes_per_row * 2));
 }
 
 int64_t PageRows(const PartitionConfig& config, int64_t bytes_per_row) {
@@ -197,20 +55,13 @@ void RecordBreakerStats(const char* kind, const PartitionStats& stats) {
   static obs::Counter* invocations = reg->GetCounter(
       "tqp_breaker_invocations_total", "Partitioned breaker evaluations");
   static obs::Counter* partitions = reg->GetCounter(
-      "tqp_breaker_partitions_total", "Partitions (or sort runs) processed");
-  static obs::Counter* repartitions = reg->GetCounter(
-      "tqp_breaker_repartitions_total", "Skewed partitions split again");
-  static obs::Counter* fallbacks = reg->GetCounter(
-      "tqp_breaker_fallbacks_total",
-      "Partitions that hit the recursion bound and built monolithically");
+      "tqp_breaker_partitions_total", "Sort runs processed");
   static obs::Counter* spilled = reg->GetCounter(
       "tqp_breaker_spilled_bytes_total",
       "Breaker scratch bytes written to the spill tier");
   (void)kind;
   invocations->Add(1);
   partitions->Add(stats.partitions);
-  repartitions->Add(stats.repartitions);
-  fallbacks->Add(stats.fallbacks);
   spilled->Add(stats.spilled_bytes);
 }
 

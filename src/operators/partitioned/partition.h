@@ -2,168 +2,74 @@
 #define TQP_OPERATORS_PARTITIONED_PARTITION_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "runtime/parallel_kernels.h"
 
 namespace tqp::op::partitioned {
 
-/// Shared policy layer for the radix-partitioned pipeline breakers (grace
-/// hash join, partitioned aggregation, external merge sort). Partition
-/// *counts* are chosen here, deterministically, from input cardinality and
-/// the per-query memory budget, so a plan's decomposition is reproducible
-/// and unit-pinnable; partition *assignment* uses level-aware windows of one
-/// 64-bit hash, so a recursive re-partition of a skewed partition draws
-/// fresh bits instead of re-splitting on the ones that already collided.
+/// Policy layer for the external merge sort, the one partitioned pipeline
+/// breaker: TQP lowers every join and GROUP BY to argsort + searchsorted,
+/// so they reach it through kArgsortRows. Run *counts* are chosen here,
+/// deterministically, from input cardinality and the per-query memory
+/// budget, so a plan's decomposition is reproducible and unit-pinnable.
 
-/// \brief Knobs for one partitioned breaker invocation. Default-constructed
-/// config means "derive everything": partition count from
-/// ChoosePartitionBits, recursion threshold from the budget.
+/// \brief Knobs for one external-sort invocation. Default-constructed
+/// config means "derive everything": run count from ChoosePartitionBits,
+/// page size from PageRows.
 struct PartitionConfig {
-  /// Per-query budget in bytes; 0 = unbudgeted (partition for cache/threads
+  /// Per-query budget in bytes; 0 = unbudgeted (runs sized for threads
   /// only).
   int64_t budget_bytes = 0;
-  /// Forced log2(partition count); -1 derives via ChoosePartitionBits. The
-  /// differential tests sweep {0, 2, 4} (1/4/16 partitions).
+  /// Forced log2(run count); -1 derives via ChoosePartitionBits. The
+  /// differential tests sweep {0, 2, 4} (1/4/16 runs).
   int forced_bits = -1;
-  /// A build/probe partition larger than this re-partitions recursively
-  /// (grace join / partitioned agg); 0 derives from the budget, and
-  /// unbudgeted runs never recurse unless this is set explicitly.
-  int64_t max_partition_rows = 0;
-  /// Target bytes per spillable run page in the external sort; 0 derives
-  /// (256 KiB, floored so a page clears the spill tier's minimum).
+  /// Target bytes per spillable run page; 0 derives (256 KiB, floored so a
+  /// page clears the spill tier's minimum).
   int64_t page_bytes = 0;
 };
 
 /// \brief Per-invocation statistics, surfaced through "breaker" trace spans
 /// (EXPLAIN ANALYZE) and the obs metrics registry.
 struct PartitionStats {
-  int64_t partitions = 0;       // leaf partitions (or sort runs) processed
-  int64_t recursion_depth = 0;  // deepest re-partition level reached
-  int64_t repartitions = 0;     // partitions split again for skew/overflow
-  int64_t fallbacks = 0;        // partitions that gave up splitting (all-equal
-                                // keys) and built the monolithic chain
-  int64_t spilled_bytes = 0;    // breaker scratch written to the spill tier
+  int64_t partitions = 0;     // sort runs processed
+  int64_t spilled_bytes = 0;  // breaker scratch written to the spill tier
 };
 
-/// Recursion and fan-out bounds. kMaxPartitionBits caps one level's fan-out
-/// at 256; kMaxRecursionDepth bounds the grace join's re-partitioning (the
-/// hash windows below stay disjoint through this depth).
+/// Fan-out bounds: kMaxPartitionBits caps the run count at 256.
 inline constexpr int kMaxPartitionBits = 8;
-inline constexpr int kMaxRecursionDepth = 3;
-/// Partitions smaller than this are not worth the scatter.
+/// Runs smaller than this are not worth the merge.
 inline constexpr int64_t kMinPartitionRows = 4096;
 
-/// \brief Deterministic log2(partition count) for a breaker over `rows` rows
-/// of `bytes_per_row` bytes, executed by up to `threads` workers under
+/// \brief Deterministic log2(run count) for a breaker over `rows` rows of
+/// `bytes_per_row` bytes, executed by up to `threads` workers under
 /// `budget_bytes` (0 = unbudgeted).
 ///
 /// Policy (unit-pinned in tests/test_partitioned.cc):
 ///  - start from the thread fan-out: the smallest k with 2^k >= 2*threads;
-///  - never split below kMinPartitionRows rows per partition;
-///  - with a budget, raise k until one partition's working set
-///    (rows/2^k * bytes_per_row, doubled for hash-table overhead) fits in a
-///    quarter of the budget — the resident set during partition-at-a-time
-///    processing is one partition plus merge state, so a quarter leaves room
-///    for output and peers;
+///  - never split below kMinPartitionRows rows per run;
+///  - with a budget, raise k until one run's working set
+///    (rows/2^k * bytes_per_row, doubled for sort scratch) fits in a
+///    quarter of the budget — the resident set during run formation is one
+///    run plus merge state, so a quarter leaves room for output and peers;
 ///  - clamp to [0, kMaxPartitionBits].
 int ChoosePartitionBits(int64_t rows, int64_t bytes_per_row,
                         int64_t budget_bytes, int threads);
 
-/// \brief The recursion threshold: partitions above this many rows split
-/// again. Derived from the budget when `config.max_partition_rows` is 0
-/// (unbudgeted: no recursion). Returns 0 for "never recurse".
-int64_t MaxPartitionRows(const PartitionConfig& config, int64_t bytes_per_row);
-
 /// \brief Rows per external-sort run page for `config` (always >= 1).
 int64_t PageRows(const PartitionConfig& config, int64_t bytes_per_row);
 
-/// \brief Full 64-bit SplitMix64 finalizer of an int64 key. Level windows
-/// below slice this one value, so every recursion level sees independent
-/// bits of the same hash.
-inline uint64_t HashKey64(int64_t key) {
-  uint64_t x = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// \brief FNV-1a + avalanche over encoded composite-key bytes (mirrors the
-/// row-key encoding in op::HashGroupIds so grouping decisions can't drift).
-inline uint64_t HashRowKey(const std::string& key) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
-/// \brief Partition of a hash at recursion `level`: an 8-bit-aligned window,
-/// disjoint per level (level 0 reads bits [0,8), level 1 bits [8,16), ...),
-/// masked to the level's partition count.
-inline int64_t PartitionOfHash(uint64_t hash, int level, int bits) {
-  return static_cast<int64_t>((hash >> (8 * level)) &
-                              ((uint64_t{1} << bits) - 1));
-}
-
-/// \brief The recursive split tree built from one side's hashes. Interior
-/// nodes fan out into 2^bits children on the *next* 8-bit hash window; leaves
-/// carry a dense leaf id. The grace join's probe side walks the tree built
-/// from the build side (LeafOf), so both sides agree on every split decision.
-struct RadixSplit {
-  int bits = 0;
-  std::vector<int32_t> child_base;  // per node: first child node id, -1 = leaf
-  std::vector<int32_t> leaf_index;  // per node: dense leaf id, -1 = interior
-  int num_leaves = 0;
-
-  /// A node split at depth d fans out on hash window d+1, and splits only
-  /// ever create whole levels, so descending one child per window reaches
-  /// the unique leaf for `hash`.
-  int32_t LeafOf(uint64_t hash) const {
-    auto q = static_cast<int32_t>(PartitionOfHash(hash, 0, bits));
-    for (int level = 1; child_base[static_cast<size_t>(q)] >= 0; ++level) {
-      q = child_base[static_cast<size_t>(q)] +
-          static_cast<int32_t>(PartitionOfHash(hash, level, bits));
-    }
-    return leaf_index[static_cast<size_t>(q)];
-  }
-};
-
-/// \brief Recursively splits rows by disjoint windows of their 64-bit hashes:
-/// level 0 fans out into 2^bits partitions and any partition above `max_rows`
-/// (0 = never recurse) re-partitions on the next window, up to
-/// kMaxRecursionDepth. A child that swallows its whole parent (all-equal
-/// keys — fresh hash bits cannot separate them) becomes a final fallback leaf
-/// instead of splitting again; stats records repartitions, the depth reached,
-/// and fallback leaves (no-progress or still oversize at the depth cap).
-///
-/// On return `leaf_of[i]` is row i's dense leaf id and `leaf_count[l]` the
-/// rows in leaf l. Requires ctx.pool != nullptr.
-Result<RadixSplit> BuildRadixSplit(const runtime::ParallelContext& ctx,
-                                   const std::vector<uint64_t>& hashes, int bits,
-                                   int64_t max_rows, PartitionStats* stats,
-                                   std::vector<int32_t>* leaf_of,
-                                   std::vector<int64_t>* leaf_count);
-
-/// \brief Whether executors should evaluate pipeline breakers through the
-/// partitioned operators by default (TQP_PARTITIONED_BREAKERS=1; off
-/// otherwise). ExecOptions::partitioned_breakers overrides per run.
+/// \brief Whether executors should evaluate argsort through the external
+/// merge sort by default (TQP_PARTITIONED_BREAKERS=1; off otherwise).
+/// ExecOptions::partitioned_breakers overrides per run.
 bool DefaultPartitionedBreakers();
 
-/// \brief Forced log2(partition count) from TQP_PARTITION_BITS (differential
+/// \brief Forced log2(run count) from TQP_PARTITION_BITS (differential
 /// sweeps), or -1 when unset.
 int ForcedPartitionBits();
 
 /// \brief Publishes one breaker invocation to the process metrics registry
-/// (tqp_breaker_* counters). `kind` is a static string: "grace_join",
-/// "partitioned_agg" or "external_sort".
+/// (tqp_breaker_* counters). `kind` is a static string ("external_sort").
 void RecordBreakerStats(const char* kind, const PartitionStats& stats);
 
 }  // namespace tqp::op::partitioned

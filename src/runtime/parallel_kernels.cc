@@ -8,7 +8,6 @@
 #include "kernels/kernels.h"
 #include "kernels/sort_internal.h"
 #include "operators/partitioned/external_sort.h"
-#include "operators/partitioned/partitioned_agg.h"
 #include "runtime/morsel.h"
 #include "tensor/buffer_pool.h"
 
@@ -259,6 +258,96 @@ Result<Tensor> ParallelReduceAll(const ParallelContext& ctx, ReduceOpKind op,
   return Tensor::Full(dt, 1, 1, acc, a.device());
 }
 
+namespace {
+
+/// Exact parallel float sums: partitions the *segment id space* into
+/// contiguous ranges, scatters row ids by range (order-preserving), then
+/// accumulates each range's segments in ascending row order into disjoint
+/// output slices. Every segment's additions happen in the serial
+/// left-to-right order, so the result is bit-identical to the serial kernel
+/// for any range count or thread count. `values` must be kFloat64 (n x 1)
+/// and `ids` kInt64 (n x 1); out-of-range ids fail with the
+/// SegmentedReduce IndexError. The caller has already decided to fan out.
+Result<Tensor> PartitionOrderedFloatSums(const ParallelContext& ctx,
+                                         const Tensor& values, const Tensor& ids,
+                                         int64_t num_groups) {
+  const int64_t n = values.rows();
+  const double* pv = values.data<double>();
+  const int64_t* pid = ids.data<int64_t>();
+  TQP_ASSIGN_OR_RETURN(
+      Tensor out, Tensor::Full(DType::kFloat64, num_groups, 1, 0.0, values.device()));
+  double* po = out.mutable_data<double>();
+  // Partition the group id space into contiguous ranges. The range count
+  // cannot affect the result: each group lives in exactly one range and its
+  // rows accumulate in ascending order either way.
+  const int64_t num_ranges =
+      std::min<int64_t>(std::max<int64_t>(1, 2 * ctx.pool->num_threads()), num_groups);
+  const int64_t step = (num_groups + num_ranges - 1) / num_ranges;
+  const std::vector<RowRange> morsels = PartitionRows(n, MorselRows(ctx));
+  std::vector<std::vector<int64_t>> counts(
+      morsels.size(), std::vector<int64_t>(static_cast<size_t>(num_ranges), 0));
+  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
+      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
+        for (int64_t m = mb; m < me; ++m) {
+          auto& c = counts[static_cast<size_t>(m)];
+          const RowRange r = morsels[static_cast<size_t>(m)];
+          for (int64_t i = r.begin; i < r.end; ++i) {
+            if (pid[i] < 0 || pid[i] >= num_groups) {
+              return Status::IndexError("segment id out of range");
+            }
+            ++c[static_cast<size_t>(pid[i] / step)];
+          }
+        }
+        return Status::OK();
+      }));
+  std::vector<int64_t> range_start(static_cast<size_t>(num_ranges) + 1, 0);
+  for (int64_t r = 0; r < num_ranges; ++r) {
+    int64_t total = 0;
+    for (size_t m = 0; m < morsels.size(); ++m) total += counts[m][static_cast<size_t>(r)];
+    range_start[static_cast<size_t>(r) + 1] = range_start[static_cast<size_t>(r)] + total;
+  }
+  std::vector<std::vector<int64_t>> offsets(
+      morsels.size(), std::vector<int64_t>(static_cast<size_t>(num_ranges), 0));
+  for (int64_t r = 0; r < num_ranges; ++r) {
+    int64_t cursor = range_start[static_cast<size_t>(r)];
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      offsets[m][static_cast<size_t>(r)] = cursor;
+      cursor += counts[m][static_cast<size_t>(r)];
+    }
+  }
+  // Order-preserving scatter: range r's slice lists its rows ascending.
+  std::vector<int64_t> row_of(static_cast<size_t>(n));
+  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
+      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
+        for (int64_t m = mb; m < me; ++m) {
+          auto cursor = offsets[static_cast<size_t>(m)];  // private copy
+          const RowRange r = morsels[static_cast<size_t>(m)];
+          for (int64_t i = r.begin; i < r.end; ++i) {
+            const auto p = static_cast<size_t>(pid[i] / step);
+            row_of[static_cast<size_t>(cursor[p]++)] = i;
+          }
+        }
+        return Status::OK();
+      }));
+  // Each range accumulates its groups in serial row order into a disjoint
+  // output slice: bit-identical to the serial scan.
+  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
+      num_ranges, 1, [&](int64_t rb, int64_t re) -> Status {
+        for (int64_t r = rb; r < re; ++r) {
+          const int64_t begin = range_start[static_cast<size_t>(r)];
+          const int64_t end = range_start[static_cast<size_t>(r) + 1];
+          for (int64_t k = begin; k < end; ++k) {
+            const int64_t i = row_of[static_cast<size_t>(k)];
+            po[pid[i]] += pv[i];
+          }
+        }
+        return Status::OK();
+      }));
+  return out;
+}
+
+}  // namespace
+
 Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind op,
                                        const Tensor& values,
                                        const Tensor& segment_ids,
@@ -285,9 +374,7 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
   if (float_sum) {
     // Exact: each segment's additions replay in serial row order.
     TQP_ASSIGN_OR_RETURN(Tensor cv, ParallelCast(ctx, values, DType::kFloat64));
-    return op::partitioned::PartitionOrderedFloatSums(ctx, cv, segment_ids,
-                                                      num_segments,
-                                                      /*validate=*/true);
+    return PartitionOrderedFloatSums(ctx, cv, segment_ids, num_segments);
   }
   const int64_t* seg = segment_ids.data<int64_t>();
   const int slots = ctx.pool->max_parallel_slots();

@@ -31,10 +31,10 @@ struct ParallelContext {
   /// Kernels on fewer rows than this run serially (fan-out overhead would
   /// dominate).
   int64_t min_parallel_rows = 8192;
-  /// Evaluate pipeline breakers (hash-join build, grouping, sort) through the
-  /// radix-partitioned operators in src/operators/partitioned. Results stay
-  /// bit-identical; partitions are cache-sized, spillable, and chosen from
-  /// the ambient query budget.
+  /// Evaluate kArgsortRows — the pipeline breaker TQP's joins, group-bys and
+  /// ORDER BYs all lower to — through the external merge sort in
+  /// src/operators/partitioned. Results stay bit-identical; runs are
+  /// spillable and sized from the ambient query budget.
   bool partitioned_breakers = false;
   /// Optional executor hooks, only consulted when partitioned_breakers is on.
   const BreakerHooks* breaker_hooks = nullptr;
@@ -52,10 +52,10 @@ bool ShouldParallelize(const ParallelContext& ctx, int64_t rows);
 /// result is bit-identical to the corresponding serial kernel in
 /// src/kernels, for any thread count and morsel size. Decompositions that
 /// cannot be made exact (whole-input floating-point sums, prefix scans) are
-/// not parallelized — they delegate to the serial kernel. *Grouped* float
-/// sums are exact in parallel: the partition-ordered accumulation in
-/// src/operators/partitioned replays each group's additions in serial row
-/// order, so segmented/grouped reductions parallelize for every op.
+/// not parallelized — they delegate to the serial kernel. *Segmented* float
+/// sums are exact in parallel: a partition-ordered accumulation replays each
+/// segment's additions in serial row order, so segmented reductions
+/// parallelize for every op.
 
 /// \brief Elementwise family (broadcast-aware): rows are independent, so
 /// morsels of the output map to morsels of the row-aligned inputs.

@@ -230,7 +230,7 @@ Status ThreadPool::ParallelFor(
   auto drain = [state, fn, total, morsel_rows, num_morsels](int slot) {
     while (!state->failed.load(std::memory_order_acquire)) {
       // Cancellation poll before claiming each morsel: breaker internals
-      // (partition scans, hash builds, merge passes) all fan out through
+      // (sort run formation, radix passes, merge passes) all fan out through
       // here, so a cancelled query stops within one morsel everywhere, not
       // just at pipeline step boundaries.
       if (Status st = CheckAmbientCancelled(); !st.ok()) {

@@ -122,6 +122,31 @@ struct ForceScalarGuard {
   ~ForceScalarGuard() { kernels::simd::ForceScalarForTesting(false); }
 };
 
+// ---- TQP_EXPR_BACKEND parsing -----------------------------------------------
+
+TEST(ExprBackendTest, ParsesKnownNamesSilently) {
+  for (const char* value : {static_cast<const char*>(nullptr), "", "interp"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseExprBackend(value), ExprBackend::kInterp);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  }
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ParseExprBackend("simd"), ExprBackend::kSimd);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(ExprBackendTest, UnknownValueWarnsAndFallsBackToInterp) {
+  for (const char* value : {"SIMD", "avx2", "simd "}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseExprBackend(value), ExprBackend::kInterp) << value;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("TQP_EXPR_BACKEND='" + std::string(value) + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("using default interp"), std::string::npos) << err;
+  }
+}
+
 // ---- ExprProgram lowering units --------------------------------------------
 
 TEST(ExprProgramTest, PromotionCastOfLiteralConstantFolds) {

@@ -1,14 +1,11 @@
-// Tests for the radix-partitioned pipeline breakers: unit pins on the
-// partition-count / recursion-depth choice policy, bit-identity of the grace
-// hash join, partitioned aggregation, external merge sort, and
-// partition-ordered float sums against their serial counterparts across
-// thread counts x forced partition counts x budgets, recursive
-// re-partitioning under Zipfian and all-equal-key skew (with the bounded
-// fallback), whole-query TPC-H differentials with the breakers routed in,
-// the EXPLAIN ANALYZE breaker summary, and the budget floor: a
-// breaker-dominated program capped at 25% of its unspilled peak must hold
-// budget_overruns == 0 with partitioned breakers on where the monolithic
-// breakers overrun.
+// Tests for the external merge sort, the one partitioned pipeline breaker:
+// unit pins on the run-count and page-size policy, bit-identity against the
+// stable argsort across thread counts x forced run counts, whole-query
+// TPC-H differentials with the external sort routed in under both serving
+// targets (parallel and pipelined), the EXPLAIN ANALYZE breaker summary, and
+// the budget floor: a sort-dominated program capped at 25% of its unspilled
+// peak must hold budget_overruns == 0 with partitioned breakers on where the
+// monolithic argsort overruns.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +18,9 @@
 #include "compile/compiler.h"
 #include "kernels/kernels.h"
 #include "obs/explain.h"
-#include "operators/hash_groupby.h"
-#include "operators/hash_join.h"
+#include "obs/metrics.h"
 #include "operators/partitioned/external_sort.h"
-#include "operators/partitioned/grace_join.h"
 #include "operators/partitioned/partition.h"
-#include "operators/partitioned/partitioned_agg.h"
 #include "runtime/runtime.h"
 #include "tensor/buffer_pool.h"
 #include "tpch/dbgen.h"
@@ -38,15 +32,10 @@ namespace {
 using BufferScope = BufferPool::QueryScope;
 using op::partitioned::ChoosePartitionBits;
 using op::partitioned::ExternalSortRows;
-using op::partitioned::GraceHashJoinIndices;
 using op::partitioned::kMaxPartitionBits;
-using op::partitioned::kMaxRecursionDepth;
 using op::partitioned::kMinPartitionRows;
-using op::partitioned::MaxPartitionRows;
 using op::partitioned::PageRows;
 using op::partitioned::PartitionConfig;
-using op::partitioned::PartitionedHashGroupIds;
-using op::partitioned::PartitionOrderedFloatSums;
 using op::partitioned::PartitionStats;
 using runtime::ParallelContext;
 using runtime::ThreadPool;
@@ -75,27 +64,21 @@ void ExpectTablesIdentical(const Table& got, const Table& want,
   }
 }
 
-Tensor Int64Keys(int64_t n, int64_t domain, double zipf_theta, uint64_t seed) {
+Tensor Int64Keys(int64_t n, int64_t domain, uint64_t seed) {
   Rng rng(seed);
   Tensor t = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
   int64_t* p = t.mutable_data<int64_t>();
-  for (int64_t i = 0; i < n; ++i) {
-    p[i] = zipf_theta > 0 ? rng.Zipf(domain, zipf_theta)
-                          : rng.Uniform(0, domain - 1);
-  }
+  for (int64_t i = 0; i < n; ++i) p[i] = rng.Uniform(0, domain - 1);
   return t;
 }
 
-Tensor ConstKeys(int64_t n, int64_t value) {
-  return Tensor::Full(DType::kInt64, n, 1, static_cast<double>(value))
-      .ValueOrDie();
-}
-
-/// The sweep the acceptance criteria name: partition counts {1, 4, 16} via
-/// forced_bits {0, 2, 4} (0 forced bits = the serial fallback leg).
+/// Run counts {1, 4, 16} via forced_bits {0, 2, 4} (0 forced bits = the
+/// monolithic argsort leg).
 constexpr int kForcedBitsSweep[] = {0, 2, 4};
 constexpr int kThreadSweep[] = {1, 2, 8};
-constexpr int64_t kBudgetSweep[] = {0, 64 << 10};  // unbudgeted / recursing
+/// The serving targets whose executors host the external sort.
+constexpr ExecutorTarget kServingTargets[] = {ExecutorTarget::kParallel,
+                                              ExecutorTarget::kPipelined};
 
 // ---- partition policy pins --------------------------------------------------
 
@@ -130,18 +113,6 @@ TEST(PartitionPolicyTest, ClampsAtMaxPartitionBits) {
   EXPECT_EQ(ChoosePartitionBits(1 << 28, 8, 4096, 1), kMaxPartitionBits);
 }
 
-TEST(PartitionPolicyTest, MaxPartitionRowsFollowsBudgetQuarter) {
-  PartitionConfig config;
-  config.max_partition_rows = 123;
-  EXPECT_EQ(MaxPartitionRows(config, 8), 123);  // explicit override wins
-  config.max_partition_rows = 0;
-  EXPECT_EQ(MaxPartitionRows(config, 8), 0);  // unbudgeted: never recurse
-  config.budget_bytes = 1 << 20;
-  EXPECT_EQ(MaxPartitionRows(config, 8), 16384);  // budget/4/(8*2)
-  config.budget_bytes = 1 << 10;  // tiny budget still floors at min rows
-  EXPECT_EQ(MaxPartitionRows(config, 8), kMinPartitionRows);
-}
-
 TEST(PartitionPolicyTest, PageRowsFloorAboveSpillMinimum) {
   PartitionConfig config;
   EXPECT_EQ(PageRows(config, 8), (256 << 10) / 8);  // default 256 KiB pages
@@ -151,165 +122,12 @@ TEST(PartitionPolicyTest, PageRowsFloorAboveSpillMinimum) {
   EXPECT_EQ(PageRows(config, 1 << 20), 1);  // huge rows still page
 }
 
-// ---- differentials vs serial operators --------------------------------------
-
-TEST(GraceJoinTest, BitIdenticalAcrossThreadsBitsAndBudgets) {
-  const int64_t l = 30000, r = 20000;
-  // Narrow key domain: plenty of duplicate keys, so chain order matters.
-  Tensor lk = Int64Keys(l, 5000, 0.0, 11);
-  Tensor rk = Int64Keys(r, 5000, 0.0, 12);
-  const auto serial = op::HashJoinIndices(lk, rk).ValueOrDie();
-  for (int threads : kThreadSweep) {
-    ThreadPool pool(threads);
-    ParallelContext ctx;
-    ctx.pool = &pool;
-    ctx.morsel_rows = 1000;
-    for (int bits : kForcedBitsSweep) {
-      for (int64_t budget : kBudgetSweep) {
-        PartitionConfig config;
-        config.forced_bits = bits;
-        config.budget_bytes = budget;
-        PartitionStats stats;
-        const auto part =
-            GraceHashJoinIndices(ctx, lk, rk, config, &stats).ValueOrDie();
-        const std::string what = "grace join t=" + std::to_string(threads) +
-                                 " bits=" + std::to_string(bits) +
-                                 " budget=" + std::to_string(budget);
-        ExpectTensorsIdentical(part.left_ids, serial.left_ids, what + " left");
-        ExpectTensorsIdentical(part.right_ids, serial.right_ids,
-                               what + " right");
-        if (bits > 0) {
-          EXPECT_GE(stats.partitions, int64_t{1} << bits) << what;
-        } else {
-          EXPECT_EQ(stats.partitions, 1) << what;
-        }
-        // The 64 KiB budget forces MaxPartitionRows down to the floor, so
-        // the 4-partition split (5000 build rows each) must recurse.
-        if (bits == 2 && budget > 0) {
-          EXPECT_GT(stats.repartitions, 0) << what;
-        }
-      }
-    }
-  }
-}
-
-TEST(GraceJoinTest, EmptySidesAndDisjointDomainsMatchSerial) {
-  ThreadPool pool(2);
-  ParallelContext ctx;
-  ctx.pool = &pool;
-  PartitionConfig config;
-  config.forced_bits = 3;
-  Tensor empty = Tensor::Empty(DType::kInt64, 0, 1).ValueOrDie();
-  Tensor some = Int64Keys(9000, 100, 0.0, 3);
-  Tensor high = Int64Keys(9000, 100, 0.0, 4);
-  int64_t* p = high.mutable_data<int64_t>();
-  for (int64_t i = 0; i < high.rows(); ++i) p[i] += 1000;  // never matches
-  const struct {
-    const Tensor* l;
-    const Tensor* r;
-    const char* what;
-  } cases[] = {{&empty, &some, "empty probe"},
-               {&some, &empty, "empty build"},
-               {&some, &high, "disjoint domains"}};
-  for (const auto& c : cases) {
-    const auto serial = op::HashJoinIndices(*c.l, *c.r).ValueOrDie();
-    const auto part =
-        GraceHashJoinIndices(ctx, *c.l, *c.r, config, nullptr).ValueOrDie();
-    ExpectTensorsIdentical(part.left_ids, serial.left_ids,
-                           std::string(c.what) + " left");
-    ExpectTensorsIdentical(part.right_ids, serial.right_ids,
-                           std::string(c.what) + " right");
-  }
-  // Empty grouping keys take the serial path the same way.
-  const auto agg_serial = op::HashGroupIds({empty}).ValueOrDie();
-  const auto agg =
-      PartitionedHashGroupIds(ctx, {empty}, config, nullptr).ValueOrDie();
-  EXPECT_EQ(agg.num_groups, agg_serial.num_groups);
-  ExpectTensorsIdentical(agg.group_ids, agg_serial.group_ids, "empty agg");
-}
-
-TEST(PartitionedAggTest, GroupIdsMatchSerialFirstSeenOrder) {
-  const int64_t n = 40000;
-  Tensor k1 = Int64Keys(n, 40, 0.0, 21);
-  Tensor k2 = Int64Keys(n, 25, 0.0, 22);
-  const std::vector<Tensor> keys{k1, k2};
-  const auto serial = op::HashGroupIds(keys).ValueOrDie();
-  for (int threads : kThreadSweep) {
-    ThreadPool pool(threads);
-    ParallelContext ctx;
-    ctx.pool = &pool;
-    ctx.morsel_rows = 1000;
-    for (int bits : kForcedBitsSweep) {
-      for (int64_t budget : kBudgetSweep) {
-        PartitionConfig config;
-        config.forced_bits = bits;
-        config.budget_bytes = budget;
-        PartitionStats stats;
-        const auto part =
-            PartitionedHashGroupIds(ctx, keys, config, &stats).ValueOrDie();
-        const std::string what = "partitioned agg t=" +
-                                 std::to_string(threads) +
-                                 " bits=" + std::to_string(bits) +
-                                 " budget=" + std::to_string(budget);
-        EXPECT_EQ(part.num_groups, serial.num_groups) << what;
-        ExpectTensorsIdentical(part.group_ids, serial.group_ids,
-                               what + " ids");
-        ExpectTensorsIdentical(part.representatives, serial.representatives,
-                               what + " representatives");
-      }
-    }
-  }
-}
-
-TEST(PartitionedAggTest, FloatSumsBitIdenticalToSerialOrder) {
-  const int64_t n = 60000;
-  const int64_t groups = 37;
-  Rng rng(31);
-  Tensor values = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  Tensor ids = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  for (int64_t i = 0; i < n; ++i) {
-    // Wide magnitude spread makes float addition order-sensitive, so any
-    // reordering of a group's additions shows up in the bit pattern.
-    values.mutable_data<double>()[i] =
-        rng.UniformDouble(-1, 1) * std::pow(10.0, rng.Uniform(-12, 12));
-    ids.mutable_data<int64_t>()[i] = rng.Uniform(0, groups - 1);
-  }
-  const Tensor serial =
-      kernels::SegmentedReduce(ReduceOpKind::kSum, values, ids, groups)
-          .ValueOrDie();
-  for (int threads : kThreadSweep) {
-    ThreadPool pool(threads);
-    ParallelContext ctx;
-    ctx.pool = &pool;
-    ctx.morsel_rows = 1000;
-    for (bool validate : {false, true}) {
-      ExpectTensorsIdentical(
-          PartitionOrderedFloatSums(ctx, values, ids, groups, validate)
-              .ValueOrDie(),
-          serial,
-          "float sums t=" + std::to_string(threads) +
-              (validate ? " validated" : ""));
-    }
-    // The parallel grouped/segmented reducers route float sums through the
-    // partition-ordered path (no serial fallback) and must stay exact.
-    ExpectTensorsIdentical(
-        runtime::ParallelSegmentedReduce(ctx, ReduceOpKind::kSum, values, ids,
-                                         groups)
-            .ValueOrDie(),
-        serial, "ParallelSegmentedReduce float sum");
-  }
-  // Validated mode rejects out-of-range ids like the serial kernel.
-  ThreadPool pool(2);
-  ParallelContext ctx;
-  ctx.pool = &pool;
-  ids.mutable_data<int64_t>()[n / 2] = groups + 3;
-  EXPECT_FALSE(PartitionOrderedFloatSums(ctx, values, ids, groups, true).ok());
-}
+// ---- differential vs the stable argsort -----------------------------------
 
 TEST(ExternalSortTest, MatchesStableArgsortAcrossRunCounts) {
   const int64_t n = 80000;
   // Heavy duplication stresses the stable tie-break across run boundaries.
-  Tensor ints = Int64Keys(n, 50, 0.0, 41);
+  Tensor ints = Int64Keys(n, 50, 41);
   Rng rng(42);
   Tensor doubles = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
   for (int64_t i = 0; i < n; ++i) {
@@ -346,84 +164,6 @@ TEST(ExternalSortTest, MatchesStableArgsortAcrossRunCounts) {
   }
 }
 
-// ---- skew: recursive re-partitioning and the bounded fallback ---------------
-
-TEST(SkewTest, ZipfianBuildSideRecursesAndStaysExact) {
-  const int64_t probe_n = 60000, build_n = 100000;
-  Tensor probe = Int64Keys(probe_n, 50000, 0.0, 51);
-  Tensor build = Int64Keys(build_n, 50000, 0.8, 52);  // Zipf-skewed build
-  ThreadPool pool(4);
-  ParallelContext ctx;
-  ctx.pool = &pool;
-  PartitionConfig config;
-  config.forced_bits = 2;  // 4 partitions of ~25k rows each
-  config.max_partition_rows = 4096;
-  PartitionStats stats;
-  const auto part =
-      GraceHashJoinIndices(ctx, probe, build, config, &stats).ValueOrDie();
-  const auto serial = op::HashJoinIndices(probe, build).ValueOrDie();
-  ExpectTensorsIdentical(part.left_ids, serial.left_ids, "zipf join left");
-  ExpectTensorsIdentical(part.right_ids, serial.right_ids, "zipf join right");
-  EXPECT_GT(stats.repartitions, 0) << "oversized partitions never split";
-  EXPECT_GT(stats.recursion_depth, 0);
-  EXPECT_LE(stats.recursion_depth, kMaxRecursionDepth);
-  EXPECT_GT(stats.partitions, int64_t{4}) << "recursion added no leaves";
-}
-
-TEST(SkewTest, ZipfianKeysRecursePartitionedAggExactly) {
-  const int64_t n = 200000;
-  Tensor keys = Int64Keys(n, 100000, 0.8, 61);
-  const std::vector<Tensor> key_cols{keys};
-  ThreadPool pool(4);
-  ParallelContext ctx;
-  ctx.pool = &pool;
-  PartitionConfig config;
-  config.forced_bits = 2;
-  config.max_partition_rows = 4096;
-  PartitionStats stats;
-  const auto part =
-      PartitionedHashGroupIds(ctx, key_cols, config, &stats).ValueOrDie();
-  const auto serial = op::HashGroupIds(key_cols).ValueOrDie();
-  EXPECT_EQ(part.num_groups, serial.num_groups);
-  ExpectTensorsIdentical(part.group_ids, serial.group_ids, "zipf agg ids");
-  ExpectTensorsIdentical(part.representatives, serial.representatives,
-                         "zipf agg representatives");
-  EXPECT_GT(stats.repartitions, 0);
-  EXPECT_LE(stats.recursion_depth, kMaxRecursionDepth);
-}
-
-TEST(SkewTest, AllEqualKeysFallBackMonolithicallyWithinDepthBound) {
-  // Every build row carries the same key: re-partitioning can never make
-  // progress (the whole partition shares one hash), so the split must stop
-  // at the fallback instead of recursing forever.
-  const int64_t build_n = 20000;
-  Tensor build = ConstKeys(build_n, 7);
-  Tensor probe = Int64Keys(1000, 1000, 0.0, 71);  // a few rows match key 7
-  ThreadPool pool(4);
-  ParallelContext ctx;
-  ctx.pool = &pool;
-  PartitionConfig config;
-  config.forced_bits = 2;
-  config.max_partition_rows = 4096;
-  PartitionStats stats;
-  const auto part =
-      GraceHashJoinIndices(ctx, probe, build, config, &stats).ValueOrDie();
-  const auto serial = op::HashJoinIndices(probe, build).ValueOrDie();
-  ExpectTensorsIdentical(part.left_ids, serial.left_ids, "all-equal left");
-  ExpectTensorsIdentical(part.right_ids, serial.right_ids, "all-equal right");
-  EXPECT_GT(stats.fallbacks, 0) << "no bounded fallback recorded";
-  EXPECT_LE(stats.recursion_depth, kMaxRecursionDepth);
-
-  PartitionStats agg_stats;
-  const auto agg =
-      PartitionedHashGroupIds(ctx, {build}, config, &agg_stats).ValueOrDie();
-  const auto agg_serial = op::HashGroupIds({build}).ValueOrDie();
-  EXPECT_EQ(agg.num_groups, agg_serial.num_groups);
-  ExpectTensorsIdentical(agg.group_ids, agg_serial.group_ids, "all-equal agg");
-  EXPECT_GT(agg_stats.fallbacks, 0);
-  EXPECT_LE(agg_stats.recursion_depth, kMaxRecursionDepth);
-}
-
 // ---- whole-query TPC-H differentials ----------------------------------------
 
 class PartitionedTpchTest : public ::testing::Test {
@@ -439,7 +179,14 @@ class PartitionedTpchTest : public ::testing::Test {
 
 Catalog* PartitionedTpchTest::catalog_ = nullptr;
 
-TEST_F(PartitionedTpchTest, PipelinedPartitionedMatchesEager) {
+/// External-sort invocations so far in this process (tqp_breaker_* counter).
+int64_t BreakerInvocations() {
+  return obs::MetricsRegistry::Global()
+      ->GetCounter("tqp_breaker_invocations_total", "")
+      ->value();
+}
+
+TEST_F(PartitionedTpchTest, PartitionedMatchesEager) {
   QueryCompiler compiler;
   for (int q : {1, 3, 18}) {
     const std::string sql = tpch::QueryText(q).ValueOrDie();
@@ -449,54 +196,68 @@ TEST_F(PartitionedTpchTest, PipelinedPartitionedMatchesEager) {
                                 .ValueOrDie()
                                 .Run(*catalog_)
                                 .ValueOrDie();
-    for (int threads : kThreadSweep) {
-      CompileOptions options;
-      options.target = ExecutorTarget::kPipelined;
-      options.num_threads = threads;
-      options.morsel_rows = 1000;
-      options.partitioned_breakers = true;
-      const Table got = compiler.CompileSql(sql, *catalog_, options)
-                            .ValueOrDie()
-                            .Run(*catalog_)
-                            .ValueOrDie();
-      ExpectTablesIdentical(got, reference,
-                            "Q" + std::to_string(q) + " partitioned at " +
-                                std::to_string(threads) + " threads");
+    for (ExecutorTarget target : kServingTargets) {
+      for (int threads : kThreadSweep) {
+        CompileOptions options;
+        options.target = target;
+        options.num_threads = threads;
+        options.morsel_rows = 1000;
+        options.partitioned_breakers = true;
+        const int64_t sorts_before = BreakerInvocations();
+        const Table got = compiler.CompileSql(sql, *catalog_, options)
+                              .ValueOrDie()
+                              .Run(*catalog_)
+                              .ValueOrDie();
+        const std::string what = "Q" + std::to_string(q) + " partitioned " +
+                                 ExecutorTargetName(target) + " at " +
+                                 std::to_string(threads) + " threads";
+        ExpectTablesIdentical(got, reference, what);
+        // Q1 sorts only its four result groups; a 1-thread executor has no
+        // pool and runs the serial argsort.
+        if (q != 1 && threads > 1) {
+          EXPECT_GT(BreakerInvocations(), sorts_before)
+              << what << ": no argsort reached the external sort";
+        }
+      }
     }
   }
 }
 
 TEST_F(PartitionedTpchTest, BudgetedPartitionedRunStaysBitIdentical) {
   QueryCompiler compiler;
-  for (int q : {3, 18}) {
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    CompileOptions options;
-    options.target = ExecutorTarget::kPipelined;
-    options.num_threads = 2;
-    options.morsel_rows = 1000;
-    options.partitioned_breakers = true;
-    CompiledQuery compiled =
-        compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-    int64_t uncapped_peak = 0;
-    Table reference;
-    {
-      BufferScope scope;  // accounting only
-      BufferScope::Attach attach(&scope);
-      reference = compiled.Run(*catalog_).ValueOrDie();
-      uncapped_peak = scope.stats().peak_live_bytes;
+  for (ExecutorTarget target : kServingTargets) {
+    for (int q : {3, 18}) {
+      const std::string sql = tpch::QueryText(q).ValueOrDie();
+      CompileOptions options;
+      options.target = target;
+      options.num_threads = 2;
+      options.morsel_rows = 1000;
+      options.partitioned_breakers = true;
+      CompiledQuery compiled =
+          compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
+      int64_t uncapped_peak = 0;
+      Table reference;
+      {
+        BufferScope scope;  // accounting only
+        BufferScope::Attach attach(&scope);
+        reference = compiled.Run(*catalog_).ValueOrDie();
+        uncapped_peak = scope.stats().peak_live_bytes;
+      }
+      ASSERT_GT(uncapped_peak, 0);
+      QueryMemoryStats mem;
+      Table capped;
+      {
+        BufferScope scope(uncapped_peak / 4);
+        BufferScope::Attach attach(&scope);
+        capped = compiled.Run(*catalog_).ValueOrDie();
+        mem = scope.stats();
+      }
+      const std::string what = std::string("budgeted partitioned ") +
+                               ExecutorTargetName(target) + " Q" +
+                               std::to_string(q);
+      ExpectTablesIdentical(capped, reference, what);
+      EXPECT_LE(mem.peak_live_bytes, uncapped_peak) << what;
     }
-    ASSERT_GT(uncapped_peak, 0);
-    QueryMemoryStats mem;
-    Table capped;
-    {
-      BufferScope scope(uncapped_peak / 4);
-      BufferScope::Attach attach(&scope);
-      capped = compiled.Run(*catalog_).ValueOrDie();
-      mem = scope.stats();
-    }
-    const std::string what = "budgeted partitioned Q" + std::to_string(q);
-    ExpectTablesIdentical(capped, reference, what);
-    EXPECT_LE(mem.peak_live_bytes, uncapped_peak) << what;
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the morsel-driven parallel runtime: thread-pool correctness under
 // stress and nesting, task-graph dependency ordering and error propagation,
-// exactness of the morsel-parallel kernels/operators against their serial
+// exactness of the morsel-parallel kernels against their serial
 // counterparts, bit-identical ParallelExecutor results on TPC-H and ML
 // prediction pipelines at several thread counts, and the concurrent
 // query-session layer (scheduler, admission queue, LRU plan cache).
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <mutex>
@@ -17,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/columnar.h"
 #include "common/random.h"
 #include "compile/compiler.h"
 #include "datasets/iris.h"
@@ -406,6 +406,45 @@ TEST(ParallelKernelTest, ReductionsMatchSerial) {
                    .ok());
 }
 
+TEST(ParallelKernelTest, FloatSumsBitIdenticalToSerialOrder) {
+  const int64_t n = 60000;
+  const int64_t groups = 37;
+  Rng rng(31);
+  Tensor values = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
+  Tensor ids = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) {
+    // Wide magnitude spread makes float addition order-sensitive, so any
+    // reordering of a segment's additions shows up in the bit pattern.
+    values.mutable_data<double>()[i] =
+        rng.UniformDouble(-1, 1) * std::pow(10.0, rng.Uniform(-12, 12));
+    ids.mutable_data<int64_t>()[i] = rng.Uniform(0, groups - 1);
+  }
+  const Tensor serial =
+      kernels::SegmentedReduce(ReduceOpKind::kSum, values, ids, groups)
+          .ValueOrDie();
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    ParallelContext ctx;
+    ctx.pool = &pool;
+    ctx.morsel_rows = 1000;
+    // Float sums go through the partition-ordered accumulation (no serial
+    // fallback) and must stay exact.
+    ExpectTensorsIdentical(
+        runtime::ParallelSegmentedReduce(ctx, ReduceOpKind::kSum, values, ids,
+                                         groups)
+            .ValueOrDie(),
+        serial, "float sums t=" + std::to_string(threads));
+  }
+  // Out-of-range ids fail like the serial kernel.
+  ThreadPool pool(2);
+  ParallelContext ctx;
+  ctx.pool = &pool;
+  ids.mutable_data<int64_t>()[n / 2] = groups + 3;
+  EXPECT_FALSE(runtime::ParallelSegmentedReduce(ctx, ReduceOpKind::kSum, values,
+                                                ids, groups)
+                   .ok());
+}
+
 TEST(ParallelKernelTest, ConcatRowsMatchesSerial) {
   ThreadPool pool(4);
   const ParallelContext ctx = SmallMorselContext(&pool);
@@ -485,55 +524,6 @@ TEST(ParallelKernelTest, StableArgsortMatchesSerial) {
   }
 }
 
-TEST(ParallelOperatorTest, HashJoinMatchesSerial) {
-  ThreadPool pool(4);
-  ParallelContext ctx = SmallMorselContext(&pool);
-  Rng rng(7);
-  const int64_t l = 30000;
-  const int64_t r = 20000;
-  // Narrow key domain: plenty of duplicates, so chain order matters.
-  Tensor lk = Tensor::Empty(DType::kInt64, l, 1).ValueOrDie();
-  Tensor rk = Tensor::Empty(DType::kInt64, r, 1).ValueOrDie();
-  for (int64_t i = 0; i < l; ++i) lk.mutable_data<int64_t>()[i] = rng.Uniform(0, 5000);
-  for (int64_t i = 0; i < r; ++i) rk.mutable_data<int64_t>()[i] = rng.Uniform(0, 5000);
-  const auto serial = op::HashJoinIndices(lk, rk).ValueOrDie();
-  const auto parallel = runtime::ParallelHashJoinIndices(ctx, lk, rk).ValueOrDie();
-  ExpectTensorsIdentical(parallel.left_ids, serial.left_ids, "join left ids");
-  ExpectTensorsIdentical(parallel.right_ids, serial.right_ids, "join right ids");
-  for (bool anti : {false, true}) {
-    ExpectTensorsIdentical(
-        runtime::ParallelSemiJoinIndices(ctx, lk, rk, anti).ValueOrDie(),
-        op::SemiJoinIndices(lk, rk, anti).ValueOrDie(), "semi join");
-  }
-}
-
-TEST(ParallelOperatorTest, HashGroupByMatchesSerial) {
-  ThreadPool pool(4);
-  ParallelContext ctx = SmallMorselContext(&pool);
-  Rng rng(8);
-  const int64_t n = 40000;
-  Tensor k1 = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  Tensor k2 = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  Tensor vals = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  for (int64_t i = 0; i < n; ++i) {
-    k1.mutable_data<int64_t>()[i] = rng.Uniform(0, 40);
-    k2.mutable_data<int64_t>()[i] = rng.Uniform(0, 25);
-    vals.mutable_data<int64_t>()[i] = rng.Uniform(-100, 100);
-  }
-  const auto serial = op::HashGroupIds({k1, k2}).ValueOrDie();
-  const auto parallel = runtime::ParallelHashGroupIds(ctx, {k1, k2}).ValueOrDie();
-  EXPECT_EQ(parallel.num_groups, serial.num_groups);
-  ExpectTensorsIdentical(parallel.group_ids, serial.group_ids, "group ids");
-  ExpectTensorsIdentical(parallel.representatives, serial.representatives,
-                         "group representatives");
-  for (ReduceOpKind op : {ReduceOpKind::kSum, ReduceOpKind::kCount,
-                          ReduceOpKind::kMin, ReduceOpKind::kMax}) {
-    ExpectTensorsIdentical(
-        runtime::ParallelGroupedReduce(ctx, op, vals, serial).ValueOrDie(),
-        op::GroupedReduce(op, vals, serial).ValueOrDie(), "grouped reduce");
-  }
-}
-
 // ---- ParallelExecutor: differential against InterpExecutor -----------------
 
 void ExpectTablesIdentical(const Table& got, const Table& want,
@@ -583,21 +573,6 @@ TEST_F(RuntimeTpchTest, ParallelExecutorBitIdenticalToInterpOnTpch) {
                             "Q" + std::to_string(q) + " at " +
                                 std::to_string(threads) + " threads");
     }
-  }
-}
-
-TEST_F(RuntimeTpchTest, ColumnarEngineWithPoolMatchesSerialColumnar) {
-  // The columnar baseline's hash join/semi-join/group-by operators run
-  // morsel-parallel when given a pool; output must be identical.
-  ThreadPool pool(4);
-  ColumnarEngine serial(catalog_);
-  ColumnarEngine parallel(catalog_, nullptr, DeviceKind::kCpu,
-                          /*charge_transfers=*/true, &pool);
-  for (int q : {1, 3, 4, 10}) {  // joins, semi-join (Q4), multi-key group-by
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    Table expected = serial.ExecuteSql(sql).ValueOrDie();
-    Table got = parallel.ExecuteSql(sql).ValueOrDie();
-    ExpectTablesIdentical(got, expected, "columnar Q" + std::to_string(q));
   }
 }
 
