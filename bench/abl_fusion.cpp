@@ -76,47 +76,30 @@ int main(int argc, char** argv) {
 
   // (a) Synthetic pointwise chain at several sizes: static (fused) vs eager.
   std::fprintf(stderr, "\nsynthetic 10-op pointwise chain:\n");
-  std::fprintf(stderr, "%10s %12s %12s %12s %9s %7s %7s\n", "rows",
-               "eager (ms)", "interp (ms)", "simd (ms)", "speedup", "i/s",
-               "groups");
+  std::fprintf(stderr, "%10s %12s %12s %9s %7s\n", "rows", "eager (ms)",
+               "static (ms)", "speedup", "groups");
   auto program = MakeChainProgram();
   std::printf("  \"chain\": [");
   bool first = true;
   for (int64_t n : {100000L, 1000000L, 4000000L}) {
     Tensor x = Tensor::Full(DType::kFloat64, n, 1, 1.5).ValueOrDie();
     auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
-    // The fused chain on both expression tiers: this is the pure
-    // expression-bound case (no scan/aggregate dilution), so the
-    // interp-vs-simd ratio here is the tier's headline number.
-    ExecOptions interp_options;
-    interp_options.expr_backend = ExprBackend::kInterp;
-    auto fused =
-        MakeExecutor(ExecutorTarget::kStatic, program, interp_options)
-            .ValueOrDie();
-    ExecOptions simd_options;
-    simd_options.expr_backend = ExprBackend::kSimd;
-    auto fused_simd =
-        MakeExecutor(ExecutorTarget::kStatic, program, simd_options)
-            .ValueOrDie();
+    auto fused = MakeExecutor(ExecutorTarget::kStatic, program).ValueOrDie();
     const double eager_sec = bench::MedianTime(
         [&] { TQP_CHECK_OK(eager->Run({x}).status()); }, protocol);
     const double static_sec = bench::MedianTime(
         [&] { TQP_CHECK_OK(fused->Run({x}).status()); }, protocol);
-    const double simd_sec = bench::MedianTime(
-        [&] { TQP_CHECK_OK(fused_simd->Run({x}).status()); }, protocol);
     const auto* st = static_cast<const StaticExecutor*>(fused.get());
     std::printf("%s\n    {\"rows\": %lld, \"eager_ms\": %.4f, "
-                "\"static_ms\": %.4f, \"static_simd_ms\": %.4f, "
-                "\"simd_speedup\": %.4f, \"fusion_groups\": %d, "
+                "\"static_ms\": %.4f, \"fusion_groups\": %d, "
                 "\"expr_groups\": %d}",
                 first ? "" : ",", static_cast<long long>(n), eager_sec * 1e3,
-                static_sec * 1e3, simd_sec * 1e3, static_sec / simd_sec,
-                st->num_fusion_groups(), st->num_expr_fused_groups());
+                static_sec * 1e3, st->num_fusion_groups(),
+                st->num_expr_fused_groups());
     first = false;
-    std::fprintf(stderr, "%10lld %12.3f %12.3f %12.3f %8.2fx %6.2fx %7d\n",
+    std::fprintf(stderr, "%10lld %12.3f %12.3f %8.2fx %7d\n",
                  static_cast<long long>(n), eager_sec * 1e3, static_sec * 1e3,
-                 simd_sec * 1e3, eager_sec / simd_sec, static_sec / simd_sec,
-                 st->num_fusion_groups());
+                 eager_sec / static_sec, st->num_fusion_groups());
   }
   std::printf("],\n");
 
@@ -128,10 +111,9 @@ int main(int argc, char** argv) {
   TQP_CHECK_OK(tpch::GenerateAll(gen, &catalog));
   QueryCompiler compiler;
   std::fprintf(stderr, "\nTPC-H at SF %.3f:\n", sf);
-  std::fprintf(stderr,
-               "%6s %12s %12s %9s | pipelined: %11s %11s %12s %8s %10s\n",
-               "query", "eager (ms)", "static (ms)", "speedup", "interp (ms)",
-               "simd (ms)", "unfused (ms)", "i/s", "alloc f/u");
+  std::fprintf(stderr, "%6s %12s %12s %9s | pipelined: %11s %12s %10s\n",
+               "query", "eager (ms)", "static (ms)", "speedup", "fused (ms)",
+               "unfused (ms)", "alloc f/u");
   std::printf("  \"tpch\": [");
   first = true;
   for (int q : {1, 6}) {
@@ -150,55 +132,40 @@ int main(int argc, char** argv) {
     const double static_sec = bench::MedianTime(
         [&] { TQP_CHECK_OK(fused.RunWithInputs(inputs).status()); }, protocol);
 
-    // Three pipelined configurations: fused runs through the vectorized
-    // interpreter, fused runs through the SIMD tier, and fusion off.
-    struct PipeConfig {
-      bool fusion;
-      ExprBackend backend;
-      const char* name;
-    };
-    const PipeConfig configs[] = {
-        {true, ExprBackend::kInterp, "interp"},
-        {true, ExprBackend::kSimd, "simd"},
-        {false, ExprBackend::kInterp, "interp"},
-    };
-    bench::PoolTimedRun pipe[3];
-    for (int fi = 0; fi < 3; ++fi) {
+    // The pipelined backend with expression fusion on, then off.
+    const bool fusion_configs[] = {true, false};
+    bench::PoolTimedRun pipe[2];
+    for (int fi = 0; fi < 2; ++fi) {
       CompileOptions options;
       options.target = ExecutorTarget::kPipelined;
       options.num_threads = 1;  // serial: allocation counts are exact
-      options.expr_fusion = configs[fi].fusion;
-      options.expr_backend = configs[fi].backend;
+      options.expr_fusion = fusion_configs[fi];
       CompiledQuery query =
           compiler.CompileSql(sql, catalog, options).ValueOrDie();
       pipe[fi] = bench::MeasureWithPool(
           [&] { TQP_CHECK_OK(query.RunWithInputs(inputs).status()); },
           protocol);
     }
-    // interp-vs-simd wall ratio on identical fused plans (> 1: SIMD wins).
-    const double simd_speedup = pipe[0].seconds / pipe[1].seconds;
     std::printf(
         "%s\n    {\"query\": \"Q%d\", \"eager_ms\": %.4f, \"static_ms\": %.4f,"
         "\n     \"pipelined\": [",
         first ? "" : ",", q, eager_sec * 1e3, static_sec * 1e3);
-    for (int fi = 0; fi < 3; ++fi) {
+    for (int fi = 0; fi < 2; ++fi) {
       std::printf(
-          "%s\n      {\"expr_fusion\": %s, \"expr_backend\": \"%s\", "
-          "\"ms\": %.4f, \"peak_alloc_mb\": %.3f, \"allocs\": %lld}",
-          fi == 0 ? "" : ",", configs[fi].fusion ? "true" : "false",
-          configs[fi].name, pipe[fi].seconds * 1e3, pipe[fi].peak_alloc_mb,
+          "%s\n      {\"expr_fusion\": %s, \"ms\": %.4f, "
+          "\"peak_alloc_mb\": %.3f, \"allocs\": %lld}",
+          fi == 0 ? "" : ",", fusion_configs[fi] ? "true" : "false",
+          pipe[fi].seconds * 1e3, pipe[fi].peak_alloc_mb,
           static_cast<long long>(pipe[fi].allocs));
     }
-    std::printf("],\n     \"simd_speedup\": %.4f}", simd_speedup);
+    std::printf("]}");
     first = false;
     std::fprintf(stderr,
-                 "Q%-5d %12.3f %12.3f %8.2fx | %11.3f %11.3f %12.3f %7.2fx "
-                 "%4lld/%-5lld\n",
+                 "Q%-5d %12.3f %12.3f %8.2fx | %11.3f %12.3f %4lld/%-5lld\n",
                  q, eager_sec * 1e3, static_sec * 1e3, eager_sec / static_sec,
                  pipe[0].seconds * 1e3, pipe[1].seconds * 1e3,
-                 pipe[2].seconds * 1e3, simd_speedup,
                  static_cast<long long>(pipe[0].allocs),
-                 static_cast<long long>(pipe[2].allocs));
+                 static_cast<long long>(pipe[1].allocs));
   }
   std::printf("]\n}\n");
   return 0;

@@ -27,11 +27,6 @@
 //   \fusion on|off                  pipelined/static backends: single-pass
 //                                   fused expression execution (ExprProgram
 //                                   compiler + vectorized morsel interpreter)
-//   \expr default|interp|simd       pipelined/static backends: execution tier
-//                                   for fused ExprPrograms — the vectorized
-//                                   interpreter or the CPUID-dispatched SIMD
-//                                   kernels (default resolves from
-//                                   TQP_EXPR_BACKEND; results bit-identical)
 //   \adaptive on|off                pipelined backend: adapt morsel size
 //                                   toward a target per-morsel service time
 //                                   (bounded; results bit-identical)
@@ -123,8 +118,6 @@ struct ShellState {
   int num_threads = 0;      // parallel backend: 0 = process-wide pool
   int64_t morsel_rows = 0;  // parallel backend: 0 = default morsel size
   bool expr_fusion = true;  // pipelined/static: fused expression execution
-  // pipelined/static: expression tier (kDefault -> TQP_EXPR_BACKEND).
-  ExprBackend expr_backend = ExprBackend::kDefault;
   bool adaptive_morsels = false;  // pipelined: service-time morsel sizing
   // parallel/pipelined: external merge sort at argsort breakers.
   bool partitioned_breakers = false;
@@ -213,7 +206,6 @@ void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
     options.num_threads = state->num_threads;
     options.morsel_rows = state->morsel_rows;
     options.expr_fusion = state->expr_fusion;
-    options.expr_backend = state->expr_backend;
     options.adaptive_morsels = state->adaptive_morsels;
     options.partitioned_breakers = state->partitioned_breakers;
     options.memory_budget_bytes = state->budget_mb << 20;
@@ -309,7 +301,6 @@ void ExplainPipelines(const std::string& sql, const Catalog& catalog,
   options.num_threads = state.num_threads;
   options.morsel_rows = state.morsel_rows;
   options.expr_fusion = state.expr_fusion;
-  options.expr_backend = state.expr_backend;
   options.adaptive_morsels = state.adaptive_morsels;
   options.partitioned_breakers = state.partitioned_breakers;
   auto compiled_or = compiler.CompileSql(sql, catalog, options);
@@ -353,7 +344,6 @@ CompileOptions OptionsFromState(const ShellState& state) {
   options.num_threads = state.num_threads;
   options.morsel_rows = state.morsel_rows;
   options.expr_fusion = state.expr_fusion;
-  options.expr_backend = state.expr_backend;
   options.adaptive_morsels = state.adaptive_morsels;
   options.partitioned_breakers = state.partitioned_breakers;
   options.memory_budget_bytes = state.budget_mb << 20;
@@ -761,19 +751,6 @@ int main(int argc, char** argv) {
       } else {
         std::printf("usage: \\fusion on|off\n");
       }
-      continue;
-    }
-    if (line.rfind("\\expr ", 0) == 0) {
-      const std::string b = line.substr(6);
-      if (b == "default") state.expr_backend = ExprBackend::kDefault;
-      else if (b == "interp") state.expr_backend = ExprBackend::kInterp;
-      else if (b == "simd") state.expr_backend = ExprBackend::kSimd;
-      else {
-        std::printf("usage: \\expr default|interp|simd\n");
-        continue;
-      }
-      std::printf("expression backend = %s (resolves to %s)\n", b.c_str(),
-                  ExprBackendName(ResolveExprBackend(state.expr_backend)));
       continue;
     }
     if (line.rfind("\\adaptive ", 0) == 0) {

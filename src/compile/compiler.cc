@@ -889,7 +889,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const PlanPtr& physical_plan,
   exec_options.pool = options.pool;
   exec_options.pipeline_overlap = options.pipeline_overlap;
   exec_options.expr_fusion = options.expr_fusion;
-  exec_options.expr_backend = options.expr_backend;
   exec_options.adaptive_morsels = options.adaptive_morsels;
   exec_options.partitioned_breakers = options.partitioned_breakers;
   exec_options.step_scheduler = options.step_scheduler;

@@ -33,9 +33,6 @@ struct CompileOptions {
   bool pipeline_overlap = true;
   /// See ExecOptions::expr_fusion (single-pass fused expression execution).
   bool expr_fusion = true;
-  /// See ExecOptions::expr_backend (interp vs SIMD expression tier; kDefault
-  /// resolves from TQP_EXPR_BACKEND).
-  ExprBackend expr_backend = ExprBackend::kDefault;
   /// See ExecOptions::adaptive_morsels (service-time-driven morsel sizing).
   bool adaptive_morsels = false;
   /// See ExecOptions::partitioned_breakers (external merge sort for every

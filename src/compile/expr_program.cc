@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "compile/expr_simd.h"
 #include "kernels/elementwise.h"
 #include "kernels/kernel_types.h"
 
@@ -645,11 +644,7 @@ ExprFusionPlan BuildExprFusionPlan(const TensorProgram& program,
     if (compiled == nullptr) return;
     plan.run_start[run_begin] = static_cast<int>(plan.runs.size());
     plan.num_fused_nodes += compiled->num_nodes();
-    auto simd =
-        std::make_shared<const ExprSimdPlan>(BuildExprSimdPlan(*compiled));
-    plan.runs.push_back({std::move(compiled), std::move(simd),
-                         std::make_shared<ExprRunExecStats>(), run_begin,
-                         end_idx});
+    plan.runs.push_back({std::move(compiled), run_begin, end_idx});
   };
 
   for (size_t idx = 0; idx < nodes.size(); ++idx) {

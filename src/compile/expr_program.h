@@ -1,7 +1,6 @@
 #ifndef TQP_COMPILE_EXPR_PROGRAM_H_
 #define TQP_COMPILE_EXPR_PROGRAM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -142,30 +141,12 @@ struct ExprExternal {
 /// any fused run that would consume it.
 using ExprExternalFn = std::function<bool(int node_id, ExprExternal* info)>;
 
-/// \brief Which backend actually executed a fused run, tallied per morsel
-/// at runtime. Mutable shared state carried behind the const plan so
-/// `\explain pipelines` can report the backend *used*, not just configured —
-/// in particular, the pipeline compile probe evaluates node-at-a-time and
-/// therefore never appears in these tallies.
-struct ExprRunExecStats {
-  std::atomic<int64_t> interp_morsels{0};  // morsels fully interpreted
-  std::atomic<int64_t> simd_morsels{0};    // morsels where SIMD steps ran
-  std::atomic<int64_t> simd_instrs{0};     // instrs executed by SIMD kernels
-  std::atomic<int64_t> interp_instrs{0};   // instrs executed by the interp
-};
-
 /// \brief The fusion plan for one candidate node sequence: disjoint maximal
 /// runs, each compiled to an ExprProgram, plus the per-position lookup the
 /// executor's morsel loop uses to dispatch.
 struct ExprFusionPlan {
   struct Run {
     std::shared_ptr<const ExprProgram> program;
-    /// SIMD coverage of `program` (compile/expr_simd.h), computed once at
-    /// plan build so the kSimd backend dispatches without per-morsel
-    /// analysis. Always present; ignored by the interp backend.
-    std::shared_ptr<const struct ExprSimdPlan> simd;
-    /// Runtime backend tallies for this run (always present).
-    std::shared_ptr<ExprRunExecStats> exec_stats;
     size_t begin = 0;  // [begin, end) indices into the candidate sequence
     size_t end = 0;
   };

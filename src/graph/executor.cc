@@ -1,9 +1,5 @@
 #include "graph/executor.h"
 
-#include <cstdlib>
-#include <string_view>
-
-#include "common/logging.h"
 #include "graph/eager_executor.h"
 #include "graph/interp_executor.h"
 #include "graph/static_executor.h"
@@ -18,28 +14,12 @@ const char* ExprBackendName(ExprBackend backend) {
       return "default";
     case ExprBackend::kInterp:
       return "interp";
-    case ExprBackend::kSimd:
-      return "simd";
   }
   return "?";
 }
 
-ExprBackend ParseExprBackend(const char* value) {
-  if (value == nullptr || *value == '\0') return ExprBackend::kInterp;
-  const std::string_view v(value);
-  if (v == "interp") return ExprBackend::kInterp;
-  if (v == "simd") return ExprBackend::kSimd;
-  TQP_LOG(Warning) << "TQP_EXPR_BACKEND='" << v
-                   << "' is not one of interp, simd; using default interp";
-  return ExprBackend::kInterp;
-}
-
 ExprBackend ResolveExprBackend(ExprBackend backend) {
-  if (backend != ExprBackend::kDefault) return backend;
-  // Parsed once per process, so a bad value warns once.
-  static const ExprBackend env_default =
-      ParseExprBackend(std::getenv("TQP_EXPR_BACKEND"));
-  return env_default;
+  return backend == ExprBackend::kDefault ? ExprBackend::kInterp : backend;
 }
 
 Result<std::unique_ptr<Executor>> MakeExecutor(

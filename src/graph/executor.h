@@ -31,29 +31,18 @@ enum class ExecutorTarget : int8_t {
 
 const char* ExecutorTargetName(ExecutorTarget target);
 
-/// \brief Execution tier for fused ExprPrograms (Pipelined/Static
-/// executors): the interpreter dispatches one typed loop per instruction;
-/// the SIMD tier executes covered instruction shapes through explicit
-/// vector kernels (kernels/simd_exec.h, CPUID-dispatched) and interprets
-/// the rest instruction by instruction. Results are bit-identical across
-/// tiers — this is a performance A/B switch like `expr_fusion`.
+/// \brief Names the one execution tier for fused ExprPrograms, the
+/// vectorized interpreter (kernels/expr_exec.h). Kept so tools that report
+/// the tier keep building; nothing in the engine reads it.
 enum class ExprBackend : int8_t {
-  kDefault = 0,  // resolve from TQP_EXPR_BACKEND (interp unless set)
+  kDefault = 0,  // resolves to kInterp
   kInterp = 1,
-  kSimd = 2,
 };
 
 const char* ExprBackendName(ExprBackend backend);
 
-/// \brief Maps kDefault to the TQP_EXPR_BACKEND environment choice
-/// (parsed once per process by ParseExprBackend), explicit values to
-/// themselves.
+/// \brief Maps kDefault to kInterp, explicit values to themselves.
 ExprBackend ResolveExprBackend(ExprBackend backend);
-
-/// \brief Parses a TQP_EXPR_BACKEND value: "interp" or "simd" select that
-/// tier; null or empty selects interp silently; any other value (a typo,
-/// "SIMD", "avx2") logs a warning and falls back to interp.
-ExprBackend ParseExprBackend(const char* value);
 
 /// \brief Hook for per-op profiling (implemented in src/profiler).
 class OpProfiler {
@@ -100,10 +89,6 @@ struct ExecOptions {
   /// inside pipelines and the legacy blocked groups in StaticExecutor —
   /// results are bit-identical either way; this is the fusion A/B switch.
   bool expr_fusion = true;
-  /// Pipelined/Static executors: execution tier for the fused ExprPrograms
-  /// (interpreter vs SIMD kernels; see ExprBackend). kDefault resolves from
-  /// the TQP_EXPR_BACKEND environment variable at executor construction.
-  ExprBackend expr_backend = ExprBackend::kDefault;
   /// Pipelined executor: adapt morsel size toward a target per-morsel
   /// service time using observed wall times (bounded; chunk assembly keeps
   /// results bit-identical at any size). Default off; TQP_ADAPTIVE_MORSEL=1

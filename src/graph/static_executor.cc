@@ -6,17 +6,14 @@
 
 #include "common/cancel.h"
 #include "common/stopwatch.h"
-#include "compile/expr_simd.h"
 #include "graph/eval.h"
 #include "kernels/expr_exec.h"
-#include "obs/metrics.h"
 
 namespace tqp {
 
 StaticExecutor::StaticExecutor(std::shared_ptr<const TensorProgram> program,
                                ExecOptions options)
     : program_(std::move(program)), options_(options) {
-  expr_backend_ = ResolveExprBackend(options_.expr_backend);
   // Plan: contiguous runs of fusible pointwise nodes become one fused step.
   // Contiguity in topological order guarantees every non-group input is
   // already materialized when the group starts.
@@ -121,8 +118,7 @@ Result<std::vector<Tensor>> StaticExecutor::Run(const std::vector<Tensor>& input
 
 std::shared_ptr<const ExprProgram> StaticExecutor::GroupFusionFor(
     const Step& step, size_t step_index, const std::vector<Tensor>& values,
-    const std::vector<bool>& in_group,
-    std::shared_ptr<const ExprSimdPlan>* simd_out) {
+    const std::vector<bool>& in_group) {
   const TensorProgram& prog = *program_;
   // Resolve every external input of the group (inputs of group nodes that
   // are produced outside it) and derive the lowering signature.
@@ -157,10 +153,7 @@ std::shared_ptr<const ExprProgram> StaticExecutor::GroupFusionFor(
   {
     MutexLock lock(fusion_mu_);
     const GroupFusionEntry& entry = group_fusion_[step_index];
-    if (entry.compiled && entry.signature == sig) {
-      if (simd_out != nullptr) *simd_out = entry.simd;
-      return entry.program;
-    }
+    if (entry.compiled && entry.signature == sig) return entry.program;
   }
 
   // Cache miss: scan escapes and compile WITHOUT the executor-wide lock, so
@@ -193,20 +186,16 @@ std::shared_ptr<const ExprProgram> StaticExecutor::GroupFusionFor(
   // path (partial coverage would need dtypes of mid-group values the
   // blocked loop never materializes whole).
   std::shared_ptr<const ExprProgram> fused;
-  std::shared_ptr<const ExprSimdPlan> fused_simd;
   if (plan.runs.size() == 1 && plan.runs[0].begin == 0 &&
       plan.runs[0].end == step.node_ids.size()) {
     fused = plan.runs[0].program;
-    fused_simd = plan.runs[0].simd;
   }
-  if (simd_out != nullptr) *simd_out = fused_simd;
 
   MutexLock lock(fusion_mu_);
   GroupFusionEntry& entry = group_fusion_[step_index];
   entry.compiled = true;
   entry.signature = std::move(sig);
   entry.program = fused;
-  entry.simd = std::move(fused_simd);
   return fused;
 }
 
@@ -306,21 +295,10 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
   // Preferred path: the whole group as one compiled ExprProgram, interpreted
   // per block in a single pass (no per-node block tensors at all).
   std::shared_ptr<const ExprProgram> fused;
-  std::shared_ptr<const ExprSimdPlan> fused_simd;
   if (options_.expr_fusion) {
-    fused = GroupFusionFor(step, step_index, *values, in_group, &fused_simd);
+    fused = GroupFusionFor(step, step_index, *values, in_group);
   }
   if (fused != nullptr) {
-    const ExprSimdPlan* simd_plan =
-        expr_backend_ == ExprBackend::kSimd ? fused_simd.get() : nullptr;
-    static obs::Counter* interp_runs =
-        obs::MetricsRegistry::Global()->GetCounter(
-            "tqp_expr_backend_interp_total",
-            "Fused-run morsel executions fully interpreted");
-    static obs::Counter* simd_runs =
-        obs::MetricsRegistry::Global()->GetCounter(
-            "tqp_expr_backend_simd_total",
-            "Fused-run morsel executions with SIMD-tier instructions");
     kernels::ExprScratch scratch;
     std::vector<Tensor> srcs(fused->source_nodes().size());
     std::vector<Tensor> outs;
@@ -335,11 +313,8 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
                 : (*values)[static_cast<size_t>(in)];
         srcs[si] = ext.numel() == 1 ? ext : ext.SliceRows(b0, b1);
       }
-      kernels::ExprRunStats rstats;
-      TQP_RETURN_NOT_OK(kernels::RunExprProgram(*fused, srcs, b0,
-                                                options_.device, &scratch,
-                                                &outs, simd_plan, &rstats));
-      (rstats.simd_instrs > 0 ? simd_runs : interp_runs)->Add(1);
+      TQP_RETURN_NOT_OK(kernels::RunExprProgram(
+          *fused, srcs, b0, options_.device, &scratch, &outs));
       for (size_t k = 0; k < fused->output_nodes().size(); ++k) {
         TQP_RETURN_NOT_OK(copy_block(fused->output_nodes()[k], outs[k], b0, b1));
       }

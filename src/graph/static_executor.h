@@ -55,20 +55,16 @@ class StaticExecutor : public Executor {
 
   /// Returns the cached ExprProgram for one group (compiling against the
   /// current external-input signature when needed), or null when the group
-  /// cannot be covered by a single fused run. `simd_out`, when non-null,
-  /// receives the program's SIMD coverage plan (for the kSimd backend).
+  /// cannot be covered by a single fused run.
   std::shared_ptr<const ExprProgram> GroupFusionFor(
       const Step& step, size_t step_index, const std::vector<Tensor>& values,
-      const std::vector<bool>& in_group,
-      std::shared_ptr<const struct ExprSimdPlan>* simd_out);
+      const std::vector<bool>& in_group);
 
   std::shared_ptr<const TensorProgram> program_;
   ExecOptions options_;
   std::vector<Step> steps_;
   std::vector<int> use_counts_;
   int num_fusion_groups_ = 0;
-  /// Resolved at construction (kDefault -> TQP_EXPR_BACKEND).
-  ExprBackend expr_backend_ = ExprBackend::kInterp;
 
   /// Lazily compiled per-group ExprPrograms, keyed by input signature
   /// (concurrent Run() calls on one cached plan share this).
@@ -76,7 +72,6 @@ class StaticExecutor : public Executor {
     bool compiled = false;
     std::string signature;
     std::shared_ptr<const ExprProgram> program;  // null = not coverable
-    std::shared_ptr<const struct ExprSimdPlan> simd;  // coverage of program
   };
   mutable Mutex fusion_mu_;
   mutable std::vector<GroupFusionEntry> group_fusion_

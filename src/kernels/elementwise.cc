@@ -52,8 +52,8 @@ void BinaryLoop(const Tensor& a, const Tensor& b, Tensor* out, F f) {
 }
 
 // Per-lane arithmetic comes from kernels/lane_ops.h — the one definition
-// shared with the fused interpreter and the SIMD tier — so this file only
-// owns the broadcasting loop shape.
+// shared with the fused interpreter — so this file only owns the
+// broadcasting loop shape.
 template <typename T>
 Status BinaryOpTyped(BinaryOpKind op, const Tensor& a, const Tensor& b,
                      Tensor* out) {

@@ -7,7 +7,6 @@
 
 #include "kernels/kernel_types.h"
 #include "kernels/lane_ops.h"
-#include "kernels/simd_exec.h"
 #include "tensor/buffer_pool.h"
 
 namespace tqp::kernels {
@@ -44,9 +43,9 @@ void ExprScratch::Release() {
 namespace {
 
 // Per-lane arithmetic comes from kernels/lane_ops.h — the one definition
-// shared with kernels/elementwise.cc and the SIMD tier — so the fused
-// result is bit-identical to node-at-a-time evaluation by construction;
-// this file only owns the scalar-broadcast loop forms.
+// shared with kernels/elementwise.cc — so the fused result is bit-identical
+// to node-at-a-time evaluation by construction; this file only owns the
+// scalar-broadcast loop forms.
 
 template <typename T, typename Out, typename F>
 inline void LoopVV(const T* a, const T* b, Out* o, int64_t n, F f) {
@@ -201,8 +200,7 @@ Status GatherSelLanes(const int64_t* sel, int64_t k, const T* data,
 Status RunExprProgram(const ExprProgram& program,
                       const std::vector<Tensor>& sources, int64_t base_offset,
                       DeviceKind device, ExprScratch* scratch,
-                      std::vector<Tensor>* outputs, const ExprSimdPlan* simd,
-                      ExprRunStats* stats) {
+                      std::vector<Tensor>* outputs) {
   const std::vector<ExprReg>& regs = program.regs();
   if (sources.size() != program.source_nodes().size()) {
     return Status::Internal("expr exec: source arity mismatch");
@@ -267,110 +265,29 @@ Status RunExprProgram(const ExprProgram& program,
     if (reg.scalar) return true;
     return dom_len[static_cast<size_t>(reg.dom)] == n;
   };
-  // Destination bytes for one non-selection instruction: run outputs
-  // materialize as fresh tensors, temps draw their physical slot.
-  const auto alloc_dst = [&](const ExprInstr& ins, int64_t lanes,
-                             uint8_t** out) -> Status {
-    const ExprReg& dreg = regs[static_cast<size_t>(ins.dst)];
-    if (dreg.output >= 0) {
-      TQP_ASSIGN_OR_RETURN(Tensor t,
-                           Tensor::Empty(dreg.dtype, lanes, 1, device));
-      *out = static_cast<uint8_t*>(t.raw_mutable_data());
-      materialized[static_cast<size_t>(ins.dst)] = std::move(t);
-    } else {
-      *out = scratch->EnsureSlot(dreg.slot, lanes * DTypeSize(dreg.dtype));
-      if (*out == nullptr) {
-        return Status::OutOfMemory("expr exec: register slot allocation");
-      }
-    }
-    ptr[static_cast<size_t>(ins.dst)] = *out;
-    return Status::OK();
-  };
-  const auto operand_ref = [&](int r) {
-    return simd::LaneRef{ptr[static_cast<size_t>(r)],
-                         regs[static_cast<size_t>(r)].scalar};
-  };
 
-  const std::vector<ExprInstr>& instrs = program.instrs();
-  const bool with_simd = simd != nullptr && simd->steps.size() == instrs.size();
-  for (size_t ii = 0; ii < instrs.size(); ++ii) {
-    const ExprInstr& instr = instrs[ii];
+  for (const ExprInstr& instr : program.instrs()) {
     const int64_t n =
         instr.dom >= 0 ? dom_len[static_cast<size_t>(instr.dom)] : 1;
     if (n < 0) {
       return Status::Internal("expr exec: instruction over unbound domain");
     }
     const ExprReg& dreg = regs[static_cast<size_t>(instr.dst)];
-
-    if (with_simd) {
-      const ExprSimdStep& step = simd->steps[ii];
-      if (step.kind == ExprSimdStepKind::kSelVec) {
-        if (!check_lanes(instr.a, n)) {
-          return Status::Invalid("expr exec: operand rows diverge in fused run");
-        }
-        // One-pass compress wants the destination up front, so size it to
-        // the survivor upper bound (slots grow and never shrink; the lane
-        // count of the defined domain is what downstream reads).
-        uint8_t* block = scratch->EnsureSlot(dreg.slot, n * 8);
-        if (block == nullptr) {
-          return Status::OutOfMemory("expr exec: selection vector allocation");
-        }
-        ptr[static_cast<size_t>(instr.dst)] = block;
-        const int64_t k =
-            simd::SelVecCompress(ptr[static_cast<size_t>(instr.a)], n,
-                                 reinterpret_cast<int64_t*>(block));
-        dom_len[static_cast<size_t>(instr.out_dom)] = k;
-        if (stats != nullptr) ++stats->simd_instrs;
-        continue;
-      }
-      if (step.kind != ExprSimdStepKind::kInterp) {
-        // Fused pair: this instruction's temp never materializes; the
-        // consumer's destination is written directly by one vector kernel.
-        const ExprInstr& next = instrs[ii + 1];
-        for (int op : {instr.a, instr.b, next.a, next.b}) {
-          if (op >= 0 && !check_lanes(op, n)) {
-            return Status::Invalid(
-                "expr exec: operand rows diverge in fused run");
-          }
-        }
-        uint8_t* dq = nullptr;
-        TQP_RETURN_NOT_OK(alloc_dst(next, n, &dq));
-        const int other = step.t_left ? next.b : next.a;
-        switch (step.kind) {
-          case ExprSimdStepKind::kBinBin:
-            TQP_RETURN_NOT_OK(simd::FusedBinBin(
-                instr.dtype, static_cast<BinaryOpKind>(instr.kind),
-                static_cast<BinaryOpKind>(next.kind), step.t_left,
-                operand_ref(instr.a), operand_ref(instr.b),
-                operand_ref(other), dq, n));
-            break;
-          case ExprSimdStepKind::kCmpAnd:
-            TQP_RETURN_NOT_OK(simd::FusedCmpAnd(
-                instr.in_dtype, static_cast<CompareOpKind>(instr.kind),
-                operand_ref(instr.a), operand_ref(instr.b),
-                operand_ref(other), dq, n));
-            break;
-          case ExprSimdStepKind::kCastCmp:
-            TQP_RETURN_NOT_OK(simd::FusedCastCmp(
-                instr.in_dtype, instr.dtype,
-                static_cast<CompareOpKind>(next.kind), step.t_left,
-                operand_ref(instr.a), operand_ref(other), dq, n));
-            break;
-          default:
-            return Status::Internal("expr exec: malformed simd step");
-        }
-        if (stats != nullptr) stats->simd_instrs += 2;
-        ++ii;  // the consumer executed inside the fused kernel
-        continue;
-      }
-    }
-
     uint8_t* dst = nullptr;
     if (instr.code == ExprOpCode::kSelVec) {
       // Sized inside the case: the selection vector holds survivor lanes,
       // counted first exactly as kernels::Nonzero does.
+    } else if (dreg.output >= 0) {
+      TQP_ASSIGN_OR_RETURN(Tensor t, Tensor::Empty(dreg.dtype, n, 1, device));
+      dst = static_cast<uint8_t*>(t.raw_mutable_data());
+      materialized[static_cast<size_t>(instr.dst)] = std::move(t);
+      ptr[static_cast<size_t>(instr.dst)] = dst;
     } else {
-      TQP_RETURN_NOT_OK(alloc_dst(instr, n, &dst));
+      dst = scratch->EnsureSlot(dreg.slot, n * DTypeSize(dreg.dtype));
+      if (dst == nullptr) {
+        return Status::OutOfMemory("expr exec: register slot allocation");
+      }
+      ptr[static_cast<size_t>(instr.dst)] = dst;
     }
     // Positional lane semantics require equal lengths on every vector
     // operand (the kernels would raise a broadcast error here too).
@@ -586,7 +503,6 @@ Status RunExprProgram(const ExprProgram& program,
         break;
       }
     }
-    if (stats != nullptr) ++stats->interp_instrs;
   }
 
   outputs->clear();

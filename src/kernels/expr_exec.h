@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "compile/expr_program.h"
-#include "compile/expr_simd.h"
 #include "tensor/tensor.h"
 
 namespace tqp::kernels {
@@ -69,33 +68,16 @@ class ExprScratch {
   std::vector<Slot> slots_;
 };
 
-/// \brief Per-invocation execution-tier accounting: how many instructions
-/// ran through vector kernels vs the interpreter (fused pairs count both of
-/// their instructions as SIMD).
-struct ExprRunStats {
-  int64_t simd_instrs = 0;
-  int64_t interp_instrs = 0;
-};
-
 /// \brief Executes `program` over one morsel. `sources[i]` binds
 /// `program.source_nodes()[i]` (dtype and broadcast-ness must match what the
 /// run was compiled against — the caller recompiles on signature change).
 /// `base_offset` is the morsel's global row offset in the driver domain
 /// (domain 0), consumed by kIota. `outputs` receives one tensor per
 /// `program.output_nodes()` entry, freshly allocated on `device`.
-///
-/// When `simd` is non-null (the kSimd backend; must be the plan built for
-/// this exact program), instruction positions it marks execute through the
-/// fused vector kernels of kernels/simd_exec.h and everything else falls
-/// back, instruction by instruction, to the interpreter — results are
-/// bit-identical either way. `stats`, when non-null, accumulates the
-/// per-tier instruction counts.
 Status RunExprProgram(const ExprProgram& program,
                       const std::vector<Tensor>& sources, int64_t base_offset,
                       DeviceKind device, ExprScratch* scratch,
-                      std::vector<Tensor>* outputs,
-                      const ExprSimdPlan* simd = nullptr,
-                      ExprRunStats* stats = nullptr);
+                      std::vector<Tensor>* outputs);
 
 }  // namespace tqp::kernels
 

@@ -10,13 +10,12 @@
 
 namespace tqp::kernels::lane {
 
-/// The single definition of per-lane arithmetic shared by every execution
-/// tier: the node-at-a-time elementwise kernels (kernels/elementwise.cc),
-/// the fused ExprProgram interpreter (kernels/expr_exec.cc) and the SIMD
-/// tier (kernels/simd_exec*.cc) all evaluate one lane through the functors
-/// dispatched here. Bit-identity across tiers reduces to "same lane functor,
-/// same iteration order", so the semantic corner cases live in exactly one
-/// place:
+/// The single definition of per-lane arithmetic shared by both execution
+/// paths: the node-at-a-time elementwise kernels (kernels/elementwise.cc)
+/// and the fused ExprProgram interpreter (kernels/expr_exec.cc) evaluate one
+/// lane through the functors dispatched here. Bit-identity between them
+/// reduces to "same lane functor, same iteration order", so the semantic
+/// corner cases live in exactly one place:
 ///  - integer div/mod by zero yields 0 (the SQL-ish total function the
 ///    kernels have always implemented);
 ///  - float mod evaluates through std::fmod(double, double) and narrows;
@@ -26,8 +25,8 @@ namespace tqp::kernels::lane {
 ///    `x != From{}`.
 ///
 /// Dispatchers invoke `sink` with the chosen lane functor so each call site
-/// keeps its own loop shape (broadcast strides, scalar forms, vector
-/// blocks) while the per-lane expression cannot drift between tiers.
+/// keeps its own loop shape (broadcast strides, scalar forms) while the
+/// per-lane expression cannot drift between the two paths.
 
 /// \brief Calls `sink(f)` with `f : (T, T) -> T` for the arithmetic op.
 template <typename T, typename Sink>

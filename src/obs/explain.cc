@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "compile/pipeline.h"
 #include "graph/op_type.h"
-#include "kernels/simd_exec.h"
 #include "obs/trace.h"
 #include "profiler/profiler.h"
 
@@ -207,13 +206,6 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   const double wall_ms = static_cast<double>(out.wall_nanos) / 1e6;
   std::ostringstream os;
   os << "EXPLAIN ANALYZE  target=" << ExecutorTargetName(options.target);
-  // The expression tier fused runs dispatch to (Pipelined/Static targets).
-  const ExprBackend backend = ResolveExprBackend(options.expr_backend);
-  os << "  backend=" << ExprBackendName(backend);
-  if (backend == ExprBackend::kSimd) {
-    os << "(" << kernels::simd::SimdLevelName(kernels::simd::ActiveLevel())
-       << ")";
-  }
   os << "  wall=" << FormatDouble(wall_ms, 3) << " ms"
      << "  compile=" << FormatDouble(static_cast<double>(out.compile_nanos) / 1e6, 3)
      << " ms  rows=" << out.result_rows << "\n";

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 namespace tqp::obs {
@@ -80,7 +81,15 @@ uint32_t TraceThreadId() {
   return id;
 }
 
+TraceSession::~TraceSession() { AwaitPropagatedDetach(); }
+
 TraceSession* TraceSession::Current() { return tls_trace.ctx.session; }
+
+void TraceSession::AwaitPropagatedDetach() const {
+  while (propagated_.load() != 0) {
+    std::this_thread::yield();
+  }
+}
 
 void TraceSession::Append(TraceEvent event) {
   if (event.thread_id == 0) event.thread_id = TraceThreadId();
@@ -101,11 +110,13 @@ void TraceSession::Clear() {
 }
 
 std::vector<TraceEvent> TraceSession::events() const {
+  AwaitPropagatedDetach();
   MutexLock lock(mu_);
   return events_;
 }
 
 size_t TraceSession::num_events() const {
+  AwaitPropagatedDetach();
   MutexLock lock(mu_);
   return events_.size();
 }
@@ -193,7 +204,10 @@ std::string TraceSession::ToChromeTrace(const std::string& process_name) const {
 TraceContextState CaptureTraceContext() { return tls_trace.ctx; }
 
 TraceContext::TraceContext(const TraceContextState& state)
-    : prev_(tls_trace.ctx) {
+    : prev_(tls_trace.ctx), propagated_(state.session) {
+  if (propagated_ != nullptr) {
+    propagated_->propagated_.fetch_add(1);
+  }
   tls_trace.ctx = state;
 }
 
@@ -204,10 +218,14 @@ TraceContext::TraceContext(TraceSession* session, uint64_t query_id)
 
 TraceContext::~TraceContext() {
   // Flush before restoring: the detaching context may be the last holder of
-  // this session on the thread, and the session's owner may export (or
-  // destroy it) the moment the traced work joins.
+  // this session on the thread.
   FlushTlsBuffer();
   tls_trace.ctx = prev_;
+  // Last touch of the session: a reader waiting on the count may destroy it
+  // as soon as this lands.
+  if (propagated_ != nullptr) {
+    propagated_->propagated_.fetch_sub(1);
+  }
 }
 
 TraceSpan::TraceSpan(const char* category, const char* name)

@@ -72,7 +72,8 @@ uint32_t TraceThreadId();
 class TraceSession {
  public:
   TraceSession() = default;
-  ~TraceSession() = default;
+  /// Waits for pool-task contexts still detaching (see events()).
+  ~TraceSession();
 
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;
@@ -103,7 +104,10 @@ class TraceSession {
   void Clear();
 
   /// \brief Snapshot of every flushed event (ambient contexts flush on
-  /// detach; call after the traced work has joined).
+  /// detach; call after the traced work has joined). A pool task signals its
+  /// joiner from inside its body, before its propagated context detaches, so
+  /// this first waits for every such context to detach. Must not be called
+  /// from inside a pool task traced into this session.
   std::vector<TraceEvent> events() const;
 
   size_t num_events() const;
@@ -114,10 +118,17 @@ class TraceSession {
   std::string ToChromeTrace(const std::string& process_name = "tqp") const;
 
  private:
+  friend class TraceContext;
+
+  /// Spins until every propagated context has detached and flushed.
+  void AwaitPropagatedDetach() const;
+
   mutable Mutex mu_;
   std::vector<TraceEvent> events_ TQP_GUARDED_BY(mu_);
   std::atomic<uint64_t> next_span_id_{1};
   std::atomic<uint64_t> next_query_id_{1};
+  /// Propagated (pool-task) contexts attached to this session right now.
+  std::atomic<int> propagated_{0};
 };
 
 /// \brief The ambient trace state of one thread, as captured for propagation
@@ -137,8 +148,9 @@ TraceContextState CaptureTraceContext();
 /// \brief RAII ambient trace context, mirroring QueryScope::Attach. The
 /// destructor restores the previous context and flushes the thread's pending
 /// event buffer, so a session's events are all flushed once every context
-/// attached to it has detached (executors join their fan-out, so this holds
-/// by the time a traced run returns).
+/// attached to it has detached. A context propagated into a pool task counts
+/// itself into its session until it detaches, because the task's joiner can
+/// wake before that; the session's reads and destructor wait for the count.
 class TraceContext {
  public:
   explicit TraceContext(const TraceContextState& state);
@@ -150,6 +162,8 @@ class TraceContext {
 
  private:
   TraceContextState prev_;
+  /// The session this context counts itself in (propagated contexts only).
+  TraceSession* propagated_ = nullptr;
 };
 
 /// \brief RAII span: records a complete event over its lifetime into the

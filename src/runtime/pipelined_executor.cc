@@ -10,12 +10,10 @@
 #include "common/cancel.h"
 #include "common/fault.h"
 #include "common/stopwatch.h"
-#include "compile/expr_simd.h"
 #include "graph/eval.h"
 #include "graph/op_type.h"
 #include "kernels/expr_exec.h"
 #include "kernels/selection.h"
-#include "kernels/simd_exec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "operators/partitioned/partition.h"
@@ -41,7 +39,6 @@ PipelinedExecutor::PipelinedExecutor(std::shared_ptr<const TensorProgram> progra
     owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
   }  // num_threads == 1 (or negative): pool_ stays null -> serial morsel loop
-  expr_backend_ = ResolveExprBackend(options_.expr_backend);
   if (options_.adaptive_morsels || runtime::DefaultAdaptiveMorsels()) {
     adaptive_ =
         std::make_unique<runtime::AdaptiveMorselController>(morsel_rows());
@@ -300,34 +297,9 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
         for (int id : ep.source_nodes()) {
           slot->run_sources.push_back(scratch[static_cast<size_t>(id)]);
         }
-        const ExprSimdPlan* simd_plan =
-            expr_backend_ == ExprBackend::kSimd ? run.simd.get() : nullptr;
-        kernels::ExprRunStats rstats;
         TQP_RETURN_NOT_OK(kernels::RunExprProgram(
             ep, slot->run_sources, b, options_.device, &slot->expr,
-            &slot->run_outputs, simd_plan, &rstats));
-        // Tally the backend that *actually* ran: a kSimd dispatch whose
-        // program has no covered shapes interprets everything and counts as
-        // interp. The compile probe never reaches this branch (it evaluates
-        // node-at-a-time), so these tallies reflect fused execution only.
-        static obs::Counter* interp_runs =
-            obs::MetricsRegistry::Global()->GetCounter(
-                "tqp_expr_backend_interp_total",
-                "Fused-run morsel executions fully interpreted");
-        static obs::Counter* simd_runs =
-            obs::MetricsRegistry::Global()->GetCounter(
-                "tqp_expr_backend_simd_total",
-                "Fused-run morsel executions with SIMD-tier instructions");
-        (rstats.simd_instrs > 0 ? simd_runs : interp_runs)->Add(1);
-        if (run.exec_stats != nullptr) {
-          ExprRunExecStats& st = *run.exec_stats;
-          (rstats.simd_instrs > 0 ? st.simd_morsels : st.interp_morsels)
-              .fetch_add(1, std::memory_order_relaxed);
-          st.simd_instrs.fetch_add(rstats.simd_instrs,
-                                   std::memory_order_relaxed);
-          st.interp_instrs.fetch_add(rstats.interp_instrs,
-                                     std::memory_order_relaxed);
-        }
+            &slot->run_outputs));
         for (size_t k = 0; k < ep.output_nodes().size(); ++k) {
           scratch[static_cast<size_t>(ep.output_nodes()[k])] =
               std::move(slot->run_outputs[k]);
@@ -604,12 +576,7 @@ std::string PipelinedExecutor::pipeline_fusion_signature(int index) const {
 std::string PipelinedExecutor::FusionReport() const {
   MutexLock lock(fusion_mu_);
   std::ostringstream os;
-  os << "expr backend: " << ExprBackendName(expr_backend_);
-  if (expr_backend_ == ExprBackend::kSimd) {
-    os << " ("
-       << kernels::simd::SimdLevelName(kernels::simd::ActiveLevel()) << ")";
-  }
-  os << "; morsel rows: " << current_morsel_rows()
+  os << "morsel rows: " << current_morsel_rows()
      << (adaptive_ != nullptr ? " (adaptive)" : "") << "\n";
   for (size_t pi = 0; pi < fusion_cache_.size(); ++pi) {
     const FusionCacheEntry& entry = fusion_cache_[pi];
@@ -632,20 +599,6 @@ std::string PipelinedExecutor::FusionReport() const {
         os << (i > run.begin ? " " : "") << "n" << p.nodes[i].id;
       }
       os << "]: " << run.program->ToString();
-      if (run.simd != nullptr) {
-        os << "    " << run.simd->Summary();
-        if (run.exec_stats != nullptr) {
-          const int64_t si =
-              run.exec_stats->simd_morsels.load(std::memory_order_relaxed);
-          const int64_t in =
-              run.exec_stats->interp_morsels.load(std::memory_order_relaxed);
-          // Compile-probe morsels evaluate node-at-a-time (always
-          // interpreted) and are not part of either tally.
-          os << "; executed: simd=" << si << " interp=" << in
-             << " morsels (probe morsels interpret node-at-a-time)";
-        }
-        os << "\n";
-      }
     }
   }
   return os.str();

@@ -85,10 +85,6 @@ class PipelinedExecutor : public Executor {
   runtime::ThreadPool* pool() const { return pool_; }
   int64_t morsel_rows() const;
 
-  /// \brief The expression backend this executor dispatches fused runs to,
-  /// resolved at construction (kDefault -> TQP_EXPR_BACKEND).
-  ExprBackend expr_backend() const { return expr_backend_; }
-
   /// \brief Whether adaptive morsel sizing is active (option or
   /// TQP_ADAPTIVE_MORSEL=1), and the size the next pipeline run would use.
   bool adaptive_morsels() const { return adaptive_ != nullptr; }
@@ -163,8 +159,6 @@ class PipelinedExecutor : public Executor {
   PipelinePlan plan_;
   std::unique_ptr<runtime::ThreadPool> owned_pool_;  // when num_threads > 1
   runtime::ThreadPool* pool_ = nullptr;              // owned, shared or global
-  /// Resolved once at construction; every fused-run dispatch consults this.
-  ExprBackend expr_backend_ = ExprBackend::kInterp;
   /// Non-null when adaptive morsel sizing is on: each RunPipeline reads one
   /// size from it (fixed for that pipeline run, so chunk assembly stays
   /// bit-identical) and feeds completed morsels' wall times back.

@@ -72,17 +72,11 @@ std::string PlanCache::MakeKey(const std::string& normalized_sql,
   key.push_back('/');
   key += options.expr_fusion ? '1' : '0';
   key.push_back('/');
-  // Resolved, not raw: two sessions with kDefault under different
-  // TQP_EXPR_BACKEND values never share a process, and within one process
-  // the resolution is stable — so kDefault and its resolution are the same
-  // artifact.
-  key += std::to_string(static_cast<int>(ResolveExprBackend(options.expr_backend)));
-  key.push_back('/');
   key += options.adaptive_morsels ? '1' : '0';
   key.push_back('/');
-  // Resolved like expr_backend: the TQP_PARTITIONED_BREAKERS default is
-  // stable within a process, so the unset option and its resolution are the
-  // same compiled artifact.
+  // Resolved, not raw: the TQP_PARTITIONED_BREAKERS default is stable
+  // within a process, so the unset option and its resolution are the same
+  // compiled artifact.
   key += (options.partitioned_breakers ||
           op::partitioned::DefaultPartitionedBreakers())
              ? '1'

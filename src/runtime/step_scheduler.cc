@@ -86,7 +86,13 @@ void StepScheduler::Submit(std::function<void()> step, int priority) {
       spawn = true;
     }
   }
-  if (spawn) pool_->Submit([this] { PumpOne(); });
+  if (spawn) {
+    // The pump outlives this step's query (it drains the shared ready
+    // queue), so it must not inherit — and count itself into — the query's
+    // trace session; the step above already carries that context.
+    obs::TraceContext trace_mask(nullptr, 0);
+    pool_->Submit([this] { PumpOne(); });
+  }
 }
 
 bool StepScheduler::PopReadyLocked(std::function<void()>* step) {

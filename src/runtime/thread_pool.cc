@@ -105,9 +105,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   }
   // Tasks likewise inherit the submitter's ambient trace context (session +
   // query id + submitting span), so a traced query's fan-out records into
-  // its session from any worker, parented to the span that spawned it. Same
-  // lifetime argument as the scope above: fan-out joins before the traced
-  // run returns, and every context detach flushes the thread buffer.
+  // its session from any worker, parented to the span that spawned it. The
+  // task signals its joiner before this context detaches and flushes, so
+  // the session waits for the detach before it is read or destroyed.
   if (const obs::TraceContextState trace = obs::CaptureTraceContext();
       trace.session != nullptr) {
     task = [trace, inner = std::move(task)] {

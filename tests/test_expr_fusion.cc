@@ -22,7 +22,6 @@
 #include "graph/static_executor.h"
 #include "kernels/expr_exec.h"
 #include "kernels/kernels.h"
-#include "kernels/simd_exec.h"
 #include "ml/linear.h"
 #include "ml/tree.h"
 #include "runtime/morsel.h"
@@ -100,52 +99,17 @@ int CountInstrs(const ExprProgram& ep, ExprOpCode code) {
   return n;
 }
 
-/// One fused-execution configuration under test: node-at-a-time, the
-/// vectorized interpreter, or the SIMD tier. All three must be bit-identical.
+/// One execution configuration under test: node-at-a-time or the fused
+/// vectorized interpreter. Both must be bit-identical.
 struct ExecTier {
   bool fusion;
-  ExprBackend backend;
   const char* name;
 };
 
 constexpr ExecTier kExecTiers[] = {
-    {false, ExprBackend::kInterp, "unfused"},
-    {true, ExprBackend::kInterp, "fused/interp"},
-    {true, ExprBackend::kSimd, "fused/simd"},
+    {false, "unfused"},
+    {true, "fused"},
 };
-
-/// Restores the CPUID dispatch override on scope exit.
-struct ForceScalarGuard {
-  explicit ForceScalarGuard(bool on) {
-    kernels::simd::ForceScalarForTesting(on);
-  }
-  ~ForceScalarGuard() { kernels::simd::ForceScalarForTesting(false); }
-};
-
-// ---- TQP_EXPR_BACKEND parsing -----------------------------------------------
-
-TEST(ExprBackendTest, ParsesKnownNamesSilently) {
-  for (const char* value : {static_cast<const char*>(nullptr), "", "interp"}) {
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(ParseExprBackend(value), ExprBackend::kInterp);
-    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-  }
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(ParseExprBackend("simd"), ExprBackend::kSimd);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-}
-
-TEST(ExprBackendTest, UnknownValueWarnsAndFallsBackToInterp) {
-  for (const char* value : {"SIMD", "avx2", "simd "}) {
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(ParseExprBackend(value), ExprBackend::kInterp) << value;
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("TQP_EXPR_BACKEND='" + std::string(value) + "'"),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("using default interp"), std::string::npos) << err;
-  }
-}
 
 // ---- ExprProgram lowering units --------------------------------------------
 
@@ -590,7 +554,6 @@ TEST(ExprFusionPropertyTest, RandomChainsBitIdenticalToEager) {
           options.num_threads = threads;
           options.morsel_rows = morsel;
           options.expr_fusion = tier.fusion;
-          options.expr_backend = tier.backend;
           auto pipelined =
               MakeExecutor(ExecutorTarget::kPipelined, program, options)
                   .ValueOrDie();
@@ -645,7 +608,6 @@ TEST_F(ExprFusionTpchTest, FusedAndUnfusedBitIdenticalToEagerOnTpch) {
         options.num_threads = threads;
         options.morsel_rows = 1000;
         options.expr_fusion = tier.fusion;
-        options.expr_backend = tier.backend;
         Table result = compiler.CompileSql(sql, *catalog_, options)
                            .ValueOrDie()
                            .Run(*catalog_)
@@ -663,8 +625,10 @@ TEST_F(ExprFusionTpchTest, FusedAndUnfusedBitIdenticalToEagerOnTpch) {
 }
 
 TEST_F(ExprFusionTpchTest, FusedExactAcrossMorselSizes) {
+  // Bit-identical to eager at every morsel size, including 1-row morsels
+  // where every fused run sees a single lane.
   QueryCompiler compiler;
-  for (int q : {1, 6}) {
+  for (int q : {1, 3, 6, 10, 12, 14}) {
     const std::string sql = tpch::QueryText(q).ValueOrDie();
     CompileOptions eager_options;
     eager_options.target = ExecutorTarget::kEager;
@@ -673,56 +637,19 @@ TEST_F(ExprFusionTpchTest, FusedExactAcrossMorselSizes) {
                           .Run(*catalog_)
                           .ValueOrDie();
     for (int64_t morsel : {1, 7, 977, 1 << 20}) {
-      for (const ExprBackend backend :
-           {ExprBackend::kInterp, ExprBackend::kSimd}) {
-        CompileOptions options;
-        options.target = ExecutorTarget::kPipelined;
-        options.num_threads = 4;
-        options.morsel_rows = morsel;
-        options.expr_fusion = true;
-        options.expr_backend = backend;
-        Table result = compiler.CompileSql(sql, *catalog_, options)
-                           .ValueOrDie()
-                           .Run(*catalog_)
-                           .ValueOrDie();
-        std::string what = "Q";
-        what += std::to_string(q);
-        what += " morsel ";
-        what += std::to_string(morsel);
-        what += " ";
-        what += ExprBackendName(backend);
-        ExpectTablesIdentical(result, reference, what);
-      }
-    }
-  }
-}
-
-TEST_F(ExprFusionTpchTest, SimdExactAcrossMorselSizesOnTpch) {
-  // The SIMD tier must be bit-identical to eager at every morsel size —
-  // including 1-row morsels, where every vector kernel runs its scalar tail
-  // path and fused pairs see a single lane.
-  QueryCompiler compiler;
-  for (int q : {3, 10, 12, 14}) {
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    CompileOptions eager_options;
-    eager_options.target = ExecutorTarget::kEager;
-    Table reference = compiler.CompileSql(sql, *catalog_, eager_options)
-                          .ValueOrDie()
-                          .Run(*catalog_)
-                          .ValueOrDie();
-    for (int64_t morsel : {1, 977, 1 << 20}) {
+      // 7-row morsels run only Q1 and Q6, to bound the test's run time.
+      if (morsel == 7 && q != 1 && q != 6) continue;
       CompileOptions options;
       options.target = ExecutorTarget::kPipelined;
       options.num_threads = 4;
       options.morsel_rows = morsel;
       options.expr_fusion = true;
-      options.expr_backend = ExprBackend::kSimd;
       Table result = compiler.CompileSql(sql, *catalog_, options)
                          .ValueOrDie()
                          .Run(*catalog_)
                          .ValueOrDie();
       ExpectTablesIdentical(result, reference,
-                            "Q" + std::to_string(q) + " simd morsel " +
+                            "Q" + std::to_string(q) + " morsel " +
                                 std::to_string(morsel));
     }
   }
@@ -748,43 +675,6 @@ TEST_F(ExprFusionTpchTest, PipelinesActuallyFuseAndReportRuns) {
   const std::string report = pipelined->FusionReport();
   EXPECT_NE(report.find("fused run"), std::string::npos) << report;
   EXPECT_NE(report.find("selvec"), std::string::npos) << report;
-}
-
-TEST_F(ExprFusionTpchTest, SimdTierActuallyCoversAndCountsOnQ6) {
-  // Under kSimd the Q6 predicate/arithmetic chain must actually route morsels
-  // through the SIMD tier (not silently fall back to the interpreter), and
-  // the per-run execution tallies + FusionReport must say so. Holds on any
-  // host: without AVX2 the portable vectorized TU serves the same plan.
-  QueryCompiler compiler;
-  CompileOptions options;
-  options.target = ExecutorTarget::kPipelined;
-  options.num_threads = 1;
-  options.expr_backend = ExprBackend::kSimd;
-  CompiledQuery q =
-      compiler.CompileSql(tpch::QueryText(6).ValueOrDie(), *catalog_, options)
-          .ValueOrDie();
-  TQP_CHECK_OK(q.Run(*catalog_).status());
-  auto* pipelined = static_cast<PipelinedExecutor*>(q.executor());
-  EXPECT_EQ(pipelined->expr_backend(), ExprBackend::kSimd);
-  int64_t simd_morsels = 0;
-  int64_t simd_instrs = 0;
-  int64_t planned_simd_instrs = 0;
-  for (size_t i = 0; i < pipelined->plan().pipelines.size(); ++i) {
-    auto fusion = pipelined->pipeline_fusion(static_cast<int>(i));
-    if (fusion == nullptr) continue;
-    for (const auto& run : fusion->runs) {
-      if (run.simd != nullptr) planned_simd_instrs += run.simd->num_covered;
-      if (run.exec_stats == nullptr) continue;
-      simd_morsels += run.exec_stats->simd_morsels.load();
-      simd_instrs += run.exec_stats->simd_instrs.load();
-    }
-  }
-  const std::string report = pipelined->FusionReport();
-  EXPECT_GT(planned_simd_instrs, 0) << report;
-  EXPECT_GT(simd_morsels, 0) << report;
-  EXPECT_GT(simd_instrs, 0) << report;
-  EXPECT_NE(report.find("expr backend: simd"), std::string::npos) << report;
-  EXPECT_NE(report.find("executed: simd="), std::string::npos) << report;
 }
 
 TEST(ExprFusionMlTest, FusedBitIdenticalToInterpOnPredictionPipeline) {
@@ -899,41 +789,6 @@ TEST(StaticExecutorExprFusionTest, GroupsCompileToExprProgramsBitIdentical) {
   }
 }
 
-// ---- SIMD dispatch: forced-scalar fallback -----------------------------------
-
-TEST(SimdFallbackTest, ForcedScalarLevelStaysBitIdentical) {
-  // ForceScalarForTesting pretends the host has no vector ISA: every fused
-  // kernel must dispatch to the portable TU and still match eager bit for
-  // bit. This is the non-AVX2-host path exercised on AVX2 hardware.
-  auto program = MakeChainProgram();
-  const int64_t n = 5003;  // odd size: vector body + scalar tail
-  Tensor x = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  Rng rng(42);
-  for (int64_t i = 0; i < n; ++i) {
-    x.mutable_data<double>()[i] = rng.UniformDouble(-50, 150);
-  }
-  auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
-  const std::vector<Tensor> want = eager->Run({x}).ValueOrDie();
-  for (const bool force : {true, false}) {
-    ForceScalarGuard guard(force);
-    if (force) {
-      ASSERT_EQ(kernels::simd::ActiveLevel(), kernels::simd::SimdLevel::kScalar)
-          << "forcing must report the scalar level";
-    }
-    ExecOptions options;
-    options.num_threads = 2;
-    options.morsel_rows = 512;
-    options.expr_fusion = true;
-    options.expr_backend = ExprBackend::kSimd;
-    auto exec = MakeExecutor(ExecutorTarget::kPipelined, program, options)
-                    .ValueOrDie();
-    const std::vector<Tensor> got = exec->Run({x}).ValueOrDie();
-    ASSERT_EQ(got.size(), want.size());
-    ExpectTensorsIdentical(got[0], want[0],
-                           force ? "simd forced-scalar" : "simd native level");
-  }
-}
-
 // ---- Adaptive morsel sizing --------------------------------------------------
 
 TEST(AdaptiveMorselControllerTest, StepsAreGeometricAndBounded) {
@@ -977,7 +832,6 @@ TEST_F(ExprFusionTpchTest, AdaptiveMorselSizingIsDeterministicAndBounded) {
   options.target = ExecutorTarget::kPipelined;
   options.num_threads = 4;
   options.adaptive_morsels = true;
-  options.expr_backend = ExprBackend::kSimd;
   CompiledQuery q = compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
   for (int run = 0; run < 4; ++run) {
     Table result = q.Run(*catalog_).ValueOrDie();

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -207,6 +210,30 @@ TEST(TraceTest, SpansNestOnOneThread) {
   EXPECT_GE(inner->ts_nanos, outer->ts_nanos);
   EXPECT_LE(inner->ts_nanos + inner->dur_nanos,
             outer->ts_nanos + outer->dur_nanos);
+}
+
+TEST(TraceTest, ReadsWaitForPoolTasksStillDetaching) {
+  // A pool task signals its joiner from inside its body, so the joiner can
+  // return while the worker still holds the task's trace context and its
+  // buffered spans. Reading — and destroying — the session must wait for
+  // that detach instead of missing the span or racing the worker's flush.
+  runtime::ThreadPool pool(2);
+  std::promise<void> joined;
+  size_t num_events = 0;
+  {
+    obs::TraceSession session;
+    {
+      obs::TraceContext ctx(&session, session.NextQueryId());
+      pool.Submit([&joined] {
+        { obs::TraceSpan span("test", "late"); }
+        joined.set_value();
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+    }
+    joined.get_future().wait();
+    num_events = session.num_events();
+  }
+  EXPECT_EQ(num_events, 1u);
 }
 
 TEST(TraceTest, DisabledPathRecordsNothing) {

@@ -53,9 +53,8 @@ import sys
 # String-valued TQP_* environment knobs: these carry names/specs/paths, not
 # integers, so EnvInt64OrDefault does not apply.
 STRING_ENV_ALLOWLIST = {
-    "TQP_EXPR_BACKEND",  # backend name: interp | simd
-    "TQP_FAULT_SPEC",    # fault-injection spec grammar
-    "TQP_TRACE_FILE",    # trace output path
+    "TQP_FAULT_SPEC",  # fault-injection spec grammar
+    "TQP_TRACE_FILE",  # trace output path
 }
 
 # Files every Submit wrapper / fault seam rule anchors on. --check-anchors
