@@ -1,16 +1,18 @@
 // Demo scenario 1 (paper §3.1): integration with data-science tooling.
 //  (1) ingest a dataframe-like frame (numeric columns zero-copy),
 //  (2) compile and run a TPC-H query over it,
-//  (3) re-run with the profiler attached and inspect the per-operator
+//  (3) re-run with a trace session attached and inspect the per-operator
 //      runtime breakdown (Figure 2) and the exported artifacts:
 //      a chrome://tracing timeline and the Graphviz executor graph
 //      (the TensorBoard stand-ins).
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "compile/compiler.h"
-#include "profiler/profiler.h"
+#include "obs/explain.h"
+#include "obs/trace.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -34,19 +36,23 @@ int main() {
   Table result = query.Run(catalog).ValueOrDie();
   std::printf("Q6 result:\n%s\n", result.ToString().c_str());
 
-  // (3) Re-execute with the profiler activated.
-  QueryProfiler profiler;
+  // (3) Re-execute under a trace session: every executed operator records
+  // an "op" span, folded here into the per-operator breakdown.
   CompileOptions options;
   options.target = ExecutorTarget::kEager;  // per-op granularity
-  options.profiler = &profiler;
   CompiledQuery profiled = compiler.CompileSql(sql, catalog, options).ValueOrDie();
-  TQP_CHECK_OK(profiled.Run(catalog).status());
+  obs::TraceSession session;
+  {
+    obs::TraceContext ctx(&session, session.NextQueryId());
+    TQP_CHECK_OK(profiled.Run(catalog).status());
+  }
 
-  std::printf("runtime breakdown (Figure 2 view):\n%s\n",
-              profiler.BreakdownReport().c_str());
+  const std::string breakdown =
+      obs::RenderOpBreakdown(obs::FoldOpSpans(session.events()));
+  std::printf("runtime breakdown (Figure 2 view):\n%s\n", breakdown.c_str());
 
   std::ofstream trace("/tmp/tqp_profile_trace.json");
-  trace << profiler.ToChromeTrace("q6-demo");
+  trace << session.ToChromeTrace("q6-demo");
   std::ofstream dot("/tmp/tqp_q6_executor.dot");
   dot << profiled.ToDot("q6");
   std::printf("artifacts: /tmp/tqp_profile_trace.json (chrome://tracing), "

@@ -6,7 +6,8 @@
 
 namespace tqp {
 
-/// \brief Monotonic wall-clock stopwatch used by the profiler and benches.
+/// \brief Monotonic wall-clock stopwatch for phase timings (sessions, EXPLAIN
+/// ANALYZE, the adaptive morsel sizer) and the benches.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

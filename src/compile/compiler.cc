@@ -882,7 +882,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const PlanPtr& physical_plan,
   out.program_ = program;
   ExecOptions exec_options;
   exec_options.device = options.device;
-  exec_options.profiler = options.profiler;
   exec_options.charge_transfers = options.charge_transfers;
   exec_options.num_threads = options.num_threads;
   exec_options.morsel_rows = options.morsel_rows;

@@ -18,7 +18,6 @@ namespace tqp {
 struct CompileOptions {
   ExecutorTarget target = ExecutorTarget::kStatic;  // TorchScript analog
   DeviceKind device = DeviceKind::kCpu;
-  OpProfiler* profiler = nullptr;  // optional, not owned
   /// See ExecOptions::charge_transfers.
   bool charge_transfers = true;
   /// See ExecOptions::num_threads (Parallel/Pipelined executors).

@@ -4,7 +4,7 @@
 /// \file Umbrella header for the TQP reproduction: include this to get the
 /// full public API (tensor runtime, SQL frontend, planner/binder, compiler,
 /// graph executors, relational operators, parallel runtime, engines, ML,
-/// TPC-H substrate, profiler).
+/// TPC-H substrate, observability: trace spans and EXPLAIN ANALYZE).
 
 #include "baseline/columnar.h"          // IWYU pragma: export
 #include "baseline/volcano.h"           // IWYU pragma: export
@@ -25,13 +25,14 @@
 #include "ml/mlp.h"                     // IWYU pragma: export
 #include "ml/text.h"                    // IWYU pragma: export
 #include "ml/tree.h"                    // IWYU pragma: export
+#include "obs/explain.h"                // IWYU pragma: export
+#include "obs/trace.h"                  // IWYU pragma: export
 #include "operators/expr_vector_eval.h" // IWYU pragma: export
 #include "operators/hash_groupby.h"     // IWYU pragma: export
 #include "operators/hash_join.h"        // IWYU pragma: export
 #include "plan/binder.h"                // IWYU pragma: export
 #include "plan/optimizer.h"             // IWYU pragma: export
 #include "plan/physical_planner.h"      // IWYU pragma: export
-#include "profiler/profiler.h"          // IWYU pragma: export
 #include "relational/csv.h"             // IWYU pragma: export
 #include "relational/ingest.h"          // IWYU pragma: export
 #include "runtime/runtime.h"            // IWYU pragma: export

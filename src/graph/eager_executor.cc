@@ -1,7 +1,6 @@
 #include "graph/eager_executor.h"
 
 #include "common/cancel.h"
-#include "common/stopwatch.h"
 #include "graph/eval.h"
 
 namespace tqp {
@@ -46,17 +45,7 @@ Result<std::vector<Tensor>> EagerExecutor::Run(const std::vector<Tensor>& inputs
     if (node.type == OpType::kInput) continue;
     // Node-boundary cancellation/deadline poll (cooperative contract).
     TQP_RETURN_NOT_OK(CheckAmbientCancelled());
-    Stopwatch timer;
-    TQP_ASSIGN_OR_RETURN(Tensor out, EvalNode(prog, node, values));
-    if (device->is_simulated()) {
-      bool irregular = false;
-      const KernelCost cost = EstimateNodeCost(node, values, out, &irregular);
-      device->RecordKernel(cost, irregular);
-    }
-    if (options_.profiler != nullptr) {
-      options_.profiler->RecordOp(node, timer.ElapsedNanos(), out.nbytes());
-    }
-    values[static_cast<size_t>(node.id)] = std::move(out);
+    TQP_RETURN_NOT_OK(EvalTracedNode(prog, node, &values, device));
   }
   std::vector<Tensor> outputs;
   outputs.reserve(prog.outputs().size());

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/op_type.h"
 #include "kernels/kernels.h"
+#include "obs/trace.h"
 
 namespace tqp {
 
@@ -183,6 +185,24 @@ KernelCost EstimateNodeCost(const OpNode& node, const std::vector<Tensor>& value
       break;
   }
   return cost;
+}
+
+Status EvalTracedNode(const TensorProgram& program, const OpNode& node,
+                      std::vector<Tensor>* values, Device* device) {
+  obs::TraceSpan op_span("op", OpTypeName(node.type));
+  if (op_span.enabled()) {
+    op_span.AddArg("node", node.id);
+    op_span.SetDetail(node.label);
+  }
+  TQP_ASSIGN_OR_RETURN(Tensor out, EvalNode(program, node, *values));
+  if (op_span.enabled()) op_span.AddArg("output_bytes", out.nbytes());
+  if (device->is_simulated()) {
+    bool irregular = false;
+    device->RecordKernel(EstimateNodeCost(node, *values, out, &irregular),
+                         irregular);
+  }
+  (*values)[static_cast<size_t>(node.id)] = std::move(out);
+  return Status::OK();
 }
 
 }  // namespace tqp

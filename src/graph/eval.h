@@ -20,6 +20,12 @@ Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
 KernelCost EstimateNodeCost(const OpNode& node, const std::vector<Tensor>& values,
                             const Tensor& output, bool* irregular);
 
+/// \brief The serial backends' node step: evaluates `node` under an "op"
+/// trace span (args `node`, `output_bytes`; detail = the node label), meters
+/// it on a simulated `device`, and stores the output in `values`.
+Status EvalTracedNode(const TensorProgram& program, const OpNode& node,
+                      std::vector<Tensor>* values, Device* device);
+
 }  // namespace tqp
 
 #endif  // TQP_GRAPH_EVAL_H_

@@ -36,7 +36,7 @@ Result<std::unique_ptr<Executor>> MakeExecutor(
           new StaticExecutor(std::move(program), options));
     case ExecutorTarget::kInterp: {
       TQP_ASSIGN_OR_RETURN(auto interp,
-                           InterpExecutor::Make(std::move(program), options));
+                           InterpExecutor::Make(std::move(program)));
       return std::unique_ptr<Executor>(std::move(interp));
     }
     case ExecutorTarget::kParallel:

@@ -44,22 +44,11 @@ const char* ExprBackendName(ExprBackend backend);
 /// \brief Maps kDefault to kInterp, explicit values to themselves.
 ExprBackend ResolveExprBackend(ExprBackend backend);
 
-/// \brief Hook for per-op profiling (implemented in src/profiler).
-class OpProfiler {
- public:
-  virtual ~OpProfiler() = default;
-  /// Called after each op node executes. The parallel and pipelined
-  /// executors may invoke this concurrently from worker threads (independent
-  /// steps of the execution DAG overlap); implementations must be
-  /// thread-safe.
-  virtual void RecordOp(const OpNode& node, int64_t wall_nanos,
-                        int64_t output_bytes) = 0;
-};
-
-/// \brief Execution configuration: target hardware device + optional profiler.
+/// \brief Execution configuration: target hardware device plus per-executor
+/// knobs. Executors record per-operator time as "op" spans into the ambient
+/// trace session (obs/trace.h), not through an option here.
 struct ExecOptions {
   DeviceKind device = DeviceKind::kCpu;
-  OpProfiler* profiler = nullptr;  // not owned; may be null
   /// Rows per block for fused elementwise execution (StaticExecutor).
   int64_t fusion_block_rows = 32768;
   /// Charge host<->device PCIe transfers to the simulated clock. Disable to

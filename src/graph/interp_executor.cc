@@ -4,10 +4,11 @@
 #include <cmath>
 
 #include "common/cancel.h"
-#include "common/stopwatch.h"
 #include "graph/eval.h"
+#include "graph/op_type.h"
 #include "graph/serialize.h"
 #include "kernels/kernel_types.h"
+#include "obs/trace.h"
 
 namespace tqp {
 
@@ -425,11 +426,11 @@ Result<bool> TryScalarEval(const TensorProgram& prog, const OpNode& node,
 }  // namespace
 
 Result<std::unique_ptr<InterpExecutor>> InterpExecutor::Make(
-    std::shared_ptr<const TensorProgram> program, ExecOptions options) {
+    std::shared_ptr<const TensorProgram> program) {
   std::string bytecode = SerializeProgram(*program);
   TQP_ASSIGN_OR_RETURN(TensorProgram reloaded, DeserializeProgram(bytecode));
   return std::unique_ptr<InterpExecutor>(
-      new InterpExecutor(std::move(bytecode), std::move(reloaded), options));
+      new InterpExecutor(std::move(bytecode), std::move(reloaded)));
 }
 
 Result<std::vector<Tensor>> InterpExecutor::Run(const std::vector<Tensor>& inputs) {
@@ -447,15 +448,17 @@ Result<std::vector<Tensor>> InterpExecutor::Run(const std::vector<Tensor>& input
     if (node.type == OpType::kInput) continue;
     // Node-boundary cancellation/deadline poll (cooperative contract).
     TQP_RETURN_NOT_OK(CheckAmbientCancelled());
-    Stopwatch timer;
+    obs::TraceSpan op_span("op", OpTypeName(node.type));
+    if (op_span.enabled()) {
+      op_span.AddArg("node", node.id);
+      op_span.SetDetail(node.label);
+    }
     Tensor out;
     TQP_ASSIGN_OR_RETURN(bool handled, TryScalarEval(prog, node, values, &out));
     if (!handled) {
       TQP_ASSIGN_OR_RETURN(out, EvalNode(prog, node, values));
     }
-    if (options_.profiler != nullptr) {
-      options_.profiler->RecordOp(node, timer.ElapsedNanos(), out.nbytes());
-    }
+    if (op_span.enabled()) op_span.AddArg("output_bytes", out.nbytes());
     values[static_cast<size_t>(node.id)] = std::move(out);
   }
   std::vector<Tensor> outputs;

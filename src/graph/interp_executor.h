@@ -22,7 +22,7 @@ class InterpExecutor : public Executor {
  public:
   /// Factory validates the serialize -> parse round trip.
   static Result<std::unique_ptr<InterpExecutor>> Make(
-      std::shared_ptr<const TensorProgram> program, ExecOptions options);
+      std::shared_ptr<const TensorProgram> program);
 
   Result<std::vector<Tensor>> Run(const std::vector<Tensor>& inputs) override;
   std::string name() const override { return "interp"; }
@@ -32,14 +32,11 @@ class InterpExecutor : public Executor {
   const std::string& bytecode() const { return bytecode_; }
 
  private:
-  InterpExecutor(std::string bytecode, TensorProgram reloaded, ExecOptions options)
-      : bytecode_(std::move(bytecode)),
-        program_(std::move(reloaded)),
-        options_(options) {}
+  InterpExecutor(std::string bytecode, TensorProgram reloaded)
+      : bytecode_(std::move(bytecode)), program_(std::move(reloaded)) {}
 
   std::string bytecode_;
   TensorProgram program_;
-  ExecOptions options_;
 };
 
 }  // namespace tqp

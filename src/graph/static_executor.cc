@@ -5,9 +5,10 @@
 #include <unordered_map>
 
 #include "common/cancel.h"
-#include "common/stopwatch.h"
 #include "graph/eval.h"
+#include "graph/op_type.h"
 #include "kernels/expr_exec.h"
+#include "obs/trace.h"
 
 namespace tqp {
 
@@ -85,17 +86,7 @@ Result<std::vector<Tensor>> StaticExecutor::Run(const std::vector<Tensor>& input
     const Step& step = steps_[si];
     if (step.node_ids.size() == 1) {
       const OpNode& node = prog.node(step.node_ids[0]);
-      Stopwatch timer;
-      TQP_ASSIGN_OR_RETURN(Tensor out, EvalNode(prog, node, values));
-      if (device->is_simulated()) {
-        bool irregular = false;
-        device->RecordKernel(EstimateNodeCost(node, values, out, &irregular),
-                             irregular);
-      }
-      if (options_.profiler != nullptr) {
-        options_.profiler->RecordOp(node, timer.ElapsedNanos(), out.nbytes());
-      }
-      values[static_cast<size_t>(node.id)] = std::move(out);
+      TQP_RETURN_NOT_OK(EvalTracedNode(prog, node, &values, device));
       release_inputs(node);
     } else {
       TQP_RETURN_NOT_OK(RunFusedGroup(step, si, &values, device));
@@ -235,25 +226,22 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
     }
     if (fallback) break;
   }
-  Stopwatch timer;
   const int64_t block = options_.fusion_block_rows;
   if (fallback || n_rows < 2 * block) {
     // Small input or irregular shapes: plain per-node evaluation.
     for (int id : step.node_ids) {
-      const OpNode& node = prog.node(id);
-      Stopwatch node_timer;
-      TQP_ASSIGN_OR_RETURN(Tensor out, EvalNode(prog, node, *values));
-      if (device->is_simulated()) {
-        bool irregular = false;
-        device->RecordKernel(EstimateNodeCost(node, *values, out, &irregular),
-                             irregular);
-      }
-      if (options_.profiler != nullptr) {
-        options_.profiler->RecordOp(node, node_timer.ElapsedNanos(), out.nbytes());
-      }
-      (*values)[static_cast<size_t>(node.id)] = std::move(out);
+      TQP_RETURN_NOT_OK(EvalTracedNode(prog, prog.node(id), values, device));
     }
     return Status::OK();
+  }
+
+  // The whole fused group is one op span, attributed to its last node.
+  const OpNode& last = prog.node(step.node_ids.back());
+  obs::TraceSpan op_span("op", OpTypeName(last.type));
+  if (op_span.enabled()) {
+    op_span.AddArg("node", last.id);
+    op_span.SetDetail("fused[" + std::to_string(step.node_ids.size()) +
+                      " ops]" + (last.label.empty() ? "" : " " + last.label));
   }
 
   // Blocked fused execution. Which group nodes escape (used outside or are
@@ -372,17 +360,13 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
     }
     device->RecordKernel(cost, /*irregular=*/false);
   }
-  if (options_.profiler != nullptr) {
-    // Attribute the whole fused group to its last node with a fused label.
-    OpNode pseudo = prog.node(step.node_ids.back());
-    pseudo.label = "fused[" + std::to_string(step.node_ids.size()) + " ops]" +
-                   (pseudo.label.empty() ? "" : " " + pseudo.label);
+  if (op_span.enabled()) {
     int64_t out_bytes = 0;
     for (int id : step.node_ids) {
       const Tensor& t = (*values)[static_cast<size_t>(id)];
       if (t.defined()) out_bytes += t.nbytes();
     }
-    options_.profiler->RecordOp(pseudo, timer.ElapsedNanos(), out_bytes);
+    op_span.AddArg("output_bytes", out_bytes);
   }
   return Status::OK();
 }

@@ -12,7 +12,6 @@
 #include "compile/pipeline.h"
 #include "graph/op_type.h"
 #include "obs/trace.h"
-#include "profiler/profiler.h"
 
 namespace tqp::obs {
 
@@ -75,16 +74,60 @@ int64_t EventArg(const TraceEvent& e, const char* name) {
 
 }  // namespace
 
+std::vector<OpBreakdownRow> FoldOpSpans(const std::vector<TraceEvent>& events) {
+  std::map<std::string, OpBreakdownRow> by_op;
+  for (const TraceEvent& e : events) {
+    if (e.phase == TraceEvent::Phase::kInstant) continue;
+    if (std::string_view(e.category) != "op") continue;
+    OpBreakdownRow& r = by_op[e.name];
+    ++r.calls;
+    r.nanos += e.dur_nanos;
+    r.output_bytes += EventArg(e, "output_bytes");
+  }
+  std::vector<OpBreakdownRow> rows;
+  rows.reserve(by_op.size());
+  for (auto& [name, r] : by_op) {
+    r.op = name;
+    rows.push_back(std::move(r));
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const OpBreakdownRow& a, const OpBreakdownRow& b) {
+                     return a.nanos > b.nanos;
+                   });
+  return rows;
+}
+
+std::string RenderOpBreakdown(const std::vector<OpBreakdownRow>& rows,
+                              int top_k) {
+  int64_t total_nanos = 0;
+  for (const OpBreakdownRow& r : rows) total_nanos += r.nanos;
+  const double total = static_cast<double>(std::max<int64_t>(1, total_nanos));
+  const size_t shown =
+      top_k > 0 ? std::min(rows.size(), static_cast<size_t>(top_k))
+                : rows.size();
+  std::ostringstream os;
+  os << "operator              calls   total(ms)   share   out(MB)\n";
+  os << std::string(57, '-') << "\n";
+  for (size_t i = 0; i < shown; ++i) {
+    const OpBreakdownRow& r = rows[i];
+    AppendPadded(os, r.op, 22, false);
+    AppendPadded(os, std::to_string(r.calls), 8, false);
+    AppendPadded(os, FormatDouble(static_cast<double>(r.nanos) / 1e6, 3), 12,
+                 false);
+    AppendPadded(os,
+                 FormatDouble(100.0 * static_cast<double>(r.nanos) / total, 1) +
+                     "%",
+                 8, false);
+    os << FormatDouble(static_cast<double>(r.output_bytes) / 1e6, 2) << "\n";
+  }
+  return os.str();
+}
+
 Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
                                             const Catalog& catalog,
                                             const CompileOptions& options) {
   ExplainAnalyzeResult out;
   TraceSession session;
-  // A private profiler so node-at-a-time backends (eager/static/interp) have
-  // per-op samples even though they carry no span instrumentation.
-  QueryProfiler profiler;
-  CompileOptions run_options = options;
-  if (run_options.profiler == nullptr) run_options.profiler = &profiler;
 
   // The context lives in a nested scope: its detach flushes this thread's
   // buffered spans into the session, which must happen before the
@@ -96,7 +139,7 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
     Stopwatch compile_timer;
     auto plan_or = [&] {
       TraceSpan span("compile", "compile");
-      return compiler.CompileSql(sql, catalog, run_options);
+      return compiler.CompileSql(sql, catalog, options);
     }();
     out.compile_nanos = compile_timer.ElapsedNanos();
     TQP_RETURN_NOT_OK(plan_or.status());
@@ -112,9 +155,8 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
     out.result_rows = table_or.ValueOrDie().num_rows();
   }
 
-  // Fold the recorded spans into breakdown rows. Preference order: schedule
-  // steps (the pipelined backend's unit), then op spans (parallel backend),
-  // then the profiler's per-op samples (eager/static/interp).
+  // Fold the recorded spans into breakdown rows: schedule steps (the
+  // pipelined backend's unit) when there are any, else op spans.
   const std::vector<TraceEvent> events = session.events();
   std::vector<Row> rows;
   bool by_step = false;
@@ -175,31 +217,14 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
       rows.push_back(std::move(r));
     }
   } else {
-    std::map<std::string, Row> op_rows;
-    bool have_spans = false;
-    for (const TraceEvent& e : events) {
-      if (e.phase == TraceEvent::Phase::kInstant) continue;
-      if (std::string_view(e.category) != "op") continue;
-      have_spans = true;
-      Row& r = op_rows[e.name];
-      ++r.calls;
-      r.nanos += e.dur_nanos;
-      r.bytes += EventArg(e, "output_bytes");
-    }
-    if (!have_spans) {
-      for (const QueryProfiler::OpRecord& rec : profiler.records()) {
-        Row& r = op_rows[rec.op_name];
-        ++r.calls;
-        r.nanos += rec.wall_nanos;
-        r.bytes += rec.output_bytes;
-      }
-    }
-    for (auto& [name, r] : op_rows) {
-      r.what = name;
+    for (OpBreakdownRow& op : FoldOpSpans(events)) {
+      Row r;
+      r.what = std::move(op.op);
+      r.calls = op.calls;
+      r.nanos = op.nanos;
+      r.bytes = op.output_bytes;
       rows.push_back(std::move(r));
     }
-    std::sort(rows.begin(), rows.end(),
-              [](const Row& a, const Row& b) { return a.nanos > b.nanos; });
   }
   for (const Row& r : rows) out.step_nanos += r.nanos;
 

@@ -3,11 +3,34 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "compile/compiler.h"
+#include "obs/trace.h"
 #include "plan/catalog.h"
 
 namespace tqp::obs {
+
+/// \brief The "op" spans of one operator kind, folded: how often it ran, its
+/// summed span time and the bytes its outputs took. Every executor records
+/// one "op" span per executed node (a StaticExecutor fused group records one
+/// span under its last node's type), so this is the per-operator view of a
+/// traced run on any backend.
+struct OpBreakdownRow {
+  std::string op;
+  int64_t calls = 0;
+  int64_t nanos = 0;
+  int64_t output_bytes = 0;
+};
+
+/// \brief Folds the "op" spans in `events` by name, descending by time.
+std::vector<OpBreakdownRow> FoldOpSpans(const std::vector<TraceEvent>& events);
+
+/// \brief Renders the paper's Figure-2 runtime breakdown (operator, calls,
+/// total(ms), share, out(MB)) of the first `top_k` rows (0 = all). The share
+/// is of the summed time over all rows.
+std::string RenderOpBreakdown(const std::vector<OpBreakdownRow>& rows,
+                              int top_k = 10);
 
 /// \brief EXPLAIN ANALYZE output: the query is compiled and executed once
 /// under a private TraceSession, and the recorded spans are folded into a
@@ -26,8 +49,8 @@ struct ExplainAnalyzeResult {
 
 /// \brief Compiles and runs `sql` with tracing forced on, then renders the
 /// per-step breakdown. `options` picks the backend exactly as for a normal
-/// run; any profiler/trace state ambient on the calling thread is unused
-/// (the run records into a private session).
+/// run. The run records into a private session that replaces, for its
+/// duration, any trace context ambient on the calling thread.
 Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
                                             const Catalog& catalog,
                                             const CompileOptions& options);

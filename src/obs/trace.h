@@ -14,10 +14,12 @@ namespace tqp::obs {
 /// every thread a query (or a set of concurrent queries) touches — admission,
 /// queue wait, compile/plan-cache lookup, pipeline steps, morsel batches,
 /// buffer-pool spill/fault events — and exports them as Chrome/Perfetto
-/// `traceEvents` JSON. Unlike the per-op QueryProfiler (which is now a thin
-/// view over this same event format), a session spans executors and queries:
-/// attached to a QueryScheduler it shows cross-query step interleaving on the
-/// shared StepScheduler/ThreadPool, one track per worker thread.
+/// `traceEvents` JSON. It is also the one per-operator profiling path: every
+/// executor records an "op" span per executed node, and obs::FoldOpSpans
+/// (obs/explain.h) folds them into the Figure-2 breakdown. A session spans
+/// executors and queries: attached to a QueryScheduler it shows cross-query
+/// step interleaving on the shared StepScheduler/ThreadPool, one track per
+/// worker thread.
 ///
 /// Recording is ambient, mirroring BufferPool::QueryScope: a TraceContext
 /// attaches a session (plus the current query id and parent span) to the
@@ -93,14 +95,14 @@ class TraceSession {
 
   /// \brief Appends one event directly, under the session lock. Used for
   /// events recorded outside any ambient context (admission instants from
-  /// client threads, the QueryProfiler's per-op records).
+  /// client threads).
   void Append(TraceEvent event);
 
   /// \brief Moves a thread-local buffer's events into the session.
   void AppendBatch(std::vector<TraceEvent>* events);
 
-  /// \brief Discards every recorded event (QueryProfiler::Reset). Must not
-  /// race recording — callers reset between runs, not during one.
+  /// \brief Discards every recorded event. Must not race recording —
+  /// callers reset between runs, not during one.
   void Clear();
 
   /// \brief Snapshot of every flushed event (ambient contexts flush on

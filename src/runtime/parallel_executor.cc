@@ -6,7 +6,6 @@
 
 #include "common/cancel.h"
 #include "common/fault.h"
-#include "common/stopwatch.h"
 #include "graph/eval.h"
 #include "graph/op_type.h"
 #include "obs/trace.h"
@@ -142,7 +141,6 @@ Result<std::vector<Tensor>> ParallelExecutor::Run(const std::vector<Tensor>& inp
             TQP_RETURN_NOT_OK(
                 spill.PinSlot(static_cast<size_t>(node.inputs[i])));
           }
-          Stopwatch timer;
           // Operands a partitioned breaker released mid-node (its hook drops
           // the consumed input before the output allocates); the release loop
           // below must not unpin or drop them a second time.
@@ -168,8 +166,7 @@ Result<std::vector<Tensor>> ParallelExecutor::Run(const std::vector<Tensor>& inp
             };
             node_ctx.breaker_hooks = &hooks;
           }
-          // One span per op node — the node-at-a-time backend's step unit
-          // (same "op" category the QueryProfiler records under).
+          // One span per op node — the node-at-a-time backend's step unit.
           obs::TraceSpan op_span("op", OpTypeName(node.type));
           if (op_span.enabled()) op_span.AddArg("node", node.id);
           TQP_ASSIGN_OR_RETURN(
@@ -180,10 +177,6 @@ Result<std::vector<Tensor>> ParallelExecutor::Run(const std::vector<Tensor>& inp
             const KernelCost cost =
                 EstimateNodeCost(node, values, out, &irregular);
             device->RecordKernel(cost, irregular);  // internally serialized
-          }
-          if (options_.profiler != nullptr) {
-            // Thread-safe per the OpProfiler contract.
-            options_.profiler->RecordOp(node, timer.ElapsedNanos(), out.nbytes());
           }
           values[static_cast<size_t>(node.id)] = std::move(out);
           if (spill.enabled() &&

@@ -97,7 +97,6 @@ Status PipelinedExecutor::EvalWholeNode(const OpNode& node,
                                         std::vector<Tensor>* values,
                                         const ParallelContext& ctx) {
   Device* device = GetDevice(options_.device);
-  Stopwatch timer;
   obs::TraceSpan op_span("op", OpTypeName(node.type));
   if (op_span.enabled()) op_span.AddArg("node", node.id);
   TQP_ASSIGN_OR_RETURN(Tensor out,
@@ -107,11 +106,6 @@ Status PipelinedExecutor::EvalWholeNode(const OpNode& node,
     bool irregular = false;
     const KernelCost cost = EstimateNodeCost(node, *values, out, &irregular);
     device->RecordKernel(cost, irregular);  // internally serialized
-  }
-  if (options_.profiler != nullptr) {
-    // RecordOp may run concurrently for independent steps; the OpProfiler
-    // contract requires thread-safety.
-    options_.profiler->RecordOp(node, timer.ElapsedNanos(), out.nbytes());
   }
   (*values)[static_cast<size_t>(node.id)] = std::move(out);
   return Status::OK();

@@ -70,7 +70,8 @@ namespace tqp {
 /// On a simulated accelerator device the executor falls back to whole-node
 /// evaluation so every kernel launch is metered — streaming would hide
 /// per-node costs from the simulated clock. Results are identical either
-/// way. The per-op profiler hook likewise only fires for whole-node steps.
+/// way. Per-op "op" trace spans likewise cover only whole-node steps; a
+/// streamed pipeline records "pipeline" and "morsel" spans instead.
 class PipelinedExecutor : public Executor {
  public:
   PipelinedExecutor(std::shared_ptr<const TensorProgram> program,
@@ -127,7 +128,7 @@ class PipelinedExecutor : public Executor {
   };
 
   /// Evaluates one node whole (breakers, scalars, fallback pipelines) with
-  /// intra-op parallelism, simulated-device metering and the profiler hook.
+  /// intra-op parallelism, simulated-device metering and an "op" span.
   Status EvalWholeNode(const OpNode& node, std::vector<Tensor>* values,
                        const runtime::ParallelContext& ctx);
 

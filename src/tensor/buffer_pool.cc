@@ -362,10 +362,13 @@ bool BufferPool::QueryScope::MakeRoomLocked(int64_t need) {
   // a new candidate — at the floor, every allocation would otherwise pay a
   // full scan for nothing.
   if (floor_generation_ == generation_) return false;
+  // One clock read per call: a record whose eviction fails below stays
+  // deferred for the rest of this call, however long the failed attempt and
+  // its retries took.
+  const int64_t now = SteadyNowNanos();
   while (LiveBytes() + need > budget_bytes_) {
     Record* coldest = nullptr;
     bool deferred_by_backoff = false;
-    const int64_t now = SteadyNowNanos();
     for (auto& [id, rec] : records_) {
       (void)id;
       if (rec.on_disk || rec.pins > 0) continue;

@@ -2,8 +2,9 @@
 // histogram math, Prometheus exposition, JSON snapshot), the whole-lifecycle
 // trace layer (span nesting and cross-thread parenting under the 8-thread
 // pipelined backend, Chrome trace export), EXPLAIN ANALYZE's step-sum-vs-wall
-// accounting, the QueryProfiler's span-backed reads, and the differential
-// that tracing on/off leaves TPC-H results bit-identical.
+// accounting, the per-operator "op" spans every executor records and their
+// one fold (the Figure-2 breakdown), and the differential that tracing on/off
+// leaves TPC-H results bit-identical on every backend.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,11 @@
 #include <vector>
 
 #include "compile/compiler.h"
+#include "graph/executor.h"
 #include "graph/op_type.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "profiler/profiler.h"
 #include "runtime/session.h"
 #include "runtime/thread_pool.h"
 #include "tensor/buffer_pool.h"
@@ -260,29 +261,77 @@ TEST(TraceTest, ChromeTraceExportShape) {
   EXPECT_NE(json.find("unit"), std::string::npos);
 }
 
-// ---- profiler on the span layer --------------------------------------------
+// ---- per-operator spans -----------------------------------------------------
 
-TEST(ProfilerTest, RecordsReadsAndResetOnSpanLayer) {
-  QueryProfiler profiler;
-  OpNode node;
-  node.id = 5;
-  node.type = OpType::kBinary;
-  node.label = "a + b";
-  profiler.RecordOp(node, 1000, 64);
-  profiler.RecordOp(node, 2000, 128);
-  const auto records = profiler.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].node_id, 5);
-  EXPECT_EQ(records[0].wall_nanos, 1000);
-  EXPECT_EQ(records[0].output_bytes, 64);
-  EXPECT_EQ(records[0].label, "a + b");
-  EXPECT_EQ(profiler.total_nanos(), 3000);
-  EXPECT_NE(profiler.BreakdownReport().find(OpTypeName(OpType::kBinary)),
-            std::string::npos);
-  EXPECT_NE(profiler.ToChromeTrace().find("\"ph\":\"X\""), std::string::npos);
-  profiler.Reset();
-  EXPECT_EQ(profiler.records().size(), 0u);
-  EXPECT_EQ(profiler.total_nanos(), 0);
+/// The "op" spans among `events`.
+std::vector<obs::TraceEvent> OpSpans(
+    const std::vector<obs::TraceEvent>& events) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : events) {
+    if (e.phase == obs::TraceEvent::Phase::kSpan &&
+        std::string(e.category) == "op") {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+/// Program nodes the op spans stand for: one each, except a StaticExecutor
+/// fused group, whose one span carries "fused[N ops]" in its detail.
+int64_t NodesCovered(const std::vector<obs::TraceEvent>& op_spans) {
+  int64_t nodes = 0;
+  for (const obs::TraceEvent& e : op_spans) {
+    const std::string prefix = "fused[";
+    nodes += e.detail.rfind(prefix, 0) == 0
+                 ? std::stoll(e.detail.substr(prefix.size()))
+                 : 1;
+  }
+  return nodes;
+}
+
+int64_t NonInputNodes(const TensorProgram& program) {
+  int64_t n = 0;
+  for (const OpNode& node : program.nodes()) {
+    if (node.type != OpType::kInput) ++n;
+  }
+  return n;
+}
+
+TEST(OpSpanTest, StaticFusedGroupRecordsOneSpan) {
+  // mul(add(a, b), a): one fused group, blocked because the rows exceed
+  // twice the block size.
+  auto program = std::make_shared<TensorProgram>();
+  const int a = program->AddInput("a");
+  const int b = program->AddInput("b");
+  AttrMap add;
+  add.Set("op", static_cast<int64_t>(BinaryOpKind::kAdd));
+  AttrMap mul;
+  mul.Set("op", static_cast<int64_t>(BinaryOpKind::kMul));
+  const int sum = program->AddNode(OpType::kBinary, {a, b}, add);
+  const int prod = program->AddNode(OpType::kBinary, {sum, a}, mul);
+  program->MarkOutput(prod);
+  std::vector<double> values(256);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = static_cast<double>(i);
+  const Tensor at = Tensor::FromVector(values);
+  const Tensor bt = Tensor::FromVector(values);
+
+  for (const bool fusion : {true, false}) {
+    ExecOptions options;
+    options.fusion_block_rows = 64;
+    options.expr_fusion = fusion;
+    auto executor =
+        MakeExecutor(ExecutorTarget::kStatic, program, options).ValueOrDie();
+    obs::TraceSession session;
+    {
+      obs::TraceContext ctx(&session, session.NextQueryId());
+      ASSERT_TRUE(executor->Run({at, bt}).ok());
+    }
+    const std::vector<obs::TraceEvent> spans = OpSpans(session.events());
+    ASSERT_EQ(spans.size(), 1u) << "fusion=" << fusion;
+    EXPECT_STREQ(spans[0].name, OpTypeName(OpType::kBinary));
+    EXPECT_EQ(spans[0].detail.rfind("fused[2 ops]", 0), 0u) << spans[0].detail;
+    EXPECT_EQ(NodesCovered(spans), 2);
+  }
 }
 
 // ---- end-to-end over TPC-H --------------------------------------------------
@@ -390,27 +439,86 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
 
 TEST_F(ObsTpchTest, TracingOnOffBitIdentical) {
   QueryCompiler compiler;
-  for (const int q : {1, 3, 6, 10}) {
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    CompileOptions options;
-    options.target = ExecutorTarget::kPipelined;
-    auto compiled_or = compiler.CompileSql(sql, *catalog_, options);
-    ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
-    const CompiledQuery& query = compiled_or.ValueOrDie();
-    auto want_or = query.Run(*catalog_);
-    ASSERT_TRUE(want_or.ok()) << want_or.status().ToString();
-    obs::TraceSession session;
-    Result<Table> got_or = Status::Internal("unset");
-    {
-      obs::TraceContext ctx(&session, session.NextQueryId());
-      obs::TraceSpan root("query", "query");
-      got_or = query.Run(*catalog_);
+  for (const ExecutorTarget target :
+       {ExecutorTarget::kEager, ExecutorTarget::kStatic,
+        ExecutorTarget::kInterp, ExecutorTarget::kParallel,
+        ExecutorTarget::kPipelined}) {
+    for (const int q : {1, 3, 6, 10}) {
+      const std::string what = std::string(ExecutorTargetName(target)) +
+                               " traced Q" + std::to_string(q);
+      const std::string sql = tpch::QueryText(q).ValueOrDie();
+      CompileOptions options;
+      options.target = target;
+      auto compiled_or = compiler.CompileSql(sql, *catalog_, options);
+      ASSERT_TRUE(compiled_or.ok()) << compiled_or.status().ToString();
+      const CompiledQuery& query = compiled_or.ValueOrDie();
+      auto want_or = query.Run(*catalog_);
+      ASSERT_TRUE(want_or.ok()) << want_or.status().ToString();
+      obs::TraceSession session;
+      Result<Table> got_or = Status::Internal("unset");
+      {
+        obs::TraceContext ctx(&session, session.NextQueryId());
+        obs::TraceSpan root("query", "query");
+        got_or = query.Run(*catalog_);
+      }
+      ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
+      ExpectTablesIdentical(got_or.ValueOrDie(), want_or.ValueOrDie(), what);
+      const std::vector<obs::TraceEvent> spans = OpSpans(session.events());
+      EXPECT_GT(spans.size(), 0u) << what;
+      // Node-at-a-time backends record one span per executed node; the
+      // pipelined backend only for nodes it runs whole (breakers, scalars).
+      const int64_t nodes = NonInputNodes(query.program());
+      if (target == ExecutorTarget::kPipelined) {
+        EXPECT_LE(NodesCovered(spans), nodes) << what;
+      } else {
+        EXPECT_EQ(NodesCovered(spans), nodes) << what;
+      }
     }
-    ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
-    ExpectTablesIdentical(got_or.ValueOrDie(), want_or.ValueOrDie(),
-                          "traced Q" + std::to_string(q));
-    EXPECT_GT(session.num_events(), 0u);
   }
+}
+
+TEST_F(ObsTpchTest, EagerOpSpansFoldIntoBreakdown) {
+  CompileOptions options;
+  options.target = ExecutorTarget::kEager;
+  QueryCompiler compiler;
+  CompiledQuery query =
+      compiler.CompileSql(tpch::QueryText(6).ValueOrDie(), *catalog_, options)
+          .ValueOrDie();
+  obs::TraceSession session;
+  {
+    obs::TraceContext ctx(&session, session.NextQueryId());
+    ASSERT_TRUE(query.Run(*catalog_).ok());
+  }
+  const std::vector<obs::TraceEvent> events = session.events();
+  const std::vector<obs::TraceEvent> spans = OpSpans(events);
+  const size_t num_spans = spans.size();
+  ASSERT_GT(num_spans, 0u);
+  // Each span names its node (first arg) and carries the node's label.
+  for (const obs::TraceEvent& e : spans) {
+    ASSERT_GE(e.num_args, 2);
+    EXPECT_STREQ(e.arg_names[0], "node");
+    EXPECT_STREQ(e.arg_names[1], "output_bytes");
+    const OpNode& node =
+        query.program().node(static_cast<int>(e.arg_values[0]));
+    EXPECT_STREQ(e.name, OpTypeName(node.type));
+    EXPECT_EQ(e.detail, node.label);
+  }
+  const std::vector<obs::OpBreakdownRow> rows = obs::FoldOpSpans(events);
+  ASSERT_FALSE(rows.empty());
+  int64_t calls = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    calls += rows[i].calls;
+    if (i > 0) {
+      EXPECT_GE(rows[i - 1].nanos, rows[i].nanos);
+    }
+  }
+  EXPECT_EQ(calls, static_cast<int64_t>(num_spans));
+  const std::string report = obs::RenderOpBreakdown(rows);
+  const std::string header =
+      "operator              calls   total(ms)   share   out(MB)\n";
+  EXPECT_EQ(report.rfind(header, 0), 0u) << report;
+  EXPECT_NE(report.find(rows[0].op), std::string::npos) << report;
+  EXPECT_NE(session.ToChromeTrace().find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
@@ -430,6 +538,29 @@ TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
                        static_cast<double>(result.wall_nanos);
   EXPECT_GT(ratio, 0.6) << result.text;
   EXPECT_LT(ratio, 1.15) << result.text;
+}
+
+TEST_F(ObsTpchTest, ExplainAnalyzeListsOperatorsOnSerialBackends) {
+  for (const ExecutorTarget target :
+       {ExecutorTarget::kStatic, ExecutorTarget::kInterp}) {
+    CompileOptions options;
+    options.target = target;
+    auto result_or = obs::ExplainAnalyze(tpch::QueryText(6).ValueOrDie(),
+                                         *catalog_, options);
+    ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+    const obs::ExplainAnalyzeResult& result = result_or.ValueOrDie();
+    // Operator rows sit between the dashed rule and the "span sum" footer.
+    const std::string& text = result.text;
+    const size_t rule = text.find(std::string(78, '-'));
+    const size_t footer = text.find("span sum");
+    ASSERT_NE(rule, std::string::npos) << text;
+    ASSERT_NE(footer, std::string::npos) << text;
+    const std::string body = text.substr(rule + 79, footer - rule - 79);
+    EXPECT_FALSE(body.empty()) << ExecutorTargetName(target) << "\n" << text;
+    EXPECT_NE(body.find(OpTypeName(OpType::kReduceAll)), std::string::npos)
+        << text;
+    EXPECT_GT(result.step_nanos, 0) << text;
+  }
 }
 
 TEST_F(ObsTpchTest, SchedulerPublishesQueryMetrics) {

@@ -11,11 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -292,48 +289,14 @@ TEST(PipelineSplitTest, TpchStepDagIsConsistent) {
 
 // ---- DAG execution: overlap + eager release --------------------------------
 
-namespace {
-
-/// Latch-style profiler: the first independent step to finish waits (inside
-/// its step task, before the task retires) until the second arrives. If the
-/// executor ran the steps sequentially, the first wait times out and the
-/// test fails; with DAG overlap both arrive and proceed immediately.
-class RendezvousProfiler : public OpProfiler {
- public:
-  explicit RendezvousProfiler(OpType watched) : watched_(watched) {}
-
-  void RecordOp(const OpNode& node, int64_t, int64_t) override {
-    if (node.type != watched_) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    ++arrived_;
-    cv_.notify_all();
-    if (!cv_.wait_for(lock, std::chrono::seconds(10),
-                      [this] { return arrived_ >= 2; })) {
-      timed_out_ = true;
-    }
-  }
-
-  bool overlapped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return arrived_ >= 2 && !timed_out_;
-  }
-
- private:
-  const OpType watched_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int arrived_ = 0;
-  bool timed_out_ = false;
-};
-
-}  // namespace
-
 TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
-  // Two independent argsort breakers (no deps between their steps). With DAG
-  // overlap on a 2-thread pool both steps must be in flight at once — the
-  // rendezvous inside the profiler hook only succeeds if neither waits for
-  // the other to *complete*. Inputs are tiny so the kernels stay serial
-  // inside (no intra-op fan-out to entangle the pool).
+  // Two independent argsort breakers. Their steps have no dependencies, so
+  // with DAG overlap the executor hands every step to the StepScheduler as a
+  // task that can be in flight next to the other (StepSchedulerTest.
+  // IndependentGraphTasksOverlap proves dependency-free tasks on a
+  // StepScheduler run together). With overlap forced off it walks the
+  // schedule inline and submits nothing. Inputs are tiny so the kernels stay
+  // serial inside (no intra-op fan-out to entangle the pool).
   auto program = std::make_shared<TensorProgram>();
   const int a = program->AddInput("a");
   const int b = program->AddInput("b");
@@ -343,6 +306,15 @@ TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
   const int sb = program->AddNode(OpType::kArgsortRows, {b}, asc);
   program->MarkOutput(sa);
   program->MarkOutput(sb);
+
+  const PipelinePlan plan = BuildPipelinePlan(*program);
+  int argsort_steps = 0;
+  for (const PipelineStep& step : plan.schedule) {
+    if (step.serial_node != sa && step.serial_node != sb) continue;
+    ++argsort_steps;
+    EXPECT_TRUE(step.deps.empty()) << plan.ToString(*program);
+  }
+  EXPECT_EQ(argsort_steps, 2) << plan.ToString(*program);
 
   const int64_t n = 64;
   Tensor at = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
@@ -355,19 +327,25 @@ TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
   auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
   auto expected = eager->Run({at, bt}).ValueOrDie();
 
-  RendezvousProfiler profiler(OpType::kArgsortRows);
-  ExecOptions options;
-  options.num_threads = 2;
-  options.profiler = &profiler;
-  auto pipelined =
-      MakeExecutor(ExecutorTarget::kPipelined, program, options).ValueOrDie();
-  auto got = pipelined->Run({at, bt}).ValueOrDie();
-
-  EXPECT_TRUE(profiler.overlapped())
-      << "independent steps executed sequentially";
-  ASSERT_EQ(got.size(), expected.size());
-  ExpectTensorsIdentical(got[0], expected[0], "argsort a");
-  ExpectTensorsIdentical(got[1], expected[1], "argsort b");
+  runtime::ThreadPool pool(2);
+  for (const bool overlap : {true, false}) {
+    runtime::StepScheduler steps(&pool);
+    ExecOptions options;
+    options.pool = &pool;
+    options.step_scheduler = &steps;
+    options.pipeline_overlap = overlap;
+    auto pipelined =
+        MakeExecutor(ExecutorTarget::kPipelined, program, options).ValueOrDie();
+    auto got = pipelined->Run({at, bt}).ValueOrDie();
+    // Every step goes through the scheduler at the default (normal)
+    // priority when overlap is on, and none does when it is off.
+    EXPECT_EQ(steps.submitted()[1],
+              overlap ? static_cast<int64_t>(plan.schedule.size()) : 0)
+        << "overlap=" << overlap;
+    ASSERT_EQ(got.size(), expected.size());
+    ExpectTensorsIdentical(got[0], expected[0], "argsort a");
+    ExpectTensorsIdentical(got[1], expected[1], "argsort b");
+  }
 }
 
 TEST(EagerReleaseTest, ChainIntermediatesReleaseBeforeRunEnds) {
