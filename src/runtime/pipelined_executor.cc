@@ -469,12 +469,32 @@ Result<std::shared_ptr<const ExprFusionPlan>> PipelinedExecutor::FusionFor(
   // Probe one morsel node-at-a-time so the compiler sees every streamed
   // value's dtype/shape. The probe is exactly morsel 0's evaluation — its
   // outputs are handed back through `probe` so the caller does not evaluate
-  // that morsel again.
+  // that morsel again. Lowering reads only a streamed value's dtype and
+  // width, so the probe records those and releases each chain value after
+  // its last reader here: it holds what one node-at-a-time morsel needs,
+  // not the whole chain. Pipeline outputs stay (they seed morsel 0).
   obs::TraceSpan fusion_span("compile", "fusion.compile");
   if (fusion_span.enabled()) fusion_span.AddArg("pipeline", pipeline_index);
   morsel_evals_.fetch_add(1, std::memory_order_relaxed);
   const int64_t probe_rows = std::min(driver_rows, morsel_rows);
-  std::vector<Tensor> scratch(static_cast<size_t>(program_->num_nodes()));
+  const size_t num_nodes = static_cast<size_t>(program_->num_nodes());
+  std::vector<Tensor> scratch(num_nodes);
+  // Per node id: the last p.nodes index reading it, whether it must outlive
+  // the probe, and (for streamed values) the shape lowering needs.
+  std::vector<size_t> last_reader(num_nodes, 0);
+  std::vector<bool> keep(num_nodes, false);
+  struct StreamedShape {
+    bool known = false;
+    DType dtype = DType::kFloat64;
+    int64_t cols = 0;
+  };
+  std::vector<StreamedShape> streamed(num_nodes);
+  for (size_t k = 0; k < p.nodes.size(); ++k) {
+    for (int in : program_->node(p.nodes[k].id).inputs) {
+      last_reader[static_cast<size_t>(in)] = k;
+    }
+  }
+  for (int out : p.outputs) keep[static_cast<size_t>(out)] = true;
   for (size_t i = 0; i < p.sliced_sources.size(); ++i) {
     const size_t src = static_cast<size_t>(p.sliced_sources[i]);
     scratch[src] =
@@ -483,10 +503,20 @@ Result<std::shared_ptr<const ExprFusionPlan>> PipelinedExecutor::FusionFor(
   for (int src : p.whole_sources) {
     scratch[static_cast<size_t>(src)] = values[static_cast<size_t>(src)];
   }
-  for (const PipelineNode& pn : p.nodes) {
-    const OpNode& node = program_->node(pn.id);
+  const auto release_after = [&](int id, size_t k) {
+    const size_t i = static_cast<size_t>(id);
+    if (streamed[i].known && !keep[i] && last_reader[i] <= k) {
+      scratch[i] = Tensor();
+    }
+  };
+  for (size_t k = 0; k < p.nodes.size(); ++k) {
+    const OpNode& node = program_->node(p.nodes[k].id);
     TQP_ASSIGN_OR_RETURN(Tensor out, EvalMorselNode(*program_, node, scratch, 0));
-    scratch[static_cast<size_t>(pn.id)] = std::move(out);
+    const size_t id = static_cast<size_t>(node.id);
+    streamed[id] = {true, out.dtype(), out.cols()};
+    scratch[id] = std::move(out);
+    for (int in : node.inputs) release_after(in, k);
+    release_after(node.id, k);  // no reader left in this pipeline
   }
   probe->probed = true;
   probe->outputs.resize(p.outputs.size());
@@ -525,12 +555,12 @@ Result<std::shared_ptr<const ExprFusionPlan>> PipelinedExecutor::FusionFor(
       *info = it->second;
       return true;
     }
-    // A streamed value of this pipeline: the probe knows its dtype/shape.
-    const Tensor& t = scratch[static_cast<size_t>(id)];
-    if (!t.defined()) return false;
-    info->dtype = t.dtype();
+    // A streamed value of this pipeline: the probe recorded its dtype/shape.
+    const StreamedShape& shape = streamed[static_cast<size_t>(id)];
+    if (!shape.known) return false;
+    info->dtype = shape.dtype;
     info->scalar = false;
-    info->single_col = t.cols() == 1;
+    info->single_col = shape.cols == 1;
     info->driver_aligned = false;  // overridden by the builder's own tracking
     info->constant = nullptr;
     return true;

@@ -100,8 +100,10 @@ struct SchedulerOptions {
   /// pool must outlive the scheduler.
   ThreadPool* pool = nullptr;
   /// Backend/device every admitted query compiles for. The default target is
-  /// the morsel-driven ParallelExecutor on the shared pool; kPipelined
-  /// streams morsels through fused operator chains instead.
+  /// the PipelinedExecutor on the shared pool: it streams morsels through
+  /// fused operator chains and materializes only pipeline outputs, so a
+  /// query holds less than kParallel, which materializes every operator's
+  /// full output.
   CompileOptions compile;
   /// Whole-lifecycle tracing (not owned; must outlive the scheduler). When
   /// set, every admitted query records admission, queue wait, compile /
@@ -110,7 +112,7 @@ struct SchedulerOptions {
   /// Null (the default) keeps every trace hook to a null-pointer branch.
   obs::TraceSession* trace = nullptr;
 
-  SchedulerOptions() { compile.target = ExecutorTarget::kParallel; }
+  SchedulerOptions() { compile.target = ExecutorTarget::kPipelined; }
 };
 
 /// \brief Admission control + dispatch for concurrent queries over a shared
@@ -125,8 +127,8 @@ struct SchedulerOptions {
 ///
 /// A query does not execute as one opaque task either: every compiled
 /// executor is wired to this scheduler's StepScheduler, so an admitted
-/// query's execution DAG — its pipeline steps (kPipelined) or node tasks
-/// (kParallel) — is admitted step by step into shared per-priority ready
+/// query's execution DAG — its pipeline steps (kPipelined, the default) or
+/// node tasks (kParallel) — is admitted step by step into shared per-priority ready
 /// queues, tagged with the query's QueryPriority. Steps of different queries
 /// therefore interleave at step granularity, and a long breaker in one query
 /// no longer starves every other admitted query; a queued high-priority step

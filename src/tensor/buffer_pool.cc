@@ -1,11 +1,12 @@
 #include "tensor/buffer_pool.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -30,7 +31,7 @@ thread_local BufferPool::QueryScope* tls_query_scope = nullptr;
 /// was made by the caller).
 thread_local bool tls_in_spill_io = false;
 
-/// Directory for spill files: TMPDIR when set, else /tmp.
+/// Directory for spill segments: TMPDIR when set, else /tmp.
 std::string SpillDir() {
   const char* dir = std::getenv("TMPDIR");
   if (dir != nullptr && *dir != '\0') return dir;
@@ -54,6 +55,29 @@ int64_t SteadyNowNanos() {
 /// the disk I/O itself.
 void SpillRetryBackoff(int attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(int64_t{1} << attempt));
+}
+
+/// Spill records start on filesystem-block boundaries in the segment.
+constexpr int64_t kSegmentAlign = 4096;
+
+int64_t AlignUp(int64_t n, int64_t align) {
+  return (n + align - 1) / align * align;
+}
+
+/// Runs `io` (::pwrite or ::pread) until all `n` bytes at `offset` have
+/// moved, resuming short transfers and interrupted calls; false on any other
+/// error (or EOF on read).
+template <typename Io, typename Byte>
+bool TransferFullyAt(Io io, int fd, Byte* data, int64_t n, int64_t offset) {
+  while (n > 0) {
+    const ssize_t done = io(fd, data, static_cast<size_t>(n), offset);
+    if (done < 0 && errno == EINTR) continue;
+    if (done <= 0) return false;
+    data += done;
+    n -= done;
+    offset += done;
+  }
+  return true;
 }
 
 }  // namespace
@@ -239,11 +263,11 @@ BufferPool::QueryScope::QueryScope(int64_t budget_bytes)
 
 BufferPool::QueryScope::~QueryScope() {
   MutexLock lock(spill_mu_);
-  for (auto& [id, rec] : records_) {
-    (void)id;
-    if (rec.on_disk && !rec.path.empty()) std::remove(rec.path.c_str());
-  }
   records_.clear();
+  if (segment_fd_ >= 0) {
+    ::close(segment_fd_);
+    ::unlink(segment_path_.c_str());
+  }
 }
 
 BufferPool::QueryScope* BufferPool::QueryScope::Current() {
@@ -343,9 +367,7 @@ void BufferPool::QueryScope::Drop(uint64_t id) {
   MutexLock lock(spill_mu_);
   auto it = records_.find(id);
   if (it == records_.end()) return;
-  if (it->second.on_disk && !it->second.path.empty()) {
-    std::remove(it->second.path.c_str());
-  }
+  if (it->second.on_disk) ReleaseDiskLocked(&it->second);
   records_.erase(it);
 }
 
@@ -396,33 +418,62 @@ bool BufferPool::QueryScope::MakeRoomLocked(int64_t need) {
   return true;
 }
 
+bool BufferPool::QueryScope::OpenSegmentLocked() {
+  if (segment_fd_ >= 0) return true;
+  if (segment_path_.empty()) {
+    segment_path_ = SpillDir() + "/tqp-spill-" +
+                    std::to_string(static_cast<long long>(::getpid())) + "-" +
+                    std::to_string(scope_seq_) + ".seg";
+  }
+  segment_fd_ = ::open(segment_path_.c_str(),
+                       O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  return segment_fd_ >= 0;
+}
+
+void BufferPool::QueryScope::ReleaseDiskLocked(Record* rec) {
+  rec->on_disk = false;
+  {
+    MutexLock lock(ledger_->mu);
+    ledger_->stats.spilled_now_bytes -= rec->disk_bytes;
+  }
+  // The segment is append-only, so a record's bytes stay allocated until
+  // they are given back explicitly: once nothing is on disk the whole file
+  // truncates and appends restart at offset 0; otherwise the record's own
+  // (block-aligned) range is punched out. Both are best effort — a failure
+  // only costs disk space until the scope unlinks the segment.
+  if (--records_on_disk_ == 0) {
+    segment_end_ = 0;
+    [[maybe_unused]] const int rc = ::ftruncate(segment_fd_, 0);
+    return;
+  }
+#ifdef FALLOC_FL_PUNCH_HOLE
+  [[maybe_unused]] const int rc =
+      ::fallocate(segment_fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                  rec->offset, AlignUp(rec->disk_bytes, kSegmentAlign));
+#endif
+}
+
 bool BufferPool::QueryScope::EvictLocked(Record* rec) {
   const Tensor& t = *rec->slot;
   rec->dtype = t.dtype();
   rec->rows = t.rows();
   rec->cols = t.cols();
   rec->device = t.device();
-  rec->file_bytes = t.nbytes();
-  if (rec->path.empty()) {
-    rec->path = SpillDir() + "/tqp-spill-" +
-                std::to_string(static_cast<long long>(::getpid())) + "-" +
-                std::to_string(scope_seq_) + "-" + std::to_string(rec->id) +
-                ".bin";
-  }
-  // Transient write failures (interrupted syscall, momentary fd pressure,
-  // an injected kSpillWrite fault) retry in place with short backoff; only
-  // after kSpillIoAttempts does the failure count as hard.
+  rec->disk_bytes = t.nbytes();
+  // Append at the segment end. Transient write failures (interrupted
+  // syscall, momentary fd pressure, an injected kSpillWrite fault) retry in
+  // place with short backoff; only after kSpillIoAttempts does the failure
+  // count as hard. The end offset advances only after a complete write, so
+  // a failed or short append is overwritten by the next one and never
+  // reaches an earlier record's bytes.
   bool wrote = false;
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
     if (attempt > 0) SpillRetryBackoff(attempt - 1);
-    if (FaultHit(FaultSite::kSpillWrite)) continue;  // simulated open failure
-    std::FILE* f = std::fopen(rec->path.c_str(), "wb");
-    if (f == nullptr) continue;
-    const size_t written =
-        std::fwrite(t.raw_data(), 1, static_cast<size_t>(rec->file_bytes), f);
-    const bool flushed = std::fclose(f) == 0;
-    if (written != static_cast<size_t>(rec->file_bytes) || !flushed) {
-      std::remove(rec->path.c_str());
+    if (FaultHit(FaultSite::kSpillWrite)) continue;  // simulated I/O error
+    if (!OpenSegmentLocked()) continue;
+    if (!TransferFullyAt(::pwrite, segment_fd_,
+                         static_cast<const uint8_t*>(t.raw_data()),
+                         rec->disk_bytes, segment_end_)) {
       continue;
     }
     wrote = true;
@@ -442,10 +493,15 @@ bool BufferPool::QueryScope::EvictLocked(Record* rec) {
                        << " consecutive eviction failures; disabling the "
                           "spill tier for this query (resident fallback)";
     }
-    TQP_LOG(Warning) << "spill: cannot write " << rec->path
+    TQP_LOG(Warning) << "spill: cannot write " << segment_path_
                      << "; value stays resident (retry after backoff)";
     return false;
   }
+  rec->offset = segment_end_;
+  // Records start on block boundaries, so punching one record's range out
+  // never frees a block another record still uses.
+  segment_end_ += AlignUp(rec->disk_bytes, kSegmentAlign);
+  ++records_on_disk_;
   rec->io_failures = 0;
   rec->retry_after_nanos = 0;
   consecutive_eviction_failures_ = 0;
@@ -453,7 +509,7 @@ bool BufferPool::QueryScope::EvictLocked(Record* rec) {
   // ~Buffer (lock order: spill_mu_ -> ledger mu, consistent everywhere).
   *rec->slot = Tensor();
   rec->on_disk = true;
-  obs::TraceInstant("memory", "spill", "bytes", rec->file_bytes);
+  obs::TraceInstant("memory", "spill", "bytes", rec->disk_bytes);
   static obs::Counter* spill_events_metric =
       obs::MetricsRegistry::Global()->GetCounter(
           "tqp_spill_events_total",
@@ -462,11 +518,11 @@ bool BufferPool::QueryScope::EvictLocked(Record* rec) {
   static obs::Counter* spilled_bytes_metric =
       obs::MetricsRegistry::Global()->GetCounter(
           "tqp_spilled_bytes_total", "Bytes written to the disk spill tier");
-  spilled_bytes_metric->Add(rec->file_bytes);
+  spilled_bytes_metric->Add(rec->disk_bytes);
   MutexLock lock(ledger_->mu);
   ++ledger_->stats.spill_events;
-  ledger_->stats.spilled_bytes += rec->file_bytes;
-  ledger_->stats.spilled_now_bytes += rec->file_bytes;
+  ledger_->stats.spilled_bytes += rec->disk_bytes;
+  ledger_->stats.spilled_now_bytes += rec->disk_bytes;
   return true;
 }
 
@@ -474,7 +530,7 @@ Status BufferPool::QueryScope::FaultLocked(Record* rec) {
   // Best-effort room for the returning value (at its rounded block size);
   // if nothing idle is left the fault proceeds anyway — the reader needs
   // the bytes resident.
-  if (!MakeRoomLocked(AllocSizeFor(rec->file_bytes))) {
+  if (!MakeRoomLocked(AllocSizeFor(rec->disk_bytes))) {
     MutexLock lock(ledger_->mu);
     ++ledger_->stats.budget_overruns;
   }
@@ -486,28 +542,27 @@ Status BufferPool::QueryScope::FaultLocked(Record* rec) {
   // Same bounded in-place retry as the write side: the reader needs these
   // bytes to make progress, so only a hard (post-retry) failure surfaces,
   // and it surfaces as a clean IOError the query fails with — the record
-  // stays on_disk with its file intact, and the scope destructor removes
-  // the file.
+  // stays on_disk with its bytes intact, and the scope destructor removes
+  // the segment.
   bool read_ok = false;
   for (int attempt = 0; attempt < kSpillIoAttempts; ++attempt) {
     if (attempt > 0) SpillRetryBackoff(attempt - 1);
-    if (FaultHit(FaultSite::kSpillRead)) continue;  // simulated open failure
-    std::FILE* f = std::fopen(rec->path.c_str(), "rb");
-    if (f == nullptr) continue;
-    const size_t read = std::fread(tensor.raw_mutable_data(), 1,
-                                   static_cast<size_t>(rec->file_bytes), f);
-    std::fclose(f);
-    if (read != static_cast<size_t>(rec->file_bytes)) continue;
+    if (FaultHit(FaultSite::kSpillRead)) continue;  // simulated I/O error
+    if (!TransferFullyAt(::pread, segment_fd_,
+                         static_cast<uint8_t*>(tensor.raw_mutable_data()),
+                         rec->disk_bytes, rec->offset)) {
+      continue;
+    }
     read_ok = true;
     break;
   }
   if (!read_ok) {
-    return Status::IOError("spill: cannot read back " + rec->path);
+    return Status::IOError("spill: cannot read back " + segment_path_ +
+                           " at offset " + std::to_string(rec->offset));
   }
-  std::remove(rec->path.c_str());
   *rec->slot = std::move(tensor);
-  rec->on_disk = false;
-  obs::TraceInstant("memory", "fault", "bytes", rec->file_bytes);
+  ReleaseDiskLocked(rec);
+  obs::TraceInstant("memory", "fault", "bytes", rec->disk_bytes);
   static obs::Counter* fault_events_metric =
       obs::MetricsRegistry::Global()->GetCounter(
           "tqp_fault_events_total",
@@ -515,8 +570,7 @@ Status BufferPool::QueryScope::FaultLocked(Record* rec) {
   fault_events_metric->Add(1);
   MutexLock lock(ledger_->mu);
   ++ledger_->stats.fault_events;
-  ledger_->stats.faulted_bytes += rec->file_bytes;
-  ledger_->stats.spilled_now_bytes -= rec->file_bytes;
+  ledger_->stats.faulted_bytes += rec->disk_bytes;
   return Status::OK();
 }
 

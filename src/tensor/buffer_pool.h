@@ -47,7 +47,7 @@ struct QueryMemoryStats {
   int64_t budget_bytes = 0;       // 0 = accounting only, no cap
   int64_t live_bytes = 0;         // gauge: pool bytes charged to the query
   int64_t peak_live_bytes = 0;    // high-water of live_bytes (post-spill)
-  int64_t spilled_bytes = 0;      // cumulative bytes written to spill files
+  int64_t spilled_bytes = 0;      // cumulative bytes written to the spill segment
   int64_t faulted_bytes = 0;      // cumulative bytes read back from disk
   int64_t spill_events = 0;       // values evicted to disk
   int64_t fault_events = 0;       // values faulted back in
@@ -157,27 +157,35 @@ class BufferPool {
   /// query's morsel fan-out charges the query no matter which worker runs it.
   ///
   /// With a budget, the scope also maintains a registry of *spillable*
-  /// values: materialized, pinned-but-idle step outputs that executors
-  /// register between producing a value and its last consumer reading it.
-  /// An allocation that would push the query's live bytes over the budget
-  /// first evicts registered values cold-first (least recently pinned) to
-  /// temp files; a consumer pinning a spilled value faults it back in (after
-  /// making room the same way). Values on disk cost no resident bytes, so
-  /// `peak_live_bytes` stays at or under the budget whenever eviction could
-  /// cover the overage (`budget_overruns` counts the times it could not).
+  /// values: materialized, pinned-but-idle step outputs and completed morsel
+  /// chunks that executors register between producing a value and its last
+  /// consumer reading it. An allocation that would push the query's live
+  /// bytes over the budget first evicts registered values cold-first (least
+  /// recently pinned) to disk; a consumer pinning a spilled value faults it
+  /// back in (after making room the same way). Values on disk cost no
+  /// resident bytes, so `peak_live_bytes` stays at or under the budget
+  /// whenever eviction could cover the overage (`budget_overruns` counts the
+  /// times it could not).
   ///
-  /// Spill files are bit-exact raw tensor payloads; a faulted value is
-  /// indistinguishable from one that never left memory, which is what keeps
-  /// out-of-core execution bit-identical to the in-memory path.
+  /// All of a scope's evictions append to one *spill segment*, a temp file
+  /// (`tqp-spill-<pid>-<seq>.seg` under TMPDIR) opened on the first eviction:
+  /// a streaming query spills hundreds of morsel chunks, and a file per
+  /// chunk would cost a create/open/unlink each. A value that leaves disk
+  /// (faulted back or dropped) gives its range back by hole punching, and
+  /// the segment truncates to zero whenever nothing is on disk, so disk use
+  /// tracks the bytes currently spilled. Payloads are bit-exact raw tensor
+  /// bytes; a faulted value is indistinguishable from one that never left
+  /// memory, which is what keeps out-of-core execution bit-identical to the
+  /// in-memory path.
   ///
   /// Thread safety: all methods are safe to call concurrently. Spill I/O
   /// runs under the scope's registry lock — concurrent evictions/faults of
-  /// one query serialize (simple and correct; queries spill rarely).
+  /// one query serialize; different queries never share a segment.
   class QueryScope {
    public:
     /// `budget_bytes <= 0` disables the budget/spill tier (pure accounting).
     explicit QueryScope(int64_t budget_bytes = 0);
-    /// Releases any remaining spill files. Registered slots must have been
+    /// Closes and unlinks the spill segment. Registered slots must have been
     /// dropped by their executor already (SpillableSet guarantees this).
     ~QueryScope();
 
@@ -226,8 +234,8 @@ class BufferPool {
     Status Pin(uint64_t id);
     void Unpin(uint64_t id);
 
-    /// \brief Unregisters the value, deleting its spill file if any. The
-    /// caller may reassign `*slot` afterwards.
+    /// \brief Unregisters the value, releasing its segment range if it is on
+    /// disk. The caller may reassign `*slot` afterwards.
     void Drop(uint64_t id);
 
    private:
@@ -243,31 +251,35 @@ class BufferPool {
       /// backoff in io_failures), instead of being excluded forever.
       int io_failures = 0;
       int64_t retry_after_nanos = 0;
-      std::string path;
       DType dtype = DType::kFloat64;
       int64_t rows = 0;
       int64_t cols = 0;
       DeviceKind device = DeviceKind::kCpu;
-      int64_t file_bytes = 0;
+      int64_t disk_bytes = 0;  // payload size
+      int64_t offset = 0;      // payload position in the segment (on_disk)
     };
 
     /// Evicts cold idle values until live + need fits the budget. Returns
     /// false when it ran out of victims first (or the scope's spill tier is
     /// disabled after repeated hard I/O failures).
     bool MakeRoomLocked(int64_t need) TQP_REQUIRES(spill_mu_);
-    /// Writes `rec`'s value to its spill file and drops the resident tensor.
-    /// Transient write failures retry in place with bounded exponential
-    /// backoff; a hard failure leaves the value resident, schedules the
-    /// record for a later retry, and counts toward the per-scope disable
-    /// threshold (a full disk degrades this one query to resident-only
-    /// execution, never the whole process).
+    /// Appends `rec`'s value to the spill segment and drops the resident
+    /// tensor. Transient write failures retry in place with bounded
+    /// exponential backoff; a hard failure leaves the value resident,
+    /// schedules the record for a later retry, and counts toward the
+    /// per-scope disable threshold (a full disk degrades this one query to
+    /// resident-only execution, never the whole process).
     bool EvictLocked(Record* rec) TQP_REQUIRES(spill_mu_);
     /// Reads `rec`'s value back into a fresh tensor, retrying transient
     /// read failures the same way.
     Status FaultLocked(Record* rec) TQP_REQUIRES(spill_mu_);
+    /// Opens the spill segment if it is not open yet.
+    bool OpenSegmentLocked() TQP_REQUIRES(spill_mu_);
+    /// Marks `rec` resident again and gives its segment range back.
+    void ReleaseDiskLocked(Record* rec) TQP_REQUIRES(spill_mu_);
     int64_t LiveBytes() const;
 
-    /// Values smaller than this never register as spillable — a disk file
+    /// Values smaller than this never register as spillable — a disk write
     /// per sub-page tensor costs more than it frees.
     static constexpr int64_t kMinSpillBytes = 4096;
     /// In-place attempts per spill read/write before declaring the failure
@@ -278,7 +290,7 @@ class BufferPool {
     static constexpr int kMaxEvictionFailures = 3;
 
     const int64_t budget_bytes_;
-    const uint64_t scope_seq_;  // distinguishes spill files across scopes
+    const uint64_t scope_seq_;  // distinguishes spill segments across scopes
     std::shared_ptr<QueryMemoryLedger> ledger_;
     /// Lock order: spill_mu_ -> ledger_->mu, everywhere. (EvictLocked drops
     /// the resident tensor while holding spill_mu_, and ~Buffer discharges
@@ -295,6 +307,12 @@ class BufferPool {
     int consecutive_eviction_failures_ TQP_GUARDED_BY(spill_mu_) = 0;
     /// Latched per-query disk-full fallback.
     bool spill_disabled_ TQP_GUARDED_BY(spill_mu_) = false;
+    /// The spill segment; opened on the first eviction attempt.
+    std::string segment_path_ TQP_GUARDED_BY(spill_mu_);
+    int segment_fd_ TQP_GUARDED_BY(spill_mu_) = -1;
+    /// Next append offset (block-aligned); resets when nothing is on disk.
+    int64_t segment_end_ TQP_GUARDED_BY(spill_mu_) = 0;
+    int64_t records_on_disk_ TQP_GUARDED_BY(spill_mu_) = 0;
   };
 
  private:

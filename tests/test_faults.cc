@@ -327,7 +327,7 @@ TEST_F(FaultTest, SpillReadFailureIsCleanAndNonDestructive) {
   Tensor scratch = PatternTensor(71);
   ASSERT_FALSE(values[0].defined()) << "precondition: value spilled";
   // Every read attempt fails: Pin surfaces a structured I/O error, the
-  // record stays on disk with its file intact.
+  // record stays on disk with its segment bytes intact.
   TQP_CHECK_OK(
       FaultInjector::Global()->SetSpecForTesting("spill_read:every=1"));
   const Status st = scope.Pin(id);

@@ -390,6 +390,39 @@ TEST(EagerReleaseTest, ChainIntermediatesReleaseBeforeRunEnds) {
   EXPECT_LT(pipelined, eager / 2);
 }
 
+TEST(EagerReleaseTest, ColdFusionProbeHoldsNoMoreThanParallel) {
+  // A cold pipelined run evaluates each pipeline's first morsel node by node
+  // to compile its fused runs. At SF 0.001 that morsel is the whole table,
+  // so the probe does what kParallel does for the same nodes, and it must
+  // release each chain value after its last reader the way kParallel does:
+  // a probe that kept every chain value until lowering finished put Q4's
+  // peak 30% and Q14's 10% over kParallel's. One thread and no step
+  // overlap make both peaks deterministic.
+  Catalog catalog;
+  tpch::DbgenOptions gen;
+  gen.scale_factor = 0.001;
+  TQP_CHECK_OK(tpch::GenerateAll(gen, &catalog));
+  const auto cold_peak = [&](ExecutorTarget target, int q) {
+    QueryCompiler compiler;  // fresh executor: every pipeline probes
+    CompileOptions options;
+    options.target = target;
+    options.num_threads = 1;
+    options.pipeline_overlap = false;
+    auto compiled =
+        compiler.CompileSql(tpch::QueryText(q).ValueOrDie(), catalog, options)
+            .ValueOrDie();
+    BufferPool::QueryScope scope;
+    BufferPool::QueryScope::Attach attach(&scope);
+    TQP_CHECK_OK(compiled.Run(catalog).status());
+    return scope.stats().peak_live_bytes;
+  };
+  for (int q : {4, 14}) {
+    EXPECT_LE(cold_peak(ExecutorTarget::kPipelined, q),
+              cold_peak(ExecutorTarget::kParallel, q))
+        << "Q" << q;
+  }
+}
+
 // ---- PipelinedExecutor: differential --------------------------------------
 
 class PipelineTpchTest : public ::testing::Test {

@@ -1,19 +1,28 @@
 // Tests for the memory-governance layer: per-query accounting scopes
 // (BufferPool::QueryScope), budget enforcement with disk spill of cold idle
-// step outputs and fault-back on next read, the out-of-core TPC-H
+// step outputs and fault-back on next read, the per-scope spill segment's
+// on-disk footprint and cleanup, the out-of-core TPC-H
 // differential (a capped run must be bit-identical to the uncapped run and
 // its resident peak must stay inside the budget), the scheduler-level spill
 // counters, and the shared checked TQP_* env-var parser.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/env.h"
+#include "common/fault.h"
 #include "compile/compiler.h"
 #include "runtime/runtime.h"
 #include "tensor/buffer_pool.h"
@@ -60,6 +69,87 @@ Tensor PatternTensor(int64_t seed) {
 }
 
 constexpr int64_t kBlock = 256 << 10;  // PatternTensor's pool block size
+
+/// Points TMPDIR (where scopes open their spill segment) at a fresh
+/// directory for the object's lifetime, so a test sees only its own spill
+/// files; restores TMPDIR and removes the directory on destruction.
+class ScopedSpillDir {
+ public:
+  ScopedSpillDir() {
+    const char* prev = std::getenv("TMPDIR");
+    if (prev != nullptr) prev_ = prev;
+    std::string pattern =
+        (prev != nullptr && *prev != '\0' ? std::string(prev) : "/tmp") +
+        "/tqp-segtest-XXXXXX";
+    EXPECT_NE(::mkdtemp(pattern.data()), nullptr) << pattern;
+    dir_ = pattern;
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  ~ScopedSpillDir() {
+    if (prev_) {
+      ::setenv("TMPDIR", prev_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(dir_);
+  }
+  ScopedSpillDir(const ScopedSpillDir&) = delete;
+  ScopedSpillDir& operator=(const ScopedSpillDir&) = delete;
+
+  /// Whether the directory's filesystem frees the blocks of a punched hole.
+  /// The spill tier punches best effort, so per-record block checks need it.
+  bool PunchesHoles() const {
+    const std::string probe = dir_ + "/punch-probe";
+    const int fd = ::open(probe.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
+    if (fd < 0) return false;
+    const std::vector<char> bytes(2 * 4096, 'x');
+    bool punched =
+        ::pwrite(fd, bytes.data(), bytes.size(), 0) ==
+            static_cast<ssize_t>(bytes.size()) &&
+        ::fsync(fd) == 0;
+    struct stat before {};
+    struct stat after {};
+    punched = punched && ::fstat(fd, &before) == 0 &&
+              ::fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, 0,
+                          4096) == 0 &&
+              ::fstat(fd, &after) == 0 && after.st_blocks < before.st_blocks;
+    ::close(fd);
+    ::unlink(probe.c_str());
+    return punched;
+  }
+
+  /// Spill files currently in the directory.
+  std::vector<std::string> SpillFiles() const {
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().filename().string().rfind("tqp-spill-", 0) == 0) {
+        files.push_back(entry.path().string());
+      }
+    }
+    return files;
+  }
+
+ private:
+  std::string dir_;
+  std::optional<std::string> prev_;
+};
+
+/// stat(2) of `path`; a missing file fails the test and reads as empty.
+struct stat StatOrFail(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st;
+}
+
+/// Bytes the filesystem has allocated to `path` (st_blocks), which hole
+/// punching and truncation lower while the apparent size may stay put.
+int64_t AllocatedBytes(const std::string& path) {
+  return static_cast<int64_t>(StatOrFail(path).st_blocks) * 512;
+}
+
+int64_t ApparentBytes(const std::string& path) {
+  return static_cast<int64_t>(StatOrFail(path).st_size);
+}
 
 // ---- env parser -------------------------------------------------------------
 
@@ -224,16 +314,159 @@ TEST(QueryScopeTest, PinnedValuesAreNeverEvicted) {
 }
 
 TEST(QueryScopeTest, DropDeletesSpillFileWithoutFaulting) {
-  BufferScope scope(1 * kBlock);
-  BufferScope::Attach attach(&scope);
-  std::vector<Tensor> values(1);
-  values[0] = PatternTensor(30);
-  const uint64_t id = scope.AddSpillable(&values[0]);
-  Tensor scratch = PatternTensor(31);  // forces the registered value out
-  ASSERT_FALSE(values[0].defined());
-  EXPECT_EQ(scope.stats().spill_events, 1);
-  scope.Drop(id);  // value released while on disk: no fault-back
-  EXPECT_EQ(scope.stats().fault_events, 0);
+  ScopedSpillDir dir;
+  {
+    BufferScope scope(1 * kBlock);
+    BufferScope::Attach attach(&scope);
+    std::vector<Tensor> values(1);
+    values[0] = PatternTensor(30);
+    const uint64_t id = scope.AddSpillable(&values[0]);
+    Tensor scratch = PatternTensor(31);  // forces the registered value out
+    ASSERT_FALSE(values[0].defined());
+    EXPECT_EQ(scope.stats().spill_events, 1);
+    const std::vector<std::string> files = dir.SpillFiles();
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_GE(AllocatedBytes(files[0]), kBlock);
+    scope.Drop(id);  // value released while on disk: no fault-back
+    EXPECT_EQ(scope.stats().fault_events, 0);
+    EXPECT_EQ(scope.stats().spilled_now_bytes, 0);
+    EXPECT_EQ(AllocatedBytes(files[0]), 0)
+        << "a dropped value's bytes must leave the disk with it";
+  }
+  EXPECT_TRUE(dir.SpillFiles().empty()) << "the scope must unlink its segment";
+}
+
+// ---- spill segment -----------------------------------------------------------
+
+TEST(SpillSegmentTest, OneFilePerScopeHoldingOnlyCurrentlySpilledBytes) {
+  ScopedSpillDir dir;
+  // Reference payloads, built before the scope attaches so they are not
+  // charged to it.
+  const Tensor want1 = PatternTensor(81);
+  const Tensor want2 = PatternTensor(82);
+  {
+    BufferScope scope(3 * kBlock);
+    BufferScope::Attach attach(&scope);
+    std::vector<Tensor> values(3);
+    values[0] = PatternTensor(80);
+    values[1] = PatternTensor(81);
+    values[2] = PatternTensor(82);
+    const uint64_t id0 = scope.AddSpillable(&values[0]);
+    const uint64_t id1 = scope.AddSpillable(&values[1]);
+    const uint64_t id2 = scope.AddSpillable(&values[2]);
+    EXPECT_TRUE(dir.SpillFiles().empty())
+        << "the segment opens on the first eviction, not with the scope";
+    {
+      // Three blocks of scratch over a full budget push all three values
+      // out, one append each.
+      Tensor scratch1 = PatternTensor(83);
+      Tensor scratch2 = PatternTensor(84);
+      Tensor scratch3 = PatternTensor(85);
+    }
+    ASSERT_EQ(scope.stats().spill_events, 3);
+    const std::vector<std::string> files = dir.SpillFiles();
+    ASSERT_EQ(files.size(), 1u) << "every eviction appends to one segment";
+    const std::string segment = files[0];
+    const int64_t full = AllocatedBytes(segment);
+    EXPECT_GE(full, 3 * kBlock);
+    EXPECT_EQ(ApparentBytes(segment), 3 * kBlock);
+
+    // Fault value 1 back: bit-identical, and its range is punched out while
+    // values 0 and 2 stay readable around it; dropping value 0 frees its
+    // range without a fault.
+    const bool punches = dir.PunchesHoles();
+    TQP_CHECK_OK(scope.Pin(id1));
+    ExpectTensorsIdentical(values[1], want1, "faulted value 1");
+    scope.Unpin(id1);
+    if (punches) {
+      EXPECT_LE(AllocatedBytes(segment), full - kBlock);
+    }
+    scope.Drop(id0);
+    if (punches) {
+      EXPECT_LE(AllocatedBytes(segment), full - 2 * kBlock);
+    }
+    // Value 2 faults back intact; the segment is then empty.
+    TQP_CHECK_OK(scope.Pin(id2));
+    ExpectTensorsIdentical(values[2], want2, "faulted value 2");
+    scope.Unpin(id2);
+    EXPECT_EQ(scope.stats().spilled_now_bytes, 0);
+    EXPECT_EQ(AllocatedBytes(segment), 0)
+        << "nothing on disk: the segment must give all its blocks back";
+    EXPECT_EQ(dir.SpillFiles().size(), 1u);
+
+    // The emptied segment is reused from offset 0.
+    {
+      Tensor scratch1 = PatternTensor(86);
+      Tensor scratch2 = PatternTensor(87);
+    }
+    EXPECT_FALSE(values[1].defined());
+    EXPECT_EQ(dir.SpillFiles().size(), 1u);
+    EXPECT_EQ(ApparentBytes(segment), kBlock);
+    TQP_CHECK_OK(scope.Pin(id1));
+    ExpectTensorsIdentical(values[1], want1, "value 1 after re-spill");
+    scope.Unpin(id1);
+    scope.Drop(id1);
+    scope.Drop(id2);
+    EXPECT_EQ(scope.stats().budget_overruns, 0);
+  }
+  EXPECT_TRUE(dir.SpillFiles().empty()) << "~QueryScope must unlink the segment";
+}
+
+TEST(SpillSegmentTest, FailedThirdAppendLeavesEarlierRecordsIntact) {
+  ScopedSpillDir dir;
+  const Tensor want0 = PatternTensor(90);
+  const Tensor want1 = PatternTensor(91);
+  const Tensor want2 = PatternTensor(92);
+  // Writes 1 and 2 succeed; the third append fails on all of its in-place
+  // attempts, so the third eviction is a hard failure.
+  TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(
+      "spill_write:after=2,limit=3"));
+  {
+    BufferScope scope(3 * kBlock);
+    BufferScope::Attach attach(&scope);
+    std::vector<Tensor> values(3);
+    values[0] = PatternTensor(90);
+    values[1] = PatternTensor(91);
+    values[2] = PatternTensor(92);
+    const uint64_t id0 = scope.AddSpillable(&values[0]);
+    const uint64_t id1 = scope.AddSpillable(&values[1]);
+    const uint64_t id2 = scope.AddSpillable(&values[2]);
+    {
+      Tensor scratch1 = PatternTensor(93);
+      Tensor scratch2 = PatternTensor(94);
+      Tensor scratch3 = PatternTensor(95);
+      EXPECT_EQ(FaultInjector::Global()->fired(FaultSite::kSpillWrite), 3);
+      TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
+      EXPECT_EQ(scope.stats().spill_events, 2);
+      EXPECT_GT(scope.stats().budget_overruns, 0);
+      ASSERT_TRUE(values[2].defined()) << "a failed append must not drop data";
+      ExpectTensorsIdentical(values[2], want2, "value 2 after failed append");
+      const std::vector<std::string> files = dir.SpillFiles();
+      ASSERT_EQ(files.size(), 1u);
+      EXPECT_EQ(ApparentBytes(files[0]), 2 * kBlock)
+          << "the failed append must not extend the segment";
+
+      // Once its backoff passes, value 2 evicts again and lands right after
+      // value 1: the failed append did not advance the end offset.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      Tensor scratch4 = PatternTensor(96);
+      ASSERT_FALSE(values[2].defined());
+      EXPECT_EQ(ApparentBytes(files[0]), 3 * kBlock);
+    }
+    TQP_CHECK_OK(scope.Pin(id0));
+    ExpectTensorsIdentical(values[0], want0, "value 0 after failed append");
+    scope.Unpin(id0);
+    TQP_CHECK_OK(scope.Pin(id1));
+    ExpectTensorsIdentical(values[1], want1, "value 1 after failed append");
+    scope.Unpin(id1);
+    TQP_CHECK_OK(scope.Pin(id2));
+    ExpectTensorsIdentical(values[2], want2, "value 2 after its retry");
+    scope.Unpin(id2);
+    scope.Drop(id0);
+    scope.Drop(id1);
+    scope.Drop(id2);
+  }
+  EXPECT_TRUE(dir.SpillFiles().empty());
 }
 
 // ---- gauge-asserted residency bound ----------------------------------------
