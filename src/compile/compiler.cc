@@ -776,10 +776,24 @@ class PlanCompiler {
                                             {sorted_keys[i], bounds}, {},
                                             "group-by: group keys"));
     }
-    // 4. Aggregates: evaluate args pre-sort, permute, reduce per segment.
+    // 4. Aggregates: evaluate args pre-sort, permute, reduce per segment. A
+    // count never reads its values, so every COUNT (AVG's included) shares
+    // one count over the segment ids and its argument is never gathered.
+    int count = -1;
     for (const AggSpec& agg : node.aggs) {
+      if (agg.op == ReduceOpKind::kCount) {
+        if (count < 0) {
+          AttrMap attrs;
+          attrs.Set("op", static_cast<int64_t>(ReduceOpKind::kCount));
+          count = program_->AddNode(OpType::kSegmentedReduce,
+                                    {seg_ids, seg_ids, nseg}, attrs,
+                                    "group-by: count");
+        }
+        out.nodes.push_back(count);
+        continue;
+      }
       int values = -1;
-      if (agg.count_star || !agg.arg) {
+      if (!agg.arg) {
         values = seg_ids;  // any column with the right length
       } else {
         TQP_ASSIGN_OR_RETURN(TypedNode a, CompileExpr(*agg.arg, in));

@@ -899,6 +899,52 @@ Result<Binder::PendingSemiJoin> Binder::BindSubqueryPredicate(
   return pending;
 }
 
+void Binder::OrderRelationsByJoinEdges(const Expr* where, Scope* scope) const {
+  const size_t n = scope->relations.size();
+  std::vector<std::vector<bool>> linked(n, std::vector<bool>(n, false));
+  std::vector<const Expr*> conjuncts;
+  SplitAstConjuncts(where, &conjuncts);
+  for (const Expr* c : conjuncts) {
+    if (c->kind != ExprKind::kBinary || c->op != "=" ||
+        c->children[0]->kind != ExprKind::kColumnRef ||
+        c->children[1]->kind != ExprKind::kColumnRef) {
+      continue;
+    }
+    auto a = ResolveColumn(*scope, c->children[0]->qualifier, c->children[0]->name);
+    auto b = ResolveColumn(*scope, c->children[1]->qualifier, c->children[1]->name);
+    // Unknown or ambiguous names are reported when WHERE is bound.
+    if (!a.ok() || !b.ok() || a->from_outer || b->from_outer ||
+        a->relation == b->relation) {
+      continue;
+    }
+    const auto ra = static_cast<size_t>(a->relation);
+    const auto rb = static_cast<size_t>(b->relation);
+    linked[ra][rb] = linked[rb][ra] = true;
+  }
+  // Step 0 takes relation 0; later steps take the earliest relation linked
+  // to a joined one, or else the earliest unjoined (a cross join).
+  std::vector<bool> joined(n, false);
+  std::vector<bool> reachable(n, false);
+  reachable[0] = true;
+  std::vector<Relation> ordered;
+  ordered.reserve(n);
+  while (ordered.size() < n) {
+    size_t next = n;
+    for (size_t r = 0; r < n; ++r) {
+      if (joined[r]) continue;
+      if (next == n) next = r;
+      if (reachable[r]) {
+        next = r;
+        break;
+      }
+    }
+    joined[next] = true;
+    for (size_t r = 0; r < n; ++r) reachable[r] = reachable[r] || linked[next][r];
+    ordered.push_back(std::move(scope->relations[next]));
+  }
+  scope->relations = std::move(ordered);
+}
+
 Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope) {
   if (stmt.from.empty()) return Status::BindError("FROM clause is required");
   // Resolve FROM relations; remember each entry's join type (scalar-subquery
@@ -924,6 +970,15 @@ Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope)
       scope->relations.push_back(Relation{ref.alias, std::move(subplan)});
     }
     join_types.push_back(ref.join_type);
+  }
+  // A comma-joined list may be joined in any order, so it is joined in
+  // connected order; LEFT JOIN and JOIN ... ON lists keep FROM order.
+  const bool comma_joined = std::all_of(
+      stmt.from.begin(), stmt.from.end(), [](const sql::TableRef& ref) {
+        return ref.join_type == JoinType::kCross && !ref.join_condition;
+      });
+  if (comma_joined && stmt.from.size() >= 3) {
+    OrderRelationsByJoinEdges(stmt.where.get(), scope);
   }
   if (left_index >= 0) {
     nullable_lo_ = scope->RelationOffset(left_index);
@@ -1016,7 +1071,8 @@ Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope)
     }
   }
 
-  // Left-deep join construction in FROM order.
+  // Left-deep join construction in scope order (FROM order, or the
+  // connected order chosen above).
   PlanPtr current = scope->relations[0].plan;
   for (size_t r = 1; r < scope->relations.size(); ++r) {
     const int off = scope->RelationOffset(static_cast<int>(r));

@@ -39,8 +39,10 @@ class Binder {
     std::string alias;
     PlanPtr plan;
   };
-  /// A name scope: the FROM relations in order, giving each column a global
-  /// index (concatenation order == left-deep join output order).
+  /// A name scope: the FROM relations in join order, giving each column a
+  /// global index (concatenation order == left-deep join output order). The
+  /// join order is the FROM order unless BindFromWhere permutes a comma-joined
+  /// list into connected order; scalar-subquery relations come last.
   struct Scope {
     std::vector<Relation> relations;
     const Scope* outer = nullptr;  // for correlated subqueries
@@ -76,6 +78,13 @@ class Binder {
   /// Builds the FROM join tree, placing WHERE conjuncts as filters, join
   /// keys, or residuals, and applying pending semi/anti joins last.
   Result<PlanPtr> BindFromWhere(const sql::SelectStatement& stmt, Scope* scope);
+
+  /// Permutes a comma-joined FROM list into connected order: starting from
+  /// the first relation, each step takes the earliest-listed unjoined
+  /// relation that a WHERE `column = column` conjunct links to the joined
+  /// ones, and falls back to a cross join with the earliest unjoined relation
+  /// only when none is linked.
+  void OrderRelationsByJoinEdges(const sql::Expr* where, Scope* scope) const;
 
   /// Handles EXISTS / IN-subquery conjuncts; returns the pending join.
   Result<PendingSemiJoin> BindSubqueryPredicate(const sql::Expr& expr,

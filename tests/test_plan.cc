@@ -14,6 +14,8 @@
 #include "plan/physical_planner.h"
 #include "relational/table_builder.h"
 #include "sql/parser.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace tqp {
 namespace {
@@ -154,6 +156,126 @@ TEST(BinderTest, LeftJoinAddsMatchedColumn) {
   auto rejected = BindSql(
       "SELECT id, item_id FROM items LEFT JOIN sales ON id = item_id", catalog);
   EXPECT_EQ(rejected.status().code(), StatusCode::kNotImplemented);
+}
+
+// Empty TPC-H tables: the binder needs only their schemas.
+Catalog MakeTpchSchemaCatalog() {
+  Catalog catalog;
+  for (const std::string& name : tpch::TableNames()) {
+    TableBuilder b(tpch::TableSchema(name).ValueOrDie());
+    catalog.RegisterTable(name, b.Finish().ValueOrDie());
+  }
+  return catalog;
+}
+
+// A join chain ta - tb - tc - td: ta_key = tb_a, tb_c = tc_key,
+// tc_d = td_key.
+Catalog MakeChainCatalog() {
+  Catalog catalog;
+  const std::vector<std::pair<std::string, std::vector<std::string>>> tables = {
+      {"ta", {"ta_key", "ta_val"}},
+      {"tb", {"tb_a", "tb_c"}},
+      {"tc", {"tc_key", "tc_d"}},
+      {"td", {"td_key", "td_w"}}};
+  for (const auto& [name, columns] : tables) {
+    Schema schema;
+    for (const std::string& c : columns) {
+      schema.AddField(Field{c, LogicalType::kInt64});
+    }
+    TableBuilder b(schema);
+    catalog.RegisterTable(name, b.Finish().ValueOrDie());
+  }
+  return catalog;
+}
+
+// Scan tables in left-to-right leaf order: for a left-deep join tree this is
+// the join order, followed by the scans of semi-joined subqueries.
+std::vector<std::string> ScanOrder(const PlanNode& node) {
+  if (node.kind == PlanKind::kScan) return {node.table_name};
+  std::vector<std::string> out;
+  for (const PlanPtr& c : node.children) {
+    for (std::string& t : ScanOrder(*c)) out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<std::string> Prefix(std::vector<std::string> v, size_t n) {
+  v.resize(std::min(v.size(), n));
+  return v;
+}
+
+TEST(BinderJoinOrderTest, ConnectedFromListKeepsFromOrder) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  const std::vector<std::pair<int, std::vector<std::string>>> cases = {
+      {3, {"customer", "orders", "lineitem"}},
+      {5, {"customer", "orders", "lineitem", "supplier", "nation", "region"}},
+      {7, {"supplier", "lineitem", "orders", "customer", "nation", "nation"}},
+      {18, {"customer", "orders", "lineitem"}}};
+  for (const auto& [q, from_order] : cases) {
+    PlanPtr plan = BindSql(tpch::QueryText(q).ValueOrDie(), catalog).ValueOrDie();
+    EXPECT_EQ(Prefix(ScanOrder(*plan), from_order.size()), from_order)
+        << "Q" << q << "\n" << plan->ToString();
+  }
+}
+
+TEST(BinderJoinOrderTest, Q9JoinsPartWithLineitemFirst) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  PlanPtr plan = BindSql(tpch::QueryText(9).ValueOrDie(), catalog).ValueOrDie();
+  // FROM part, supplier, lineitem, partsupp, orders, nation: part and
+  // supplier share no predicate, so lineitem joins part first.
+  EXPECT_EQ(ScanOrder(*plan),
+            (std::vector<std::string>{"part", "lineitem", "supplier",
+                                      "partsupp", "orders", "nation"}));
+  const PlanNode* first = nullptr;  // the deepest join on the left spine
+  for (const PlanNode* n = plan.get(); !n->children.empty();
+       n = n->children[0].get()) {
+    if (n->kind == PlanKind::kJoin) first = n;
+  }
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->join_type, sql::JoinType::kInner);
+  EXPECT_EQ(ScanOrder(*first),
+            (std::vector<std::string>{"part", "lineitem"}));
+  EXPECT_EQ(plan->ToString().find("Join cross"), std::string::npos);
+}
+
+TEST(BinderJoinOrderTest, ChainSkipsUnconnectedSecondTable) {
+  Catalog catalog = MakeChainCatalog();
+  PlanPtr plan = BindSql(
+      "SELECT ta_val, td_w FROM ta, tc, tb, td WHERE ta_key = tb_a AND "
+      "tb_c = tc_key AND tc_d = td_key",
+      catalog).ValueOrDie();
+  EXPECT_EQ(ScanOrder(*plan),
+            (std::vector<std::string>{"ta", "tb", "tc", "td"}));
+  EXPECT_EQ(plan->ToString().find("Join cross"), std::string::npos);
+}
+
+TEST(BinderJoinOrderTest, UnconnectedRelationsStillCrossJoin) {
+  Catalog catalog = MakeChainCatalog();
+  PlanPtr two = BindSql("SELECT ta_val, tb_c FROM ta, tb", catalog).ValueOrDie();
+  EXPECT_NE(two->ToString().find("Join cross"), std::string::npos);
+  // The unconnected relation is crossed in only after the connected ones.
+  PlanPtr three = BindSql(
+      "SELECT ta_val, td_w FROM ta, td, tb WHERE ta_key = tb_a", catalog)
+                      .ValueOrDie();
+  EXPECT_EQ(ScanOrder(*three), (std::vector<std::string>{"ta", "tb", "td"}));
+  EXPECT_NE(three->ToString().find("Join cross"), std::string::npos);
+}
+
+TEST(BinderJoinOrderTest, ExplicitAndLeftJoinListsKeepFromOrder) {
+  Catalog catalog = MakeChainCatalog();
+  // Connected order would be ta, tb, tc; an ON clause pins FROM order.
+  PlanPtr on = BindSql(
+      "SELECT ta_val FROM ta, tc JOIN tb ON tb_c = tc_key WHERE ta_key = tb_a",
+      catalog).ValueOrDie();
+  EXPECT_EQ(ScanOrder(*on), (std::vector<std::string>{"ta", "tc", "tb"}));
+  EXPECT_NE(on->ToString().find("Join cross"), std::string::npos);
+  PlanPtr left = BindSql(
+      "SELECT ta_val, COUNT(td_key) AS n FROM ta, tc, tb LEFT JOIN td "
+      "ON tb_c = td_key WHERE ta_key = tb_a AND tb_c = tc_key GROUP BY ta_val",
+      catalog).ValueOrDie();
+  EXPECT_EQ(ScanOrder(*left),
+            (std::vector<std::string>{"ta", "tc", "tb", "td"}));
+  EXPECT_NE(left->ToString().find("Join cross"), std::string::npos);
 }
 
 TEST(ExprEvalTest, RowSemantics) {

@@ -338,6 +338,37 @@ TEST(ExistsResidualTest, Q21ShapeBothPolarities) {
   EXPECT_EQ(result.num_rows(), 0);
 }
 
+// ---- Grouped COUNT ------------------------------------------------------------
+
+TEST(GroupCountTest, CountsShareOneReductionOverSegmentIds) {
+  Catalog catalog = MakeCatalog();
+  // COUNT(*), COUNT(price) and AVG's count all read only the segment ids:
+  // one count reduction serves them, and price is gathered once, for SUM.
+  const std::string sql =
+      "SELECT tag, COUNT(*) AS n, COUNT(price) AS c, AVG(price) AS a "
+      "FROM items GROUP BY tag ORDER BY tag";
+  CompiledQuery compiled =
+      QueryCompiler().CompileSql(sql, catalog, CompileOptions{}).ValueOrDie();
+  int counts = 0;
+  int arg_gathers = 0;
+  for (const OpNode& node : compiled.program().nodes()) {
+    if (node.type == OpType::kSegmentedReduce &&
+        node.attrs.GetInt("op") == static_cast<int64_t>(ReduceOpKind::kCount)) {
+      ++counts;
+    }
+    if (node.label == "group-by: agg input") ++arg_gathers;
+  }
+  EXPECT_EQ(counts, 1);
+  EXPECT_EQ(arg_gathers, 1);
+  const Table result = RunAllEngines(sql, catalog);
+  ASSERT_EQ(result.num_rows(), 2);  // even: ids 0 2 4, odd: ids 1 3
+  EXPECT_EQ(result.column(1).GetScalar(0).AsInt64(), 3);
+  EXPECT_EQ(result.column(2).GetScalar(0).AsInt64(), 3);
+  EXPECT_DOUBLE_EQ(result.column(3).GetScalar(0).AsDouble(), 3.0);
+  EXPECT_EQ(result.column(1).GetScalar(1).AsInt64(), 2);
+  EXPECT_DOUBLE_EQ(result.column(3).GetScalar(1).AsDouble(), 3.0);
+}
+
 // ---- Cross join ---------------------------------------------------------------
 
 TEST(CrossJoinTest, CartesianProductAllEngines) {

@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "baseline/columnar.h"
 #include "baseline/volcano.h"
+#include "common/random.h"
 #include "compile/compiler.h"
+#include "plan/binder.h"
+#include "plan/optimizer.h"
+#include "plan/physical_planner.h"
+#include "relational/table_builder.h"
+#include "sql/parser.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -124,6 +131,129 @@ TEST_F(TpchFixture, GeneratorRespectsRowCounts) {
   // 1-7 lineitems per order.
   EXPECT_GE(lineitem.num_rows(), orders.num_rows());
   EXPECT_LE(lineitem.num_rows(), orders.num_rows() * 7);
+}
+
+// ---- Metamorphic join order ------------------------------------------------
+//
+// The binder joins a comma-joined FROM list in connected order starting from
+// its first relation, so permuting the list changes the join tree. The result
+// multiset must not change, and no permutation of a connected query may build
+// a cross product. Volcano binds the same plan as the tensor engine, so it
+// cannot catch a join-order bug; the unpermuted run is the oracle here.
+
+// Binds, optimizes, compiles and runs an already-parsed statement; the
+// physical plan's text goes to `plan_text`.
+Result<Table> RunStatement(const sql::SelectStatement& stmt,
+                           const Catalog& catalog, ExecutorTarget target,
+                           std::string* plan_text) {
+  Binder binder(&catalog);
+  TQP_ASSIGN_OR_RETURN(PlanPtr logical, binder.Bind(stmt));
+  TQP_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(logical));
+  PlanPtr physical = ChoosePhysical(optimized, PhysicalOptions{});
+  *plan_text = physical->ToString();
+  CompileOptions options;
+  options.target = target;
+  TQP_ASSIGN_OR_RETURN(CompiledQuery compiled,
+                       QueryCompiler().Compile(physical, options));
+  return compiled.Run(catalog);
+}
+
+std::string FromList(const sql::SelectStatement& stmt) {
+  std::string out;
+  for (const sql::TableRef& ref : stmt.from) {
+    out += (out.empty() ? "" : ", ") + ref.alias;
+  }
+  return out;
+}
+
+// Runs `sql` and `permutations` seeded shuffles of its FROM list on kEager
+// and kPipelined; every permuted run must equal the original run as a
+// multiset and have a plan without a cross join.
+void ExpectFromPermutationsAgree(const std::string& label, const std::string& sql,
+                                 const Catalog& catalog, uint64_t seed,
+                                 int permutations) {
+  const size_t n = sql::ParseSelect(sql).ValueOrDie()->from.size();
+  Rng rng(seed);
+  std::vector<std::vector<size_t>> orders;
+  for (int p = 0; p < permutations; ++p) {
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    for (size_t i = n - 1; i > 0; --i) {  // Fisher-Yates
+      std::swap(order[i], order[static_cast<size_t>(
+                              rng.Uniform(0, static_cast<int64_t>(i)))]);
+    }
+    orders.push_back(std::move(order));
+  }
+  for (ExecutorTarget target :
+       {ExecutorTarget::kEager, ExecutorTarget::kPipelined}) {
+    std::string plan;
+    auto original_stmt = sql::ParseSelect(sql).ValueOrDie();
+    auto original = RunStatement(*original_stmt, catalog, target, &plan);
+    ASSERT_TRUE(original.ok()) << label << ": " << original.status().ToString();
+    EXPECT_EQ(plan.find("Join cross"), std::string::npos) << label << "\n" << plan;
+    for (const std::vector<size_t>& order : orders) {
+      auto stmt = sql::ParseSelect(sql).ValueOrDie();
+      std::vector<sql::TableRef> permuted;
+      for (size_t i : order) permuted.push_back(std::move(stmt->from[i]));
+      stmt->from = std::move(permuted);
+      const std::string context = label + " on " +
+                                  ExecutorTargetName(target) + " FROM " +
+                                  FromList(*stmt);
+      auto result = RunStatement(*stmt, catalog, target, &plan);
+      ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
+      EXPECT_EQ(plan.find("Join cross"), std::string::npos)
+          << context << "\n" << plan;
+      const Status same = TablesEqualUnordered(*result, *original);
+      EXPECT_TRUE(same.ok()) << context << ": " << same.ToString();
+    }
+  }
+}
+
+TEST_F(TpchFixture, JoinOrderPermutationsPreserveResults) {
+  for (int q : {2, 8, 9}) {
+    ExpectFromPermutationsAgree("Q" + std::to_string(q),
+                                tpch::QueryText(q).ValueOrDie(), *catalog_,
+                                /*seed=*/static_cast<uint64_t>(q), 4);
+  }
+}
+
+TEST(JoinOrderChainTest, PermutationsPreserveResults) {
+  // A chain ta - tb - tc - td with fan-out at every step; the FROM list
+  // starts with two relations that share no predicate.
+  Catalog catalog;
+  auto add = [&](const std::string& name, const std::string& c0,
+                 const std::string& c1, int rows,
+                 const std::function<int64_t(int)>& v0,
+                 const std::function<int64_t(int)>& v1) {
+    TableBuilder b(Schema({Field{c0, LogicalType::kInt64},
+                           Field{c1, LogicalType::kInt64}}));
+    for (int i = 0; i < rows; ++i) {
+      b.AppendInt(0, v0(i));
+      b.AppendInt(1, v1(i));
+    }
+    catalog.RegisterTable(name, b.Finish().ValueOrDie());
+  };
+  add("ta", "ta_key", "ta_val", 30, [](int i) { return i; },
+      [](int i) { return i % 4; });
+  add("tb", "tb_a", "tb_c", 60, [](int i) { return i % 30; },
+      [](int i) { return i % 20; });
+  add("tc", "tc_key", "tc_d", 20, [](int i) { return i; },
+      [](int i) { return i % 10; });
+  add("td", "td_key", "td_w", 25, [](int i) { return i % 10; },
+      [](int i) { return i; });
+  const std::string sql =
+      "SELECT ta_val, COUNT(*) AS n, SUM(td_w) AS w FROM ta, tc, tb, td "
+      "WHERE ta_key = tb_a AND tb_c = tc_key AND tc_d = td_key AND td_w > 3 "
+      "GROUP BY ta_val";
+  VolcanoEngine volcano(&catalog);
+  Table oracle = volcano.ExecuteSql(sql).ValueOrDie();
+  ASSERT_EQ(oracle.num_rows(), 4);
+  std::string plan;
+  auto stmt = sql::ParseSelect(sql).ValueOrDie();
+  auto tensor = RunStatement(*stmt, catalog, ExecutorTarget::kEager, &plan);
+  ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
+  EXPECT_TRUE(TablesEqualUnordered(*tensor, oracle).ok());
+  ExpectFromPermutationsAgree("chain", sql, catalog, /*seed=*/1, 8);
 }
 
 }  // namespace
