@@ -1,7 +1,7 @@
-// Parallel-runtime scaling: serial executors vs the morsel-driven
-// ParallelExecutor vs the pipelined morsel-streaming PipelinedExecutor on
-// TPC-H at increasing thread counts. Emits JSON (one object) on stdout so
-// future PRs can track the perf trajectory; human summary goes to stderr.
+// Parallel-runtime scaling: serial executors vs the pipelined
+// morsel-streaming PipelinedExecutor on TPC-H at increasing thread counts.
+// Emits JSON (one object) on stdout so the perf trajectory can be tracked
+// per commit; human summary goes to stderr.
 //
 // Each timed run also reports a peak-allocation proxy from the process-wide
 // BufferPool (peak live tensor bytes during the run): node-at-a-time
@@ -67,9 +67,8 @@ RunResult MeasureTarget(QueryCompiler& compiler, const Catalog& catalog,
   return MeasureQuery(query, inputs, protocol);
 }
 
-/// One measured backend configuration (a JSON row per thread count).
+/// One measured pipelined configuration (a JSON row per thread count).
 struct BackendSpec {
-  ExecutorTarget target;
   bool overlap;
   bool expr_fusion;
   bool partitioned = false;
@@ -128,28 +127,28 @@ int main(int argc, char** argv) {
     double best_speedup = 0;
     bool first = true;
     const BackendSpec specs[] = {
-        {ExecutorTarget::kParallel, true, true},
-        {ExecutorTarget::kPipelined, false, true},  // sequential schedule walk
-        {ExecutorTarget::kPipelined, true, true},   // DAG overlap
-        {ExecutorTarget::kPipelined, true, false},  // expression fusion off
-        {ExecutorTarget::kPipelined, true, true, true},  // partitioned breakers
+        {false, true},       // sequential schedule walk
+        {true, true},        // DAG overlap
+        {true, false},       // expression fusion off
+        {true, true, true},  // partitioned breakers
     };
     for (const BackendSpec& spec : specs) {
       for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
-        const RunResult r = MeasureTarget(compiler, catalog, sql, spec.target,
+        const RunResult r = MeasureTarget(compiler, catalog, sql,
+                                          ExecutorTarget::kPipelined,
                                           thread_counts[ti], spec.overlap,
                                           spec.expr_fusion, spec.partitioned,
                                           inputs, protocol);
         const double speedup = eager.seconds / r.seconds;
         best_speedup = std::max(best_speedup, speedup);
-        std::printf("%s\n      {\"backend\": \"%s\", \"threads\": %d, "
+        std::printf("%s\n      {\"backend\": \"pipelined\", \"threads\": %d, "
                     "\"overlap\": %s, \"expr_fusion\": %s, "
                     "\"partitioned_breakers\": %s, \"ms\": %.4f, "
                     "\"speedup_vs_eager\": %.3f, \"peak_alloc_mb\": %.3f, "
                     "\"allocs\": %lld, \"recycle_hit_rate\": %.3f, "
                     "\"spilled_mb\": %.3f, \"spill_events\": %lld}",
-                    first ? "" : ",", ExecutorTargetName(spec.target),
-                    thread_counts[ti], spec.overlap ? "true" : "false",
+                    first ? "" : ",", thread_counts[ti],
+                    spec.overlap ? "true" : "false",
                     spec.expr_fusion ? "true" : "false",
                     spec.partitioned ? "true" : "false", r.seconds * 1e3,
                     speedup, r.peak_alloc_mb,
@@ -157,11 +156,10 @@ int main(int argc, char** argv) {
                     r.spilled_mb, static_cast<long long>(r.spill_events));
         first = false;
         std::fprintf(stderr,
-                     "  Q%d %s%s%s%s @ %d threads: %.3f ms (%.2fx vs eager "
-                     "%.3f ms), peak alloc %.2f MiB (eager %.2f MiB), "
+                     "  Q%d pipelined%s%s%s @ %d threads: %.3f ms (%.2fx vs "
+                     "eager %.3f ms), peak alloc %.2f MiB (eager %.2f MiB), "
                      "%lld allocs (%.0f%% recycled), spilled %.2f MiB\n",
-                     q, ExecutorTargetName(spec.target),
-                     spec.overlap ? "" : " (no overlap)",
+                     q, spec.overlap ? "" : " (no overlap)",
                      spec.expr_fusion ? "" : " (no fusion)",
                      spec.partitioned ? " (partitioned)" : "",
                      thread_counts[ti], r.seconds * 1e3, speedup,

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   TQP_CHECK_OK(tpch::GenerateAll(gen, &catalog));
   std::printf("scale factor %.3f\n\n", sf);
   std::printf("%-5s %6s %14s %14s %14s %16s %12s %8s\n", "query", "rows",
-              "volcano (ms)", "tqp cpu (ms)", "tqp par (ms)",
+              "volcano (ms)", "tqp cpu (ms)", "tqp pipe (ms)",
               "tqp gpu-sim(ms)", "columnar(ms)", "correct");
 
   QueryCompiler compiler;
@@ -46,13 +46,14 @@ int main(int argc, char** argv) {
     const double tqp_sec = bench::MedianTime(
         [&] { result = cpu_query.RunWithInputs(inputs).ValueOrDie(); }, quick);
 
-    CompileOptions par_options;
-    par_options.target = ExecutorTarget::kParallel;
-    CompiledQuery par_query = compiler.CompileSql(sql, catalog, par_options)
-                                  .ValueOrDie();
-    Table par_result;
-    const double par_sec = bench::MedianTime(
-        [&] { par_result = par_query.RunWithInputs(inputs).ValueOrDie(); }, quick);
+    CompileOptions pipe_options;
+    pipe_options.target = ExecutorTarget::kPipelined;
+    CompiledQuery pipe_query = compiler.CompileSql(sql, catalog, pipe_options)
+                                   .ValueOrDie();
+    Table pipe_result;
+    const double pipe_sec = bench::MedianTime(
+        [&] { pipe_result = pipe_query.RunWithInputs(inputs).ValueOrDie(); },
+        quick);
 
     CompileOptions gpu_options;
     gpu_options.device = DeviceKind::kCudaSim;
@@ -69,11 +70,11 @@ int main(int argc, char** argv) {
         [&] { columnar_result = columnar.ExecuteSql(sql).ValueOrDie(); }, quick);
 
     const bool ok = TablesEqualUnordered(result, oracle).ok() &&
-                    TablesEqualUnordered(par_result, oracle).ok() &&
+                    TablesEqualUnordered(pipe_result, oracle).ok() &&
                     TablesEqualUnordered(columnar_result, oracle).ok();
     std::printf("Q%-4d %6lld %14.3f %14.3f %14.3f %16.3f %12.3f %8s\n", q,
                 static_cast<long long>(oracle.num_rows()), volcano_sec * 1e3,
-                tqp_sec * 1e3, par_sec * 1e3, gpu_sim_sec * 1e3,
+                tqp_sec * 1e3, pipe_sec * 1e3, gpu_sim_sec * 1e3,
                 columnar_sec * 1e3, ok ? "yes" : "NO");
   }
   return 0;

@@ -6,13 +6,13 @@
 // Usage: sql_shell [scale_factor]          (default 0.01)
 //
 // Shell commands (everything else is SQL):
-//   \backend eager|static|interp|parallel|pipelined
+//   \backend eager|static|interp|pipelined
 //                                   choose the tensor executor (pipelined
 //                                   streams morsels through fused operator
 //                                   chains split at pipeline breakers)
-//   \threads <n>                    parallel backends: worker threads (0 = auto)
-//   \morsel <rows>                  parallel backends: rows per morsel (0 = auto)
-//   \budget <mb>                    parallel backends: per-query memory budget
+//   \threads <n>                    pipelined backend: worker threads (0 = auto)
+//   \morsel <rows>                  pipelined backend: rows per morsel (0 = auto)
+//   \budget <mb>                    pipelined backend: per-query memory budget
 //                                   in MiB — a query over budget spills cold
 //                                   intermediates to disk instead of growing
 //                                   resident memory (0 = TQP_MEMORY_BUDGET_MB
@@ -30,7 +30,7 @@
 //   \adaptive on|off                pipelined backend: adapt morsel size
 //                                   toward a target per-morsel service time
 //                                   (bounded; results bit-identical)
-//   \partitions on|off              parallel/pipelined backends: evaluate
+//   \partitions on|off              pipelined backend: evaluate
 //                                   argsort (the breaker joins, group-bys
 //                                   and ORDER BY lower to) through the
 //                                   external merge sort — budget-aware run
@@ -115,11 +115,11 @@ struct ShellState {
   ExecutorTarget target = ExecutorTarget::kStatic;
   DeviceKind device = DeviceKind::kCpu;
   std::string engine = "tqp";
-  int num_threads = 0;      // parallel backend: 0 = process-wide pool
-  int64_t morsel_rows = 0;  // parallel backend: 0 = default morsel size
+  int num_threads = 0;      // pipelined backend: 0 = process-wide pool
+  int64_t morsel_rows = 0;  // pipelined backend: 0 = default morsel size
   bool expr_fusion = true;  // pipelined/static: fused expression execution
   bool adaptive_morsels = false;  // pipelined: service-time morsel sizing
-  // parallel/pipelined: external merge sort at argsort breakers.
+  // pipelined: external merge sort at argsort breakers.
   bool partitioned_breakers = false;
   int64_t budget_mb = 0;    // per-query memory budget (0 = env default)
   // Per-query deadline for every later statement, milliseconds
@@ -485,13 +485,13 @@ void RunSessions(int n, const std::string& sql, const Catalog& catalog,
 }
 
 // Shared-resource report: the process-wide cross-query thread pool that every
-// parallel/pipelined executor and QueryScheduler lands on, the buffer pool
+// pipelined executor and QueryScheduler lands on, the buffer pool
 // recycling morsel scratch across operators and queries, and the per-query
 // memory governance layer (budget + spill) above it.
 void PrintPoolStats(const ShellState& state) {
   runtime::ThreadPool* pool = runtime::ThreadPool::Global();
   std::printf("shared thread pool: %d worker threads (process-wide; all\n"
-              "  sessions, schedulers and parallel/pipelined executors with\n"
+              "  sessions, schedulers and pipelined executors with\n"
               "  threads=0 share it)\n",
               pool->num_threads());
   std::printf("  tasks executed %lld (%lld stolen from another worker)\n",
@@ -628,7 +628,6 @@ int main(int argc, char** argv) {
       if (b == "eager") state.target = ExecutorTarget::kEager;
       else if (b == "static") state.target = ExecutorTarget::kStatic;
       else if (b == "interp") state.target = ExecutorTarget::kInterp;
-      else if (b == "parallel") state.target = ExecutorTarget::kParallel;
       else if (b == "pipelined") state.target = ExecutorTarget::kPipelined;
       else std::printf("unknown backend '%s'\n", b.c_str());
       continue;
@@ -781,13 +780,13 @@ int main(int argc, char** argv) {
         continue;
       }
       state.num_threads = static_cast<int>(n);
-      std::printf("parallel backend threads = %d%s\n", state.num_threads,
+      std::printf("pipelined backend threads = %d%s\n", state.num_threads,
                   state.num_threads == 0 ? " (process-wide pool)" : "");
       continue;
     }
     if (line.rfind("\\morsel ", 0) == 0) {
       if (!ParseInt64(line.substr(8), &state.morsel_rows)) continue;
-      std::printf("parallel backend morsel rows = %lld%s\n",
+      std::printf("pipelined backend morsel rows = %lld%s\n",
                   static_cast<long long>(state.morsel_rows),
                   state.morsel_rows == 0 ? " (default)" : "");
       continue;

@@ -26,7 +26,7 @@ enum class FaultSite : int {
   /// thread instead of enqueueing it — a benign perturbation proving
   /// correctness does not depend on asynchrony.
   kTaskSubmit = 3,
-  /// Pipeline/parallel step execution. A hit makes the step return an
+  /// Pipeline step execution. A hit makes the step return an
   /// injected Status::Internal, exercising the error cleanup contract.
   kStepExec = 4,
 };

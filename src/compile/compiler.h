@@ -20,9 +20,9 @@ struct CompileOptions {
   DeviceKind device = DeviceKind::kCpu;
   /// See ExecOptions::charge_transfers.
   bool charge_transfers = true;
-  /// See ExecOptions::num_threads (Parallel/Pipelined executors).
+  /// See ExecOptions::num_threads (pipelined executor).
   int num_threads = 0;
-  /// See ExecOptions::morsel_rows (Parallel/Pipelined executors).
+  /// See ExecOptions::morsel_rows (pipelined executor).
   int64_t morsel_rows = 0;
   /// See ExecOptions::pool — the shared cross-query thread pool (not owned;
   /// must outlive the compiled query). Set by the QueryScheduler so every

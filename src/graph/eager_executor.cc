@@ -13,8 +13,6 @@ const char* ExecutorTargetName(ExecutorTarget target) {
       return "static";
     case ExecutorTarget::kInterp:
       return "interp";
-    case ExecutorTarget::kParallel:
-      return "parallel";
     case ExecutorTarget::kPipelined:
       return "pipelined";
   }

@@ -3,7 +3,6 @@
 #include "graph/eager_executor.h"
 #include "graph/interp_executor.h"
 #include "graph/static_executor.h"
-#include "runtime/parallel_executor.h"
 #include "runtime/pipelined_executor.h"
 
 namespace tqp {
@@ -39,9 +38,6 @@ Result<std::unique_ptr<Executor>> MakeExecutor(
                            InterpExecutor::Make(std::move(program)));
       return std::unique_ptr<Executor>(std::move(interp));
     }
-    case ExecutorTarget::kParallel:
-      return std::unique_ptr<Executor>(
-          new ParallelExecutor(std::move(program), options));
     case ExecutorTarget::kPipelined:
       return std::unique_ptr<Executor>(
           new PipelinedExecutor(std::move(program), options));

@@ -19,13 +19,13 @@ class ThreadPool;
 /// \brief Executor backends, mirroring the paper's lowering targets (§2.2):
 /// PyTorch eager, TorchScript (ahead-of-time planned, fused), the
 /// ONNX/WebAssembly browser path (portable bytecode, scalar interpreter),
-/// the morsel-driven multi-core runtime (src/runtime), and the pipelined
-/// morsel-streaming runtime (operator chains fused at pipeline breakers).
+/// and the serving runtime (src/runtime): morsel-driven, multi-core, with
+/// operator chains streamed and fused between pipeline breakers. Values are
+/// stable; 3 is unassigned, and MakeExecutor rejects it.
 enum class ExecutorTarget : int8_t {
   kEager = 0,
   kStatic = 1,
   kInterp = 2,
-  kParallel = 3,
   kPipelined = 4,
 };
 
@@ -55,13 +55,13 @@ struct ExecOptions {
   /// model data already resident on the accelerator (how GPU-database
   /// comparisons such as TXT2 are usually reported).
   bool charge_transfers = true;
-  /// Parallel/Pipelined executors: worker threads. 0 = the process-wide pool
+  /// Pipelined executor: worker threads. 0 = the process-wide pool
   /// (TQP_THREADS env var or hardware concurrency); 1 = serial execution.
   int num_threads = 0;
-  /// Parallel/Pipelined executors: rows per morsel for data-parallel kernels.
+  /// Pipelined executor: rows per morsel for data-parallel kernels.
   /// 0 = DefaultMorselRows() (TQP_MORSEL_ROWS env var or 16384).
   int64_t morsel_rows = 0;
-  /// Parallel/Pipelined executors: explicit thread pool to schedule on (not
+  /// Pipelined executor: explicit thread pool to schedule on (not
   /// owned; must outlive the executor). Overrides num_threads — this is how
   /// the QueryScheduler runs every concurrent session on one cross-query
   /// pool instead of per-executor pools.
@@ -83,19 +83,19 @@ struct ExecOptions {
   /// results bit-identical at any size). Default off; TQP_ADAPTIVE_MORSEL=1
   /// flips the default.
   bool adaptive_morsels = false;
-  /// Parallel/Pipelined executors: evaluate argsort — the pipeline breaker
+  /// Pipelined executor: evaluate argsort — the pipeline breaker
   /// every join, GROUP BY and ORDER BY lowers to — through the external
   /// merge sort in src/operators/partitioned: run counts chosen from the
   /// query budget and spillable run pages. Results are bit-identical either
   /// way; this is the partitioning A/B switch. Default off;
   /// TQP_PARTITIONED_BREAKERS=1 flips the default.
   bool partitioned_breakers = false;
-  /// Parallel/Pipelined executors: when set (not owned; must share `pool`),
-  /// step/node tasks dispatch through this priority-aware StepScheduler
+  /// Pipelined executor: when set (not owned; must share `pool`),
+  /// step tasks dispatch through this priority-aware StepScheduler
   /// instead of going to the pool directly — how the QueryScheduler
   /// interleaves steps of concurrent queries by QueryPriority class.
   runtime::StepScheduler* step_scheduler = nullptr;
-  /// Parallel/Pipelined executors: per-query memory budget in bytes.
+  /// Pipelined executor: per-query memory budget in bytes.
   /// Positive = cap the query's live tensor bytes, spilling cold idle step
   /// outputs to disk past it (BufferPool::QueryScope; results stay
   /// bit-identical to the in-memory path). 0 = the TQP_MEMORY_BUDGET_MB env

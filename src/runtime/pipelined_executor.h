@@ -19,8 +19,8 @@ namespace tqp {
 
 /// \brief Pipelined morsel-streaming executor (ExecutorTarget::kPipelined).
 ///
-/// Where ParallelExecutor still runs node-at-a-time (every op materializes
-/// its full output before any consumer starts), this executor follows the
+/// Rather than running node-at-a-time (every op materializing its full
+/// output before any consumer starts), this executor follows the
 /// PipelinePlan built by the compiler (src/compile/pipeline.h): morsels of
 /// the driver domain stream through each pipeline's fused operator chain —
 /// scan -> filter -> project -> probe — holding only morsel-sized
@@ -28,7 +28,7 @@ namespace tqp {
 /// per-morsel chunks in morsel order, which makes every result bit-identical
 /// to the serial executors for any thread count and morsel size). Pipeline
 /// breakers (sorts, reductions, scans, concats) evaluate whole through the
-/// same exact morsel-parallel kernels ParallelExecutor uses.
+/// exact morsel-parallel kernels of runtime::ParallelEvalNode.
 ///
 /// Morsel scratch churn is soaked up by the process-wide BufferPool, so a
 /// streamed chain re-uses a handful of recycled blocks instead of allocating
@@ -63,9 +63,9 @@ namespace tqp {
 /// interleave with other queries' steps in priority order.
 ///
 /// Scheduling: ExecOptions::pool, when set, is used directly (the shared
-/// cross-query pool of the QueryScheduler). Otherwise num_threads selects a
-/// pool exactly as in ParallelExecutor (0 = process-wide, 1 = serial,
-/// N > 1 = private pool).
+/// cross-query pool of the QueryScheduler). Otherwise num_threads selects
+/// one: 0 = the process-wide pool, 1 = serial, N > 1 = a private N-thread
+/// pool owned by this executor.
 ///
 /// On a simulated accelerator device the executor falls back to whole-node
 /// evaluation so every kernel launch is metered — streaming would hide

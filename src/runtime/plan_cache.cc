@@ -53,7 +53,7 @@ std::string PlanCache::MakeKey(const std::string& normalized_sql,
                                const CompileOptions& options) {
   // Every option that shapes the compiled artifact participates in the key:
   // target/device pick the executor, num_threads/morsel_rows are baked into
-  // a Parallel/Pipelined executor, and an explicit shared pool is bound at
+  // the pipelined executor, and an explicit shared pool is bound at
   // construction (a cache shared across schedulers must never hand one
   // scheduler an executor wired to another's pool).
   std::string key = normalized_sql;

@@ -3,12 +3,11 @@
 
 /// \file Umbrella header for the morsel-driven parallel runtime: the
 /// work-stealing thread pool, DAG task scheduler, exact morsel-parallel
-/// kernels, the ParallelExecutor and PipelinedExecutor backends,
-/// and the concurrent query-session layer (scheduler, priority admission
-/// queue, plan cache) multiplexed onto one cross-query pool.
+/// kernels, the PipelinedExecutor backend, and the concurrent query-session
+/// layer (scheduler, priority admission queue, plan cache) multiplexed onto
+/// one cross-query pool.
 
 #include "runtime/morsel.h"              // IWYU pragma: export
-#include "runtime/parallel_executor.h"   // IWYU pragma: export
 #include "runtime/parallel_kernels.h"    // IWYU pragma: export
 #include "runtime/pipelined_executor.h"  // IWYU pragma: export
 #include "runtime/plan_cache.h"          // IWYU pragma: export

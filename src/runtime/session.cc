@@ -411,7 +411,7 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
 
   Stopwatch exec_timer;
   // Ambient priority for the executor's step submissions: the query's
-  // pipeline/node tasks enter the shared StepScheduler tagged with its
+  // pipeline step tasks enter the shared StepScheduler tagged with its
   // admission priority and interleave with other queries' steps accordingly.
   StepScheduler::ScopedPriority step_priority(
       static_cast<int>(job->priority));

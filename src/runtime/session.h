@@ -101,9 +101,7 @@ struct SchedulerOptions {
   ThreadPool* pool = nullptr;
   /// Backend/device every admitted query compiles for. The default target is
   /// the PipelinedExecutor on the shared pool: it streams morsels through
-  /// fused operator chains and materializes only pipeline outputs, so a
-  /// query holds less than kParallel, which materializes every operator's
-  /// full output.
+  /// fused operator chains and materializes only pipeline outputs.
   CompileOptions compile;
   /// Whole-lifecycle tracing (not owned; must outlive the scheduler). When
   /// set, every admitted query records admission, queue wait, compile /
@@ -127,9 +125,9 @@ struct SchedulerOptions {
 ///
 /// A query does not execute as one opaque task either: every compiled
 /// executor is wired to this scheduler's StepScheduler, so an admitted
-/// query's execution DAG — its pipeline steps (kPipelined, the default) or
-/// node tasks (kParallel) — is admitted step by step into shared per-priority ready
-/// queues, tagged with the query's QueryPriority. Steps of different queries
+/// query's execution DAG — its pipeline steps under kPipelined, the
+/// default — is admitted step by step into shared per-priority ready queues,
+/// tagged with the query's QueryPriority. Steps of different queries
 /// therefore interleave at step granularity, and a long breaker in one query
 /// no longer starves every other admitted query; a queued high-priority step
 /// always starts before a queued low-priority one. Admission and

@@ -97,7 +97,7 @@ TEST(DifferentialTest, RandomQueriesAgreeAcrossAllEngines) {
 
     for (ExecutorTarget target :
          {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+          ExecutorTarget::kPipelined}) {
       CompileOptions options;
       options.target = target;
       auto result = compiler.CompileSql(sql, catalog, options);
@@ -181,7 +181,7 @@ TEST(DifferentialTest, SubqueryFeaturesAgreeAcrossAllEngines) {
 
     for (ExecutorTarget target :
          {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+          ExecutorTarget::kPipelined}) {
       CompileOptions options;
       options.target = target;
       auto result = compiler.CompileSql(sql, catalog, options);

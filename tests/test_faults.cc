@@ -395,12 +395,11 @@ TEST_F(FaultTpchTest, PreCancelledQueryFailsFastAtPoolBaseline) {
 TEST_F(FaultTpchTest, ExpiredAmbientDeadlineStopsEveryExecutor) {
   QueryCompiler compiler;
   const std::string sql = tpch::QueryText(6).ValueOrDie();
-  // The serial backends poll at node/step boundaries, the parallel ones in
-  // their morsel loops — the cooperative contract covers every target.
+  // The serial backends poll at node/step boundaries, the pipelined one in
+  // its morsel loops — the cooperative contract covers every target.
   for (ExecutorTarget target :
-       {ExecutorTarget::kPipelined, ExecutorTarget::kParallel,
-        ExecutorTarget::kStatic, ExecutorTarget::kEager,
-        ExecutorTarget::kInterp}) {
+       {ExecutorTarget::kPipelined, ExecutorTarget::kStatic,
+        ExecutorTarget::kEager, ExecutorTarget::kInterp}) {
     CompileOptions options;
     options.target = target;
     options.num_threads = 2;
@@ -434,28 +433,25 @@ TEST_F(FaultTpchTest, GenerousDeadlineOptionDoesNotFire) {
 TEST_F(FaultTpchTest, InjectedStepFaultFailsCleanlyAtPoolBaseline) {
   QueryCompiler compiler;
   const std::string sql = tpch::QueryText(1).ValueOrDie();
-  for (ExecutorTarget target :
-       {ExecutorTarget::kPipelined, ExecutorTarget::kParallel}) {
-    CompileOptions options;
-    options.target = target;
-    options.num_threads = 2;
-    options.morsel_rows = 500;
-    CompiledQuery compiled =
-        compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-    TQP_CHECK_OK(compiled.Run(*catalog_).status());  // warm-up (see above)
-    const int64_t baseline = BufferPool::Global()->stats().live_bytes;
-    TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(
-        "step_exec:after=1,limit=1"));
-    auto result = compiled.Run(*catalog_);
-    TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
-    ASSERT_FALSE(result.ok()) << ExecutorTargetName(target);
-    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-    EXPECT_NE(result.status().ToString().find("injected fault"),
-              std::string::npos)
-        << result.status().ToString();
-    EXPECT_EQ(BufferPool::Global()->stats().live_bytes, baseline)
-        << ExecutorTargetName(target) << " leaked pool memory on step fault";
-  }
+  CompileOptions options;
+  options.target = ExecutorTarget::kPipelined;
+  options.num_threads = 2;
+  options.morsel_rows = 500;
+  CompiledQuery compiled =
+      compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
+  TQP_CHECK_OK(compiled.Run(*catalog_).status());  // warm-up (see above)
+  const int64_t baseline = BufferPool::Global()->stats().live_bytes;
+  TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(
+      "step_exec:after=1,limit=1"));
+  auto result = compiled.Run(*catalog_);
+  TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().ToString().find("injected fault"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(BufferPool::Global()->stats().live_bytes, baseline)
+      << "leaked pool memory on step fault";
 }
 
 TEST_F(FaultTpchTest, InlineTaskSubmitFaultIsBitIdentical) {
@@ -470,23 +466,19 @@ TEST_F(FaultTpchTest, InlineTaskSubmitFaultIsBitIdentical) {
                           .ValueOrDie()
                           .Run(*catalog_)
                           .ValueOrDie();
-    for (ExecutorTarget target :
-         {ExecutorTarget::kPipelined, ExecutorTarget::kParallel}) {
-      CompileOptions options;
-      options.target = target;
-      options.num_threads = 2;
-      options.morsel_rows = 500;
-      CompiledQuery compiled =
-          compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-      TQP_CHECK_OK(
-          FaultInjector::Global()->SetSpecForTesting("task_submit:every=2"));
-      auto result = compiled.Run(*catalog_);
-      TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
-      ExpectTablesIdentical(result.ValueOrDie(), reference,
-                            "Q" + std::to_string(q) + " on " +
-                                ExecutorTargetName(target) +
-                                " with inline task submission");
-    }
+    CompileOptions options;
+    options.target = ExecutorTarget::kPipelined;
+    options.num_threads = 2;
+    options.morsel_rows = 500;
+    CompiledQuery compiled =
+        compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
+    TQP_CHECK_OK(
+        FaultInjector::Global()->SetSpecForTesting("task_submit:every=2"));
+    auto result = compiled.Run(*catalog_);
+    TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
+    ExpectTablesIdentical(result.ValueOrDie(), reference,
+                          "Q" + std::to_string(q) +
+                              " with inline task submission");
   }
 }
 

@@ -84,7 +84,7 @@ TEST(ExecutorTest, AllTargetsAgreeOnSmallProgram) {
   }
   for (ExecutorTarget target :
        {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+        ExecutorTarget::kPipelined}) {
     auto executor = MakeExecutor(target, program).ValueOrDie();
     auto outputs = executor->Run({x, y}).ValueOrDie();
     EXPECT_DOUBLE_EQ(outputs[0].at<double>(0), expected)
@@ -97,6 +97,18 @@ TEST(ExecutorTest, WrongInputCountRejected) {
   auto executor = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
   Tensor x = Tensor::FromVector<double>({1});
   EXPECT_FALSE(executor->Run({x}).ok());
+}
+
+TEST(ExecutorTest, UnassignedTargetRejected) {
+  // 3 is the one unassigned value below kPipelined: it names no executor.
+  const auto unassigned = static_cast<ExecutorTarget>(3);
+  auto executor = MakeExecutor(unassigned, MakeSmallProgram());
+  ASSERT_FALSE(executor.ok());
+  EXPECT_EQ(executor.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(executor.status().message().find("unknown executor target"),
+            std::string::npos)
+      << executor.status().ToString();
+  EXPECT_STREQ(ExecutorTargetName(unassigned), "?");
 }
 
 TEST(ExecutorTest, StaticFusionPlansGroups) {
@@ -156,7 +168,6 @@ TEST(ExecutorTest, RandomizedProgramEquivalence) {
     auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
     Tensor expected = eager->Run({a, b}).ValueOrDie()[0];
     for (ExecutorTarget target : {ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-                                  ExecutorTarget::kParallel,
                                   ExecutorTarget::kPipelined}) {
       auto executor = MakeExecutor(target, program).ValueOrDie();
       Tensor got = executor->Run({a, b}).ValueOrDie()[0];

@@ -113,7 +113,7 @@ TEST_P(TreeStrategyTest, CompiledTreeMatchesScalarReference) {
   program->MarkOutput(out);
   for (ExecutorTarget target :
        {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+        ExecutorTarget::kPipelined}) {
     auto executor = MakeExecutor(target, program).ValueOrDie();
     std::vector<Tensor> outputs = executor->Run({x}).ValueOrDie();
     for (int64_t i = 0; i < n; ++i) {
@@ -259,7 +259,7 @@ TEST_F(PredictionQueryTest, Figure4SentimentQueryMatchesOracle) {
   QueryCompiler compiler(registry_);
   for (ExecutorTarget target :
        {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+        ExecutorTarget::kPipelined}) {
     CompileOptions options;
     options.target = target;
     Table result =

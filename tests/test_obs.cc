@@ -441,8 +441,7 @@ TEST_F(ObsTpchTest, TracingOnOffBitIdentical) {
   QueryCompiler compiler;
   for (const ExecutorTarget target :
        {ExecutorTarget::kEager, ExecutorTarget::kStatic,
-        ExecutorTarget::kInterp, ExecutorTarget::kParallel,
-        ExecutorTarget::kPipelined}) {
+        ExecutorTarget::kInterp, ExecutorTarget::kPipelined}) {
     for (const int q : {1, 3, 6, 10}) {
       const std::string what = std::string(ExecutorTargetName(target)) +
                                " traced Q" + std::to_string(q);

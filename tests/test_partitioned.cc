@@ -1,8 +1,8 @@
 // Tests for the external merge sort, the one partitioned pipeline breaker:
 // unit pins on the run-count and page-size policy, bit-identity against the
 // stable argsort across thread counts x forced run counts, whole-query
-// TPC-H differentials with the external sort routed in under both serving
-// targets (parallel and pipelined), the EXPLAIN ANALYZE breaker summary, and
+// TPC-H differentials with the external sort routed in under the serving
+// target (pipelined), the EXPLAIN ANALYZE breaker summary, and
 // the budget floor: a sort-dominated program capped at 25% of its unspilled
 // peak must hold budget_overruns == 0 with partitioned breakers on where the
 // monolithic argsort overruns.
@@ -76,9 +76,6 @@ Tensor Int64Keys(int64_t n, int64_t domain, uint64_t seed) {
 /// monolithic argsort leg).
 constexpr int kForcedBitsSweep[] = {0, 2, 4};
 constexpr int kThreadSweep[] = {1, 2, 8};
-/// The serving targets whose executors host the external sort.
-constexpr ExecutorTarget kServingTargets[] = {ExecutorTarget::kParallel,
-                                              ExecutorTarget::kPipelined};
 
 // ---- partition policy pins --------------------------------------------------
 
@@ -196,28 +193,25 @@ TEST_F(PartitionedTpchTest, PartitionedMatchesEager) {
                                 .ValueOrDie()
                                 .Run(*catalog_)
                                 .ValueOrDie();
-    for (ExecutorTarget target : kServingTargets) {
-      for (int threads : kThreadSweep) {
-        CompileOptions options;
-        options.target = target;
-        options.num_threads = threads;
-        options.morsel_rows = 1000;
-        options.partitioned_breakers = true;
-        const int64_t sorts_before = BreakerInvocations();
-        const Table got = compiler.CompileSql(sql, *catalog_, options)
-                              .ValueOrDie()
-                              .Run(*catalog_)
-                              .ValueOrDie();
-        const std::string what = "Q" + std::to_string(q) + " partitioned " +
-                                 ExecutorTargetName(target) + " at " +
-                                 std::to_string(threads) + " threads";
-        ExpectTablesIdentical(got, reference, what);
-        // Q1 sorts only its four result groups; a 1-thread executor has no
-        // pool and runs the serial argsort.
-        if (q != 1 && threads > 1) {
-          EXPECT_GT(BreakerInvocations(), sorts_before)
-              << what << ": no argsort reached the external sort";
-        }
+    for (int threads : kThreadSweep) {
+      CompileOptions options;
+      options.target = ExecutorTarget::kPipelined;
+      options.num_threads = threads;
+      options.morsel_rows = 1000;
+      options.partitioned_breakers = true;
+      const int64_t sorts_before = BreakerInvocations();
+      const Table got = compiler.CompileSql(sql, *catalog_, options)
+                            .ValueOrDie()
+                            .Run(*catalog_)
+                            .ValueOrDie();
+      const std::string what = "Q" + std::to_string(q) + " partitioned at " +
+                               std::to_string(threads) + " threads";
+      ExpectTablesIdentical(got, reference, what);
+      // Q1 sorts only its four result groups; a 1-thread executor has no
+      // pool and runs the serial argsort.
+      if (q != 1 && threads > 1) {
+        EXPECT_GT(BreakerInvocations(), sorts_before)
+            << what << ": no argsort reached the external sort";
       }
     }
   }
@@ -225,39 +219,35 @@ TEST_F(PartitionedTpchTest, PartitionedMatchesEager) {
 
 TEST_F(PartitionedTpchTest, BudgetedPartitionedRunStaysBitIdentical) {
   QueryCompiler compiler;
-  for (ExecutorTarget target : kServingTargets) {
-    for (int q : {3, 18}) {
-      const std::string sql = tpch::QueryText(q).ValueOrDie();
-      CompileOptions options;
-      options.target = target;
-      options.num_threads = 2;
-      options.morsel_rows = 1000;
-      options.partitioned_breakers = true;
-      CompiledQuery compiled =
-          compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-      int64_t uncapped_peak = 0;
-      Table reference;
-      {
-        BufferScope scope;  // accounting only
-        BufferScope::Attach attach(&scope);
-        reference = compiled.Run(*catalog_).ValueOrDie();
-        uncapped_peak = scope.stats().peak_live_bytes;
-      }
-      ASSERT_GT(uncapped_peak, 0);
-      QueryMemoryStats mem;
-      Table capped;
-      {
-        BufferScope scope(uncapped_peak / 4);
-        BufferScope::Attach attach(&scope);
-        capped = compiled.Run(*catalog_).ValueOrDie();
-        mem = scope.stats();
-      }
-      const std::string what = std::string("budgeted partitioned ") +
-                               ExecutorTargetName(target) + " Q" +
-                               std::to_string(q);
-      ExpectTablesIdentical(capped, reference, what);
-      EXPECT_LE(mem.peak_live_bytes, uncapped_peak) << what;
+  for (int q : {3, 18}) {
+    const std::string sql = tpch::QueryText(q).ValueOrDie();
+    CompileOptions options;
+    options.target = ExecutorTarget::kPipelined;
+    options.num_threads = 2;
+    options.morsel_rows = 1000;
+    options.partitioned_breakers = true;
+    CompiledQuery compiled =
+        compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
+    int64_t uncapped_peak = 0;
+    Table reference;
+    {
+      BufferScope scope;  // accounting only
+      BufferScope::Attach attach(&scope);
+      reference = compiled.Run(*catalog_).ValueOrDie();
+      uncapped_peak = scope.stats().peak_live_bytes;
     }
+    ASSERT_GT(uncapped_peak, 0);
+    QueryMemoryStats mem;
+    Table capped;
+    {
+      BufferScope scope(uncapped_peak / 4);
+      BufferScope::Attach attach(&scope);
+      capped = compiled.Run(*catalog_).ValueOrDie();
+      mem = scope.stats();
+    }
+    const std::string what = "budgeted partitioned Q" + std::to_string(q);
+    ExpectTablesIdentical(capped, reference, what);
+    EXPECT_LE(mem.peak_live_bytes, uncapped_peak) << what;
   }
 }
 

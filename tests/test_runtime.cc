@@ -1,9 +1,9 @@
 // Tests for the morsel-driven parallel runtime: thread-pool correctness under
 // stress and nesting, task-graph dependency ordering and error propagation,
 // exactness of the morsel-parallel kernels against their serial
-// counterparts, bit-identical ParallelExecutor results on TPC-H and ML
-// prediction pipelines at several thread counts, and the concurrent
-// query-session layer (scheduler, admission queue, LRU plan cache).
+// counterparts, and the concurrent query-session layer (scheduler, admission
+// queue, LRU plan cache). Whole-query differentials of the serving executor
+// live in test_pipeline.cc.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,7 @@
 
 #include "common/random.h"
 #include "compile/compiler.h"
-#include "datasets/iris.h"
 #include "kernels/kernels.h"
-#include "ml/linear.h"
-#include "ml/tree.h"
 #include "runtime/runtime.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -524,7 +521,7 @@ TEST(ParallelKernelTest, StableArgsortMatchesSerial) {
   }
 }
 
-// ---- ParallelExecutor: differential against InterpExecutor -----------------
+// ---- Plan cache + session layer --------------------------------------------
 
 void ExpectTablesIdentical(const Table& got, const Table& want,
                            const std::string& what) {
@@ -536,96 +533,6 @@ void ExpectTablesIdentical(const Table& got, const Table& want,
                            what + " column " + want.schema().field(c).name);
   }
 }
-
-class RuntimeTpchTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    catalog_ = new Catalog();
-    tpch::DbgenOptions options;
-    options.scale_factor = 0.01;
-    TQP_CHECK_OK(tpch::GenerateAll(options, catalog_));
-  }
-  static Catalog* catalog_;
-};
-
-Catalog* RuntimeTpchTest::catalog_ = nullptr;
-
-TEST_F(RuntimeTpchTest, ParallelExecutorBitIdenticalToInterpOnTpch) {
-  QueryCompiler compiler;
-  for (int q : {1, 3, 6}) {
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    CompileOptions interp_options;
-    interp_options.target = ExecutorTarget::kInterp;
-    Table reference = compiler.CompileSql(sql, *catalog_, interp_options)
-                          .ValueOrDie()
-                          .Run(*catalog_)
-                          .ValueOrDie();
-    for (int threads : {1, 2, 8}) {
-      CompileOptions par_options;
-      par_options.target = ExecutorTarget::kParallel;
-      par_options.num_threads = threads;
-      par_options.morsel_rows = 1000;  // many morsels even at SF 0.01
-      Table result = compiler.CompileSql(sql, *catalog_, par_options)
-                         .ValueOrDie()
-                         .Run(*catalog_)
-                         .ValueOrDie();
-      ExpectTablesIdentical(result, reference,
-                            "Q" + std::to_string(q) + " at " +
-                                std::to_string(threads) + " threads");
-    }
-  }
-}
-
-TEST(RuntimeMlTest, ParallelExecutorBitIdenticalToInterpOnPredictionPipeline) {
-  Catalog catalog;
-  ml::ModelRegistry registry;
-  Table iris = datasets::IrisTable().ValueOrDie();
-  catalog.RegisterTable("iris", iris);
-  Tensor features = Tensor::Empty(DType::kFloat64, iris.num_rows(), 3).ValueOrDie();
-  Tensor target = Tensor::Empty(DType::kFloat64, iris.num_rows(), 1).ValueOrDie();
-  for (int64_t i = 0; i < iris.num_rows(); ++i) {
-    for (int f = 0; f < 3; ++f) {
-      features.mutable_data<double>()[i * 3 + f] =
-          iris.column(f).tensor().at<double>(i);
-    }
-    target.mutable_data<double>()[i] = iris.column(3).tensor().at<double>(i);
-  }
-  registry.Register(
-      ml::LinearRegressionModel::Fit("petal_lr", features, target).ValueOrDie());
-  ml::RandomForestModel::FitOptions forest_options;
-  forest_options.num_trees = 5;
-  registry.Register(
-      ml::RandomForestModel::Fit("petal_rf", features, target, forest_options)
-          .ValueOrDie());
-  QueryCompiler compiler(&registry);
-  for (const char* model : {"petal_lr", "petal_rf"}) {
-    const std::string sql =
-        std::string("SELECT species, AVG(PREDICT('") + model +
-        "', sepal_length, sepal_width, petal_length)) AS predicted_width "
-        "FROM iris GROUP BY species ORDER BY species";
-    CompileOptions interp_options;
-    interp_options.target = ExecutorTarget::kInterp;
-    Table reference = compiler.CompileSql(sql, catalog, interp_options)
-                          .ValueOrDie()
-                          .Run(catalog)
-                          .ValueOrDie();
-    for (int threads : {1, 2, 8}) {
-      CompileOptions par_options;
-      par_options.target = ExecutorTarget::kParallel;
-      par_options.num_threads = threads;
-      par_options.morsel_rows = 16;  // iris is tiny; force real morsel fan-out
-      Table result = compiler.CompileSql(sql, catalog, par_options)
-                         .ValueOrDie()
-                         .Run(catalog)
-                         .ValueOrDie();
-      ExpectTablesIdentical(result, reference,
-                            std::string(model) + " at " + std::to_string(threads) +
-                                " threads");
-    }
-  }
-}
-
-// ---- Plan cache + session layer --------------------------------------------
 
 TEST(PlanCacheTest, NormalizeSqlCanonicalizes) {
   EXPECT_EQ(runtime::NormalizeSql("SELECT  *\n FROM t ;"), "select * from t");
@@ -680,7 +587,7 @@ TEST_F(SessionTest, ConcurrentSessionsProduceIdenticalResults) {
 
   QueryCompiler compiler;
   CompileOptions direct;
-  direct.target = ExecutorTarget::kParallel;
+  direct.target = ExecutorTarget::kEager;
   Table expected = compiler.CompileSql(sql, *catalog_, direct)
                        .ValueOrDie()
                        .Run(*catalog_)
@@ -774,8 +681,6 @@ TEST_F(SessionTest, ConcurrentSchedulersShareOneProcessWidePool) {
   ExecOptions exec_options;
   exec_options.pool = s1.pool();
   exec_options.num_threads = 7;  // an explicit pool must win over this
-  ParallelExecutor parallel(program, exec_options);
-  EXPECT_EQ(parallel.pool(), ThreadPool::Global());
   PipelinedExecutor pipelined(program, exec_options);
   EXPECT_EQ(pipelined.pool(), ThreadPool::Global());
 

@@ -657,42 +657,6 @@ TEST_F(SpillTpchTest, CappedQ1HoldsMeaningfullyFewerResidentBytes) {
       << "capped Q1 should shed at least a quarter of its resident peak";
 }
 
-TEST_F(SpillTpchTest, ParallelExecutorSpillsAndMatches) {
-  // The node-at-a-time runtime backend shares the same registry wiring.
-  QueryCompiler compiler;
-  const std::string sql = tpch::QueryText(6).ValueOrDie();
-  CompileOptions options;
-  options.target = ExecutorTarget::kParallel;
-  options.num_threads = 2;
-  CompiledQuery compiled =
-      compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-  int64_t uncapped_peak = 0;
-  Table reference;
-  {
-    BufferScope scope;
-    BufferScope::Attach attach(&scope);
-    reference = compiled.Run(*catalog_).ValueOrDie();
-    uncapped_peak = scope.stats().peak_live_bytes;
-  }
-  QueryMemoryStats mem;
-  Table capped;
-  {
-    BufferScope scope(uncapped_peak / 4);
-    BufferScope::Attach attach(&scope);
-    capped = compiled.Run(*catalog_).ValueOrDie();
-    mem = scope.stats();
-  }
-  ExpectTablesIdentical(capped, reference, "parallel Q6 under budget");
-  EXPECT_GT(mem.spill_events, 0);
-  // Node-at-a-time floors: a single node's pinned inputs + output bound
-  // what the spill tier can shed (and task timing jitters the peak a
-  // little), but the gauge contract holds — under budget unless overruns
-  // say otherwise.
-  if (mem.budget_overruns == 0) {
-    EXPECT_LE(mem.peak_live_bytes, uncapped_peak / 4);
-  }
-}
-
 TEST_F(SpillTpchTest, ExecutorOptionBudgetEngagesWithoutAmbientScope) {
   // ExecOptions::memory_budget_bytes alone (no ambient scope) must cap the
   // run: the executor opens its own scope. Results stay identical.

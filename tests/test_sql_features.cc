@@ -61,7 +61,6 @@ Table RunAllEngines(const std::string& sql, const Catalog& catalog) {
   QueryCompiler compiler;
   for (ExecutorTarget target : {ExecutorTarget::kEager, ExecutorTarget::kStatic,
                                 ExecutorTarget::kInterp,
-                                ExecutorTarget::kParallel,
                                 ExecutorTarget::kPipelined}) {
     CompileOptions options;
     options.target = target;

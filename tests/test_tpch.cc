@@ -62,14 +62,12 @@ TEST_P(TpchQueryTest, AllBackendsMatchOracle) {
   QueryCompiler compiler;
   for (ExecutorTarget target : {ExecutorTarget::kEager, ExecutorTarget::kStatic,
                                 ExecutorTarget::kInterp,
-                                ExecutorTarget::kParallel,
                                 ExecutorTarget::kPipelined}) {
     for (DeviceKind device : {DeviceKind::kCpu, DeviceKind::kCudaSim}) {
       if (target == ExecutorTarget::kInterp && device == DeviceKind::kCudaSim) {
         continue;  // the browser backend has no GPU in the paper either
       }
-      if ((target == ExecutorTarget::kParallel ||
-           target == ExecutorTarget::kPipelined) &&
+      if (target == ExecutorTarget::kPipelined &&
           device == DeviceKind::kCudaSim) {
         continue;  // the morsel runtime targets host cores, not the simulator
       }
