@@ -690,7 +690,14 @@ class PlanCompiler {
     return h;
   }
 
-  // ---- Aggregate (sort + segmented reduction, the paper's formulation) -------
+  // ---- Aggregate (group ids + segmented reduction) ---------------------------
+  //
+  // The paper lowers GROUP BY to a multi-key sort and segmented reductions
+  // over the permuted inputs. Here one kGroupIds breaker (torch.unique with
+  // return_inverse) numbers every row's group in sorted key order: by rank
+  // over a small packed key domain, else through the composed stable argsort.
+  // The keys scatter to one row per group (index_put_), and each aggregate
+  // reduces its argument where it is, with no permutation.
 
   Result<ColumnsState> CompileAggregate(const PlanNode& node,
                                         const ColumnsState& in) {
@@ -718,92 +725,58 @@ class PlanCompiler {
       return out;
     }
 
-    // 1. Compile group keys and build the composed multi-key stable sort.
-    std::vector<TypedNode> keys;
+    // 1. Group ids in row order and the group count. kGroupIds ranks small
+    // packed key domains without sorting, and otherwise runs the composed
+    // stable argsort; either way groups are numbered in sorted key order.
+    std::vector<int> keys;
     for (const BExpr& g : node.group_exprs) {
       TQP_ASSIGN_OR_RETURN(TypedNode k, CompileExpr(*g, in));
-      keys.push_back(k);
+      keys.push_back(k.node);
     }
-    AttrMap asc;
-    asc.Set("ascending", true);
-    int perm = program_->AddNode(OpType::kArgsortRows, {keys.back().node}, asc,
-                                 "group-by: sort");
-    for (size_t i = keys.size() - 1; i-- > 0;) {
-      const int gathered = program_->AddNode(
-          OpType::kGather, {keys[i].node, perm}, {}, "group-by: sort");
-      const int p2 = program_->AddNode(OpType::kArgsortRows, {gathered}, asc,
-                                       "group-by: sort");
-      perm = program_->AddNode(OpType::kGather, {perm, p2}, {}, "group-by: sort");
+    const int ids =
+        program_->AddNode(OpType::kGroupIds, keys, {}, "group-by: ids");
+    const int ngroups = program_->AddNode(OpType::kGroupCount, {ids}, {},
+                                          "group-by: group count");
+    // 2. Group key output columns. Every row of a group has byte-equal keys,
+    // so the last write per group is exact.
+    for (int k : keys) {
+      out.nodes.push_back(program_->AddNode(OpType::kScatter, {k, ids, ngroups},
+                                            {}, "group-by: group keys"));
     }
-    // 2. Sorted keys, segment boundaries, segment ids and count.
-    std::vector<int> sorted_keys;
-    int bounds = -1;
-    for (const TypedNode& k : keys) {
-      const int sk = program_->AddNode(OpType::kGather, {k.node, perm}, {},
-                                       "group-by: sorted keys");
-      sorted_keys.push_back(sk);
-      const int b = program_->AddNode(OpType::kSegmentBoundaries, {sk}, {},
-                                      "group-by: boundaries");
-      if (bounds < 0) {
-        bounds = b;
-      } else {
-        AttrMap attrs;
-        attrs.Set("op", static_cast<int64_t>(LogicalOpKind::kOr));
-        bounds = program_->AddNode(OpType::kLogical, {bounds, b}, attrs,
-                                   "group-by: boundaries");
-      }
-    }
-    const int seg_incl =
-        program_->AddNode(OpType::kCumSum, {bounds}, {}, "group-by: segment ids");
-    AttrMap sub;
-    sub.Set("op", static_cast<int64_t>(BinaryOpKind::kSub));
-    TQP_ASSIGN_OR_RETURN(TypedNode one,
-                         ConstantScalar(Scalar(int64_t{1}), DType::kInt64, "1"));
-    const int seg_ids = program_->AddNode(OpType::kBinary, {seg_incl, one.node},
-                                          sub, "group-by: segment ids");
-    AttrMap sum_attr;
-    sum_attr.Set("op", static_cast<int64_t>(ReduceOpKind::kSum));
-    const int nseg_f = program_->AddNode(OpType::kReduceAll, {bounds}, sum_attr,
-                                         "group-by: segment count");
-    AttrMap to_i64;
-    to_i64.Set("dtype", static_cast<int64_t>(DType::kInt64));
-    const int nseg =
-        program_->AddNode(OpType::kCast, {nseg_f}, to_i64, "group-by");
-
-    // 3. Group key output columns.
-    for (size_t i = 0; i < sorted_keys.size(); ++i) {
-      out.nodes.push_back(program_->AddNode(OpType::kCompress,
-                                            {sorted_keys[i], bounds}, {},
-                                            "group-by: group keys"));
-    }
-    // 4. Aggregates: evaluate args pre-sort, permute, reduce per segment. A
-    // count never reads its values, so every COUNT (AVG's included) shares
-    // one count over the segment ids and its argument is never gathered.
-    int count = -1;
+    // 3. Aggregates reduce their arguments unpermuted. A stable sort keeps
+    // each group's rows in ascending row order, so reducing in row order by
+    // row-order ids gives the sorted formulation's bits. Every argument
+    // compiles before the first reduction, so all of them stream through one
+    // pipeline. A count never reads its values, so every COUNT (AVG's
+    // included) shares one count.
+    std::vector<int> args;
     for (const AggSpec& agg : node.aggs) {
+      int values = ids;  // any column with the right length
+      if (agg.op != ReduceOpKind::kCount && agg.arg) {
+        TQP_ASSIGN_OR_RETURN(TypedNode a, CompileExpr(*agg.arg, in));
+        values = a.node;
+      }
+      args.push_back(values);
+    }
+    int count = -1;
+    for (size_t i = 0; i < node.aggs.size(); ++i) {
+      const AggSpec& agg = node.aggs[i];
       if (agg.op == ReduceOpKind::kCount) {
         if (count < 0) {
           AttrMap attrs;
           attrs.Set("op", static_cast<int64_t>(ReduceOpKind::kCount));
           count = program_->AddNode(OpType::kSegmentedReduce,
-                                    {seg_ids, seg_ids, nseg}, attrs,
+                                    {ids, ids, ngroups}, attrs,
                                     "group-by: count");
         }
         out.nodes.push_back(count);
         continue;
       }
-      int values = -1;
-      if (!agg.arg) {
-        values = seg_ids;  // any column with the right length
-      } else {
-        TQP_ASSIGN_OR_RETURN(TypedNode a, CompileExpr(*agg.arg, in));
-        values = program_->AddNode(OpType::kGather, {a.node, perm}, {},
-                                   "group-by: agg input");
-      }
+      const int values = args[i];
       AttrMap attrs;
       attrs.Set("op", static_cast<int64_t>(agg.op));
       TypedNode r{program_->AddNode(OpType::kSegmentedReduce,
-                                    {values, seg_ids, nseg}, attrs,
+                                    {values, ids, ngroups}, attrs,
                                     agg.ToString()),
                   PhysicalType(agg.result_type())};
       r = CastTo(r, PhysicalType(agg.result_type()));

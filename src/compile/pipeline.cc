@@ -131,11 +131,11 @@ class Splitter {
                    bool streamable) {
     switch (node.type) {
       case OpType::kReduceAll:
+      case OpType::kGroupCount:
         return true;
       case OpType::kCumSum:
-      case OpType::kSegmentBoundaries:
       case OpType::kArgsortRows:
-      case OpType::kUniqueSorted:
+      case OpType::kGroupIds:
         return scalar_[static_cast<size_t>(node.inputs[0])];
       case OpType::kNonzero:
       case OpType::kCompress:
@@ -167,9 +167,8 @@ class Splitter {
       case OpType::kHeadRows:
         return Intern("head:" + std::to_string(c < 0 ? -1 : uf_.Find(c)) + ":" +
                       std::to_string(node.attrs.GetInt("n")));
-      case OpType::kUniqueSorted:
-        return Intern("uniq:" + std::to_string(node.inputs[0]));
       case OpType::kSegmentedReduce:
+      case OpType::kScatter:
         // Rows equal the runtime value of the num_segments operand.
         return Intern("segred:" + std::to_string(node.inputs[2]));
       case OpType::kConcatRows: {
@@ -185,8 +184,8 @@ class Splitter {
       case OpType::kEmbeddingBagSum:
         return uf_.Find(card_[static_cast<size_t>(node.inputs[1])]);
       case OpType::kCumSum:
-      case OpType::kSegmentBoundaries:
       case OpType::kArgsortRows:
+      case OpType::kGroupIds:
         return uf_.Find(card_[static_cast<size_t>(node.inputs[0])]);
       default:
         // Cardinality-preserving over the aligned operands.
@@ -199,8 +198,8 @@ class Splitter {
     PipelineStep step;
     step.serial_node = id;
     const OpType t = prog_.node(id).type;
-    step.breaker =
-        t == OpType::kArgsortRows || t == OpType::kSegmentedReduce;
+    step.breaker = t == OpType::kArgsortRows || t == OpType::kGroupIds ||
+                   t == OpType::kSegmentedReduce;
     plan_.schedule.push_back(step);
   }
 

@@ -5,6 +5,7 @@
 
 #include "graph/op_type.h"
 #include "kernels/kernels.h"
+#include "kernels/sort_internal.h"
 #include "obs/trace.h"
 
 namespace tqp {
@@ -16,6 +17,19 @@ const Tensor& In(const std::vector<Tensor>& values, const OpNode& node, int i) {
 }
 
 }  // namespace
+
+Result<Tensor> EvalGroupIds(const OpNode& node, const std::vector<Tensor>& values,
+                            const kernels::ArgsortFn& argsort) {
+  std::vector<Tensor> keys;
+  keys.reserve(node.inputs.size());
+  for (int id : node.inputs) keys.push_back(values[static_cast<size_t>(id)]);
+  kernels::GroupIdsPath path;
+  TQP_ASSIGN_OR_RETURN(Tensor ids, kernels::GroupIdsWith(keys, argsort, &path));
+  if (obs::TraceSpan* span = obs::TraceSpan::Current()) {
+    span->AddArg("domain", path.dense ? path.domain : -1);
+  }
+  return ids;
+}
 
 Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
                         const std::vector<Tensor>& values) {
@@ -47,6 +61,14 @@ Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
       return Compress(In(values, node, 0), In(values, node, 1));
     case OpType::kGather:
       return Gather(In(values, node, 0), In(values, node, 1));
+    case OpType::kScatter: {
+      const Tensor& count = In(values, node, 2);
+      if (count.numel() != 1) {
+        return Status::Invalid("scatter: row count must be scalar");
+      }
+      return Scatter(In(values, node, 0), In(values, node, 1),
+                     count.ScalarAsInt64(0));
+    }
     case OpType::kConcatRows: {
       std::vector<Tensor> parts;
       parts.reserve(node.inputs.size());
@@ -76,10 +98,11 @@ Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
     case OpType::kSearchSorted:
       return SearchSorted(In(values, node, 0), In(values, node, 1),
                           node.attrs.GetBool("right"));
-    case OpType::kSegmentBoundaries:
-      return SegmentBoundaries(In(values, node, 0));
-    case OpType::kUniqueSorted:
-      return UniqueSorted(In(values, node, 0));
+    case OpType::kGroupIds:
+      return EvalGroupIds(node, values,
+                          [](const Tensor& key) { return ArgsortRows(key); });
+    case OpType::kGroupCount:
+      return GroupCount(In(values, node, 0));
     case OpType::kHashRows:
       return HashRows(In(values, node, 0));
     case OpType::kHashCombine:
@@ -153,6 +176,8 @@ KernelCost EstimateNodeCost(const OpNode& node, const std::vector<Tensor>& value
       break;
     }
     case OpType::kGather:
+    case OpType::kScatter:
+    case OpType::kGroupIds:
     case OpType::kCompress:
     case OpType::kNonzero:
     case OpType::kHashRows:

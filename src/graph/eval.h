@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "device/device.h"
 #include "graph/program.h"
+#include "kernels/sort_internal.h"
 
 namespace tqp {
 
@@ -13,6 +14,13 @@ namespace tqp {
 /// (indexed by node id in `values`). Shared by all executors.
 Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
                         const std::vector<Tensor>& values);
+
+/// \brief Evaluates a kGroupIds node, sorting through `argsort` when the
+/// keys take the sort path, and records the path on the calling thread's
+/// innermost trace span as arg `domain`: the dense domain size, or -1 for
+/// the sort path.
+Result<Tensor> EvalGroupIds(const OpNode& node, const std::vector<Tensor>& values,
+                            const kernels::ArgsortFn& argsort);
 
 /// \brief Roofline cost of a node execution, fed to the simulated device
 /// clock. `irregular` is set for data-dependent access patterns (gather,

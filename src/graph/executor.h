@@ -84,7 +84,8 @@ struct ExecOptions {
   /// flips the default.
   bool adaptive_morsels = false;
   /// Pipelined executor: evaluate argsort — the pipeline breaker
-  /// every join, GROUP BY and ORDER BY lowers to — through the external
+  /// every join and ORDER BY lowers to, and the sort path of a GROUP BY's
+  /// group ids — through the external
   /// merge sort in src/operators/partitioned: run counts chosen from the
   /// query budget and spillable run pages. Results are bit-identical either
   /// way; this is the partitioning A/B switch. Default off;

@@ -26,6 +26,8 @@ const char* OpTypeName(OpType type) {
       return "compress";
     case OpType::kGather:
       return "gather";
+    case OpType::kScatter:
+      return "scatter";
     case OpType::kConcatRows:
       return "concat_rows";
     case OpType::kRepeatInterleave:
@@ -40,10 +42,10 @@ const char* OpTypeName(OpType type) {
       return "argsort";
     case OpType::kSearchSorted:
       return "searchsorted";
-    case OpType::kSegmentBoundaries:
-      return "segment_boundaries";
-    case OpType::kUniqueSorted:
-      return "unique_sorted";
+    case OpType::kGroupIds:
+      return "group_ids";
+    case OpType::kGroupCount:
+      return "group_count";
     case OpType::kHashRows:
       return "hash_rows";
     case OpType::kHashCombine:

@@ -29,6 +29,7 @@ enum class OpType : int8_t {
   kNonzero,
   kCompress,
   kGather,
+  kScatter,         // (values, ids, count(1x1)) -> count rows; index_put_
   kConcatRows,      // variadic
   kRepeatInterleave,
 
@@ -40,8 +41,8 @@ enum class OpType : int8_t {
   // Sorting / searching
   kArgsortRows,     // attr: ascending
   kSearchSorted,    // attr: right
-  kSegmentBoundaries,
-  kUniqueSorted,
+  kGroupIds,        // variadic keys -> int64 row-order group ids
+  kGroupCount,      // group ids -> int64 (1x1) group count
 
   // Hashing
   kHashRows,

@@ -124,8 +124,7 @@ int ExpectedArity(OpType type) {
     case OpType::kCumSum:
     case OpType::kReduceAll:
     case OpType::kArgsortRows:
-    case OpType::kSegmentBoundaries:
-    case OpType::kUniqueSorted:
+    case OpType::kGroupCount:
     case OpType::kHashRows:
     case OpType::kStringCompareScalar:
     case OpType::kStringLike:
@@ -150,9 +149,11 @@ int ExpectedArity(OpType type) {
     case OpType::kWhere:
     case OpType::kMatMulAddBias:
     case OpType::kSegmentedReduce:
+    case OpType::kScatter:
       return 3;
     case OpType::kConcatRows:
     case OpType::kConcatCols:
+    case OpType::kGroupIds:
       return -1;
   }
   return -1;

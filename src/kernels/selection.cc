@@ -24,6 +24,24 @@ Status CheckIndexDType(const Tensor& indices) {
   return Status::OK();
 }
 
+/// out[indices[i], :] = a[i, :] for rows of kRowBytes bytes (0: any width).
+template <int64_t kRowBytes>
+Status ScatterRows(const Tensor& a, const Tensor& indices, Tensor* out) {
+  const int64_t row_bytes =
+      kRowBytes > 0 ? kRowBytes : a.cols() * DTypeSize(a.dtype());
+  const auto* src = static_cast<const uint8_t*>(a.raw_data());
+  auto* dst = static_cast<uint8_t*>(out->raw_mutable_data());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    const int64_t r = IndexAt(indices, i);
+    if (r < 0 || r >= out->rows()) {
+      return Status::IndexError("Scatter: index out of range");
+    }
+    std::memcpy(dst + r * row_bytes, src + i * row_bytes,
+                static_cast<size_t>(row_bytes));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Tensor> Nonzero(const Tensor& mask) {
@@ -82,18 +100,20 @@ Result<Tensor> Scatter(const Tensor& a, const Tensor& indices, int64_t out_rows)
   if (indices.rows() != a.rows()) {
     return Status::Invalid("Scatter: indices rows != input rows");
   }
-  const int64_t m = a.cols();
-  const int64_t row_bytes = m * DTypeSize(a.dtype());
-  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(a.dtype(), out_rows, m, a.device()));
-  const uint8_t* src = static_cast<const uint8_t*>(a.raw_data());
-  uint8_t* dst = static_cast<uint8_t*>(out.raw_mutable_data());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    const int64_t r = IndexAt(indices, i);
-    if (r < 0 || r >= out_rows) {
-      return Status::IndexError("Scatter: index out of range");
-    }
-    std::memcpy(dst + r * row_bytes, src + i * row_bytes,
-                static_cast<size_t>(row_bytes));
+  TQP_ASSIGN_OR_RETURN(Tensor out,
+                       Tensor::Empty(a.dtype(), out_rows, a.cols(), a.device()));
+  switch (a.cols() * DTypeSize(a.dtype())) {
+    case 1:
+      TQP_RETURN_NOT_OK(ScatterRows<1>(a, indices, &out));
+      break;
+    case 4:
+      TQP_RETURN_NOT_OK(ScatterRows<4>(a, indices, &out));
+      break;
+    case 8:
+      TQP_RETURN_NOT_OK(ScatterRows<8>(a, indices, &out));
+      break;
+    default:
+      TQP_RETURN_NOT_OK(ScatterRows<0>(a, indices, &out));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -286,6 +287,90 @@ Status StableArgsortTyped(const Tensor& a, int64_t begin, int64_t end,
   return ComparisonArgsort(p, a.cols(), begin, end, ascending, out, chunks, run);
 }
 
+// ---- Group ids ----------------------------------------------------------------
+
+/// Calls fn(bits), where bits(i) is row i of `key` as an order-preserving
+/// uint64 that is equal exactly when the rows' bytes are: one bool, int32
+/// or int64 column, or a uint8 string of at most 8 bytes packed big-endian
+/// (zero padding keeps its byte order). Returns false for any other key.
+template <typename Fn>
+bool WithPackedKey(const Tensor& key, Fn&& fn) {
+  const int64_t w = key.cols();
+  switch (key.dtype()) {
+    case DType::kBool:
+    case DType::kUInt8: {
+      if (w > 8 || (key.dtype() == DType::kBool && w != 1)) return false;
+      const auto* p = static_cast<const uint8_t*>(key.raw_data());
+      if (w == 1) {
+        fn([p](int64_t i) { return uint64_t{p[i]}; });
+      } else {
+        fn([p, w](int64_t i) {
+          uint64_t v = 0;
+          for (int64_t j = 0; j < w; ++j) v = v << 8 | p[i * w + j];
+          return v;
+        });
+      }
+      return true;
+    }
+    case DType::kInt32: {
+      if (w != 1) return false;
+      const int32_t* p = key.data<int32_t>();
+      fn([p](int64_t i) { return OrderedBits(p[i]); });
+      return true;
+    }
+    case DType::kInt64: {
+      if (w != 1) return false;
+      const int64_t* p = key.data<int64_t>();
+      fn([p](int64_t i) { return OrderedBits(p[i]); });
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// Sets starts[j] for sorted positions j >= 1 whose row of `key` differs
+/// bytewise from the row before it.
+template <typename U>
+void MarkStartsFixed(const uint8_t* p, const int64_t* perm, int64_t n,
+                     uint8_t* starts) {
+  const auto row = [p](int64_t r) {
+    U v;
+    std::memcpy(&v, p + r * static_cast<int64_t>(sizeof(U)), sizeof(U));
+    return v;
+  };
+  U prev = row(perm[0]);
+  for (int64_t j = 1; j < n; ++j) {
+    const U cur = row(perm[j]);
+    starts[j] |= cur != prev ? 1 : 0;
+    prev = cur;
+  }
+}
+
+void MarkStarts(const Tensor& key, const int64_t* perm, int64_t n,
+                uint8_t* starts) {
+  if (n == 0) return;
+  const auto* p = static_cast<const uint8_t*>(key.raw_data());
+  const int64_t row_bytes = key.cols() * DTypeSize(key.dtype());
+  switch (row_bytes) {
+    case 1:
+      return MarkStartsFixed<uint8_t>(p, perm, n, starts);
+    case 2:
+      return MarkStartsFixed<uint16_t>(p, perm, n, starts);
+    case 4:
+      return MarkStartsFixed<uint32_t>(p, perm, n, starts);
+    case 8:
+      return MarkStartsFixed<uint64_t>(p, perm, n, starts);
+    default:
+      for (int64_t j = 1; j < n; ++j) {
+        starts[j] |= std::memcmp(p + perm[j] * row_bytes, p + perm[j - 1] * row_bytes,
+                                 static_cast<size_t>(row_bytes)) != 0
+                         ? 1
+                         : 0;
+      }
+  }
+}
+
 // ---- Bound search -------------------------------------------------------------
 
 // Probes searched in lockstep: every probe of one call runs the same number
@@ -353,6 +438,145 @@ Status StableArgsortRange(const Tensor& a, int64_t begin, int64_t end,
       return StableArgsortTyped<double>(a, begin, end, ascending, out, chunks, run);
   }
   return Status::Internal("StableArgsortRange: unknown dtype");
+}
+
+uint64_t DenseDomainLimit(int64_t rows) {
+  return std::min<uint64_t>(std::max<uint64_t>(2 * static_cast<uint64_t>(rows), 1024),
+                            std::numeric_limits<uint32_t>::max());
+}
+
+std::optional<DensePacking> PlanDensePacking(const std::vector<Tensor>& keys,
+                                             uint64_t max_domain) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const Tensor& k : keys) {
+    if (!WithPackedKey(k, [](auto) {})) return std::nullopt;
+  }
+  const int64_t n = keys.empty() ? 0 : keys[0].rows();
+  DensePacking packing;
+  packing.domain = n == 0 ? 0 : 1;
+  for (const Tensor& k : keys) {
+    uint64_t lo = n == 0 ? 0 : kMax;
+    uint64_t hi = 0;
+    WithPackedKey(k, [&](auto bits) {
+      uint64_t mn = lo;  // locals: the byte-typed key reads may alias lo/hi
+      uint64_t mx = hi;
+      for (int64_t i = 0; i < n; ++i) {
+        const uint64_t v = bits(i);
+        mn = std::min(mn, v);
+        mx = std::max(mx, v);
+      }
+      lo = mn;
+      hi = mx;
+    });
+    if (hi - lo == kMax) return std::nullopt;  // the span overflows
+    const uint64_t span = hi - lo + 1;
+    // domain * span > max_domain, without overflowing.
+    if (packing.domain > max_domain / span) return std::nullopt;
+    packing.domain *= span;
+    packing.mins.push_back(lo);
+    packing.spans.push_back(span);
+  }
+  return packing;
+}
+
+Result<Tensor> GroupIdsByRank(const std::vector<Tensor>& keys,
+                              const DensePacking& packing) {
+  if (packing.domain > std::numeric_limits<uint32_t>::max()) {
+    return Status::Invalid("GroupIdsByRank: domain does not fit 32-bit ranks");
+  }
+  const int64_t n = keys[0].rows();
+  TQP_ASSIGN_OR_RETURN(Tensor out,
+                       Tensor::Empty(DType::kInt64, n, 1, keys[0].device()));
+  // Codes go into the output, one pass per key; the last pass also marks
+  // each code present.
+  int64_t* code = out.mutable_data<int64_t>();
+  std::vector<uint32_t> rank(static_cast<size_t>(packing.domain), 0);
+  uint32_t* present = rank.data();
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const uint64_t lo = packing.mins[k];
+    const auto span = static_cast<int64_t>(packing.spans[k]);
+    const bool first = k == 0;
+    const bool last = k + 1 == keys.size();
+    WithPackedKey(keys[k], [&](auto bits) {
+      for (int64_t i = 0; i < n; ++i) {
+        const auto digit = static_cast<int64_t>(bits(i) - lo);
+        const int64_t c = first ? digit : code[i] * span + digit;
+        code[i] = c;
+        if (last) present[c] = 1;
+      }
+    });
+  }
+  // An exclusive prefix sum over presence gives each present code its rank.
+  uint32_t groups = 0;
+  for (uint32_t& r : rank) {
+    const uint32_t seen = r;
+    r = groups;
+    groups += seen;
+  }
+  for (int64_t i = 0; i < n; ++i) code[i] = rank[static_cast<size_t>(code[i])];
+  return out;
+}
+
+Result<Tensor> GroupIdsBySort(const std::vector<Tensor>& keys,
+                              const ArgsortFn& argsort) {
+  const int64_t n = keys[0].rows();
+  // The composed stable multi-key sort: last key first.
+  TQP_ASSIGN_OR_RETURN(Tensor perm, argsort(keys.back()));
+  for (size_t i = keys.size() - 1; i-- > 0;) {
+    TQP_ASSIGN_OR_RETURN(Tensor gathered, Gather(keys[i], perm));
+    TQP_ASSIGN_OR_RETURN(Tensor p2, argsort(gathered));
+    TQP_ASSIGN_OR_RETURN(perm, Gather(perm, p2));
+  }
+  if (perm.rows() != n || perm.dtype() != DType::kInt64) {
+    return Status::Internal("GroupIdsBySort: argsort returned a bad permutation");
+  }
+  const int64_t* pp = perm.data<int64_t>();
+  std::vector<uint8_t> starts(static_cast<size_t>(n), 0);
+  for (const Tensor& k : keys) MarkStarts(k, pp, n, starts.data());
+  TQP_ASSIGN_OR_RETURN(Tensor out,
+                       Tensor::Empty(DType::kInt64, n, 1, keys[0].device()));
+  int64_t* ids = out.mutable_data<int64_t>();
+  int64_t seg = -1;
+  for (int64_t j = 0; j < n; ++j) {
+    seg += j == 0 || starts[static_cast<size_t>(j)] != 0 ? 1 : 0;
+    ids[pp[j]] = seg;
+  }
+  return out;
+}
+
+Result<Tensor> GroupIdsWith(const std::vector<Tensor>& keys,
+                            const ArgsortFn& argsort, GroupIdsPath* path) {
+  if (keys.empty()) return Status::Invalid("GroupIds: no keys");
+  for (const Tensor& k : keys) {
+    if (k.rows() != keys[0].rows()) {
+      return Status::Invalid("GroupIds: keys differ in row count");
+    }
+  }
+  const std::optional<DensePacking> packing =
+      PlanDensePacking(keys, DenseDomainLimit(keys[0].rows()));
+  if (path != nullptr) {
+    path->dense = packing.has_value();
+    path->domain = packing.has_value() ? static_cast<int64_t>(packing->domain) : 0;
+  }
+  return packing.has_value() ? GroupIdsByRank(keys, *packing)
+                             : GroupIdsBySort(keys, argsort);
+}
+
+Result<Tensor> GroupIds(const std::vector<Tensor>& keys, GroupIdsPath* path) {
+  return GroupIdsWith(
+      keys, [](const Tensor& key) { return ArgsortRows(key); }, path);
+}
+
+Result<Tensor> GroupCount(const Tensor& ids) {
+  if (ids.dtype() != DType::kInt64 || ids.cols() != 1) {
+    return Status::TypeError("GroupCount requires int64 (n x 1) ids");
+  }
+  const int64_t* p = ids.data<int64_t>();
+  int64_t count = 0;
+  for (int64_t i = 0; i < ids.rows(); ++i) count = std::max(count, p[i] + 1);
+  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(DType::kInt64, 1, 1, ids.device()));
+  out.mutable_data<int64_t>()[0] = count;
+  return out;
 }
 
 Result<Tensor> ArgsortRows(const Tensor& a, bool ascending) {

@@ -1,6 +1,8 @@
 #ifndef TQP_KERNELS_SORT_H_
 #define TQP_KERNELS_SORT_H_
 
+#include <vector>
+
 #include "common/result.h"
 #include "tensor/tensor.h"
 
@@ -33,6 +35,31 @@ Result<Tensor> SegmentBoundaries(const Tensor& keys);
 /// \brief Deduplicates a *sorted* (n x m) tensor: keeps rows where
 /// SegmentBoundaries is true.
 Result<Tensor> UniqueSorted(const Tensor& sorted_keys);
+
+/// \brief Which path GroupIds took: `dense` ranked packed key codes over a
+/// presence array of `domain` codes; otherwise it sorted.
+struct GroupIdsPath {
+  bool dense = false;
+  int64_t domain = 0;
+};
+
+/// \brief torch.unique(sorted=True, return_inverse=True) over the row tuples
+/// of `keys` (one or more tensors with equal row counts): the int64 (n x 1)
+/// group id of every row, in row order. A group is a set of byte-equal key
+/// tuples; groups are numbered in the order the composed stable argsort
+/// (last key first, then each earlier key) lists them.
+///
+/// When every key packs order-preservingly into 64 bits (bool, int32,
+/// int64, uint8 strings of at most 8 bytes) and the product of the key
+/// ranges is at most max(2n, 1024), the ids come from ranking the packed
+/// codes, with no sort. Otherwise the keys are sorted and adjacent rows are
+/// compared bytewise. Both paths give the same ids.
+Result<Tensor> GroupIds(const std::vector<Tensor>& keys,
+                        GroupIdsPath* path = nullptr);
+
+/// \brief The number of groups behind GroupIds output `ids`: int64 (1 x 1)
+/// holding max(ids) + 1, or 0 when `ids` is empty.
+Result<Tensor> GroupCount(const Tensor& ids);
 
 }  // namespace tqp::kernels
 

@@ -2,13 +2,19 @@
 #define TQP_KERNELS_SORT_INTERNAL_H_
 
 // The stable argsort core behind kernels::ArgsortRows, the morsel-parallel
-// runtime::ParallelArgsortRows and the external merge sort's run formation.
-// Internal to the kernel/runtime/operator layers; not part of kernels.h.
+// runtime::ParallelArgsortRows and the external merge sort's run formation,
+// and the two paths of kernels::GroupIds with the argsort left to the
+// caller. Internal to the kernel/graph/runtime/operator layers; not part of
+// kernels.h.
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
+#include "kernels/sort.h"
 #include "tensor/tensor.h"
 
 namespace tqp::kernels {
@@ -50,6 +56,49 @@ using TaskRunner = std::function<Status(
 Status StableArgsortRange(const Tensor& a, int64_t begin, int64_t end,
                           bool ascending, int64_t* out, int64_t chunks = 1,
                           const TaskRunner& run = {});
+
+/// \brief The ascending stable argsort GroupIds sorts keys with:
+/// kernels::ArgsortRows, or an executor's parallel or external sort (every
+/// stable sort returns the same permutation).
+using ArgsortFn = std::function<Result<Tensor>(const Tensor& key)>;
+
+/// \brief Mixed-radix packing of GroupIds keys into one code: key k
+/// contributes its order-preserving 64-bit value minus mins[k], in radix
+/// spans[k], key 0 most significant. `domain` is the product of the spans
+/// (0 for empty keys).
+struct DensePacking {
+  std::vector<uint64_t> mins;
+  std::vector<uint64_t> spans;
+  uint64_t domain = 0;
+};
+
+/// \brief The largest domain the dense path ranks for `rows` rows:
+/// max(2 rows, 1024), capped so ranks fit in 32 bits.
+uint64_t DenseDomainLimit(int64_t rows);
+
+/// \brief The packing of `keys` when every key packs (bool, int32, int64,
+/// uint8 of at most 8 columns) and the domain fits in 64 bits and is at most
+/// `max_domain`; std::nullopt otherwise.
+std::optional<DensePacking> PlanDensePacking(const std::vector<Tensor>& keys,
+                                             uint64_t max_domain);
+
+/// \brief Dense path: packs each row's key code, marks the codes present,
+/// and numbers them by an exclusive prefix sum over the domain. `packing`
+/// must come from PlanDensePacking over the same keys. Like GroupIdsBySort,
+/// it expects one or more keys with equal row counts (GroupIdsWith checks).
+Result<Tensor> GroupIdsByRank(const std::vector<Tensor>& keys,
+                              const DensePacking& packing);
+
+/// \brief Sort path: the composed stable argsort through `argsort`, group
+/// starts found by comparing adjacent rows' bytes through the permutation,
+/// and the sorted segment ids scattered back to row order.
+Result<Tensor> GroupIdsBySort(const std::vector<Tensor>& keys,
+                              const ArgsortFn& argsort);
+
+/// \brief GroupIds with the sort path's argsort supplied: the dense path
+/// when the packed domain is within DenseDomainLimit, else the sort path.
+Result<Tensor> GroupIdsWith(const std::vector<Tensor>& keys,
+                            const ArgsortFn& argsort, GroupIdsPath* path);
 
 }  // namespace tqp::kernels
 

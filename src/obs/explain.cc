@@ -34,8 +34,10 @@ void AppendPadded(std::ostringstream& os, const std::string& s, size_t width,
 }
 
 /// Short description of one schedule step ("n5 sort" / "pipeline#2 [...]").
+/// `notes` holds run-time annotations per node id (a group_ids path).
 std::string DescribeStep(const TensorProgram& program, const PipelinePlan& plan,
-                         size_t step_index) {
+                         size_t step_index,
+                         const std::map<int64_t, std::string>& notes) {
   if (step_index >= plan.schedule.size()) return "step";
   const PipelineStep& step = plan.schedule[step_index];
   if (step.serial_node >= 0) {
@@ -45,6 +47,8 @@ std::string DescribeStep(const TensorProgram& program, const PipelinePlan& plan,
     out += ' ';
     out += OpTypeName(node.type);
     if (!node.label.empty()) out += " (" + node.label + ")";
+    const auto note = notes.find(node.id);
+    if (note != notes.end()) out += " [" + note->second + "]";
     return out;
   }
   const Pipeline& p = plan.pipelines[static_cast<size_t>(step.pipeline)];
@@ -63,13 +67,13 @@ std::string DescribeStep(const TensorProgram& program, const PipelinePlan& plan,
   return out;
 }
 
-int64_t EventArg(const TraceEvent& e, const char* name) {
+int64_t EventArg(const TraceEvent& e, const char* name, int64_t missing = 0) {
   for (int i = 0; i < e.num_args; ++i) {
     if (e.arg_names[i] != nullptr && std::string_view(e.arg_names[i]) == name) {
       return e.arg_values[i];
     }
   }
-  return 0;
+  return missing;
 }
 
 }  // namespace
@@ -210,10 +214,24 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   }
   if (!step_rows.empty()) {
     by_step = true;
+    // The path each group_ids node took: its op span's `domain` arg is the
+    // dense domain size, or -1 for the sort path.
+    std::map<int64_t, std::string> notes;
+    for (const TraceEvent& e : events) {
+      if (e.phase == TraceEvent::Phase::kInstant ||
+          std::string_view(e.category) != "op" ||
+          std::string_view(e.name) != OpTypeName(OpType::kGroupIds)) {
+        continue;
+      }
+      const int64_t domain = EventArg(e, "domain", -2);
+      if (domain < -1) continue;
+      notes[EventArg(e, "node", -1)] =
+          domain < 0 ? "sort" : "dense " + std::to_string(domain);
+    }
     const PipelinePlan pipeline_plan = BuildPipelinePlan(plan->program());
     for (auto& [index, r] : step_rows) {
       r.what = DescribeStep(plan->program(), pipeline_plan,
-                            static_cast<size_t>(index));
+                            static_cast<size_t>(index), notes);
       rows.push_back(std::move(r));
     }
   } else {

@@ -19,6 +19,7 @@ namespace {
 /// never dangle: contexts require the session to outlive them.
 struct TraceTls {
   TraceContextState ctx;
+  TraceSpan* innermost = nullptr;  // the thread's most recently opened span
   TraceSession* buffer_session = nullptr;
   std::vector<TraceEvent> buffer;
 };
@@ -239,6 +240,8 @@ TraceSpan::TraceSpan(const char* category, const char* name)
   event_.thread_id = TraceThreadId();
   saved_parent_ = tls_trace.ctx.parent_span;
   tls_trace.ctx.parent_span = event_.span_id;
+  saved_innermost_ = tls_trace.innermost;
+  tls_trace.innermost = this;
   event_.ts_nanos = TraceNowNanos();
 }
 
@@ -246,7 +249,17 @@ TraceSpan::~TraceSpan() {
   if (session_ == nullptr) return;
   event_.dur_nanos = TraceNowNanos() - event_.ts_nanos;
   tls_trace.ctx.parent_span = saved_parent_;
+  tls_trace.innermost = saved_innermost_;
   BufferEvent(session_, std::move(event_));
+}
+
+TraceSpan* TraceSpan::Current() {
+  TraceSpan* span = tls_trace.innermost;
+  // A context attached inside the span (a propagated task run on this
+  // thread) has its own parent span, and must not see this one.
+  const bool open = span != nullptr && span->session_ == tls_trace.ctx.session &&
+                    span->event_.span_id == tls_trace.ctx.parent_span;
+  return open ? span : nullptr;
 }
 
 void TraceSpan::AddArg(const char* name, int64_t value) {

@@ -181,6 +181,10 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   bool enabled() const { return session_ != nullptr; }
+  /// \brief The innermost recording span open on the calling thread under
+  /// its ambient context, or null. Lets a kernel annotate the span its
+  /// caller opened around it.
+  static TraceSpan* Current();
   /// \brief Attaches an integer argument (static name) to the event.
   void AddArg(const char* name, int64_t value);
   /// \brief Attaches dynamic text, appended to the name on export.
@@ -190,6 +194,7 @@ class TraceSpan {
   TraceSession* session_;  // null = disabled, every method no-ops
   TraceEvent event_;
   uint64_t saved_parent_ = 0;
+  TraceSpan* saved_innermost_ = nullptr;
 };
 
 /// \brief Records an instant event into the ambient session (no-op when

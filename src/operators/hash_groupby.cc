@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "kernels/kernels.h"
+#include "kernels/sort_internal.h"
 
 namespace tqp::op {
 
@@ -50,42 +51,20 @@ Result<GroupIds> HashGroupIds(const std::vector<Tensor>& keys) {
 
 Result<GroupIds> SortGroupIds(const std::vector<Tensor>& keys) {
   if (keys.empty()) return Status::Invalid("SortGroupIds: no keys");
-  using namespace tqp::kernels;  // NOLINT
-  const int64_t n = keys[0].rows();
-  // Composed stable multi-key sort.
-  TQP_ASSIGN_OR_RETURN(Tensor perm, ArgsortRows(keys.back()));
-  for (size_t i = keys.size() - 1; i-- > 0;) {
-    TQP_ASSIGN_OR_RETURN(Tensor gathered, Gather(keys[i], perm));
-    TQP_ASSIGN_OR_RETURN(Tensor p2, ArgsortRows(gathered));
-    TQP_ASSIGN_OR_RETURN(perm, Gather(perm, p2));
-  }
-  Tensor bounds;
-  for (const Tensor& k : keys) {
-    TQP_ASSIGN_OR_RETURN(Tensor sk, Gather(k, perm));
-    TQP_ASSIGN_OR_RETURN(Tensor b, SegmentBoundaries(sk));
-    if (!bounds.defined()) {
-      bounds = b;
-    } else {
-      TQP_ASSIGN_OR_RETURN(bounds, Logical(LogicalOpKind::kOr, bounds, b));
-    }
-  }
-  // Segment id per *sorted* position, scattered back to input order.
   GroupIds out;
-  TQP_ASSIGN_OR_RETURN(out.group_ids, Tensor::Empty(DType::kInt64, n, 1));
-  int64_t* ids = out.group_ids.mutable_data<int64_t>();
-  const bool* pb = bounds.defined() ? bounds.data<bool>() : nullptr;
-  const int64_t* pp = perm.data<int64_t>();
-  std::vector<int64_t> reps;
-  int64_t seg = -1;
-  for (int64_t i = 0; i < n; ++i) {
-    if (pb[i]) {
-      ++seg;
-      reps.push_back(pp[i]);
-    }
-    ids[pp[i]] = seg;
+  TQP_ASSIGN_OR_RETURN(
+      out.group_ids,
+      kernels::GroupIdsBySort(
+          keys, [](const Tensor& k) { return kernels::ArgsortRows(k); }));
+  TQP_ASSIGN_OR_RETURN(Tensor count, kernels::GroupCount(out.group_ids));
+  out.num_groups = count.ScalarAsInt64(0);
+  // Each group's first input row: walking rows backwards, the lowest wins.
+  std::vector<int64_t> reps(static_cast<size_t>(out.num_groups), -1);
+  const int64_t* ids = out.group_ids.data<int64_t>();
+  for (int64_t i = out.group_ids.rows(); i-- > 0;) {
+    reps[static_cast<size_t>(ids[i])] = i;
   }
   out.representatives = Tensor::FromVector(reps);
-  out.num_groups = static_cast<int64_t>(reps.size());
   return out;
 }
 

@@ -18,9 +18,9 @@ struct GroupIds {
 };
 Result<GroupIds> HashGroupIds(const std::vector<Tensor>& keys);
 
-/// \brief Sort-based grouping via argsort + boundaries (the compiler's
-/// formulation, packaged for the ABL3 ablation). Group ids follow sorted
-/// key order.
+/// \brief Sort-based grouping: the composed stable argsort and adjacent
+/// byte comparisons (the sort path of kernels::GroupIds, packaged for the
+/// ABL3 ablation). Group ids follow sorted key order.
 Result<GroupIds> SortGroupIds(const std::vector<Tensor>& keys);
 
 /// \brief Aggregates `values` per group id (dense ids in [0, num_groups)).

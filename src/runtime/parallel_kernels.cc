@@ -258,123 +258,27 @@ Result<Tensor> ParallelReduceAll(const ParallelContext& ctx, ReduceOpKind op,
   return Tensor::Full(dt, 1, 1, acc, a.device());
 }
 
-namespace {
-
-/// Exact parallel float sums: partitions the *segment id space* into
-/// contiguous ranges, scatters row ids by range (order-preserving), then
-/// accumulates each range's segments in ascending row order into disjoint
-/// output slices. Every segment's additions happen in the serial
-/// left-to-right order, so the result is bit-identical to the serial kernel
-/// for any range count or thread count. `values` must be kFloat64 (n x 1)
-/// and `ids` kInt64 (n x 1); out-of-range ids fail with the
-/// SegmentedReduce IndexError. The caller has already decided to fan out.
-Result<Tensor> PartitionOrderedFloatSums(const ParallelContext& ctx,
-                                         const Tensor& values, const Tensor& ids,
-                                         int64_t num_groups) {
-  const int64_t n = values.rows();
-  const double* pv = values.data<double>();
-  const int64_t* pid = ids.data<int64_t>();
-  TQP_ASSIGN_OR_RETURN(
-      Tensor out, Tensor::Full(DType::kFloat64, num_groups, 1, 0.0, values.device()));
-  double* po = out.mutable_data<double>();
-  // Partition the group id space into contiguous ranges. The range count
-  // cannot affect the result: each group lives in exactly one range and its
-  // rows accumulate in ascending order either way.
-  const int64_t num_ranges =
-      std::min<int64_t>(std::max<int64_t>(1, 2 * ctx.pool->num_threads()), num_groups);
-  const int64_t step = (num_groups + num_ranges - 1) / num_ranges;
-  const std::vector<RowRange> morsels = PartitionRows(n, MorselRows(ctx));
-  std::vector<std::vector<int64_t>> counts(
-      morsels.size(), std::vector<int64_t>(static_cast<size_t>(num_ranges), 0));
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t m = mb; m < me; ++m) {
-          auto& c = counts[static_cast<size_t>(m)];
-          const RowRange r = morsels[static_cast<size_t>(m)];
-          for (int64_t i = r.begin; i < r.end; ++i) {
-            if (pid[i] < 0 || pid[i] >= num_groups) {
-              return Status::IndexError("segment id out of range");
-            }
-            ++c[static_cast<size_t>(pid[i] / step)];
-          }
-        }
-        return Status::OK();
-      }));
-  std::vector<int64_t> range_start(static_cast<size_t>(num_ranges) + 1, 0);
-  for (int64_t r = 0; r < num_ranges; ++r) {
-    int64_t total = 0;
-    for (size_t m = 0; m < morsels.size(); ++m) total += counts[m][static_cast<size_t>(r)];
-    range_start[static_cast<size_t>(r) + 1] = range_start[static_cast<size_t>(r)] + total;
-  }
-  std::vector<std::vector<int64_t>> offsets(
-      morsels.size(), std::vector<int64_t>(static_cast<size_t>(num_ranges), 0));
-  for (int64_t r = 0; r < num_ranges; ++r) {
-    int64_t cursor = range_start[static_cast<size_t>(r)];
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      offsets[m][static_cast<size_t>(r)] = cursor;
-      cursor += counts[m][static_cast<size_t>(r)];
-    }
-  }
-  // Order-preserving scatter: range r's slice lists its rows ascending.
-  std::vector<int64_t> row_of(static_cast<size_t>(n));
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t m = mb; m < me; ++m) {
-          auto cursor = offsets[static_cast<size_t>(m)];  // private copy
-          const RowRange r = morsels[static_cast<size_t>(m)];
-          for (int64_t i = r.begin; i < r.end; ++i) {
-            const auto p = static_cast<size_t>(pid[i] / step);
-            row_of[static_cast<size_t>(cursor[p]++)] = i;
-          }
-        }
-        return Status::OK();
-      }));
-  // Each range accumulates its groups in serial row order into a disjoint
-  // output slice: bit-identical to the serial scan.
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      num_ranges, 1, [&](int64_t rb, int64_t re) -> Status {
-        for (int64_t r = rb; r < re; ++r) {
-          const int64_t begin = range_start[static_cast<size_t>(r)];
-          const int64_t end = range_start[static_cast<size_t>(r) + 1];
-          for (int64_t k = begin; k < end; ++k) {
-            const int64_t i = row_of[static_cast<size_t>(k)];
-            po[pid[i]] += pv[i];
-          }
-        }
-        return Status::OK();
-      }));
-  return out;
-}
-
-}  // namespace
-
 Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind op,
                                        const Tensor& values,
                                        const Tensor& segment_ids,
                                        int64_t num_segments) {
-  const bool float_sum =
-      op == ReduceOpKind::kSum && IsFloatingPoint(values.dtype());
+  // Float sums must add each segment's rows in serial row order, and the
+  // serial kernel does that faster than any order-preserving fan-out.
   const bool exact_parallel =
       op == ReduceOpKind::kCount || op == ReduceOpKind::kMin ||
-      op == ReduceOpKind::kMax || op == ReduceOpKind::kSum;
+      op == ReduceOpKind::kMax ||
+      (op == ReduceOpKind::kSum && !IsFloatingPoint(values.dtype()));
   const int64_t n = values.rows();
   // Partial accumulator arrays cost slots * num_segments doubles; past ~64 MiB
-  // total the merge pass stops paying for itself. The partition-ordered
-  // float-sum path uses no per-slot arrays, so it is exempt.
+  // total the merge pass stops paying for itself.
   const bool partials_fit =
       ctx.pool != nullptr &&
-      (float_sum ||
-       num_segments <=
-           (int64_t{1} << 23) / std::max(1, ctx.pool->max_parallel_slots()));
+      num_segments <=
+          (int64_t{1} << 23) / std::max(1, ctx.pool->max_parallel_slots());
   if (!exact_parallel || !partials_fit || !ShouldParallelize(ctx, n) ||
       segment_ids.dtype() != DType::kInt64 || segment_ids.cols() != 1 ||
       values.cols() != 1 || segment_ids.rows() != n || num_segments <= 0) {
     return kernels::SegmentedReduce(op, values, segment_ids, num_segments);
-  }
-  if (float_sum) {
-    // Exact: each segment's additions replay in serial row order.
-    TQP_ASSIGN_OR_RETURN(Tensor cv, ParallelCast(ctx, values, DType::kFloat64));
-    return PartitionOrderedFloatSums(ctx, cv, segment_ids, num_segments);
   }
   const int64_t* seg = segment_ids.data<int64_t>();
   const int slots = ctx.pool->max_parallel_slots();
@@ -584,30 +488,48 @@ Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
   return out;
 }
 
+namespace {
+
+/// The argsort behind every breaker: the external merge sort when
+/// partitioned breakers are on, else ParallelArgsortRows. Partitioned
+/// breakers engage even with a 1-thread pool: the external merge sort's
+/// budget-sized spillable runs matter for memory, not just speed.
+Result<Tensor> BreakerArgsort(const ParallelContext& ctx, const Tensor& key,
+                              bool ascending,
+                              const std::function<void()>& release_input = {}) {
+  if (!ctx.partitioned_breakers || ctx.pool == nullptr ||
+      key.rows() < ctx.min_parallel_rows) {
+    return ParallelArgsortRows(ctx, key, ascending);
+  }
+  op::partitioned::PartitionConfig config;
+  auto* scope = BufferPool::QueryScope::Current();
+  config.budget_bytes = scope != nullptr ? scope->budget_bytes() : 0;
+  config.forced_bits = op::partitioned::ForcedPartitionBits();
+  return op::partitioned::ExternalSortRows(ctx, key, ascending, config, nullptr,
+                                           release_input);
+}
+
+}  // namespace
+
 Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
                                 const TensorProgram& program, const OpNode& node,
                                 const std::vector<Tensor>& values) {
   auto in = [&](int i) -> const Tensor& {
     return values[static_cast<size_t>(node.inputs[static_cast<size_t>(i)])];
   };
-  // Partitioned breakers engage even with a 1-thread pool: the external merge
-  // sort's budget-sized spillable runs matter for memory, not just speed.
-  if (ctx.partitioned_breakers && ctx.pool != nullptr &&
-      node.type == OpType::kArgsortRows &&
-      in(0).rows() >= ctx.min_parallel_rows) {
-    op::partitioned::PartitionConfig config;
-    auto* scope = BufferPool::QueryScope::Current();
-    config.budget_bytes = scope != nullptr ? scope->budget_bytes() : 0;
-    config.forced_bits = op::partitioned::ForcedPartitionBits();
+  if (node.type == OpType::kArgsortRows) {
     std::function<void()> release;
     if (ctx.breaker_hooks != nullptr && ctx.breaker_hooks->release_input) {
       release = [&ctx, slot = node.inputs[0]] {
         ctx.breaker_hooks->release_input(static_cast<int>(slot));
       };
     }
-    return op::partitioned::ExternalSortRows(ctx, in(0),
-                                             node.attrs.GetBool("ascending"),
-                                             config, nullptr, release);
+    return BreakerArgsort(ctx, in(0), node.attrs.GetBool("ascending"), release);
+  }
+  if (node.type == OpType::kGroupIds) {
+    return EvalGroupIds(node, values, [&ctx](const Tensor& key) {
+      return BreakerArgsort(ctx, key, /*ascending=*/true);
+    });
   }
   if (ctx.parallel()) {
     switch (node.type) {
@@ -657,8 +579,6 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
             ctx, static_cast<ReduceOpKind>(node.attrs.GetInt("op")), in(0), in(1),
             count.ScalarAsInt64(0));
       }
-      case OpType::kArgsortRows:
-        return ParallelArgsortRows(ctx, in(0), node.attrs.GetBool("ascending"));
       case OpType::kSearchSorted:
         return ParallelSearchSorted(ctx, in(0), in(1), node.attrs.GetBool("right"));
       case OpType::kHashRows:
@@ -737,7 +657,7 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
                                        node.attrs.GetInt("max_tokens"));
         });
       default:
-        break;  // sequential-by-nature ops (prefix scans, unique, boundaries)
+        break;  // sequential-by-nature ops (prefix scans, scatters, counts)
     }
   }
   return EvalNode(program, node, values);

@@ -31,9 +31,9 @@ struct ParallelContext {
   /// Kernels on fewer rows than this run serially (fan-out overhead would
   /// dominate).
   int64_t min_parallel_rows = 8192;
-  /// Evaluate kArgsortRows — the pipeline breaker TQP's joins, group-bys and
-  /// ORDER BYs all lower to — through the external merge sort in
-  /// src/operators/partitioned. Results stay bit-identical; runs are
+  /// Evaluate kArgsortRows — the pipeline breaker TQP's joins and ORDER BYs
+  /// lower to — and the sort path of kGroupIds through the external merge
+  /// sort in src/operators/partitioned. Results stay bit-identical; runs are
   /// spillable and sized from the ambient query budget.
   bool partitioned_breakers = false;
   /// Optional executor hooks, only consulted when partitioned_breakers is on.
@@ -51,11 +51,11 @@ bool ShouldParallelize(const ParallelContext& ctx, int64_t rows);
 /// Morsel-parallel kernels. Every function in this header is *exact*: its
 /// result is bit-identical to the corresponding serial kernel in
 /// src/kernels, for any thread count and morsel size. Decompositions that
-/// cannot be made exact (whole-input floating-point sums, prefix scans) are
-/// not parallelized — they delegate to the serial kernel. *Segmented* float
-/// sums are exact in parallel: a partition-ordered accumulation replays each
-/// segment's additions in serial row order, so segmented reductions
-/// parallelize for every op.
+/// cannot be made exact (floating-point sums, whole-input or segmented, and
+/// prefix scans) are not parallelized — they delegate to the serial kernel.
+/// An order-preserving fan-out of segmented float sums (each segment's
+/// additions replayed in serial row order) was measured slower than the
+/// serial kernel at 4, 1,000 and 150,000 groups, so it was removed.
 
 /// \brief Elementwise family (broadcast-aware): rows are independent, so
 /// morsels of the output map to morsels of the row-aligned inputs.
@@ -88,9 +88,8 @@ Result<Tensor> ParallelReduceAll(const ParallelContext& ctx, ReduceOpKind op,
 
 /// \brief Segmented reduction with per-worker partial accumulator arrays
 /// merged at a barrier (the classic morsel-driven aggregation shape).
-/// Count/min/max and integer sums merge partials; float sums go through the
-/// exact partition-ordered accumulation (each segment's additions happen in
-/// serial row order), so no op falls back to a single thread.
+/// Count/min/max and integer sums merge partials; float sums run the serial
+/// kernel, which adds each segment's rows in row order.
 Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind op,
                                        const Tensor& values,
                                        const Tensor& segment_ids,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "common/random.h"
 #include "kernels/kernels.h"
+#include "kernels/sort_internal.h"
 #include "operators/partitioned/external_sort.h"
 #include "runtime/parallel_kernels.h"
 #include "runtime/thread_pool.h"
@@ -310,6 +312,21 @@ TEST(SelectionTest, ScatterPlacesRows) {
   EXPECT_EQ(out.at<int64_t>(1), 0);
 }
 
+TEST(SelectionTest, ScatterRejectsOutOfRangeIndex) {
+  Tensor a = Tensor::FromVector<int64_t>({10, 20});
+  EXPECT_FALSE(Scatter(a, Tensor::FromVector<int64_t>({0, 4}), 4).ok());
+  EXPECT_FALSE(Scatter(a, Tensor::FromVector<int64_t>({-1, 0}), 4).ok());
+  EXPECT_FALSE(Scatter(a, Tensor::FromVector<int64_t>({0}), 4).ok());
+  // Rows of any width move whole: 3-byte strings, last write wins.
+  Tensor s = Tensor::Empty(DType::kUInt8, 3, 3).ValueOrDie();
+  for (int64_t i = 0; i < 9; ++i) s.mutable_data<uint8_t>()[i] = static_cast<uint8_t>(i);
+  Tensor out = Scatter(s, Tensor::FromVector<int64_t>({1, 0, 1}), 2).ValueOrDie();
+  ASSERT_EQ(out.rows(), 2);
+  ASSERT_EQ(out.cols(), 3);
+  EXPECT_EQ(out.at<uint8_t>(0, 0), 3);
+  EXPECT_EQ(out.at<uint8_t>(1, 2), 8);
+}
+
 // ---- Sorting / searching ------------------------------------------------------
 
 TEST(SortTest, ArgsortStableAscDesc) {
@@ -349,6 +366,208 @@ TEST(SortTest, SegmentBoundariesAndUnique) {
   // Empty input.
   Tensor empty = Tensor::Empty(DType::kInt64, 0, 1).ValueOrDie();
   EXPECT_EQ(SegmentBoundaries(empty).ValueOrDie().rows(), 0);
+}
+
+// ---- Group ids ------------------------------------------------------------------
+
+Tensor SortPathIds(const std::vector<Tensor>& keys) {
+  return GroupIdsBySort(keys, [](const Tensor& k) { return ArgsortRows(k); })
+      .ValueOrDie();
+}
+
+void ExpectSameIds(const Tensor& got, const Tensor& want, const std::string& what) {
+  ASSERT_EQ(got.dtype(), DType::kInt64) << what;
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  for (int64_t i = 0; i < want.rows(); ++i) {
+    ASSERT_EQ(got.at<int64_t>(i), want.at<int64_t>(i)) << what << " row " << i;
+  }
+}
+
+/// Checks that both paths give the same ids on `keys` (which must pack into
+/// a domain that fits 32-bit ranks) and returns the path GroupIds took.
+GroupIdsPath ExpectPathsAgree(const std::vector<Tensor>& keys,
+                              const std::string& what) {
+  const auto packing =
+      PlanDensePacking(keys, std::numeric_limits<uint64_t>::max());
+  EXPECT_TRUE(packing.has_value()) << what;
+  const Tensor sorted = SortPathIds(keys);
+  if (packing.has_value()) {
+    ExpectSameIds(GroupIdsByRank(keys, *packing).ValueOrDie(), sorted,
+                  what + " dense");
+  }
+  GroupIdsPath path;
+  ExpectSameIds(GroupIds(keys, &path).ValueOrDie(), sorted, what + " chosen");
+  return path;
+}
+
+Tensor RandomStrings(Rng* rng, int64_t n, int64_t width, int64_t alphabet,
+                     int64_t min_len = 0) {
+  Tensor t = Tensor::Empty(DType::kUInt8, n, width).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) {
+    // Zero-padded like loaded strings: a random length, then zero bytes.
+    const int64_t len = rng->Uniform(min_len, width);
+    for (int64_t j = 0; j < width; ++j) {
+      t.mutable_data<uint8_t>()[i * width + j] =
+          j < len ? static_cast<uint8_t>('a' + rng->Uniform(0, alphabet - 1)) : 0;
+    }
+  }
+  return t;
+}
+
+TEST(GroupIdsTest, NumbersGroupsInSortedKeyOrder) {
+  Tensor a = Tensor::FromVector<int64_t>({3, 1, 3, 2, 1});
+  Tensor b = Tensor::FromVector<int32_t>({0, 5, 0, 9, 4});
+  ExpectSameIds(GroupIds({a}).ValueOrDie(),
+                Tensor::FromVector<int64_t>({2, 0, 2, 1, 0}), "one key");
+  // (1,4) < (1,5) < (2,9) < (3,0): key 0 is most significant.
+  ExpectSameIds(GroupIds({a, b}).ValueOrDie(),
+                Tensor::FromVector<int64_t>({3, 1, 3, 2, 0}), "two keys");
+  EXPECT_EQ(GroupCount(GroupIds({a, b}).ValueOrDie()).ValueOrDie().at<int64_t>(0),
+            4);
+}
+
+TEST(GroupIdsTest, DenseAndSortPathsAgreeOnEveryPackableType) {
+  Rng rng(2024);
+  const int64_t n = 3000;
+  Tensor flags = Tensor::Empty(DType::kBool, n, 1).ValueOrDie();
+  Tensor i32 = Tensor::Empty(DType::kInt32, n, 1).ValueOrDie();
+  Tensor i64 = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) {
+    flags.mutable_data<bool>()[i] = rng.Uniform(0, 1) == 1;
+    i32.mutable_data<int32_t>()[i] = static_cast<int32_t>(rng.Uniform(-40, 40));
+    i64.mutable_data<int64_t>()[i] = rng.Uniform(-30, 30) - (int64_t{1} << 40);
+  }
+  const Tensor s1 = RandomStrings(&rng, n, 1, 5);
+  const Tensor s2 = RandomStrings(&rng, n, 2, 3, /*min_len=*/2);
+  const Tensor s8 = RandomStrings(&rng, n, 8, 2);
+  for (const auto& [name, keys] :
+       std::vector<std::pair<std::string, std::vector<Tensor>>>{
+           {"bool", {flags}},
+           {"int32", {i32}},
+           {"int64", {i64}},
+           {"str1", {s1}},
+           {"str2", {s2}},
+           {"bool,int32", {flags, i32}},
+           {"str1,bool", {s1, flags}},
+           {"bool,str2", {flags, s2}},
+           {"int32,int64", {i32, i64}}}) {
+    const GroupIdsPath path = ExpectPathsAgree(keys, name);
+    EXPECT_TRUE(path.dense) << name;
+  }
+  // Zero-padded 8-byte strings span far more than 2n codes: the kernel
+  // sorts, and agrees with the sort path.
+  GroupIdsPath path;
+  ExpectSameIds(GroupIds({s8}, &path).ValueOrDie(), SortPathIds({s8}), "str8");
+  EXPECT_FALSE(path.dense);
+  // 8-byte strings that differ only in their last two bytes pack into a
+  // small domain, and rank like the sort.
+  Tensor tail8 = RandomStrings(&rng, n, 8, 2, /*min_len=*/8);
+  for (int64_t i = 0; i < n; ++i) {
+    std::memcpy(tail8.mutable_data<uint8_t>() + i * 8, "shipmo", 6);
+  }
+  EXPECT_TRUE(ExpectPathsAgree({tail8}, "str8 tail").dense);
+}
+
+TEST(GroupIdsTest, UnpackableKeysTakeTheSortPath) {
+  Rng rng(7);
+  const int64_t n = 2000;
+  const Tensor s9 = RandomStrings(&rng, n, 9, 2);
+  Tensor f = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) f.mutable_data<double>()[i] = rng.Uniform(0, 3);
+  for (const auto& [name, keys] :
+       std::vector<std::pair<std::string, std::vector<Tensor>>>{
+           {"str9", {s9}}, {"float", {f}}, {"int64,str9", {Tensor::Arange(n).ValueOrDie(), s9}}}) {
+    EXPECT_FALSE(PlanDensePacking(keys, std::numeric_limits<uint64_t>::max()))
+        << name;
+    GroupIdsPath path;
+    ExpectSameIds(GroupIds(keys, &path).ValueOrDie(), SortPathIds(keys), name);
+    EXPECT_FALSE(path.dense) << name;
+  }
+}
+
+TEST(GroupIdsTest, Int64ExtremesOverflowTheRangeAndSort) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Tensor full = Tensor::FromVector<int64_t>({kMax, kMin, -1, kMax, 0});
+  EXPECT_FALSE(PlanDensePacking({full}, std::numeric_limits<uint64_t>::max()));
+  GroupIdsPath path;
+  ExpectSameIds(GroupIds({full}, &path).ValueOrDie(),
+                Tensor::FromVector<int64_t>({3, 0, 1, 3, 2}), "INT64_MIN..MAX");
+  EXPECT_FALSE(path.dense);
+  // One short of the full range packs, and the extremes rank correctly.
+  Tensor near = Tensor::FromVector<int64_t>({kMax, kMin + 1, kMax});
+  const auto packing =
+      PlanDensePacking({near}, std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(packing.has_value());
+  EXPECT_EQ(packing->domain, std::numeric_limits<uint64_t>::max());
+  ExpectSameIds(GroupIds({near}, &path).ValueOrDie(),
+                Tensor::FromVector<int64_t>({1, 0, 1}), "near extremes");
+  EXPECT_FALSE(path.dense);  // 2^64 - 1 codes are far past the limit
+}
+
+TEST(GroupIdsTest, DomainLimitAndRadixProductOverflow) {
+  EXPECT_EQ(DenseDomainLimit(10), 1024u);
+  EXPECT_EQ(DenseDomainLimit(5000), 10000u);
+  GroupIdsPath path;
+  // 10 rows: the limit is 1024 codes. 0..1023 is exactly at it.
+  std::vector<int64_t> at(10, 5);
+  at[3] = 0;
+  at[7] = 1023;
+  ExpectSameIds(GroupIds({Tensor::FromVector(at)}, &path).ValueOrDie(),
+                SortPathIds({Tensor::FromVector(at)}), "at the limit");
+  EXPECT_TRUE(path.dense);
+  EXPECT_EQ(path.domain, 1024);
+  std::vector<int64_t> past = at;
+  past[7] = 1024;
+  ExpectSameIds(GroupIds({Tensor::FromVector(past)}, &path).ValueOrDie(),
+                SortPathIds({Tensor::FromVector(past)}), "past the limit");
+  EXPECT_FALSE(path.dense);
+  // Multi-key: 32 x 32 = 1024 dense, 32 x 33 sorts.
+  Tensor a = Tensor::FromVector<int32_t>({0, 31, 4, 31, 0});
+  Tensor b = Tensor::FromVector<int32_t>({0, 31, 2, 31, 31});
+  Tensor c = Tensor::FromVector<int32_t>({0, 32, 2, 31, 31});
+  EXPECT_TRUE(ExpectPathsAgree({a, b}, "32x32").dense);
+  EXPECT_FALSE(ExpectPathsAgree({a, c}, "32x33").dense);
+  // Two keys spanning 2^40 each: the radix product overflows 64 bits.
+  const int64_t big = int64_t{1} << 40;
+  Tensor x = Tensor::FromVector<int64_t>({0, big, 7});
+  Tensor y = Tensor::FromVector<int64_t>({big, 0, 7});
+  EXPECT_FALSE(PlanDensePacking({x, y}, std::numeric_limits<uint64_t>::max()));
+  ExpectSameIds(GroupIds({x, y}, &path).ValueOrDie(), SortPathIds({x, y}),
+                "product overflow");
+  EXPECT_FALSE(path.dense);
+  // 2^31 x 2^31 fits in 64 bits, but not in the limit.
+  const int64_t half = int64_t{1} << 31;
+  Tensor u = Tensor::FromVector<int64_t>({0, half - 1});
+  Tensor v = Tensor::FromVector<int64_t>({half - 1, 0});
+  const auto packing =
+      PlanDensePacking({u, v}, std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(packing.has_value());
+  EXPECT_EQ(packing->domain, uint64_t{1} << 62);
+  EXPECT_FALSE(GroupIdsByRank({u, v}, *packing).ok());  // ranks need 32 bits
+  EXPECT_FALSE(PlanDensePacking({u, v}, DenseDomainLimit(2)));
+}
+
+TEST(GroupIdsTest, EmptyAndSingleRowInputs) {
+  for (DType dt : {DType::kInt64, DType::kFloat64}) {
+    Tensor empty = Tensor::Empty(dt, 0, 1).ValueOrDie();
+    GroupIdsPath path;
+    Tensor ids = GroupIds({empty, empty}, &path).ValueOrDie();
+    EXPECT_EQ(ids.rows(), 0);
+    EXPECT_EQ(GroupCount(ids).ValueOrDie().at<int64_t>(0), 0);
+    EXPECT_EQ(path.dense, dt == DType::kInt64);
+    EXPECT_EQ(SortPathIds({empty}).rows(), 0);
+    Tensor one = Tensor::Full(dt, 1, 1, -3).ValueOrDie();
+    ids = GroupIds({one}).ValueOrDie();
+    ASSERT_EQ(ids.rows(), 1);
+    EXPECT_EQ(ids.at<int64_t>(0), 0);
+    EXPECT_EQ(GroupCount(ids).ValueOrDie().at<int64_t>(0), 1);
+  }
+  EXPECT_FALSE(GroupIds({}).ok());
+  EXPECT_FALSE(GroupIds({Tensor::FromVector<int64_t>({1, 2}),
+                         Tensor::FromVector<int64_t>({1})})
+                   .ok());
+  EXPECT_FALSE(GroupCount(Tensor::FromVector<double>({1.0})).ok());
 }
 
 TEST(SortTest, ArgsortPropertyRandom) {

@@ -356,6 +356,9 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
   options.pool = &pool;
   options.trace = &session;
   options.compile.target = ExecutorTarget::kPipelined;
+  // SF 0.01 Q1 scans ~60k rows: 1,000-row morsels give it many morsels, so
+  // the fan-out below reaches several workers.
+  options.compile.morsel_rows = 1000;
   runtime::QueryScheduler scheduler(catalog_, options);
   const std::string sql = tpch::QueryText(1).ValueOrDie();
   auto future_or = scheduler.Submit(sql);
@@ -537,6 +540,26 @@ TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
                        static_cast<double>(result.wall_nanos);
   EXPECT_GT(ratio, 0.6) << result.text;
   EXPECT_LT(ratio, 1.15) << result.text;
+}
+
+TEST_F(ObsTpchTest, ExplainAnalyzeReportsGroupIdsPath) {
+  // Q1 groups by two 1-byte flags (a few packed codes): dense. Q3 groups by
+  // an order key, a date and a priority, and the key product is far past
+  // 2n codes: sort.
+  for (const auto& [q, path] :
+       std::vector<std::pair<int, std::string>>{{1, "[dense "}, {3, "[sort]"}}) {
+    CompileOptions options;
+    options.target = ExecutorTarget::kPipelined;
+    options.num_threads = 2;
+    auto result_or =
+        obs::ExplainAnalyze(tpch::QueryText(q).ValueOrDie(), *catalog_, options);
+    ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+    const std::string& text = result_or.ValueOrDie().text;
+    const size_t row = text.find(OpTypeName(OpType::kGroupIds));
+    ASSERT_NE(row, std::string::npos) << text;
+    const std::string line = text.substr(row, text.find('\n', row) - row);
+    EXPECT_NE(line.find(path), std::string::npos) << "Q" << q << "\n" << text;
+  }
 }
 
 TEST_F(ObsTpchTest, ExplainAnalyzeListsOperatorsOnSerialBackends) {

@@ -67,8 +67,8 @@ TEST(PipelineSplitTest, StreamableOpClassification) {
   }
   for (OpType breaker :
        {OpType::kReduceAll, OpType::kCumSum, OpType::kSegmentedReduce,
-        OpType::kArgsortRows, OpType::kSegmentBoundaries, OpType::kUniqueSorted,
-        OpType::kConcatRows}) {
+        OpType::kArgsortRows, OpType::kGroupIds, OpType::kGroupCount,
+        OpType::kScatter, OpType::kConcatRows}) {
     EXPECT_FALSE(IsStreamableOp(breaker)) << OpTypeName(breaker);
   }
 }

@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "compile/compiler.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -424,8 +425,7 @@ TEST(ParallelKernelTest, FloatSumsBitIdenticalToSerialOrder) {
     ParallelContext ctx;
     ctx.pool = &pool;
     ctx.morsel_rows = 1000;
-    // Float sums go through the partition-ordered accumulation (no serial
-    // fallback) and must stay exact.
+    // Float sums run the serial kernel at every thread count.
     ExpectTensorsIdentical(
         runtime::ParallelSegmentedReduce(ctx, ReduceOpKind::kSum, values, ids,
                                          groups)
@@ -518,6 +518,52 @@ TEST(ParallelKernelTest, StableArgsortMatchesSerial) {
     ExpectTensorsIdentical(
         runtime::ParallelSearchSorted(ctx, sorted, probes, right).ValueOrDie(),
         kernels::SearchSorted(sorted, probes, right).ValueOrDie(), "searchsorted");
+  }
+}
+
+TEST(ParallelKernelTest, GroupIdsMatchSerialOnBothPaths) {
+  Rng rng(77);
+  const int64_t n = 40000;
+  Tensor small = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
+  Tensor reals = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) {
+    small.mutable_data<int64_t>()[i] = rng.Uniform(-50, 49);
+    reals.mutable_data<double>()[i] = static_cast<double>(rng.Uniform(0, 300)) / 7;
+  }
+  TensorProgram program;
+  const int a = program.AddInput("a");
+  const int b = program.AddInput("b");
+  const int dense = program.AddNode(OpType::kGroupIds, {a});
+  const int sorted = program.AddNode(OpType::kGroupIds, {b, a});
+  std::vector<Tensor> values(static_cast<size_t>(program.num_nodes()));
+  values[static_cast<size_t>(a)] = small;
+  values[static_cast<size_t>(b)] = reals;
+  auto* invocations = obs::MetricsRegistry::Global()->GetCounter(
+      "tqp_breaker_invocations_total", "");
+  for (const auto& [node, keys] :
+       std::vector<std::pair<int, std::vector<Tensor>>>{{dense, {small}},
+                                                        {sorted, {reals, small}}}) {
+    kernels::GroupIdsPath path;
+    const Tensor serial = kernels::GroupIds(keys, &path).ValueOrDie();
+    EXPECT_EQ(path.dense, node == dense);
+    for (int threads : {1, 2, 8}) {
+      for (bool partitioned : {false, true}) {
+        ThreadPool pool(threads);
+        ParallelContext ctx = SmallMorselContext(&pool);
+        ctx.partitioned_breakers = partitioned;
+        const int64_t before = invocations->value();
+        const std::string what = std::string(node == dense ? "dense" : "sort") +
+                                 " t=" + std::to_string(threads) +
+                                 (partitioned ? " partitioned" : "");
+        ExpectTensorsIdentical(
+            runtime::ParallelEvalNode(ctx, program, program.node(node), values)
+                .ValueOrDie(),
+            serial, what);
+        // The sort path sorts through the external sort when asked to.
+        EXPECT_EQ(invocations->value() > before, partitioned && node == sorted)
+            << what;
+      }
+    }
   }
 }
 

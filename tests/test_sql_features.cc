@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -341,24 +342,37 @@ TEST(ExistsResidualTest, Q21ShapeBothPolarities) {
 
 TEST(GroupCountTest, CountsShareOneReductionOverSegmentIds) {
   Catalog catalog = MakeCatalog();
-  // COUNT(*), COUNT(price) and AVG's count all read only the segment ids:
-  // one count reduction serves them, and price is gathered once, for SUM.
+  // COUNT(*), COUNT(price) and AVG's count all read only the group ids: one
+  // count reduction serves them. AVG's SUM reduces price unpermuted, in row
+  // order, so no aggregate argument is gathered.
   const std::string sql =
       "SELECT tag, COUNT(*) AS n, COUNT(price) AS c, AVG(price) AS a "
       "FROM items GROUP BY tag ORDER BY tag";
   CompiledQuery compiled =
       QueryCompiler().CompileSql(sql, catalog, CompileOptions{}).ValueOrDie();
+  const TensorProgram& program = compiled.program();
   int counts = 0;
   int arg_gathers = 0;
-  for (const OpNode& node : compiled.program().nodes()) {
+  int sum_arg = -1;
+  for (const OpNode& node : program.nodes()) {
     if (node.type == OpType::kSegmentedReduce &&
         node.attrs.GetInt("op") == static_cast<int64_t>(ReduceOpKind::kCount)) {
       ++counts;
     }
+    if (node.type == OpType::kSegmentedReduce &&
+        node.attrs.GetInt("op") == static_cast<int64_t>(ReduceOpKind::kSum)) {
+      sum_arg = node.inputs[0];
+    }
     if (node.label == "group-by: agg input") ++arg_gathers;
   }
   EXPECT_EQ(counts, 1);
-  EXPECT_EQ(arg_gathers, 1);
+  EXPECT_EQ(arg_gathers, 0);
+  ASSERT_GE(sum_arg, 0);
+  for (const OpNode& node : program.nodes()) {
+    if (node.type != OpType::kGather) continue;
+    EXPECT_EQ(std::count(node.inputs.begin(), node.inputs.end(), sum_arg), 0)
+        << "gather n" << node.id << " reads the SUM argument n" << sum_arg;
+  }
   const Table result = RunAllEngines(sql, catalog);
   ASSERT_EQ(result.num_rows(), 2);  // even: ids 0 2 4, odd: ids 1 3
   EXPECT_EQ(result.column(1).GetScalar(0).AsInt64(), 3);
