@@ -361,12 +361,8 @@ Result<BExpr> Binder::BindExpr(const Expr& expr, const Scope& scope) {
             "correlated reference '" + expr.name +
             "' is only supported as an equality in EXISTS subqueries");
       }
-      if (!allow_nullable_refs_ && nullable_lo_ >= 0 &&
-          col.global_index >= nullable_lo_ && col.global_index < nullable_hi_) {
-        return Status::NotImplemented(
-            "column '" + expr.name +
-            "' from the right side of a LEFT JOIN may only appear inside "
-            "COUNT() (no general NULL support)");
+      if (!allow_nullable_refs_) {
+        TQP_RETURN_NOT_OK(CheckNotNullable(col.global_index, expr.name));
       }
       return MakeColumnRef(col.global_index, col.type);
     }
@@ -697,16 +693,16 @@ Result<Binder::PendingSemiJoin> Binder::BindSubqueryPredicate(
     if (outer_col.kind != ExprKind::kColumnRef) {
       return Status::NotImplemented("IN (subquery) requires a plain column");
     }
-    TQP_ASSIGN_OR_RETURN(
-        ResolvedColumn col,
-        ResolveColumn(outer_scope, outer_col.qualifier, outer_col.name));
+    // BindExpr rejects a key on the nullable side of a LEFT JOIN: its zero
+    // sentinels would match a zero in the subquery.
+    TQP_ASSIGN_OR_RETURN(BExpr key, BindExpr(outer_col, outer_scope));
     Binder sub_binder(catalog_, models_);
     TQP_ASSIGN_OR_RETURN(PlanPtr subplan, sub_binder.Bind(*expr.subquery));
     if (subplan->output_schema.num_fields() != 1) {
       return Status::BindError("IN subquery must produce exactly one column");
     }
     pending.subplan = std::move(subplan);
-    pending.outer_keys = {col.global_index};
+    pending.outer_keys = {key->column_index};
     pending.inner_keys = {0};
     return pending;
   }
@@ -771,6 +767,9 @@ Result<Binder::PendingSemiJoin> Binder::BindSubqueryPredicate(
       if (resolved[0] && resolved[1] && sides[0].from_outer != sides[1].from_outer) {
         const int inner_side = sides[0].from_outer ? 1 : 0;
         const int outer_side = 1 - inner_side;
+        TQP_RETURN_NOT_OK(CheckNotNullable(
+            sides[outer_side].outer_global_index,
+            c->children[static_cast<size_t>(outer_side)]->name));
         pending.outer_keys.push_back(sides[outer_side].outer_global_index);
         inner_cols.emplace_back(
             c->children[static_cast<size_t>(inner_side)]->qualifier,
@@ -1071,6 +1070,40 @@ Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope)
     }
   }
 
+  // Subquery predicates become semi/anti joins. A membership test (one
+  // numeric outer key, no residual) lowers to a probe-only mask, two
+  // searchsorted calls per probed row, so it goes where single-relation
+  // filters go: around the relation that owns its key, after its filters.
+  // Semi joins that expand pairs cost more per probed row and stay on top of
+  // the join tree, where the fewest rows reach them.
+  std::vector<PendingSemiJoin> expanding_semi_joins;
+  for (const Expr* pred : subquery_preds) {
+    TQP_ASSIGN_OR_RETURN(PendingSemiJoin pending,
+                         BindSubqueryPredicate(*pred, *scope));
+    if (pending.outer_keys.size() == 1 && !pending.residual) {
+      const int key = pending.outer_keys[0];
+      Relation* owner = nullptr;
+      int off = 0;
+      for (Relation& rel : scope->relations) {
+        const int width = rel.plan->output_schema.num_fields();
+        if (key >= off && key < off + width) {
+          owner = &rel;
+          break;
+        }
+        off += width;
+      }
+      if (owner != nullptr &&
+          owner->plan->output_schema.field(key - off).type !=
+              LogicalType::kString) {
+        owner->plan = MakeJoin(owner->plan, pending.subplan,
+                               pending.anti ? JoinType::kAnti : JoinType::kSemi,
+                               {key - off}, pending.inner_keys, nullptr);
+        continue;
+      }
+    }
+    expanding_semi_joins.push_back(std::move(pending));
+  }
+
   // Left-deep join construction in scope order (FROM order, or the
   // connected order chosen above).
   PlanPtr current = scope->relations[0].plan;
@@ -1159,10 +1192,8 @@ Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope)
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     if (!used[ci]) current = MakeFilterNode(current, conjuncts[ci]);
   }
-  // Semi/anti joins from subquery predicates.
-  for (const Expr* pred : subquery_preds) {
-    TQP_ASSIGN_OR_RETURN(PendingSemiJoin pending,
-                         BindSubqueryPredicate(*pred, *scope));
+  // Semi/anti joins that expand pairs.
+  for (PendingSemiJoin& pending : expanding_semi_joins) {
     current = MakeJoin(current, pending.subplan,
                        pending.anti ? JoinType::kAnti : JoinType::kSemi,
                        pending.outer_keys, pending.inner_keys,
@@ -1190,11 +1221,22 @@ void CollectScalarSubqueries(const Expr& e, std::vector<const Expr*>* out) {
 
 }  // namespace
 
+bool Binder::IsNullableColumn(int global_index) const {
+  return nullable_lo_ >= 0 && global_index >= nullable_lo_ &&
+         global_index < nullable_hi_;
+}
+
+Status Binder::CheckNotNullable(int global_index, const std::string& name) const {
+  if (!IsNullableColumn(global_index)) return Status::OK();
+  return Status::NotImplemented(
+      "column '" + name +
+      "' from the right side of a LEFT JOIN may only appear inside COUNT() "
+      "(no general NULL support)");
+}
+
 bool Binder::HasNullableRef(const BoundExpr& expr) const {
   if (nullable_lo_ < 0) return false;
-  if (expr.kind == BExprKind::kColumn) {
-    return expr.column_index >= nullable_lo_ && expr.column_index < nullable_hi_;
-  }
+  if (expr.kind == BExprKind::kColumn) return IsNullableColumn(expr.column_index);
   for (const BExpr& c : expr.children) {
     if (c && HasNullableRef(*c)) return true;
   }

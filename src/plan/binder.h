@@ -76,7 +76,9 @@ class Binder {
   static void SplitConjuncts(const BExpr& expr, std::vector<BExpr>* out);
 
   /// Builds the FROM join tree, placing WHERE conjuncts as filters, join
-  /// keys, or residuals, and applying pending semi/anti joins last.
+  /// keys, or residuals. A membership semi/anti join (one numeric key, no
+  /// residual) wraps the relation that owns its key, after that relation's
+  /// filters; a semi/anti join that expands pairs goes on top of the tree.
   Result<PlanPtr> BindFromWhere(const sql::SelectStatement& stmt, Scope* scope);
 
   /// Permutes a comma-joined FROM list into connected order: starting from
@@ -120,6 +122,10 @@ class Binder {
   /// True when the bound expression reads a nullable column (the right side
   /// of a LEFT JOIN).
   bool HasNullableRef(const BoundExpr& expr) const;
+  bool IsNullableColumn(int global_index) const;
+  /// NotImplemented when `global_index` is on the nullable side: outside
+  /// COUNT() its zero sentinels would read as values.
+  Status CheckNotNullable(int global_index, const std::string& name) const;
 
   static bool IsAggregateFunction(const std::string& name);
   static bool ContainsAggregate(const sql::Expr& expr);

@@ -248,6 +248,7 @@ TEST_F(PartitionedTpchTest, BudgetedPartitionedRunStaysBitIdentical) {
     const std::string what = "budgeted partitioned Q" + std::to_string(q);
     ExpectTablesIdentical(capped, reference, what);
     EXPECT_LE(mem.peak_live_bytes, uncapped_peak) << what;
+    EXPECT_GT(mem.spilled_bytes, 0) << what << ": the budget never spilled";
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "baseline/volcano.h"
@@ -188,13 +189,16 @@ Catalog MakeChainCatalog() {
   return catalog;
 }
 
-// Scan tables in left-to-right leaf order: for a left-deep join tree this is
-// the join order, followed by the scans of semi-joined subqueries.
+// Scan tables in left-to-right leaf order, skipping the subqueries of
+// semi/anti joins: for a left-deep join tree this is the join order.
 std::vector<std::string> ScanOrder(const PlanNode& node) {
   if (node.kind == PlanKind::kScan) return {node.table_name};
+  const bool semi = node.kind == PlanKind::kJoin &&
+                    (node.join_type == sql::JoinType::kSemi ||
+                     node.join_type == sql::JoinType::kAnti);
   std::vector<std::string> out;
-  for (const PlanPtr& c : node.children) {
-    for (std::string& t : ScanOrder(*c)) out.push_back(std::move(t));
+  for (size_t i = 0; i < (semi ? 1 : node.children.size()); ++i) {
+    for (std::string& t : ScanOrder(*node.children[i])) out.push_back(std::move(t));
   }
   return out;
 }
@@ -276,6 +280,142 @@ TEST(BinderJoinOrderTest, ExplicitAndLeftJoinListsKeepFromOrder) {
   EXPECT_EQ(ScanOrder(*left),
             (std::vector<std::string>{"ta", "tc", "tb", "td"}));
   EXPECT_NE(left->ToString().find("Join cross"), std::string::npos);
+}
+
+// A semi/anti join with the joins above it, outermost first.
+struct PlacedSemiJoin {
+  const PlanNode* join;
+  std::vector<const PlanNode*> joins_above;
+};
+
+void CollectSemiJoins(const PlanNode& node, std::vector<const PlanNode*>* above,
+                      std::vector<PlacedSemiJoin>* out) {
+  const bool is_join = node.kind == PlanKind::kJoin;
+  if (is_join && (node.join_type == sql::JoinType::kSemi ||
+                  node.join_type == sql::JoinType::kAnti)) {
+    out->push_back(PlacedSemiJoin{&node, *above});
+  }
+  if (is_join) above->push_back(&node);
+  for (const PlanPtr& c : node.children) CollectSemiJoins(*c, above, out);
+  if (is_join) above->pop_back();
+}
+
+std::vector<PlacedSemiJoin> SemiJoins(const PlanNode& root) {
+  std::vector<const PlanNode*> above;
+  std::vector<PlacedSemiJoin> out;
+  CollectSemiJoins(root, &above, &out);
+  return out;
+}
+
+// The semi/anti join whose probe side is a bare scan of `table`, or null.
+const PlacedSemiJoin* SemiJoinOnScan(const std::vector<PlacedSemiJoin>& joins,
+                                     const std::string& table) {
+  for (const PlacedSemiJoin& s : joins) {
+    const PlanNode& probe = *s.join->children[0];
+    if (probe.kind == PlanKind::kScan && probe.table_name == table) return &s;
+  }
+  return nullptr;
+}
+
+int CountInnerJoins(const std::vector<const PlanNode*>& joins) {
+  return static_cast<int>(std::count_if(
+      joins.begin(), joins.end(), [](const PlanNode* j) {
+        return j->join_type == sql::JoinType::kInner;
+      }));
+}
+
+bool ContainsKind(const PlanNode& node, PlanKind kind) {
+  if (node.kind == kind) return true;
+  for (const PlanPtr& c : node.children) {
+    if (ContainsKind(*c, kind)) return true;
+  }
+  return false;
+}
+
+TEST(SemiJoinPlacementTest, MembershipTestsWrapTheKeyRelation) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  // Q18: o_orderkey IN (...) probes orders, below both inner joins.
+  PlanPtr q18 = BindSql(tpch::QueryText(18).ValueOrDie(), catalog).ValueOrDie();
+  const auto q18_semis = SemiJoins(*q18);
+  ASSERT_EQ(q18_semis.size(), 1u) << q18->ToString();
+  const PlacedSemiJoin* orders = SemiJoinOnScan(q18_semis, "orders");
+  ASSERT_NE(orders, nullptr) << q18->ToString();
+  EXPECT_EQ(orders->join->join_type, sql::JoinType::kSemi);
+  EXPECT_EQ(CountInnerJoins(orders->joins_above), 2) << q18->ToString();
+
+  // Q20: s_suppkey IN (...) probes supplier below the nation join, and the
+  // nested ps_partkey IN (...) probes partsupp below the join with the
+  // decorrelated SUM(l_quantity) aggregate.
+  PlanPtr q20 = BindSql(tpch::QueryText(20).ValueOrDie(), catalog).ValueOrDie();
+  const auto q20_semis = SemiJoins(*q20);
+  ASSERT_EQ(q20_semis.size(), 2u) << q20->ToString();
+  const PlacedSemiJoin* supplier = SemiJoinOnScan(q20_semis, "supplier");
+  ASSERT_NE(supplier, nullptr) << q20->ToString();
+  EXPECT_EQ(CountInnerJoins(supplier->joins_above), 1);
+  const PlacedSemiJoin* partsupp = SemiJoinOnScan(q20_semis, "partsupp");
+  ASSERT_NE(partsupp, nullptr) << q20->ToString();
+  ASSERT_FALSE(partsupp->joins_above.empty());
+  const PlanNode* aggregate_join = partsupp->joins_above.back();
+  EXPECT_EQ(aggregate_join->join_type, sql::JoinType::kInner);
+  EXPECT_EQ(aggregate_join->children[0].get(), partsupp->join);
+  EXPECT_TRUE(ContainsKind(*aggregate_join->children[1], PlanKind::kAggregate));
+
+  // Q16: ps_suppkey NOT IN (...) probes partsupp, below the part join.
+  PlanPtr q16 = BindSql(tpch::QueryText(16).ValueOrDie(), catalog).ValueOrDie();
+  const auto q16_semis = SemiJoins(*q16);
+  ASSERT_EQ(q16_semis.size(), 1u) << q16->ToString();
+  const PlacedSemiJoin* anti = SemiJoinOnScan(q16_semis, "partsupp");
+  ASSERT_NE(anti, nullptr) << q16->ToString();
+  EXPECT_EQ(anti->join->join_type, sql::JoinType::kAnti);
+  EXPECT_EQ(CountInnerJoins(anti->joins_above), 1);
+}
+
+TEST(SemiJoinPlacementTest, PairExpandingSemiJoinsStayOnTop) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  // Q21: EXISTS and NOT EXISTS carry an l_suppkey <> residual, so both stay
+  // above the four-way supplier-lineitem-orders-nation chain.
+  PlanPtr q21 = BindSql(tpch::QueryText(21).ValueOrDie(), catalog).ValueOrDie();
+  const auto q21_semis = SemiJoins(*q21);
+  ASSERT_EQ(q21_semis.size(), 2u) << q21->ToString();
+  for (const PlacedSemiJoin& s : q21_semis) {
+    EXPECT_NE(s.join->residual, nullptr);
+    EXPECT_EQ(CountInnerJoins(s.joins_above), 0) << q21->ToString();
+    EXPECT_EQ(Prefix(ScanOrder(*s.join->children[0]), 4),
+              (std::vector<std::string>{"supplier", "lineitem", "orders",
+                                        "nation"}));
+  }
+
+  // Q4 has one relation: its EXISTS probes the filtered orders scan, as
+  // before.
+  PlanPtr q4 = BindSql(tpch::QueryText(4).ValueOrDie(), catalog).ValueOrDie();
+  const auto q4_semis = SemiJoins(*q4);
+  ASSERT_EQ(q4_semis.size(), 1u) << q4->ToString();
+  const PlanNode* q4_probe = q4_semis[0].join->children[0].get();
+  EXPECT_EQ(q4_probe->kind, PlanKind::kFilter) << q4->ToString();
+  while (q4_probe->kind == PlanKind::kFilter) {
+    q4_probe = q4_probe->children[0].get();
+  }
+  EXPECT_EQ(q4_probe->kind, PlanKind::kScan) << q4->ToString();
+
+  // A string key hashes and expands pairs, so it stays on top of the join;
+  // the same subquery keyed on a number moves down onto items.
+  Catalog small = MakeCatalog();
+  PlanPtr by_tag = BindSql(
+      "SELECT id, qty FROM items, sales WHERE id = item_id AND "
+      "tag IN (SELECT tag FROM items WHERE price > 2)",
+      small).ValueOrDie();
+  const auto tag_semis = SemiJoins(*by_tag);
+  ASSERT_EQ(tag_semis.size(), 1u);
+  EXPECT_TRUE(tag_semis[0].joins_above.empty()) << by_tag->ToString();
+  EXPECT_EQ(tag_semis[0].join->children[0]->join_type, sql::JoinType::kInner);
+  PlanPtr by_id = BindSql(
+      "SELECT id, qty FROM items, sales WHERE id = item_id AND "
+      "id IN (SELECT id FROM items WHERE price > 2)",
+      small).ValueOrDie();
+  const auto id_semis = SemiJoins(*by_id);
+  ASSERT_EQ(id_semis.size(), 1u);
+  ASSERT_NE(SemiJoinOnScan(id_semis, "items"), nullptr) << by_id->ToString();
+  EXPECT_EQ(CountInnerJoins(id_semis[0].joins_above), 1);
 }
 
 TEST(ExprEvalTest, RowSemantics) {

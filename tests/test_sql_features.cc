@@ -290,6 +290,34 @@ TEST(LeftJoinTest, ProjectingNullableSideRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotImplemented);
 }
 
+TEST(LeftJoinTest, SubqueryKeyOnNullableSideRejected) {
+  // An unmatched row's nullable side holds zero sentinels, so a subquery key
+  // there would match a zero inside the subquery (items has id 0).
+  Catalog catalog = MakeCatalog();
+  VolcanoEngine volcano(&catalog);
+  QueryCompiler compiler;
+  for (const std::string where :
+       {"item_id IN (SELECT id FROM items)",
+        "item_id NOT IN (SELECT id FROM items)",
+        "EXISTS (SELECT * FROM items i2 WHERE i2.id = item_id)"}) {
+    const std::string sql =
+        "SELECT COUNT(*) AS n FROM items LEFT JOIN sales ON id = item_id "
+        "AND qty > 5 WHERE " + where;
+    EXPECT_EQ(volcano.ExecuteSql(sql).status().code(),
+              StatusCode::kNotImplemented) << where;
+    EXPECT_EQ(compiler.CompileSql(sql, catalog, CompileOptions{}).status().code(),
+              StatusCode::kNotImplemented) << where;
+  }
+  // A key on the preserved side stays legal: items 1 and 2 have a sale with
+  // qty > 5, and each has two sales.
+  const Table kept = RunAllEngines(
+      "SELECT COUNT(*) AS n FROM items LEFT JOIN sales ON id = item_id "
+      "WHERE id IN (SELECT item_id FROM sales WHERE qty > 5)",
+      catalog);
+  ASSERT_EQ(kept.num_rows(), 1);
+  EXPECT_EQ(kept.column(0).GetScalar(0).AsInt64(), 4);
+}
+
 TEST(LeftJoinTest, MustBeLastFromEntry) {
   Catalog catalog = MakeCatalog();
   VolcanoEngine volcano(&catalog);
