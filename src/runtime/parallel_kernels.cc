@@ -13,17 +13,6 @@
 
 namespace tqp::runtime {
 
-namespace {
-
-using kernels::BinaryOp;
-using kernels::Cast;
-using kernels::Compare;
-using kernels::Logical;
-using kernels::Unary;
-using kernels::Where;
-
-}  // namespace
-
 int64_t MorselRows(const ParallelContext& ctx) {
   return ctx.morsel_rows > 0 ? ctx.morsel_rows : DefaultMorselRows();
 }
@@ -31,192 +20,6 @@ int64_t MorselRows(const ParallelContext& ctx) {
 bool ShouldParallelize(const ParallelContext& ctx, int64_t rows) {
   return ctx.parallel() && rows >= ctx.min_parallel_rows &&
          rows > MorselRows(ctx);
-}
-
-namespace {
-
-/// Returns `t` restricted to output rows [b, e): sliced when row-aligned with
-/// the output, whole when broadcast (1 row) or deliberately global.
-Tensor SliceAligned(const Tensor& t, int64_t out_rows, int64_t b, int64_t e) {
-  return t.rows() == out_rows ? t.SliceRows(b, e) : t;
-}
-
-/// Runs `fn` (a serial kernel over output row range [b, e), returning exactly
-/// e - b rows) morsel-parallel and assembles the full output. Morsel 0 runs
-/// first on the calling thread to learn the output dtype/cols — this also
-/// surfaces validation errors exactly as the serial kernel would.
-Result<Tensor> MorselMap(const ParallelContext& ctx, int64_t out_rows,
-                         const std::function<Result<Tensor>(int64_t, int64_t)>& fn) {
-  if (!ShouldParallelize(ctx, out_rows)) return fn(0, out_rows);
-  const int64_t morsel = MorselRows(ctx);
-  TQP_ASSIGN_OR_RETURN(Tensor head, fn(0, morsel));
-  if (head.rows() != morsel) {
-    return Status::Internal("MorselMap: kernel returned wrong row count");
-  }
-  TQP_ASSIGN_OR_RETURN(
-      Tensor out, Tensor::Empty(head.dtype(), out_rows, head.cols(), head.device()));
-  const int64_t row_bytes = head.cols() * DTypeSize(head.dtype());
-  auto* dst = static_cast<uint8_t*>(out.raw_mutable_data());
-  std::memcpy(dst, head.raw_data(), static_cast<size_t>(head.nbytes()));
-  Status st = ctx.pool->ParallelFor(
-      out_rows - morsel, morsel, [&](int64_t b, int64_t e) -> Status {
-        const int64_t begin = b + morsel;
-        const int64_t end = e + morsel;
-        TQP_ASSIGN_OR_RETURN(Tensor part, fn(begin, end));
-        if (part.rows() != end - begin || part.cols() != out.cols() ||
-            part.dtype() != out.dtype()) {
-          return Status::Internal("MorselMap: inconsistent morsel output");
-        }
-        std::memcpy(dst + begin * row_bytes, part.raw_data(),
-                    static_cast<size_t>(part.nbytes()));
-        return Status::OK();
-      });
-  TQP_RETURN_NOT_OK(st);
-  return out;
-}
-
-/// Broadcast output rows for a set of inputs where each must either span the
-/// output or be a single broadcast row. Returns -1 when the shapes don't fit
-/// that pattern (callers then fall back to the serial kernel, which produces
-/// the proper error or handles the exotic case).
-int64_t AlignedRows(std::initializer_list<const Tensor*> inputs) {
-  int64_t rows = 1;
-  for (const Tensor* t : inputs) {
-    if (t->rows() == 1) continue;
-    if (rows == 1) {
-      rows = t->rows();
-    } else if (t->rows() != rows) {
-      return -1;
-    }
-  }
-  return rows;
-}
-
-}  // namespace
-
-Result<Tensor> ParallelBinaryOp(const ParallelContext& ctx, BinaryOpKind op,
-                                const Tensor& a, const Tensor& b) {
-  const int64_t rows = AlignedRows({&a, &b});
-  if (rows < 0) return BinaryOp(op, a, b);
-  return MorselMap(ctx, rows, [&](int64_t lo, int64_t hi) {
-    return BinaryOp(op, SliceAligned(a, rows, lo, hi), SliceAligned(b, rows, lo, hi));
-  });
-}
-
-Result<Tensor> ParallelCompare(const ParallelContext& ctx, CompareOpKind op,
-                               const Tensor& a, const Tensor& b) {
-  const int64_t rows = AlignedRows({&a, &b});
-  if (rows < 0) return Compare(op, a, b);
-  return MorselMap(ctx, rows, [&](int64_t lo, int64_t hi) {
-    return Compare(op, SliceAligned(a, rows, lo, hi), SliceAligned(b, rows, lo, hi));
-  });
-}
-
-Result<Tensor> ParallelLogical(const ParallelContext& ctx, LogicalOpKind op,
-                               const Tensor& a, const Tensor& b) {
-  const int64_t rows = AlignedRows({&a, &b});
-  if (rows < 0) return Logical(op, a, b);
-  return MorselMap(ctx, rows, [&](int64_t lo, int64_t hi) {
-    return Logical(op, SliceAligned(a, rows, lo, hi), SliceAligned(b, rows, lo, hi));
-  });
-}
-
-Result<Tensor> ParallelUnary(const ParallelContext& ctx, UnaryOpKind op,
-                             const Tensor& a) {
-  return MorselMap(ctx, a.rows(), [&](int64_t lo, int64_t hi) {
-    return Unary(op, a.SliceRows(lo, hi));
-  });
-}
-
-Result<Tensor> ParallelCast(const ParallelContext& ctx, const Tensor& a, DType to) {
-  if (a.dtype() == to) return a;  // serial fast path: no copy at all
-  return MorselMap(ctx, a.rows(), [&](int64_t lo, int64_t hi) {
-    return Cast(a.SliceRows(lo, hi), to);
-  });
-}
-
-Result<Tensor> ParallelWhere(const ParallelContext& ctx, const Tensor& cond,
-                             const Tensor& a, const Tensor& b) {
-  const int64_t rows = AlignedRows({&cond, &a, &b});
-  if (rows < 0) return Where(cond, a, b);
-  return MorselMap(ctx, rows, [&](int64_t lo, int64_t hi) {
-    return Where(SliceAligned(cond, rows, lo, hi), SliceAligned(a, rows, lo, hi),
-                 SliceAligned(b, rows, lo, hi));
-  });
-}
-
-Result<Tensor> ParallelGather(const ParallelContext& ctx, const Tensor& a,
-                              const Tensor& indices) {
-  return MorselMap(ctx, indices.rows(), [&](int64_t lo, int64_t hi) {
-    return kernels::Gather(a, indices.SliceRows(lo, hi));
-  });
-}
-
-Result<Tensor> ParallelSearchSorted(const ParallelContext& ctx, const Tensor& sorted,
-                                    const Tensor& values, bool right) {
-  if (sorted.cols() != 1 || values.cols() != 1 || sorted.dtype() != values.dtype()) {
-    return kernels::SearchSorted(sorted, values, right);  // serial error path
-  }
-  return MorselMap(ctx, values.rows(), [&](int64_t lo, int64_t hi) {
-    return kernels::SearchSorted(sorted, values.SliceRows(lo, hi), right);
-  });
-}
-
-Result<Tensor> ParallelNonzero(const ParallelContext& ctx, const Tensor& mask) {
-  if (mask.dtype() != DType::kBool || mask.cols() != 1) {
-    return kernels::Nonzero(mask);  // serial error path
-  }
-  const int64_t n = mask.rows();
-  if (!ShouldParallelize(ctx, n)) return kernels::Nonzero(mask);
-  const std::vector<RowRange> morsels = PartitionRows(n, MorselRows(ctx));
-  const bool* pm = mask.data<bool>();
-  // Pass 1: per-morsel true counts.
-  std::vector<int64_t> counts(morsels.size(), 0);
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t m = mb; m < me; ++m) {
-          int64_t c = 0;
-          for (int64_t i = morsels[static_cast<size_t>(m)].begin;
-               i < morsels[static_cast<size_t>(m)].end; ++i) {
-            c += pm[i] ? 1 : 0;
-          }
-          counts[static_cast<size_t>(m)] = c;
-        }
-        return Status::OK();
-      }));
-  // Exclusive scan over morsel counts gives each morsel's output offset.
-  std::vector<int64_t> offsets(morsels.size() + 1, 0);
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    offsets[m + 1] = offsets[m] + counts[m];
-  }
-  TQP_ASSIGN_OR_RETURN(
-      Tensor out, Tensor::Empty(DType::kInt64, offsets.back(), 1, mask.device()));
-  int64_t* po = out.mutable_data<int64_t>();
-  // Pass 2: disjoint writes; within a morsel, ascending row order — overall
-  // output equals the serial scan order.
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t m = mb; m < me; ++m) {
-          int64_t w = offsets[static_cast<size_t>(m)];
-          for (int64_t i = morsels[static_cast<size_t>(m)].begin;
-               i < morsels[static_cast<size_t>(m)].end; ++i) {
-            if (pm[i]) po[w++] = i;
-          }
-        }
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<Tensor> ParallelCompress(const ParallelContext& ctx, const Tensor& a,
-                                const Tensor& mask) {
-  if (mask.dtype() != DType::kBool || mask.cols() != 1 || mask.rows() != a.rows()) {
-    return kernels::Compress(a, mask);  // serial error path
-  }
-  // Same decomposition as the serial kernel (Nonzero then Gather), with each
-  // stage morsel-parallel.
-  TQP_ASSIGN_OR_RETURN(Tensor idx, ParallelNonzero(ctx, mask));
-  return ParallelGather(ctx, a, idx);
 }
 
 Result<Tensor> ParallelReduceAll(const ParallelContext& ctx, ReduceOpKind op,
@@ -309,7 +112,7 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
   }
 
   // Sum/min/max accumulate in float64, exactly as the serial kernel does.
-  TQP_ASSIGN_OR_RETURN(Tensor cv, ParallelCast(ctx, values, DType::kFloat64));
+  TQP_ASSIGN_OR_RETURN(Tensor cv, kernels::Cast(values, DType::kFloat64));
   const double* pv = cv.data<double>();
   const bool is_sum = op == ReduceOpKind::kSum;
   const double init = is_sum ? 0.0
@@ -358,7 +161,7 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
     }
   }
   const DType out_dt = is_sum ? DType::kFloat64 : values.dtype();
-  return Cast(acc_t, out_dt);
+  return kernels::Cast(acc_t, out_dt);
 }
 
 Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
@@ -405,62 +208,6 @@ Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
           for (int64_t r = 0; r < t.rows(); ++r) {
             std::memcpy(base + r * out_row_bytes,
                         src + static_cast<size_t>(r) * row_bytes, row_bytes);
-          }
-        }
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<Tensor> ParallelRepeatInterleave(const ParallelContext& ctx, const Tensor& a,
-                                        const Tensor& counts) {
-  if (counts.dtype() != DType::kInt64 || counts.cols() != 1 ||
-      counts.rows() != a.rows() || !ShouldParallelize(ctx, a.rows())) {
-    return kernels::RepeatInterleave(a, counts);  // serial / error path
-  }
-  const int64_t n = a.rows();
-  const int64_t* pc = counts.data<int64_t>();
-  const std::vector<RowRange> morsels = PartitionRows(n, MorselRows(ctx));
-  // Pass 1: per-morsel count totals (validating non-negative counts).
-  std::vector<int64_t> morsel_totals(morsels.size(), 0);
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t mi = mb; mi < me; ++mi) {
-          const RowRange r = morsels[static_cast<size_t>(mi)];
-          int64_t sum = 0;
-          for (int64_t i = r.begin; i < r.end; ++i) {
-            if (pc[i] < 0) {
-              return Status::Invalid("RepeatInterleave: negative count");
-            }
-            sum += pc[i];
-          }
-          morsel_totals[static_cast<size_t>(mi)] = sum;
-        }
-        return Status::OK();
-      }));
-  // Exclusive scan over morsel totals gives each morsel's output offset.
-  std::vector<int64_t> morsel_offsets(morsels.size() + 1, 0);
-  for (size_t mi = 0; mi < morsels.size(); ++mi) {
-    morsel_offsets[mi + 1] = morsel_offsets[mi] + morsel_totals[mi];
-  }
-  const int64_t total = morsel_offsets.back();
-  const int64_t row_bytes = a.cols() * DTypeSize(a.dtype());
-  TQP_ASSIGN_OR_RETURN(Tensor out,
-                       Tensor::Empty(a.dtype(), total, a.cols(), a.device()));
-  const uint8_t* src = static_cast<const uint8_t*>(a.raw_data());
-  uint8_t* dst = static_cast<uint8_t*>(out.raw_mutable_data());
-  // Pass 2: local rescan per morsel; every input row writes its replicas at
-  // a disjoint offset, reproducing the serial row order exactly.
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), 1, [&](int64_t mb, int64_t me) -> Status {
-        for (int64_t mi = mb; mi < me; ++mi) {
-          const RowRange r = morsels[static_cast<size_t>(mi)];
-          uint8_t* w = dst + morsel_offsets[static_cast<size_t>(mi)] * row_bytes;
-          for (int64_t i = r.begin; i < r.end; ++i) {
-            for (int64_t rep = 0; rep < pc[i]; ++rep) {
-              std::memcpy(w, src + i * row_bytes, static_cast<size_t>(row_bytes));
-              w += row_bytes;
-            }
           }
         }
         return Status::OK();
@@ -533,32 +280,6 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
   }
   if (ctx.parallel()) {
     switch (node.type) {
-      case OpType::kBinary:
-        return ParallelBinaryOp(ctx,
-                                static_cast<BinaryOpKind>(node.attrs.GetInt("op")),
-                                in(0), in(1));
-      case OpType::kCompare:
-        return ParallelCompare(ctx,
-                               static_cast<CompareOpKind>(node.attrs.GetInt("op")),
-                               in(0), in(1));
-      case OpType::kLogical:
-        return ParallelLogical(ctx,
-                               static_cast<LogicalOpKind>(node.attrs.GetInt("op")),
-                               in(0), in(1));
-      case OpType::kUnary:
-        return ParallelUnary(ctx, static_cast<UnaryOpKind>(node.attrs.GetInt("op")),
-                             in(0));
-      case OpType::kCast:
-        return ParallelCast(ctx, in(0),
-                            static_cast<DType>(node.attrs.GetInt("dtype")));
-      case OpType::kWhere:
-        return ParallelWhere(ctx, in(0), in(1), in(2));
-      case OpType::kNonzero:
-        return ParallelNonzero(ctx, in(0));
-      case OpType::kCompress:
-        return ParallelCompress(ctx, in(0), in(1));
-      case OpType::kGather:
-        return ParallelGather(ctx, in(0), in(1));
       case OpType::kConcatRows: {
         std::vector<Tensor> parts;
         parts.reserve(node.inputs.size());
@@ -567,8 +288,6 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
         }
         return ParallelConcatRows(ctx, parts);
       }
-      case OpType::kRepeatInterleave:
-        return ParallelRepeatInterleave(ctx, in(0), in(1));
       case OpType::kReduceAll:
         return ParallelReduceAll(
             ctx, static_cast<ReduceOpKind>(node.attrs.GetInt("op")), in(0));
@@ -579,85 +298,8 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
             ctx, static_cast<ReduceOpKind>(node.attrs.GetInt("op")), in(0), in(1),
             count.ScalarAsInt64(0));
       }
-      case OpType::kSearchSorted:
-        return ParallelSearchSorted(ctx, in(0), in(1), node.attrs.GetBool("right"));
-      case OpType::kHashRows:
-        return MorselMap(ctx, in(0).rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::HashRows(in(0).SliceRows(lo, hi));
-        });
-      case OpType::kHashCombine: {
-        const Tensor& h = in(0);
-        const Tensor& x = in(1);
-        if (h.rows() != x.rows()) break;  // serial error path
-        return MorselMap(ctx, h.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::HashCombine(h.SliceRows(lo, hi), x.SliceRows(lo, hi));
-        });
-      }
-      case OpType::kGatherCols: {
-        const Tensor& t = in(0);
-        const Tensor& idx = in(1);
-        if (t.rows() != idx.rows()) break;  // serial error path
-        return MorselMap(ctx, t.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::GatherCols(t.SliceRows(lo, hi), idx.SliceRows(lo, hi));
-        });
-      }
-      case OpType::kMatMul: {
-        const Tensor& a = in(0);
-        const Tensor& b = in(1);
-        return MorselMap(ctx, a.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::MatMul(a.SliceRows(lo, hi), b);
-        });
-      }
-      case OpType::kMatMulAddBias: {
-        const Tensor& a = in(0);
-        const Tensor& b = in(1);
-        const Tensor& bias = in(2);
-        return MorselMap(ctx, a.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::MatMulAddBias(a.SliceRows(lo, hi), b, bias);
-        });
-      }
-      case OpType::kEmbeddingBagSum: {
-        const Tensor& table = in(0);
-        const Tensor& ids = in(1);
-        return MorselMap(ctx, ids.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::EmbeddingBagSum(table, ids.SliceRows(lo, hi));
-        });
-      }
-      case OpType::kStringCompareScalar:
-        return MorselMap(ctx, in(0).rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::StringCompareScalar(
-              static_cast<CompareOpKind>(node.attrs.GetInt("op")),
-              in(0).SliceRows(lo, hi), node.attrs.GetString("literal"));
-        });
-      case OpType::kStringCompare: {
-        const Tensor& a = in(0);
-        const Tensor& b = in(1);
-        if (a.rows() != b.rows()) break;  // serial error path
-        return MorselMap(ctx, a.rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::StringCompare(
-              static_cast<CompareOpKind>(node.attrs.GetInt("op")),
-              a.SliceRows(lo, hi), b.SliceRows(lo, hi));
-        });
-      }
-      case OpType::kStringLike:
-        return MorselMap(ctx, in(0).rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::StringLike(in(0).SliceRows(lo, hi),
-                                     node.attrs.GetString("pattern"));
-        });
-      case OpType::kSubstring:
-        return MorselMap(ctx, in(0).rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::Substring(in(0).SliceRows(lo, hi),
-                                    node.attrs.GetInt("start"),
-                                    node.attrs.GetInt("len"));
-        });
-      case OpType::kHashTokenize:
-        return MorselMap(ctx, in(0).rows(), [&](int64_t lo, int64_t hi) {
-          return kernels::HashTokenize(in(0).SliceRows(lo, hi),
-                                       node.attrs.GetInt("vocab"),
-                                       node.attrs.GetInt("max_tokens"));
-        });
       default:
-        break;  // sequential-by-nature ops (prefix scans, scatters, counts)
+        break;  // streamable ops go parallel inside pipelines, not here
     }
   }
   return EvalNode(program, node, values);

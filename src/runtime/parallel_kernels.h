@@ -48,36 +48,20 @@ int64_t MorselRows(const ParallelContext& ctx);
 /// \brief True when `rows` is worth fanning out under `ctx`.
 bool ShouldParallelize(const ParallelContext& ctx, int64_t rows);
 
-/// Morsel-parallel kernels. Every function in this header is *exact*: its
-/// result is bit-identical to the corresponding serial kernel in
-/// src/kernels, for any thread count and morsel size. Decompositions that
-/// cannot be made exact (floating-point sums, whole-input or segmented, and
-/// prefix scans) are not parallelized — they delegate to the serial kernel.
-/// An order-preserving fan-out of segmented float sums (each segment's
-/// additions replayed in serial row order) was measured slower than the
-/// serial kernel at 4, 1,000 and 150,000 groups, so it was removed.
-
-/// \brief Elementwise family (broadcast-aware): rows are independent, so
-/// morsels of the output map to morsels of the row-aligned inputs.
-Result<Tensor> ParallelBinaryOp(const ParallelContext& ctx, BinaryOpKind op,
-                                const Tensor& a, const Tensor& b);
-Result<Tensor> ParallelCompare(const ParallelContext& ctx, CompareOpKind op,
-                               const Tensor& a, const Tensor& b);
-Result<Tensor> ParallelLogical(const ParallelContext& ctx, LogicalOpKind op,
-                               const Tensor& a, const Tensor& b);
-Result<Tensor> ParallelUnary(const ParallelContext& ctx, UnaryOpKind op,
-                             const Tensor& a);
-Result<Tensor> ParallelCast(const ParallelContext& ctx, const Tensor& a, DType to);
-Result<Tensor> ParallelWhere(const ParallelContext& ctx, const Tensor& cond,
-                             const Tensor& a, const Tensor& b);
-
-/// \brief Selection: count per morsel, exclusive scan over morsel counts,
-/// then disjoint writes — output order equals the serial (stable) order.
-Result<Tensor> ParallelNonzero(const ParallelContext& ctx, const Tensor& mask);
-Result<Tensor> ParallelCompress(const ParallelContext& ctx, const Tensor& a,
-                                const Tensor& mask);
-Result<Tensor> ParallelGather(const ParallelContext& ctx, const Tensor& a,
-                              const Tensor& indices);
+/// Morsel-parallel kernels for the pipeline breakers: the ops a pipeline
+/// cannot stream, so they run whole-node. Streamable ops (elementwise,
+/// selection, gather, search, hashing, matmul, strings) have no copy here:
+/// PipelinedExecutor runs them morsel-parallel inside pipelines, and a
+/// whole-node streamable op evaluates serially.
+///
+/// Every function in this header is *exact*: its result is bit-identical to
+/// the corresponding serial kernel in src/kernels, for any thread count and
+/// morsel size. Decompositions that cannot be made exact (floating-point
+/// sums, whole-input or segmented, and prefix scans) are not parallelized —
+/// they delegate to the serial kernel. An order-preserving fan-out of
+/// segmented float sums (each segment's additions replayed in serial row
+/// order) was measured slower than the serial kernel at 4, 1,000 and 150,000
+/// groups, so it was removed.
 
 /// \brief Full reduction. Exact-parallel cases: min/max (order-free),
 /// count, and sums of *integer* inputs (double accumulation of integers is
@@ -103,10 +87,6 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
                                    bool ascending);
 
-/// \brief Binary searches are independent per probe row.
-Result<Tensor> ParallelSearchSorted(const ParallelContext& ctx, const Tensor& sorted,
-                                    const Tensor& values, bool right);
-
 /// \brief Row concatenation: an exclusive scan over part row counts gives
 /// each part's output offset, then parts copy concurrently into disjoint
 /// ranges (byte-for-byte the serial kernel's layout, including the
@@ -114,16 +94,11 @@ Result<Tensor> ParallelSearchSorted(const ParallelContext& ctx, const Tensor& so
 Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
                                   const std::vector<Tensor>& parts);
 
-/// \brief repeat_interleave: a two-pass prefix sum over `counts` (per-morsel
-/// totals, exclusive scan over morsels, local rescan) gives every input
-/// row's output offset, then rows replicate concurrently into disjoint
-/// ranges — exactly the serial row order.
-Result<Tensor> ParallelRepeatInterleave(const ParallelContext& ctx, const Tensor& a,
-                                        const Tensor& counts);
-
-/// \brief Evaluates one tensor-program op, using the morsel-parallel kernels
-/// above where an exact decomposition exists and the serial EvalNode
-/// otherwise. Drop-in replacement for EvalNode: bit-identical results.
+/// \brief Evaluates one tensor-program op whole: argsort and group_ids sort
+/// through the breaker argsort (external merge sort under partitioned
+/// breakers), concat_rows and the reductions fan out through the kernels
+/// above, and every other op runs the serial EvalNode. Drop-in replacement
+/// for EvalNode: bit-identical results.
 Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
                                 const TensorProgram& program, const OpNode& node,
                                 const std::vector<Tensor>& values);

@@ -132,7 +132,8 @@ Status PipelinedExecutor::RunPipelineSerial(const Pipeline& p,
 Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
                                       std::vector<Tensor>* values,
                                       const ParallelContext& ctx) {
-  // Resolve the driver domain from the sliced sources. A source whose row
+  // Resolve the driver domain from the sliced sources: the first one that is
+  // not a 1-row broadcast, whatever the operand order. A source whose row
   // count matches neither the driver nor 1 (a runtime broadcast the splitter
   // could not see) falls back to whole-node evaluation — same results, no
   // streaming.
@@ -141,14 +142,23 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
     pipeline_span.AddArg("index", pipeline_index);
     pipeline_span.AddArg("ops", static_cast<int64_t>(p.nodes.size()));
   }
-  int64_t driver_rows = -1;
-  std::vector<bool> slice_now(p.sliced_sources.size(), false);
-  for (size_t i = 0; i < p.sliced_sources.size(); ++i) {
-    const Tensor& t = (*values)[static_cast<size_t>(p.sliced_sources[i])];
+  if (p.sliced_sources.empty()) {
+    return Status::Internal("pipelined executor: pipeline without a driver");
+  }
+  int64_t driver_rows = 1;
+  for (int src : p.sliced_sources) {
+    const Tensor& t = (*values)[static_cast<size_t>(src)];
     if (!t.defined()) {
       return Status::Internal("pipelined executor: undefined sliced source");
     }
-    if (driver_rows < 0) driver_rows = t.rows();
+    if (t.rows() != 1) {
+      driver_rows = t.rows();
+      break;
+    }
+  }
+  std::vector<bool> slice_now(p.sliced_sources.size(), false);
+  for (size_t i = 0; i < p.sliced_sources.size(); ++i) {
+    const Tensor& t = (*values)[static_cast<size_t>(p.sliced_sources[i])];
     if (t.rows() == driver_rows) {
       slice_now[i] = true;
     } else if (t.rows() != 1) {
@@ -159,9 +169,6 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
       // would add morsel offsets to non-driver rows. Evaluate whole.
       return RunPipelineSerial(p, values, ctx);
     }
-  }
-  if (driver_rows < 0) {
-    return Status::Internal("pipelined executor: pipeline without a driver");
   }
 
   // Adaptive sizing reads one size per pipeline run; the per-morsel

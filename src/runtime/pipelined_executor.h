@@ -27,8 +27,10 @@ namespace tqp {
 /// intermediates, and only pipeline *outputs* materialize (assembled from
 /// per-morsel chunks in morsel order, which makes every result bit-identical
 /// to the serial executors for any thread count and morsel size). Pipeline
-/// breakers (sorts, reductions, scans, concats) evaluate whole through the
-/// exact morsel-parallel kernels of runtime::ParallelEvalNode.
+/// breakers (sorts, reductions, scans, concats) evaluate whole through
+/// runtime::ParallelEvalNode, whose exact morsel-parallel kernels cover the
+/// sorts, concats and reductions; streamable ops run parallel only here,
+/// inside pipelines.
 ///
 /// Morsel scratch churn is soaked up by the process-wide BufferPool, so a
 /// streamed chain re-uses a handful of recycled blocks instead of allocating
@@ -128,7 +130,7 @@ class PipelinedExecutor : public Executor {
   };
 
   /// Evaluates one node whole (breakers, scalars, fallback pipelines) with
-  /// intra-op parallelism, simulated-device metering and an "op" span.
+  /// simulated-device metering and an "op" span; only breakers fan out.
   Status EvalWholeNode(const OpNode& node, std::vector<Tensor>* values,
                        const runtime::ParallelContext& ctx);
 
@@ -151,7 +153,7 @@ class PipelinedExecutor : public Executor {
       int64_t morsel_rows, ProbeResult* probe);
 
   /// Whole-node evaluation of a pipeline (shape surprises, simulated
-  /// devices): same results, no streaming.
+  /// devices): same results, no streaming, serial kernels.
   Status RunPipelineSerial(const Pipeline& p, std::vector<Tensor>* values,
                            const runtime::ParallelContext& ctx);
 

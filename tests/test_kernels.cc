@@ -786,8 +786,7 @@ TEST(ArgsortStringOracleTest, MultiColumnRowsMatchStdStableSort) {
 }
 
 template <typename T>
-void ExpectSearchSortedMatchesStd(const runtime::ParallelContext& ctx,
-                                  std::vector<T> sorted, const std::vector<T>& probes,
+void ExpectSearchSortedMatchesStd(std::vector<T> sorted, const std::vector<T>& probes,
                                   const std::string& what) {
   std::sort(sorted.begin(), sorted.end());
   Tensor s = Tensor::Empty(DTypeOf<T>::value, static_cast<int64_t>(sorted.size()), 1)
@@ -805,45 +804,40 @@ void ExpectSearchSortedMatchesStd(const runtime::ParallelContext& ctx,
     }
     const std::string side = what + (right ? " upper" : " lower");
     EXPECT_EQ(ToVector(SearchSorted(s, v, right).ValueOrDie()), want) << side;
-    EXPECT_EQ(ToVector(runtime::ParallelSearchSorted(ctx, s, v, right).ValueOrDie()),
-              want)
-        << "parallel " << side;
   }
 }
 
 template <typename T>
-void CheckSearchSortedShapes(const runtime::ParallelContext& ctx, Rng* rng) {
+void CheckSearchSortedShapes(Rng* rng) {
   const auto random_keys = [rng](int64_t n, int64_t lo, int64_t hi) {
     std::vector<T> out;
     for (int64_t i = 0; i < n; ++i) out.push_back(static_cast<T>(rng->Uniform(lo, hi)));
     return out;
   };
-  // Probes straddle morsel boundaries: 5 morsels plus a ragged tail.
+  // Five morsels of probes plus a ragged tail.
   const int64_t k = 5 * kOracleMorsel + 7;
-  ExpectSearchSortedMatchesStd<T>(ctx, {}, random_keys(k, 0, 1), "empty sorted");
-  ExpectSearchSortedMatchesStd<T>(ctx, random_keys(4097, 50, 100),
+  ExpectSearchSortedMatchesStd<T>({}, random_keys(k, 0, 1), "empty sorted");
+  ExpectSearchSortedMatchesStd<T>(random_keys(4097, 50, 100),
                                   random_keys(k, 0, 49), "all below");
-  ExpectSearchSortedMatchesStd<T>(ctx, random_keys(4097, 0, 1),
+  ExpectSearchSortedMatchesStd<T>(random_keys(4097, 0, 1),
                                   random_keys(k, 2, 100), "all above");
   std::vector<T> runs;
   for (int v : {0, 1, 7, 9}) runs.insert(runs.end(), 3000, static_cast<T>(v));
-  ExpectSearchSortedMatchesStd<T>(ctx, runs, random_keys(k, 0, 10), "duplicate runs");
+  ExpectSearchSortedMatchesStd<T>(runs, random_keys(k, 0, 10), "duplicate runs");
   for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{17}, int64_t{1000}}) {
-    ExpectSearchSortedMatchesStd<T>(ctx, random_keys(n, 0, 100),
+    ExpectSearchSortedMatchesStd<T>(random_keys(n, 0, 100),
                                     random_keys(k, 0, 101), "n=" + std::to_string(n));
   }
 }
 
 TEST(SearchSortedOracleTest, MatchesStdBounds) {
-  ThreadPool pool(4);
-  const runtime::ParallelContext ctx = OracleContext(&pool);
   Rng rng(77);
-  CheckSearchSortedShapes<int64_t>(ctx, &rng);
-  CheckSearchSortedShapes<int32_t>(ctx, &rng);
-  CheckSearchSortedShapes<double>(ctx, &rng);
-  CheckSearchSortedShapes<float>(ctx, &rng);
-  CheckSearchSortedShapes<uint8_t>(ctx, &rng);
-  CheckSearchSortedShapes<bool>(ctx, &rng);
+  CheckSearchSortedShapes<int64_t>(&rng);
+  CheckSearchSortedShapes<int32_t>(&rng);
+  CheckSearchSortedShapes<double>(&rng);
+  CheckSearchSortedShapes<float>(&rng);
+  CheckSearchSortedShapes<uint8_t>(&rng);
+  CheckSearchSortedShapes<bool>(&rng);
 }
 
 // ---- Strings -------------------------------------------------------------------

@@ -4,9 +4,10 @@
 // derives (dependency edges, last-consumer release sets), bit-identical
 // PipelinedExecutor results against the serial executors on TPC-H and ML
 // prediction pipelines at several thread counts and morsel sizes — with DAG
-// overlap on and off — real concurrency of independent steps, eager value
-// release on both runtime backends, and the size-classed BufferPool
-// underneath it all.
+// overlap on and off — driver choice under runtime broadcasts, the guard
+// that streamable ops run whole only as 1-row scalars, real concurrency of
+// independent steps, eager value release on both runtime backends, and the
+// size-classed BufferPool underneath it all.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -22,6 +24,7 @@
 #include "datasets/iris.h"
 #include "ml/linear.h"
 #include "ml/tree.h"
+#include "obs/trace.h"
 #include "runtime/runtime.h"
 #include "tensor/buffer_pool.h"
 #include "tpch/dbgen.h"
@@ -52,6 +55,32 @@ void ExpectTablesIdentical(const Table& got, const Table& want,
     ExpectTensorsIdentical(got.column(c).tensor(), want.column(c).tensor(),
                            what + " column " + want.schema().field(c).name);
   }
+}
+
+bool IsOpSpan(const obs::TraceEvent& e) {
+  return e.phase == obs::TraceEvent::Phase::kSpan && std::strcmp(e.category, "op") == 0;
+}
+
+/// Op spans recorded inside a pipeline span: nodes a pipeline evaluated whole
+/// (the RunPipelineSerial fallback) instead of streaming them.
+std::vector<const obs::TraceEvent*> OpSpansUnderPipelines(
+    const std::vector<obs::TraceEvent>& events) {
+  std::unordered_map<uint64_t, const obs::TraceEvent*> by_span;
+  for (const obs::TraceEvent& e : events) {
+    if (e.span_id != 0) by_span.emplace(e.span_id, &e);
+  }
+  std::vector<const obs::TraceEvent*> out;
+  for (const obs::TraceEvent& e : events) {
+    if (!IsOpSpan(e)) continue;
+    for (auto it = by_span.find(e.parent_id); it != by_span.end();
+         it = by_span.find(it->second->parent_id)) {
+      if (std::strcmp(it->second->category, "pipeline") == 0) {
+        out.push_back(&e);
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 // ---- Pipeline splitter ------------------------------------------------------
@@ -603,6 +632,96 @@ TEST(PipelineExecTest, RuntimeBroadcastSourceDisablesOffsetStreaming) {
   ASSERT_EQ(got.size(), expected.size());
   ExpectTensorsIdentical(got[0], expected[0], "broadcast binary");
   ExpectTensorsIdentical(got[1], expected[1], "nonzero over broadcast mask");
+}
+
+TEST(PipelineExecTest, BroadcastFirstOperandStillStreams) {
+  // seg's row count is the runtime value of its num_segments operand, which
+  // the splitter cannot see, so binary(seg, x) slices both seg and x. At
+  // runtime seg is a 1-row broadcast listed before the driver-sized x: the
+  // driver must come from x, or the pipeline falls back to whole-node
+  // evaluation.
+  auto program = std::make_shared<TensorProgram>();
+  const int x = program->AddInput("x");
+  const int ids = program->AddInput("ids");
+  const int count = program->AddConstant(Tensor::FromVector<int64_t>({1}));
+  AttrMap sum;
+  sum.Set("op", static_cast<int64_t>(ReduceOpKind::kSum));
+  const int seg = program->AddNode(OpType::kSegmentedReduce, {x, ids, count}, sum);
+  AttrMap add;
+  add.Set("op", static_cast<int64_t>(BinaryOpKind::kAdd));
+  program->MarkOutput(program->AddNode(OpType::kBinary, {seg, x}, add));
+
+  const int64_t n = 40000;
+  Tensor xt = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
+  for (int64_t i = 0; i < n; ++i) xt.mutable_data<double>()[i] = double(i % 97) / 8;
+  Tensor idt = Tensor::Full(DType::kInt64, n, 1, 0).ValueOrDie();
+
+  auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
+  auto expected = eager->Run({xt, idt}).ValueOrDie();
+  ExecOptions options;
+  options.num_threads = 4;
+  options.morsel_rows = 1000;  // 40 morsels
+  auto exec = MakeExecutor(ExecutorTarget::kPipelined, program, options).ValueOrDie();
+  obs::TraceSession session;
+  std::vector<Tensor> got;
+  {
+    obs::TraceContext ctx(&session, session.NextQueryId());
+    got = exec->Run({xt, idt}).ValueOrDie();
+  }
+  EXPECT_GT(static_cast<PipelinedExecutor*>(exec.get())->num_morsel_evals(), 1);
+  EXPECT_TRUE(OpSpansUnderPipelines(session.events()).empty());
+  ASSERT_EQ(got.size(), expected.size());
+  ExpectTensorsIdentical(got[0], expected[0], "broadcast-first binary");
+}
+
+TEST_F(PipelineTpchTest, WholeNodeStreamableOpsAreScalars) {
+  // ParallelEvalNode has no parallel kernel for streamable ops: they go
+  // parallel only inside pipelines. That is free only while (a) no pipeline
+  // falls back to whole-node evaluation and (b) a streamable op runs whole
+  // only as a 1-row scalar step. Pin both on the serving configuration.
+  std::map<std::string, OpType> op_by_name;
+  // kHashTokenize is the last OpType.
+  for (int t = 0; t <= static_cast<int>(OpType::kHashTokenize); ++t) {
+    op_by_name.emplace(OpTypeName(static_cast<OpType>(t)), static_cast<OpType>(t));
+  }
+  QueryCompiler compiler;
+  CompileOptions options;
+  options.target = ExecutorTarget::kPipelined;
+  options.num_threads = 4;
+  int64_t streamable_whole = 0;
+  for (int q = 1; q <= 22; ++q) {
+    const std::string what = "Q" + std::to_string(q);
+    CompiledQuery query =
+        compiler.CompileSql(tpch::QueryText(q).ValueOrDie(), *catalog_, options)
+            .ValueOrDie();
+    obs::TraceSession session;
+    {
+      obs::TraceContext ctx(&session, session.NextQueryId());
+      ASSERT_TRUE(query.Run(*catalog_).ok()) << what;
+    }
+    const std::vector<obs::TraceEvent> events = session.events();
+    for (const obs::TraceEvent* e : OpSpansUnderPipelines(events)) {
+      ADD_FAILURE() << what << ": " << e->name << " evaluated whole in a pipeline";
+    }
+    for (const obs::TraceEvent& e : events) {
+      if (!IsOpSpan(e)) continue;
+      const auto op = op_by_name.find(e.name);
+      ASSERT_NE(op, op_by_name.end()) << what << ": " << e.name;
+      if (!IsStreamableOp(op->second)) continue;
+      ++streamable_whole;
+      int64_t output_bytes = -1;
+      for (int a = 0; a < e.num_args; ++a) {
+        if (std::strcmp(e.arg_names[a], "output_bytes") == 0) {
+          output_bytes = e.arg_values[a];
+        }
+      }
+      EXPECT_GE(output_bytes, 0) << what << ": " << e.name;
+      EXPECT_LE(output_bytes, 64) << what << ": whole-node " << e.name;
+    }
+  }
+  // Some queries do have scalar streamable steps, so the checks above are
+  // not vacuous.
+  EXPECT_GT(streamable_whole, 0);
 }
 
 TEST_F(PipelineTpchTest, SimulatedDeviceStillMetersKernels) {

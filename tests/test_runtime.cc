@@ -327,44 +327,6 @@ ParallelContext SmallMorselContext(ThreadPool* pool) {
   return ctx;
 }
 
-TEST(ParallelKernelTest, ElementwiseMatchesSerial) {
-  ThreadPool pool(4);
-  const ParallelContext ctx = SmallMorselContext(&pool);
-  Rng rng(123);
-  const int64_t n = 50000;
-  Tensor a = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  Tensor b = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  for (int64_t i = 0; i < n; ++i) {
-    a.mutable_data<double>()[i] = rng.UniformDouble(-10, 10);
-    b.mutable_data<double>()[i] = rng.UniformDouble(-10, 10);
-  }
-  for (BinaryOpKind op : {BinaryOpKind::kAdd, BinaryOpKind::kMul,
-                          BinaryOpKind::kDiv, BinaryOpKind::kMax}) {
-    ExpectTensorsIdentical(
-        runtime::ParallelBinaryOp(ctx, op, a, b).ValueOrDie(),
-        kernels::BinaryOp(op, a, b).ValueOrDie(), "binary op");
-  }
-  // Broadcast scalar rhs.
-  Tensor s = Tensor::Full(DType::kFloat64, 1, 1, 2.5).ValueOrDie();
-  ExpectTensorsIdentical(
-      runtime::ParallelBinaryOp(ctx, BinaryOpKind::kMul, a, s).ValueOrDie(),
-      kernels::BinaryOp(BinaryOpKind::kMul, a, s).ValueOrDie(), "broadcast mul");
-  ExpectTensorsIdentical(
-      runtime::ParallelCompare(ctx, CompareOpKind::kLt, a, b).ValueOrDie(),
-      kernels::Compare(CompareOpKind::kLt, a, b).ValueOrDie(), "compare");
-  ExpectTensorsIdentical(runtime::ParallelUnary(ctx, UnaryOpKind::kExp, a).ValueOrDie(),
-                         kernels::Unary(UnaryOpKind::kExp, a).ValueOrDie(), "unary");
-  ExpectTensorsIdentical(runtime::ParallelCast(ctx, a, DType::kFloat32).ValueOrDie(),
-                         kernels::Cast(a, DType::kFloat32).ValueOrDie(), "cast");
-  Tensor mask = kernels::Compare(CompareOpKind::kGt, a, b).ValueOrDie();
-  ExpectTensorsIdentical(runtime::ParallelWhere(ctx, mask, a, b).ValueOrDie(),
-                         kernels::Where(mask, a, b).ValueOrDie(), "where");
-  ExpectTensorsIdentical(runtime::ParallelNonzero(ctx, mask).ValueOrDie(),
-                         kernels::Nonzero(mask).ValueOrDie(), "nonzero");
-  ExpectTensorsIdentical(runtime::ParallelCompress(ctx, a, mask).ValueOrDie(),
-                         kernels::Compress(a, mask).ValueOrDie(), "compress");
-}
-
 TEST(ParallelKernelTest, ReductionsMatchSerial) {
   ThreadPool pool(4);
   const ParallelContext ctx = SmallMorselContext(&pool);
@@ -472,26 +434,6 @@ TEST(ParallelKernelTest, ConcatRowsMatchesSerial) {
                          "concat padded strings");
 }
 
-TEST(ParallelKernelTest, RepeatInterleaveMatchesSerial) {
-  ThreadPool pool(4);
-  const ParallelContext ctx = SmallMorselContext(&pool);
-  Rng rng(66);
-  const int64_t n = 30000;
-  Tensor vals = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  Tensor counts = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  for (int64_t i = 0; i < n; ++i) {
-    vals.mutable_data<double>()[i] = rng.UniformDouble(-10, 10);
-    counts.mutable_data<int64_t>()[i] = rng.Uniform(0, 4);  // many zeros
-  }
-  ExpectTensorsIdentical(
-      runtime::ParallelRepeatInterleave(ctx, vals, counts).ValueOrDie(),
-      kernels::RepeatInterleave(vals, counts).ValueOrDie(), "repeat_interleave");
-  // Negative count: both reject.
-  counts.mutable_data<int64_t>()[n / 3] = -2;
-  EXPECT_FALSE(runtime::ParallelRepeatInterleave(ctx, vals, counts).ok());
-  EXPECT_FALSE(kernels::RepeatInterleave(vals, counts).ok());
-}
-
 TEST(ParallelKernelTest, StableArgsortMatchesSerial) {
   ThreadPool pool(4);
   const ParallelContext ctx = SmallMorselContext(&pool);
@@ -506,18 +448,6 @@ TEST(ParallelKernelTest, StableArgsortMatchesSerial) {
     ExpectTensorsIdentical(
         runtime::ParallelArgsortRows(ctx, keys, ascending).ValueOrDie(),
         kernels::ArgsortRows(keys, ascending).ValueOrDie(), "argsort int64");
-  }
-  Tensor sorted = kernels::Gather(
-                      keys, kernels::ArgsortRows(keys, true).ValueOrDie())
-                      .ValueOrDie();
-  Tensor probes = Tensor::Empty(DType::kInt64, n, 1).ValueOrDie();
-  for (int64_t i = 0; i < n; ++i) {
-    probes.mutable_data<int64_t>()[i] = rng.Uniform(-5, 55);
-  }
-  for (bool right : {false, true}) {
-    ExpectTensorsIdentical(
-        runtime::ParallelSearchSorted(ctx, sorted, probes, right).ValueOrDie(),
-        kernels::SearchSorted(sorted, probes, right).ValueOrDie(), "searchsorted");
   }
 }
 
