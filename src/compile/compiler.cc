@@ -1,6 +1,8 @@
 #include "compile/compiler.h"
 
+#include <map>
 #include <string>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -101,10 +103,18 @@ class PlanCompiler {
                      target};
   }
 
+  /// One kConstant node per (dtype, value bytes), so that subexpressions a
+  /// bound DAG shares (EXTRACT's) compile to equal operands, which the
+  /// expression-fusion CSE merges.
   Result<TypedNode> ConstantScalar(const Scalar& value, DType dtype,
                                    const std::string& label) {
     TQP_ASSIGN_OR_RETURN(Tensor t, Tensor::Full(dtype, 1, 1, value.AsDouble()));
-    return TypedNode{program_->AddConstant(std::move(t), label), dtype};
+    std::string bytes(static_cast<const char*>(t.raw_data()),
+                      static_cast<size_t>(t.nbytes()));
+    auto [it, inserted] =
+        constants_.try_emplace({dtype, std::move(bytes)}, -1);
+    if (inserted) it->second = program_->AddConstant(std::move(t), label);
+    return TypedNode{it->second, dtype};
   }
 
   Result<TypedNode> CompileExpr(const BoundExpr& expr, const ColumnsState& in) {
@@ -820,6 +830,7 @@ class PlanCompiler {
   TensorProgram* program_;
   const ml::ModelRegistry* models_;
   std::vector<CompiledQuery::InputBinding>* bindings_;
+  std::map<std::pair<DType, std::string>, int> constants_;  // ConstantScalar
 };
 
 }  // namespace

@@ -172,6 +172,50 @@ void ColumnRange(const BoundExpr& e, int total_width, int* lo, int* hi) {
   }
 }
 
+// Collects the disjuncts of a bound predicate, flattening nested ORs.
+void SplitDisjuncts(const BExpr& expr, std::vector<BExpr>* out) {
+  if (expr->kind == BExprKind::kLogical &&
+      expr->logical_op == LogicalOpKind::kOr) {
+    SplitDisjuncts(expr->children[0], out);
+    SplitDisjuncts(expr->children[1], out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+// Left-deep `parts[0] op parts[1] op ...` (parts is non-empty).
+BExpr FoldLogical(LogicalOpKind op, const std::vector<BExpr>& parts) {
+  BExpr out = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) {
+    out = MakeLogical(op, out, parts[i]);
+  }
+  return out;
+}
+
+// Structural equality. Stricter than comparing ToString, which prints an
+// int and a float literal alike and floats to six significant digits.
+bool SameExpr(const BoundExpr& a, const BoundExpr& b) {
+  if (a.kind != b.kind || a.type != b.type ||
+      a.column_index != b.column_index || !(a.literal == b.literal) ||
+      a.arith_op != b.arith_op ||
+      a.cmp_op != b.cmp_op || a.logical_op != b.logical_op ||
+      a.like_pattern != b.like_pattern || a.negated != b.negated ||
+      a.in_list != b.in_list || a.case_has_else != b.case_has_else ||
+      a.substr_start != b.substr_start || a.substr_len != b.substr_len ||
+      a.model_name != b.model_name || a.children.size() != b.children.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (!SameExpr(*a.children[i], *b.children[i])) return false;
+  }
+  return true;
+}
+
+bool ContainsExpr(const std::vector<BExpr>& list, const BoundExpr& e) {
+  return std::any_of(list.begin(), list.end(),
+                     [&](const BExpr& x) { return SameExpr(*x, e); });
+}
+
 LogicalType PromoteNumeric(LogicalType a, LogicalType b) {
   if (a == LogicalType::kFloat64 || b == LogicalType::kFloat64) {
     return LogicalType::kFloat64;
@@ -681,6 +725,80 @@ void Binder::SplitConjuncts(const BExpr& expr, std::vector<BExpr>* out) {
   out->push_back(expr);
 }
 
+std::vector<BExpr> Binder::RewriteDisjunction(const BExpr& conjunct,
+                                              const Scope& scope) {
+  std::vector<BExpr> disjuncts;
+  SplitDisjuncts(conjunct, &disjuncts);
+  if (disjuncts.size() < 2) return {conjunct};
+  std::vector<std::vector<BExpr>> parts(disjuncts.size());
+  for (size_t d = 0; d < disjuncts.size(); ++d) {
+    SplitConjuncts(disjuncts[d], &parts[d]);
+  }
+
+  // (a) Factor: (c AND x) OR (c AND y) == c AND (x OR y).
+  std::vector<BExpr> out;
+  for (const BExpr& e : parts[0]) {
+    if (ContainsExpr(out, *e)) continue;
+    if (std::all_of(parts.begin() + 1, parts.end(),
+                    [&](const std::vector<BExpr>& p) {
+                      return ContainsExpr(p, *e);
+                    })) {
+      out.push_back(e);
+    }
+  }
+  BExpr residual = conjunct;
+  if (!out.empty()) {
+    std::vector<BExpr> rest;
+    for (std::vector<BExpr>& p : parts) {
+      p.erase(std::remove_if(
+                  p.begin(), p.end(),
+                  [&](const BExpr& e) { return ContainsExpr(out, *e); }),
+              p.end());
+      if (p.empty()) return out;  // a disjunct became TRUE: drop the OR
+      rest.push_back(FoldLogical(LogicalOpKind::kAnd, p));
+    }
+    residual = FoldLogical(LogicalOpKind::kOr, rest);
+  }
+  out.push_back(residual);
+
+  // (b) Derive: a relation restricted by every disjunct gets the OR of
+  // those restrictions. It is implied by the residual, which stays.
+  const size_t n = scope.relations.size();
+  const int total_width = scope.TotalWidth();
+  // The one relation `e` reads, or n when it reads none or several.
+  auto relation_of = [&](const BoundExpr& e) {
+    int lo = 0;
+    int hi = 0;
+    ColumnRange(e, total_width, &lo, &hi);
+    for (size_t r = 0; r < n && lo >= 0; ++r) {
+      const int off = scope.RelationOffset(static_cast<int>(r));
+      const int end = off + scope.relations[r].plan->output_schema.num_fields();
+      if (lo < end) return hi < end ? r : n;
+    }
+    return n;
+  };
+  if (relation_of(*residual) < n) return out;  // already a scan filter
+  std::vector<std::vector<BExpr>> terms(n);
+  for (const std::vector<BExpr>& p : parts) {
+    std::vector<std::vector<BExpr>> own(n);
+    for (const BExpr& e : p) {
+      const size_t r = relation_of(*e);
+      if (r < n) own[r].push_back(e);
+    }
+    for (size_t r = 0; r < n; ++r) {
+      if (!own[r].empty()) {
+        terms[r].push_back(FoldLogical(LogicalOpKind::kAnd, own[r]));
+      }
+    }
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (terms[r].size() == parts.size()) {
+      out.push_back(FoldLogical(LogicalOpKind::kOr, terms[r]));
+    }
+  }
+  return out;
+}
+
 Result<Binder::PendingSemiJoin> Binder::BindSubqueryPredicate(
     const Expr& expr, const Scope& outer_scope) {
   PendingSemiJoin pending;
@@ -1032,6 +1150,15 @@ Result<PlanPtr> Binder::BindFromWhere(const SelectStatement& stmt, Scope* scope)
   }
   // Synthesized scalar-subquery key equalities join the conjunct pool.
   for (BExpr& s : synthesized) conjuncts.push_back(std::move(s));
+  // OR conjuncts give up their common conjuncts and the filters they imply
+  // per relation, which the loop below places on the scans.
+  std::vector<BExpr> rewritten;
+  for (const BExpr& c : conjuncts) {
+    for (BExpr& r : RewriteDisjunction(c, *scope)) {
+      rewritten.push_back(std::move(r));
+    }
+  }
+  conjuncts = std::move(rewritten);
   // Pre-bind explicit ON conditions into the conjunct pool. A LEFT JOIN's ON
   // clause may reference the nullable side, so the guard is lifted there.
   std::vector<std::vector<BExpr>> on_conjuncts(scope->relations.size());

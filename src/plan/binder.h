@@ -76,10 +76,24 @@ class Binder {
   static void SplitConjuncts(const BExpr& expr, std::vector<BExpr>* out);
 
   /// Builds the FROM join tree, placing WHERE conjuncts as filters, join
-  /// keys, or residuals. A membership semi/anti join (one numeric key, no
-  /// residual) wraps the relation that owns its key, after that relation's
-  /// filters; a semi/anti join that expands pairs goes on top of the tree.
+  /// keys, or residuals. Each OR conjunct first goes through
+  /// RewriteDisjunction, so the filters it implies sit directly above their
+  /// scans. A membership semi/anti join (one numeric key, no residual) wraps
+  /// the relation that owns its key, after that relation's filters; a
+  /// semi/anti join that expands pairs goes on top of the tree.
   Result<PlanPtr> BindFromWhere(const sql::SelectStatement& stmt, Scope* scope);
+
+  /// Rewrites one WHERE conjunct over `scope` into the conjuncts that replace
+  /// it; a conjunct that is not an OR comes back alone. For an OR it
+  /// (a) factors out every conjunct that appears, structurally equal, in
+  /// each disjunct, keeping the OR of what is left (dropped when a disjunct
+  /// empties), and (b) when that OR reads several relations, adds for each
+  /// relation R that every disjunct restricts the implied OR of each
+  /// disjunct's R-only conjuncts, keeping the OR itself. Both are exact
+  /// under three-valued logic. Like PostgreSQL's
+  /// extract_restriction_or_clauses (orclauses.c).
+  static std::vector<BExpr> RewriteDisjunction(const BExpr& conjunct,
+                                               const Scope& scope);
 
   /// Permutes a comma-joined FROM list into connected order: starting from
   /// the first relation, each step takes the earliest-listed unjoined

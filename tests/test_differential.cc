@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "compile/compiler.h"
 #include "relational/table_builder.h"
+#include "tpch/dbgen.h"
 
 namespace tqp {
 namespace {
@@ -205,6 +206,184 @@ TEST(DifferentialTest, SubqueryFeaturesAgreeAcrossAllEngines) {
     ++executed;
   }
   EXPECT_EQ(executed, 36);
+}
+
+// ---- NoREC (Rigger & Su, ESEC/FSE 2020) ------------------------------------
+// SELECT COUNT(*) ... WHERE p goes through every WHERE rewrite of the binder:
+// join-key extraction, scan filters, and the factoring and per-relation
+// derivation of OR conjuncts. SELECT SUM(CASE WHEN p THEN 1 ELSE 0 END) ...
+// evaluates p once per joined row, where none of them apply. A rewrite that
+// drops or invents rows makes the two disagree, on Volcano as much as on the
+// tensor engine, since both bind through the same planner.
+
+class NoRecTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog();
+    tpch::DbgenOptions gen;
+    gen.scale_factor = 0.002;
+    TQP_CHECK_OK(tpch::GenerateAll(gen, catalog_));
+  }
+  static void TearDownTestSuite() {
+    delete catalog_;
+    catalog_ = nullptr;
+  }
+
+  // The single integer `sql` returns, on Volcano and on kPipelined.
+  static std::vector<int64_t> Counts(const std::string& sql) {
+    std::vector<int64_t> out;
+    VolcanoEngine volcano(catalog_);
+    auto oracle = volcano.ExecuteSql(sql);
+    EXPECT_TRUE(oracle.ok()) << sql << ": " << oracle.status().ToString();
+    if (oracle.ok()) out.push_back(oracle->column(0).GetScalar(0).AsInt64());
+    QueryCompiler compiler;
+    CompileOptions options;
+    options.target = ExecutorTarget::kPipelined;
+    options.num_threads = 2;
+    auto compiled = compiler.CompileSql(sql, *catalog_, options);
+    EXPECT_TRUE(compiled.ok()) << sql << ": " << compiled.status().ToString();
+    if (!compiled.ok()) return out;
+    auto table = compiled->Run(*catalog_);
+    EXPECT_TRUE(table.ok()) << sql << ": " << table.status().ToString();
+    if (table.ok()) out.push_back(table->column(0).GetScalar(0).AsInt64());
+    return out;
+  }
+
+  // Checks SELECT COUNT(*) FROM `from` WHERE `where` against SELECT
+  // SUM(CASE WHEN `case_pred` THEN 1 ELSE 0 END) FROM `from` WHERE `keys`,
+  // whose row sets must be the same. Returns the count.
+  static int64_t ExpectNoRec(const std::string& from, const std::string& where,
+                             const std::string& keys,
+                             const std::string& case_pred) {
+    const std::string where_sql =
+        "SELECT COUNT(*) AS n FROM " + from + " WHERE " + where;
+    const std::string case_sql = "SELECT SUM(CASE WHEN " + case_pred +
+                                 " THEN 1 ELSE 0 END) AS n FROM " + from +
+                                 " WHERE " + keys;
+    const std::vector<int64_t> counts = Counts(where_sql);
+    const std::vector<int64_t> sums = Counts(case_sql);
+    EXPECT_EQ(counts.size(), 2u) << where_sql;
+    EXPECT_EQ(sums.size(), 2u) << case_sql;
+    if (counts.size() != 2 || sums.size() != 2) return -1;
+    EXPECT_EQ(counts[0], sums[0]) << "Volcano\n" << where_sql << "\n" << case_sql;
+    EXPECT_EQ(counts[1], sums[0]) << "pipelined\n" << where_sql;
+    EXPECT_EQ(sums[1], sums[0]) << "pipelined\n" << case_sql;
+    return sums[0];
+  }
+
+  // ExpectNoRec with `pred` conjoined to the join `keys` in WHERE.
+  static int64_t ExpectNoRecOnJoin(const std::string& from,
+                                   const std::string& keys,
+                                   const std::string& pred) {
+    return ExpectNoRec(from, keys + " AND (" + pred + ")", keys, pred);
+  }
+
+  static Catalog* catalog_;
+};
+
+Catalog* NoRecTest::catalog_ = nullptr;
+
+TEST_F(NoRecTest, Q19AndQ7Predicates) {
+  const std::string q19 =
+      "(p_brand = 'Brand#12'"
+      " AND p_container IN ('SM CASE', 'SM BOX', 'SM PACK', 'SM PKG')"
+      " AND l_quantity >= 1 AND l_quantity <= 11 AND p_size BETWEEN 1 AND 5"
+      " AND l_shipmode IN ('AIR', 'REG AIR')"
+      " AND l_shipinstruct = 'DELIVER IN PERSON')"
+      " OR (p_brand = 'Brand#23'"
+      " AND p_container IN ('MED BAG', 'MED BOX', 'MED PKG', 'MED PACK')"
+      " AND l_quantity >= 10 AND l_quantity <= 20 AND p_size BETWEEN 1 AND 10"
+      " AND l_shipmode IN ('AIR', 'REG AIR')"
+      " AND l_shipinstruct = 'DELIVER IN PERSON')"
+      " OR (p_brand = 'Brand#34'"
+      " AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG')"
+      " AND l_quantity >= 20 AND l_quantity <= 30 AND p_size BETWEEN 1 AND 15"
+      " AND l_shipmode IN ('AIR', 'REG AIR')"
+      " AND l_shipinstruct = 'DELIVER IN PERSON')";
+  ExpectNoRecOnJoin("lineitem, part", "p_partkey = l_partkey", q19);
+  const std::string q7 =
+      "(n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY')"
+      " OR (n1.n_name = 'GERMANY' AND n2.n_name = 'FRANCE')";
+  const std::string q7_from =
+      "supplier, lineitem, orders, customer, nation n1, nation n2";
+  const std::string q7_keys =
+      "s_suppkey = l_suppkey AND o_orderkey = l_orderkey AND "
+      "c_custkey = o_custkey AND s_nationkey = n1.n_nationkey AND "
+      "c_nationkey = n2.n_nationkey";
+  ExpectNoRecOnJoin(q7_from, q7_keys, q7);
+  // The same pairs over more common nations, so the count is not zero.
+  const std::string wide =
+      "(n1.n_nationkey < 12 AND n2.n_nationkey >= 12)"
+      " OR (n1.n_nationkey >= 12 AND n2.n_nationkey < 12)";
+  EXPECT_GT(ExpectNoRecOnJoin(q7_from, q7_keys, wide), 0);
+}
+
+// Random OR-of-AND predicates over one join. Atoms read the left relation,
+// the right one, or both; a shared atom in every disjunct exercises
+// factoring, and the join key inside every disjunct exercises factoring a
+// key out of an OR.
+struct NoRecJoin {
+  std::string from;
+  std::string key;
+  std::vector<std::string> left_atoms;
+  std::vector<std::string> right_atoms;
+  std::vector<std::string> mixed_atoms;
+};
+
+std::string RandomAtom(Rng* rng, const NoRecJoin& join) {
+  const int which = static_cast<int>(rng->Uniform(0, 9));
+  const std::vector<std::string>& pool = which < 4   ? join.left_atoms
+                                         : which < 8 ? join.right_atoms
+                                                     : join.mixed_atoms;
+  return pool[static_cast<size_t>(
+      rng->Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+}
+
+TEST_F(NoRecTest, RandomDisjunctionsOverJoins) {
+  const std::vector<NoRecJoin> joins = {
+      {"lineitem, part",
+       "p_partkey = l_partkey",
+       {"l_quantity < 10", "l_quantity >= 25", "l_shipmode = 'AIR'",
+        "l_shipmode IN ('MAIL', 'SHIP')",
+        "l_shipinstruct = 'DELIVER IN PERSON'", "l_discount > 0.05",
+        "l_shipdate < DATE '1995-01-01'"},
+       {"p_brand = 'Brand#12'", "p_size BETWEEN 1 AND 10",
+        "p_container LIKE 'SM%'", "p_retailprice > 1500",
+        "p_brand IN ('Brand#23', 'Brand#34')"},
+       {"l_quantity > p_size", "l_extendedprice > p_retailprice * 20"}},
+      {"orders, customer",
+       "o_custkey = c_custkey",
+       {"o_orderpriority = '1-URGENT'", "o_totalprice > 150000",
+        "o_orderdate < DATE '1994-01-01'", "o_orderstatus = 'F'"},
+       {"c_mktsegment = 'BUILDING'", "c_acctbal > 5000", "c_nationkey < 8",
+        "c_mktsegment IN ('MACHINERY', 'HOUSEHOLD')"},
+       {"o_totalprice > c_acctbal * 30", "o_custkey + c_nationkey > 400"}}};
+  Rng rng(20261018);
+  for (int trial = 0; trial < 24; ++trial) {
+    const NoRecJoin& join = joins[static_cast<size_t>(trial % 2)];
+    const std::string shared = rng.Bernoulli(0.5) ? RandomAtom(&rng, join) : "";
+    const bool key_inside = rng.Bernoulli(0.3);
+    std::string where_pred;
+    std::string case_pred;
+    const int disjuncts = static_cast<int>(rng.Uniform(2, 3));
+    for (int d = 0; d < disjuncts; ++d) {
+      std::string conj = RandomAtom(&rng, join);
+      const int atoms = static_cast<int>(rng.Uniform(1, 3));
+      for (int a = 1; a < atoms; ++a) conj += " AND " + RandomAtom(&rng, join);
+      if (!shared.empty()) conj += " AND " + shared;
+      const std::string sep = d == 0 ? "" : " OR ";
+      case_pred += sep + "(" + conj + ")";
+      where_pred += sep + "(" + conj + (key_inside ? " AND " + join.key : "") + ")";
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + where_pred);
+    if (key_inside) {
+      // No key outside the OR: the FROM list is a cross product unless
+      // factoring pulls the key out.
+      ExpectNoRec(join.from, where_pred, join.key, case_pred);
+    } else {
+      ExpectNoRecOnJoin(join.from, join.key, case_pred);
+    }
+  }
 }
 
 TEST(DifferentialTest, EmptyResultsAgree) {

@@ -677,6 +677,54 @@ TEST_F(ExprFusionTpchTest, PipelinesActuallyFuseAndReportRuns) {
   EXPECT_NE(report.find("selvec"), std::string::npos) << report;
 }
 
+TEST_F(ExprFusionTpchTest, InternedConstantsLetCseShareExtractWork) {
+  // EXTRACT(YEAR ...) binds to a DAG that shares its subexpressions; the
+  // compiler lowers it as a tree. With one constant node per value the
+  // copies compile to equal operands, and the fused run deduplicates them.
+  QueryCompiler compiler;
+  for (int q : {7, 8, 9}) {
+    CompileOptions options;
+    options.target = ExecutorTarget::kPipelined;
+    options.num_threads = 1;
+    CompiledQuery cq = compiler
+                           .CompileSql(tpch::QueryText(q).ValueOrDie(),
+                                       *catalog_, options)
+                           .ValueOrDie();
+    const TensorProgram& program = cq.program();
+    std::map<std::pair<DType, std::string>, int> constants;
+    for (const OpNode& node : program.nodes()) {
+      if (node.type != OpType::kConstant) continue;
+      const Tensor& t = program.constant(
+          static_cast<int>(node.attrs.GetInt("const_id")));
+      const std::string bytes(static_cast<const char*>(t.raw_data()),
+                              static_cast<size_t>(t.nbytes()));
+      EXPECT_TRUE(constants.emplace(std::make_pair(t.dtype(), bytes), node.id)
+                      .second)
+          << "Q" << q << ": n" << node.id << " repeats n"
+          << constants[{t.dtype(), bytes}];
+    }
+    TQP_CHECK_OK(cq.Run(*catalog_).status());
+    auto* pipelined = static_cast<PipelinedExecutor*>(cq.executor());
+    const ExprProgram* extract = nullptr;  // the largest fused run
+    for (size_t i = 0; i < pipelined->plan().pipelines.size(); ++i) {
+      auto fusion = pipelined->pipeline_fusion(static_cast<int>(i));
+      if (fusion == nullptr) continue;
+      for (const ExprFusionPlan::Run& run : fusion->runs) {
+        if (extract == nullptr ||
+            run.program->num_nodes() > extract->num_nodes()) {
+          extract = run.program.get();
+        }
+      }
+    }
+    ASSERT_NE(extract, nullptr) << "Q" << q;
+    EXPECT_GT(extract->num_nodes(), 300) << "Q" << q;
+    EXPECT_GT(extract->num_cse_hits(), 0) << "Q" << q;
+    EXPECT_LT(extract->instrs().size() * 4,
+              static_cast<size_t>(extract->num_nodes()))
+        << "Q" << q << "\n" << extract->ToString();
+  }
+}
+
 TEST(ExprFusionMlTest, FusedBitIdenticalToInterpOnPredictionPipeline) {
   Catalog catalog;
   ml::ModelRegistry registry;

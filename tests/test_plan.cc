@@ -418,6 +418,177 @@ TEST(SemiJoinPlacementTest, PairExpandingSemiJoinsStayOnTop) {
   EXPECT_EQ(CountInnerJoins(id_semis[0].joins_above), 1);
 }
 
+// For each scan of `table`, in tree order, the predicates of the filters
+// stacked directly on it.
+void CollectScanFilters(const PlanNode& node, const std::string& table,
+                        std::vector<std::vector<std::string>>* out) {
+  const PlanNode* base = &node;
+  std::vector<std::string> preds;
+  while (base->kind == PlanKind::kFilter) {
+    preds.push_back(base->predicate->ToString());
+    base = base->children[0].get();
+  }
+  if (base->kind == PlanKind::kScan) {
+    if (base->table_name == table) out->push_back(preds);
+    return;
+  }
+  for (const PlanPtr& c : base->children) CollectScanFilters(*c, table, out);
+}
+
+std::vector<std::vector<std::string>> ScanFilters(const PlanNode& root,
+                                                  const std::string& table) {
+  std::vector<std::vector<std::string>> out;
+  CollectScanFilters(root, table, &out);
+  return out;
+}
+
+// Predicates of the filters that sit above a join.
+void CollectJoinFilters(const PlanNode& node, std::vector<std::string>* out) {
+  if (node.kind == PlanKind::kFilter && ContainsKind(node, PlanKind::kJoin)) {
+    out->push_back(node.predicate->ToString());
+  }
+  for (const PlanPtr& c : node.children) CollectJoinFilters(*c, out);
+}
+
+std::vector<std::string> JoinFilters(const PlanNode& root) {
+  std::vector<std::string> out;
+  CollectJoinFilters(root, &out);
+  return out;
+}
+
+bool Has(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+size_t CountOf(const std::string& text, const std::string& part) {
+  size_t n = 0;
+  for (size_t at = text.find(part); at != std::string::npos;
+       at = text.find(part, at + part.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(DisjunctionRewriteTest, Q19FiltersBothScansBelowTheJoin) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  PlanPtr plan = BindSql(tpch::QueryText(19).ValueOrDie(), catalog).ValueOrDie();
+  const std::string text = plan->ToString();
+  // lineitem: the factored ship mode and instruction, then the quantity
+  // ranges of the three disjuncts.
+  const auto lineitem = ScanFilters(*plan, "lineitem");
+  ASSERT_EQ(lineitem.size(), 1u) << text;
+  ASSERT_EQ(lineitem[0].size(), 3u) << text;
+  std::string all;
+  for (const std::string& p : lineitem[0]) all += p + "\n";
+  EXPECT_TRUE(Has(all, "in ['AIR', 'REG AIR']")) << text;
+  EXPECT_TRUE(Has(all, "eq 'DELIVER IN PERSON'")) << text;
+  EXPECT_EQ(CountOf(all, " or "), 2u) << text;
+  EXPECT_FALSE(Has(all, "Brand#")) << text;
+  // part: the factored p_size >= 1 and the brand/container/size disjunction.
+  const auto part = ScanFilters(*plan, "part");
+  ASSERT_EQ(part.size(), 1u) << text;
+  ASSERT_EQ(part[0].size(), 2u) << text;
+  const std::string& brands = part[0][0];  // the filter stacked last
+  EXPECT_TRUE(Has(brands, "'Brand#12'") && Has(brands, "'Brand#23'") &&
+              Has(brands, "'Brand#34'"))
+      << text;
+  EXPECT_EQ(CountOf(brands, " or "), 2u) << text;
+  // The OR itself stays above the join, without the factored conjuncts.
+  const auto above = JoinFilters(*plan);
+  ASSERT_EQ(above.size(), 1u) << text;
+  EXPECT_TRUE(Has(above[0], "'Brand#12'")) << text;
+  EXPECT_FALSE(Has(above[0], "'AIR'")) << text;
+  EXPECT_FALSE(Has(above[0], "'DELIVER IN PERSON'")) << text;
+}
+
+TEST(DisjunctionRewriteTest, Q7FiltersEachNation) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  PlanPtr plan = BindSql(tpch::QueryText(7).ValueOrDie(), catalog).ValueOrDie();
+  const std::string text = plan->ToString();
+  const auto nations = ScanFilters(*plan, "nation");
+  ASSERT_EQ(nations.size(), 2u) << text;
+  for (const auto& preds : nations) {
+    ASSERT_EQ(preds.size(), 1u) << text;
+    EXPECT_TRUE(Has(preds[0], "'FRANCE'") && Has(preds[0], "'GERMANY'") &&
+                Has(preds[0], " or "))
+        << text;
+  }
+  bool pair_above_joins = false;
+  for (const std::string& p : JoinFilters(*plan)) {
+    pair_above_joins = pair_above_joins || CountOf(p, "'FRANCE'") == 2u;
+  }
+  EXPECT_TRUE(pair_above_joins) << text;
+}
+
+TEST(DisjunctionRewriteTest, FactorsConjunctsCommonToEveryDisjunct) {
+  Catalog catalog = MakeCatalog();
+  // tag = 'even' is in both disjuncts: it becomes a scan filter on items, and
+  // the OR of what is left reads both relations, so it stays above the join.
+  PlanPtr plan = BindSql(
+      "SELECT id FROM items, sales WHERE id = item_id AND "
+      "((tag = 'even' AND qty > 2) OR (price > 1 AND tag = 'even'))",
+      catalog).ValueOrDie();
+  const std::string text = plan->ToString();
+  EXPECT_EQ(ScanFilters(*plan, "items"),
+            (std::vector<std::vector<std::string>>{{"(#3 eq 'even')"}}))
+      << text;
+  EXPECT_EQ(JoinFilters(*plan),
+            (std::vector<std::string>{"((#5 gt 2) or (#1 gt 1))"}))
+      << text;
+
+  // A factored join key becomes an equi-join key, not a cross join.
+  PlanPtr key = BindSql(
+      "SELECT id FROM items, sales WHERE (id = item_id AND qty > 2) OR "
+      "(id = item_id AND qty < 1) OR (id = item_id AND price > 1)",
+      catalog).ValueOrDie();
+  EXPECT_FALSE(Has(key->ToString(), "Join cross")) << key->ToString();
+
+  // A disjunct with nothing left makes the OR true: it is dropped.
+  PlanPtr dropped = BindSql(
+      "SELECT id FROM items, sales WHERE id = item_id AND "
+      "(tag = 'even' OR (tag = 'even' AND qty > 2))",
+      catalog).ValueOrDie();
+  EXPECT_FALSE(Has(dropped->ToString(), " or ")) << dropped->ToString();
+  EXPECT_EQ(ScanFilters(*dropped, "items"),
+            (std::vector<std::vector<std::string>>{{"(#3 eq 'even')"}}));
+  EXPECT_TRUE(JoinFilters(*dropped).empty()) << dropped->ToString();
+}
+
+TEST(DisjunctionRewriteTest, DerivesOnlyForRelationsEveryDisjunctRestricts) {
+  Catalog catalog = MakeCatalog();
+  // Both disjuncts restrict sales; the second does not restrict items.
+  PlanPtr plan = BindSql(
+      "SELECT id FROM items, sales WHERE id = item_id AND "
+      "((tag = 'even' AND qty > 2) OR qty < 1)",
+      catalog).ValueOrDie();
+  const std::string text = plan->ToString();
+  EXPECT_EQ(ScanFilters(*plan, "items"),
+            (std::vector<std::vector<std::string>>{{}}))
+      << text;
+  EXPECT_EQ(ScanFilters(*plan, "sales"),
+            (std::vector<std::vector<std::string>>{
+                {"((#1 gt 2) or (#1 lt 1))"}}))
+      << text;
+  EXPECT_EQ(JoinFilters(*plan),
+            (std::vector<std::string>{
+                "(((#3 eq 'even') and (#5 gt 2)) or (#5 lt 1))"}))
+      << text;
+}
+
+TEST(DisjunctionRewriteTest, LeavesLeftJoinOnDisjunctionsAlone) {
+  Catalog catalog = MakeCatalog();
+  // qty > 2 is common to both disjuncts, but ON conjuncts are not rewritten.
+  PlanPtr plan = BindSql(
+      "SELECT id, COUNT(item_id) AS n FROM items LEFT JOIN sales "
+      "ON id = item_id AND ((qty > 2 AND qty < 5) OR (qty > 2 AND qty > 6)) "
+      "GROUP BY id",
+      catalog).ValueOrDie();
+  EXPECT_EQ(ScanFilters(*plan, "sales"),
+            (std::vector<std::vector<std::string>>{
+                {"(((#1 gt 2) and (#1 lt 5)) or ((#1 gt 2) and (#1 gt 6)))"}}))
+      << plan->ToString();
+}
+
 TEST(ExprEvalTest, RowSemantics) {
   // (#0 * 2 > 3) AND (#0 < 10)
   BExpr col = MakeColumnRef(0, LogicalType::kFloat64);
