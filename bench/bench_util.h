@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "tensor/buffer_pool.h"
 
 namespace tqp::bench {
 
@@ -36,58 +35,6 @@ inline double MedianTime(const std::function<void()>& fn,
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
-}
-
-/// \brief One timed configuration plus single-run BufferPool attribution.
-struct PoolTimedRun {
-  double seconds = 0;
-  double peak_alloc_mb = 0;     // pool peak live bytes during one run
-  int64_t allocs = 0;           // pool allocations (incl. bypass) in one run
-  double recycle_hit_rate = 0;  // pooled requests served from free lists
-  double budget_mb = 0;         // per-query budget in effect (0 = unlimited)
-  double spilled_mb = 0;        // bytes spilled to disk in the attributed run
-  int64_t spill_events = 0;     // evictions in the attributed run
-};
-
-/// \brief Times `fn` per the paper's protocol, then runs it once more to
-/// attribute pool allocation count, recycle hit rate and peak live bytes to
-/// a single execution (the timed loop warms the pool's free lists). The
-/// attribution run executes under an explicit per-query memory scope with
-/// `budget_bytes` (0 defers to TQP_MEMORY_BUDGET_MB), so under a cap the
-/// peak_alloc_mb column reports the *resident* working set and spilled_mb
-/// reports what moved to disk to keep it there.
-inline PoolTimedRun MeasureWithPool(const std::function<void()>& fn,
-                                    const TimingProtocol& protocol = {},
-                                    int64_t budget_bytes = 0) {
-  PoolTimedRun r;
-  const int64_t budget = BufferPool::ResolveMemoryBudget(budget_bytes);
-  {
-    BufferPool::QueryScope warm_scope(budget);
-    BufferPool::QueryScope::Attach attach(&warm_scope);
-    r.seconds = MedianTime(fn, protocol);
-  }
-  BufferPool* pool = BufferPool::Global();
-  pool->ResetPeak();
-  const BufferPoolStats before = pool->stats();
-  BufferPool::QueryScope scope(budget);
-  {
-    BufferPool::QueryScope::Attach attach(&scope);
-    fn();
-  }
-  const BufferPoolStats after = pool->stats();
-  const QueryMemoryStats mem = scope.stats();
-  r.peak_alloc_mb =
-      static_cast<double>(after.peak_live_bytes) / (1024.0 * 1024.0);
-  r.allocs = after.total_allocations() - before.total_allocations();
-  const int64_t pooled = after.allocations - before.allocations;
-  r.recycle_hit_rate =
-      pooled > 0 ? static_cast<double>(after.pool_hits - before.pool_hits) /
-                       static_cast<double>(pooled)
-                 : 0.0;
-  r.budget_mb = static_cast<double>(mem.budget_bytes) / (1024.0 * 1024.0);
-  r.spilled_mb = static_cast<double>(mem.spilled_bytes) / (1024.0 * 1024.0);
-  r.spill_events = mem.spill_events;
-  return r;
 }
 
 /// \brief Scale factor from argv[1], with a bench-appropriate default.

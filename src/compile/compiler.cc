@@ -878,21 +878,8 @@ Result<CompiledQuery> QueryCompiler::Compile(const PlanPtr& physical_plan,
   TQP_RETURN_NOT_OK(program->Validate());
   out.output_schema_ = physical_plan->output_schema;
   out.program_ = program;
-  ExecOptions exec_options;
-  exec_options.device = options.device;
-  exec_options.charge_transfers = options.charge_transfers;
-  exec_options.num_threads = options.num_threads;
-  exec_options.morsel_rows = options.morsel_rows;
-  exec_options.pool = options.pool;
-  exec_options.pipeline_overlap = options.pipeline_overlap;
-  exec_options.expr_fusion = options.expr_fusion;
-  exec_options.adaptive_morsels = options.adaptive_morsels;
-  exec_options.partitioned_breakers = options.partitioned_breakers;
-  exec_options.step_scheduler = options.step_scheduler;
-  exec_options.memory_budget_bytes = options.memory_budget_bytes;
-  exec_options.deadline_ms = options.deadline_ms;
   TQP_ASSIGN_OR_RETURN(out.executor_,
-                       MakeExecutor(options.target, program, exec_options));
+                       MakeExecutor(options.target, program, options));
   return out;
 }
 

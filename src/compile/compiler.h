@@ -14,39 +14,10 @@
 namespace tqp {
 
 /// \brief How a query is compiled and executed — the one-line backend/device
-/// switch of the paper's Figure 3.
-struct CompileOptions {
+/// switch of the paper's Figure 3: the executor target plus the ExecOptions
+/// handed to it.
+struct CompileOptions : ExecOptions {
   ExecutorTarget target = ExecutorTarget::kStatic;  // TorchScript analog
-  DeviceKind device = DeviceKind::kCpu;
-  /// See ExecOptions::charge_transfers.
-  bool charge_transfers = true;
-  /// See ExecOptions::num_threads (pipelined executor).
-  int num_threads = 0;
-  /// See ExecOptions::morsel_rows (pipelined executor).
-  int64_t morsel_rows = 0;
-  /// See ExecOptions::pool — the shared cross-query thread pool (not owned;
-  /// must outlive the compiled query). Set by the QueryScheduler so every
-  /// concurrent session's executor lands on one process-wide pool.
-  runtime::ThreadPool* pool = nullptr;
-  /// See ExecOptions::pipeline_overlap (pipelined executor DAG overlap).
-  bool pipeline_overlap = true;
-  /// See ExecOptions::expr_fusion (single-pass fused expression execution).
-  bool expr_fusion = true;
-  /// See ExecOptions::adaptive_morsels (service-time-driven morsel sizing).
-  bool adaptive_morsels = false;
-  /// See ExecOptions::partitioned_breakers (external merge sort for every
-  /// argsort breaker).
-  bool partitioned_breakers = false;
-  /// See ExecOptions::step_scheduler — priority-aware step dispatch (not
-  /// owned). Set by the QueryScheduler so steps of concurrent queries
-  /// interleave by QueryPriority class.
-  runtime::StepScheduler* step_scheduler = nullptr;
-  /// See ExecOptions::memory_budget_bytes — per-query memory budget with
-  /// disk spill (0 = TQP_MEMORY_BUDGET_MB default, negative = unlimited).
-  int64_t memory_budget_bytes = 0;
-  /// See ExecOptions::deadline_ms — cooperative per-query deadline
-  /// (0 = TQP_QUERY_TIMEOUT_MS default, negative = none).
-  int64_t deadline_ms = 0;
 };
 
 /// \brief A compiled query: the tensor program, its Executor, and the

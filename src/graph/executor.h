@@ -74,9 +74,9 @@ struct ExecOptions {
   /// Pipelined/Static executors: lower maximal elementwise/selection runs
   /// into register-based ExprPrograms (src/compile/expr_program.h) executed
   /// single-pass per morsel/block by the vectorized interpreter
-  /// (src/kernels/expr_exec.h). Disable to force node-at-a-time evaluation
-  /// inside pipelines and the legacy blocked groups in StaticExecutor —
-  /// results are bit-identical either way; this is the fusion A/B switch.
+  /// (src/kernels/expr_exec.h). Disable to force node-at-a-time evaluation,
+  /// inside pipelines and for every StaticExecutor group — results are
+  /// bit-identical either way; this is the fusion A/B switch.
   bool expr_fusion = true;
   /// Pipelined executor: adapt morsel size toward a target per-morsel
   /// service time using observed wall times (bounded; chunk assembly keeps

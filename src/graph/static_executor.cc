@@ -153,7 +153,6 @@ std::shared_ptr<const ExprProgram> StaticExecutor::GroupFusionFor(
   // Concurrent compiles of one group are benign — lowering is deterministic
   // per signature.
   // Which group nodes escape (read outside the group or program outputs)?
-  // One pass over the program, like RunFusedGroup's external_uses scan.
   std::vector<bool> escapes(static_cast<size_t>(prog.num_nodes()), false);
   for (int id : prog.outputs()) escapes[static_cast<size_t>(id)] = true;
   for (const OpNode& n : prog.nodes()) {
@@ -173,9 +172,8 @@ std::shared_ptr<const ExprProgram> StaticExecutor::GroupFusionFor(
   };
   ExprFusionPlan plan =
       BuildExprFusionPlan(prog, step.node_ids, required, external);
-  // Only a single run covering the whole group replaces the blocked legacy
-  // path (partial coverage would need dtypes of mid-group values the
-  // blocked loop never materializes whole).
+  // Only a single run covering the whole group runs blocked; a group the
+  // lowering covers in part runs node at a time.
   std::shared_ptr<const ExprProgram> fused;
   if (plan.runs.size() == 1 && plan.runs[0].begin == 0 &&
       plan.runs[0].end == step.node_ids.size()) {
@@ -226,9 +224,15 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
     }
     if (fallback) break;
   }
+  // Above two blocks, a group runs blocked only as its one compiled
+  // ExprProgram. Small inputs, irregular shapes, fusion off and groups the
+  // lowering cannot cover all run node at a time over whole columns.
   const int64_t block = options_.fusion_block_rows;
-  if (fallback || n_rows < 2 * block) {
-    // Small input or irregular shapes: plain per-node evaluation.
+  std::shared_ptr<const ExprProgram> fused;
+  if (!fallback && n_rows >= 2 * block && options_.expr_fusion) {
+    fused = GroupFusionFor(step, step_index, *values, in_group);
+  }
+  if (fused == nullptr) {
     for (int id : step.node_ids) {
       TQP_RETURN_NOT_OK(EvalTracedNode(prog, prog.node(id), values, device));
     }
@@ -244,103 +248,43 @@ Status StaticExecutor::RunFusedGroup(const Step& step, size_t step_index,
                       " ops]" + (last.label.empty() ? "" : " " + last.label));
   }
 
-  // Blocked fused execution. Which group nodes escape (used outside or are
-  // program outputs)?
-  std::vector<bool> is_output(static_cast<size_t>(prog.num_nodes()), false);
-  for (int id : prog.outputs()) is_output[static_cast<size_t>(id)] = true;
-  std::vector<int> external_uses(static_cast<size_t>(prog.num_nodes()), 0);
-  for (const OpNode& n : prog.nodes()) {
-    for (int in : n.inputs) {
-      if (in_group[static_cast<size_t>(in)] && !in_group[static_cast<size_t>(n.id)]) {
-        ++external_uses[static_cast<size_t>(in)];
-      }
+  // Interpret the program per block in a single pass (no per-node block
+  // tensors), copying each escaping node's block into its full output.
+  kernels::ExprScratch scratch;
+  std::vector<Tensor> srcs(fused->source_nodes().size());
+  std::vector<Tensor> outs;
+  for (int64_t b0 = 0; b0 < n_rows; b0 += block) {
+    const int64_t b1 = std::min(n_rows, b0 + block);
+    for (size_t si = 0; si < fused->source_nodes().size(); ++si) {
+      const int in = fused->source_nodes()[si];
+      const Tensor ext =
+          prog.node(in).type == OpType::kConstant
+              ? prog.constant(static_cast<int>(
+                    prog.node(in).attrs.GetInt("const_id")))
+              : (*values)[static_cast<size_t>(in)];
+      srcs[si] = ext.numel() == 1 ? ext : ext.SliceRows(b0, b1);
     }
-  }
-  // Copies one escaping node's block result into its full output tensor.
-  std::vector<Tensor> full_outputs(static_cast<size_t>(prog.num_nodes()));
-  const auto copy_block = [&](int id, const Tensor& blk, int64_t b0,
-                              int64_t b1) -> Status {
-    Tensor& full = full_outputs[static_cast<size_t>(id)];
-    if (!full.defined()) {
-      // Scalar results of broadcast chains keep scalar shape (the first
-      // block spans `block` rows, so the two cases cannot be confused).
-      const int64_t out_rows = blk.rows() == (b1 - b0) ? n_rows : blk.rows();
-      TQP_ASSIGN_OR_RETURN(
-          full, Tensor::Empty(blk.dtype(), out_rows, blk.cols(), blk.device()));
-    }
-    if (full.rows() == n_rows) {
-      std::memcpy(static_cast<uint8_t*>(full.raw_mutable_data()) +
-                      b0 * blk.cols() * DTypeSize(blk.dtype()),
-                  blk.raw_data(), static_cast<size_t>(blk.nbytes()));
-    } else {
-      // Broadcast-chain scalar: every block computes the same value.
-      std::memcpy(full.raw_mutable_data(), blk.raw_data(),
-                  static_cast<size_t>(blk.nbytes()));
-    }
-    return Status::OK();
-  };
-
-  // Preferred path: the whole group as one compiled ExprProgram, interpreted
-  // per block in a single pass (no per-node block tensors at all).
-  std::shared_ptr<const ExprProgram> fused;
-  if (options_.expr_fusion) {
-    fused = GroupFusionFor(step, step_index, *values, in_group);
-  }
-  if (fused != nullptr) {
-    kernels::ExprScratch scratch;
-    std::vector<Tensor> srcs(fused->source_nodes().size());
-    std::vector<Tensor> outs;
-    for (int64_t b0 = 0; b0 < n_rows; b0 += block) {
-      const int64_t b1 = std::min(n_rows, b0 + block);
-      for (size_t si = 0; si < fused->source_nodes().size(); ++si) {
-        const int in = fused->source_nodes()[si];
-        const Tensor ext =
-            prog.node(in).type == OpType::kConstant
-                ? prog.constant(static_cast<int>(
-                      prog.node(in).attrs.GetInt("const_id")))
-                : (*values)[static_cast<size_t>(in)];
-        srcs[si] = ext.numel() == 1 ? ext : ext.SliceRows(b0, b1);
+    TQP_RETURN_NOT_OK(kernels::RunExprProgram(*fused, srcs, b0, options_.device,
+                                              &scratch, &outs));
+    for (size_t k = 0; k < fused->output_nodes().size(); ++k) {
+      const Tensor& blk = outs[k];
+      Tensor& full = (*values)[static_cast<size_t>(fused->output_nodes()[k])];
+      if (!full.defined()) {
+        // Scalar results of broadcast chains keep scalar shape (the first
+        // block spans `block` rows, so the two cases cannot be confused).
+        const int64_t out_rows = blk.rows() == (b1 - b0) ? n_rows : blk.rows();
+        TQP_ASSIGN_OR_RETURN(full, Tensor::Empty(blk.dtype(), out_rows,
+                                                 blk.cols(), blk.device()));
       }
-      TQP_RETURN_NOT_OK(kernels::RunExprProgram(
-          *fused, srcs, b0, options_.device, &scratch, &outs));
-      for (size_t k = 0; k < fused->output_nodes().size(); ++k) {
-        TQP_RETURN_NOT_OK(copy_block(fused->output_nodes()[k], outs[k], b0, b1));
+      if (full.rows() == n_rows) {
+        std::memcpy(static_cast<uint8_t*>(full.raw_mutable_data()) +
+                        b0 * blk.cols() * DTypeSize(blk.dtype()),
+                    blk.raw_data(), static_cast<size_t>(blk.nbytes()));
+      } else {
+        // Broadcast-chain scalar: every block computes the same value.
+        std::memcpy(full.raw_mutable_data(), blk.raw_data(),
+                    static_cast<size_t>(blk.nbytes()));
       }
-    }
-  } else {
-    std::vector<Tensor> block_values(static_cast<size_t>(prog.num_nodes()));
-    for (int64_t b0 = 0; b0 < n_rows; b0 += block) {
-      const int64_t b1 = std::min(n_rows, b0 + block);
-      // Bind external inputs (sliced or broadcast) into the block value table.
-      for (int id : step.node_ids) {
-        for (int in : prog.node(id).inputs) {
-          if (in_group[static_cast<size_t>(in)]) continue;
-          Tensor ext = prog.node(in).type == OpType::kConstant
-                           ? prog.constant(static_cast<int>(
-                                 prog.node(in).attrs.GetInt("const_id")))
-                           : (*values)[static_cast<size_t>(in)];
-          block_values[static_cast<size_t>(in)] =
-              ext.numel() == 1 ? ext : ext.SliceRows(b0, b1);
-        }
-      }
-      for (int id : step.node_ids) {
-        const OpNode& node = prog.node(id);
-        TQP_ASSIGN_OR_RETURN(Tensor out, EvalNode(prog, node, block_values));
-        block_values[static_cast<size_t>(id)] = std::move(out);
-      }
-      for (int id : step.node_ids) {
-        if (external_uses[static_cast<size_t>(id)] == 0 &&
-            !is_output[static_cast<size_t>(id)]) {
-          continue;
-        }
-        TQP_RETURN_NOT_OK(
-            copy_block(id, block_values[static_cast<size_t>(id)], b0, b1));
-      }
-    }
-  }
-  for (int id : step.node_ids) {
-    if (full_outputs[static_cast<size_t>(id)].defined()) {
-      (*values)[static_cast<size_t>(id)] = std::move(full_outputs[static_cast<size_t>(id)]);
     }
   }
   if (device->is_simulated()) {

@@ -14,17 +14,17 @@ namespace tqp {
 /// \brief Ahead-of-time planned execution — the TorchScript analog.
 ///
 /// Two optimizations over EagerExecutor, planned once at construction:
-///  1. *Elementwise fusion*: contiguous runs of pointwise ops execute in
-///     cache-sized row blocks, so chain intermediates stay in L1/L2 instead
-///     of streaming through memory once per op. With
-///     ExecOptions::expr_fusion (default on) each group is additionally
-///     lowered onto the engine-wide expression-fusion layer: one
-///     register-based ExprProgram (src/compile/expr_program.h — constant
-///     folding, CSE, register reuse) interpreted per block in a single pass
-///     (src/kernels/expr_exec.h), the same machinery the pipelined backend
-///     runs per morsel. Lowering needs runtime dtypes, so it happens at
-///     first Run and is cached against the input signature; groups the
-///     lowering cannot cover fall back to blocked node-at-a-time execution.
+///  1. *Elementwise fusion*: contiguous runs of pointwise ops form groups.
+///     Above two blocks of ExecOptions::fusion_block_rows, a group whose
+///     whole run lowers onto the engine-wide expression-fusion layer runs
+///     as one register-based ExprProgram (src/compile/expr_program.h —
+///     constant folding, CSE, register reuse), interpreted per cache-sized
+///     block in a single pass (src/kernels/expr_exec.h), the same machinery
+///     the pipelined backend runs per morsel. Lowering needs runtime dtypes,
+///     so it happens at first Run and is cached against the input
+///     signature. Every other group — small inputs, irregular shapes, runs
+///     the lowering cannot cover, or ExecOptions::expr_fusion off — runs
+///     node at a time over whole columns.
 ///  2. *Buffer release*: intermediate tensors are dropped as soon as their
 ///     last consumer has run (eager keeps everything until the end).
 /// Results are bit-identical to EagerExecutor; only the schedule differs.
@@ -37,11 +37,11 @@ class StaticExecutor : public Executor {
   ExecutorTarget target() const override { return ExecutorTarget::kStatic; }
 
   /// \brief Number of fusion groups planned (>= 2 pointwise ops each);
-  /// exposed for tests and the fusion ablation bench.
+  /// exposed for tests.
   int num_fusion_groups() const { return num_fusion_groups_; }
 
   /// \brief Number of fusion groups currently backed by a compiled
-  /// ExprProgram (populated lazily at Run; for tests and the ablation).
+  /// ExprProgram (populated lazily at Run; for tests).
   int num_expr_fused_groups() const;
 
  private:

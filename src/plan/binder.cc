@@ -216,6 +216,12 @@ bool ContainsExpr(const std::vector<BExpr>& list, const BoundExpr& e) {
                      [&](const BExpr& x) { return SameExpr(*x, e); });
 }
 
+bool SameAgg(const AggSpec& a, const AggSpec& b) {
+  if (a.op != b.op || a.count_star != b.count_star) return false;
+  if (a.arg == nullptr || b.arg == nullptr) return a.arg == b.arg;
+  return SameExpr(*a.arg, *b.arg);
+}
+
 LogicalType PromoteNumeric(LogicalType a, LogicalType b) {
   if (a == LogicalType::kFloat64 || b == LogicalType::kFloat64) {
     return LogicalType::kFloat64;
@@ -1719,37 +1725,30 @@ Result<BExpr> Binder::BindAggregateExpr(const Expr& expr, const Scope& scope,
     return MakeColumnRef(
         -2 - static_cast<int>(having_scalar_subplans_.size() - 1), type);
   }
-  // Group-expression match: bind the subtree in input scope and compare
-  // canonical renderings.
+  // Group-expression match: bind the subtree in input scope and compare it
+  // structurally with each GROUP BY expression.
   if (!ContainsAggregate(expr)) {
-    auto bound_or = BindExpr(expr, scope);
-    if (bound_or.ok()) {
-      const std::string repr = bound_or.ValueOrDie()->ToString();
-      for (int g = 0; g < num_groups; ++g) {
-        if (bound_groups[static_cast<size_t>(g)]->ToString() == repr) {
-          return MakeColumnRef(g, bound_groups[static_cast<size_t>(g)]->type);
-        }
-      }
-      // Constants are fine anywhere; column references must be grouped.
-      BExpr bound = std::move(bound_or).ValueOrDie();
-      std::vector<bool> used(4096, false);
-      CollectColumns(*bound, &used);
-      const bool reads_columns =
-          std::any_of(used.begin(), used.end(), [](bool b) { return b; });
-      if (!reads_columns) return bound;
-      return Status::BindError("expression '" + repr +
-                               "' must appear in GROUP BY or inside an aggregate");
+    TQP_ASSIGN_OR_RETURN(BExpr bound, BindExpr(expr, scope));
+    for (int g = 0; g < num_groups; ++g) {
+      const BExpr& group = bound_groups[static_cast<size_t>(g)];
+      if (SameExpr(*group, *bound)) return MakeColumnRef(g, group->type);
     }
-    return bound_or.status();
+    // Constants are fine anywhere; column references must be grouped.
+    std::vector<bool> used(4096, false);
+    CollectColumns(*bound, &used);
+    const bool reads_columns =
+        std::any_of(used.begin(), used.end(), [](bool b) { return b; });
+    if (!reads_columns) return bound;
+    return Status::BindError("expression '" + bound->ToString() +
+                             "' must appear in GROUP BY or inside an aggregate");
   }
   if (expr.kind == ExprKind::kFunction && IsAggregateFunction(expr.name)) {
     if (expr.distinct) {
       return Status::NotImplemented("DISTINCT aggregates");
     }
     auto add_spec = [&](AggSpec spec) {
-      const std::string repr = spec.ToString();
       for (size_t i = 0; i < aggs->size(); ++i) {
-        if ((*aggs)[i].ToString() == repr) {
+        if (SameAgg((*aggs)[i], spec)) {
           return MakeColumnRef(num_groups + static_cast<int>(i),
                                (*aggs)[i].result_type());
         }

@@ -52,8 +52,9 @@ std::string NormalizeSql(const std::string& sql) {
 std::string PlanCache::MakeKey(const std::string& normalized_sql,
                                const CompileOptions& options) {
   // Every option that shapes the compiled artifact participates in the key:
-  // target/device pick the executor, num_threads/morsel_rows are baked into
-  // the pipelined executor, and an explicit shared pool is bound at
+  // target/device pick the executor, charge_transfers changes what a
+  // simulated device is charged, fusion_block_rows/num_threads/morsel_rows
+  // are baked into the executor, and an explicit shared pool is bound at
   // construction (a cache shared across schedulers must never hand one
   // scheduler an executor wired to another's pool).
   std::string key = normalized_sql;
@@ -61,6 +62,10 @@ std::string PlanCache::MakeKey(const std::string& normalized_sql,
   key += std::to_string(static_cast<int>(options.target));
   key.push_back('/');
   key += std::to_string(static_cast<int>(options.device));
+  key.push_back('/');
+  key += options.charge_transfers ? '1' : '0';
+  key.push_back('/');
+  key += std::to_string(options.fusion_block_rows);
   key.push_back('/');
   key += std::to_string(options.num_threads);
   key.push_back('/');

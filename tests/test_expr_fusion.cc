@@ -624,6 +624,48 @@ TEST_F(ExprFusionTpchTest, FusedAndUnfusedBitIdenticalToEagerOnTpch) {
   }
 }
 
+TEST_F(ExprFusionTpchTest, StaticFusedGroupsBitIdenticalToEagerOnTpch) {
+  // 1,024-row blocks put lineitem-sized groups (about 60,000 rows at SF 0.01)
+  // on the blocked ExprProgram path; with fusion off, every group runs node
+  // at a time. Both must match eager bit for bit.
+  QueryCompiler compiler;
+  CompileOptions eager_options;
+  eager_options.target = ExecutorTarget::kEager;
+  for (int q = 1; q <= 22; ++q) {
+    const CompiledQuery compiled =
+        compiler
+            .CompileSql(tpch::QueryText(q).ValueOrDie(), *catalog_, eager_options)
+            .ValueOrDie();
+    const std::vector<Tensor> inputs =
+        compiled.CollectInputs(*catalog_).ValueOrDie();
+    const std::vector<Tensor> want =
+        compiled.executor()->Run(inputs).ValueOrDie();
+    for (bool fusion : {true, false}) {
+      ExecOptions options;
+      options.fusion_block_rows = 1024;
+      options.expr_fusion = fusion;
+      auto executor = MakeExecutor(ExecutorTarget::kStatic,
+                                   compiled.shared_program(), options)
+                          .ValueOrDie();
+      const std::vector<Tensor> got = executor->Run(inputs).ValueOrDie();
+      const std::string what = "Q" + std::to_string(q) +
+                               (fusion ? " static fused" : " static unfused");
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ExpectTensorsIdentical(got[i], want[i],
+                               what + " output " + std::to_string(i));
+      }
+      const int fused = static_cast<StaticExecutor*>(executor.get())
+                            ->num_expr_fused_groups();
+      if (!fusion) {
+        EXPECT_EQ(fused, 0) << what;
+      } else if (q == 1 || q == 6 || q == 12 || q == 19) {
+        EXPECT_GE(fused, 1) << what;
+      }
+    }
+  }
+}
+
 TEST_F(ExprFusionTpchTest, FusedExactAcrossMorselSizes) {
   // Bit-identical to eager at every morsel size, including 1-row morsels
   // where every fused run sees a single lane.
@@ -826,7 +868,7 @@ TEST(StaticExecutorExprFusionTest, GroupsCompileToExprProgramsBitIdentical) {
     const std::vector<Tensor> got = fused->Run({x}).ValueOrDie();
     ASSERT_EQ(got.size(), want.size());
     ExpectTensorsIdentical(got[0], want[0],
-                           fusion ? "static expr-fused" : "static legacy");
+                           fusion ? "static expr-fused" : "static node-at-a-time");
     auto* st = static_cast<StaticExecutor*>(fused.get());
     EXPECT_GE(st->num_fusion_groups(), 1);
     if (fusion) {

@@ -315,23 +315,20 @@ TEST(OpSpanTest, StaticFusedGroupRecordsOneSpan) {
   const Tensor at = Tensor::FromVector(values);
   const Tensor bt = Tensor::FromVector(values);
 
-  for (const bool fusion : {true, false}) {
-    ExecOptions options;
-    options.fusion_block_rows = 64;
-    options.expr_fusion = fusion;
-    auto executor =
-        MakeExecutor(ExecutorTarget::kStatic, program, options).ValueOrDie();
-    obs::TraceSession session;
-    {
-      obs::TraceContext ctx(&session, session.NextQueryId());
-      ASSERT_TRUE(executor->Run({at, bt}).ok());
-    }
-    const std::vector<obs::TraceEvent> spans = OpSpans(session.events());
-    ASSERT_EQ(spans.size(), 1u) << "fusion=" << fusion;
-    EXPECT_STREQ(spans[0].name, OpTypeName(OpType::kBinary));
-    EXPECT_EQ(spans[0].detail.rfind("fused[2 ops]", 0), 0u) << spans[0].detail;
-    EXPECT_EQ(NodesCovered(spans), 2);
+  ExecOptions options;
+  options.fusion_block_rows = 64;
+  auto executor =
+      MakeExecutor(ExecutorTarget::kStatic, program, options).ValueOrDie();
+  obs::TraceSession session;
+  {
+    obs::TraceContext ctx(&session, session.NextQueryId());
+    ASSERT_TRUE(executor->Run({at, bt}).ok());
   }
+  const std::vector<obs::TraceEvent> spans = OpSpans(session.events());
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, OpTypeName(OpType::kBinary));
+  EXPECT_EQ(spans[0].detail.rfind("fused[2 ops]", 0), 0u) << spans[0].detail;
+  EXPECT_EQ(NodesCovered(spans), 2);
 }
 
 // ---- end-to-end over TPC-H --------------------------------------------------

@@ -9,12 +9,14 @@
 #include <functional>
 
 #include "baseline/volcano.h"
+#include "compile/compiler.h"
 #include "plan/binder.h"
 #include "plan/expr_eval.h"
 #include "plan/optimizer.h"
 #include "plan/physical_planner.h"
 #include "relational/table_builder.h"
 #include "sql/parser.h"
+#include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
 
@@ -206,6 +208,44 @@ std::vector<std::string> ScanOrder(const PlanNode& node) {
 std::vector<std::string> Prefix(std::vector<std::string> v, size_t n) {
   v.resize(std::min(v.size(), n));
   return v;
+}
+
+// Expressions that differ past the sixth significant digit of a float
+// literal render alike, so the binder must compare them structurally.
+TEST(BinderTest, GroupByMatchComparesFloatLiteralsExactly) {
+  Catalog catalog = MakeTpchSchemaCatalog();
+  auto result = BindSql(
+      "SELECT l_quantity * 1000000.1 AS a, COUNT(*) AS n FROM lineitem "
+      "GROUP BY l_quantity * 1000000.4",
+      catalog);
+  EXPECT_EQ(result.status().code(), StatusCode::kBindError);
+  EXPECT_NE(result.status().ToString().find("must appear in GROUP BY"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(BinderTest, AggregatesDeduplicateOnlyWhenStructurallyEqual) {
+  Catalog catalog;
+  tpch::DbgenOptions options;
+  options.scale_factor = 0.001;
+  TQP_CHECK_OK(tpch::GenerateAll(options, &catalog));
+  CompileOptions eager;
+  eager.target = ExecutorTarget::kEager;
+  const Table result =
+      QueryCompiler()
+          .CompileSql("SELECT l_quantity, SUM(l_extendedprice * 1.0000001) AS a, "
+                      "SUM(l_extendedprice * 1.0000004) AS b FROM lineitem "
+                      "GROUP BY l_quantity",
+                      catalog, eager)
+          .ValueOrDie()
+          .Run(catalog)
+          .ValueOrDie();
+  ASSERT_GT(result.num_rows(), 0);
+  for (int64_t r = 0; r < result.num_rows(); ++r) {
+    EXPECT_GT(result.column(2).GetScalar(r).AsDouble(),
+              result.column(1).GetScalar(r).AsDouble())
+        << "row " << r;
+  }
 }
 
 TEST(BinderJoinOrderTest, ConnectedFromListKeepsFromOrder) {

@@ -542,6 +542,22 @@ TEST(PlanCacheTest, LruEvictionAndHitCounting) {
   EXPECT_EQ(cache.Lookup("q1", other), nullptr);
 }
 
+TEST(PlanCacheTest, KeyCoversEveryExecOption) {
+  // A simulated-device executor charges transfers only when asked, and the
+  // static executor bakes in its fusion block size: plans compiled under
+  // different values must not be served for each other.
+  runtime::PlanCache cache(4);
+  auto plan = std::make_shared<const CompiledQuery>();
+  cache.Insert("q1", CompileOptions{}, plan);
+  EXPECT_EQ(cache.Lookup("q1", CompileOptions{}), plan);
+  CompileOptions no_transfers;
+  no_transfers.charge_transfers = false;
+  EXPECT_EQ(cache.Lookup("q1", no_transfers), nullptr);
+  CompileOptions small_blocks;
+  small_blocks.fusion_block_rows = 1024;
+  EXPECT_EQ(cache.Lookup("q1", small_blocks), nullptr);
+}
+
 class SessionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
