@@ -875,6 +875,10 @@ Result<CompiledQuery> QueryCompiler::Compile(const PlanPtr& physical_plan,
   PlanCompiler compiler(program.get(), models_, &out.bindings_);
   TQP_ASSIGN_OR_RETURN(ColumnsState result, compiler.CompileNode(*physical_plan));
   for (int node : result.nodes) program->MarkOutput(node);
+  // Lowering emits every column of every operator; many never reach an
+  // output (a predicate-only column through a filter, the right-id chain of
+  // a join side that contributes only its key).
+  program->DropDeadNodes();
   TQP_RETURN_NOT_OK(program->Validate());
   out.output_schema_ = physical_plan->output_schema;
   out.program_ = program;

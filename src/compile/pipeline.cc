@@ -96,6 +96,8 @@ class Splitter {
     scalar_.assign(static_cast<size_t>(n), false);
     card_.assign(static_cast<size_t>(n), -1);
     pipe_of_.assign(static_cast<size_t>(n), -1);
+    sliced_in_.assign(static_cast<size_t>(n), -1);
+    whole_in_.assign(static_cast<size_t>(n), -1);
     for (const OpNode& node : prog_.nodes()) Visit(node);
     Flush();
     FinalizePipelines();
@@ -243,9 +245,11 @@ class Splitter {
       return;
     }
     const int c = UnifyAligned(node, roles);
-    if (c < 0) {
+    if (c < 0 || ReadsOneValueSlicedAndWhole(node, roles)) {
       // All aligned operands are scalars but the output row count is
-      // data-dependent (e.g. nonzero over a 1-row mask): evaluate whole.
+      // data-dependent (e.g. nonzero over a 1-row mask), or one operand
+      // value would bind both sliced and whole (gather(ids, ids)), which a
+      // morsel's per-node scratch cannot hold: evaluate whole.
       card_[id] = OutputCard(node, c);
       EmitSerial(node.id, /*flush=*/true);
       return;
@@ -256,7 +260,36 @@ class Splitter {
     }
     open_nodes_.push_back(node.id);
     pipe_of_[id] = OpenIndex();
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+      const int in = node.inputs[i];
+      if (pipe_of_[static_cast<size_t>(in)] == OpenIndex() ||
+          scalar_[static_cast<size_t>(in)]) {
+        continue;
+      }
+      auto& bound = roles[i] == Role::kAligned ? sliced_in_ : whole_in_;
+      bound[static_cast<size_t>(in)] = OpenIndex();
+    }
     card_[id] = OutputCard(node, c);
+  }
+
+  /// True when one vector operand value sits in both an aligned and a whole
+  /// position of `node`. Whatever pipeline the node joins, that value is
+  /// materialized (a whole operand cannot be streamed), so it would bind
+  /// both sliced and whole.
+  bool ReadsOneValueSlicedAndWhole(const OpNode& node,
+                                   const std::vector<Role>& roles) const {
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+      if (roles[i] != Role::kWholeOperand ||
+          scalar_[static_cast<size_t>(node.inputs[i])]) {
+        continue;
+      }
+      for (size_t j = 0; j < node.inputs.size(); ++j) {
+        if (roles[j] == Role::kAligned && node.inputs[j] == node.inputs[i]) {
+          return true;
+        }
+      }
+    }
+    return false;
   }
 
   /// Unifies the cardinality symbols of the aligned vector operands; -1 when
@@ -281,13 +314,18 @@ class Splitter {
       const bool in_open = pipe_of_[static_cast<size_t>(in)] == OpenIndex();
       if (roles[i] == Role::kWholeOperand) {
         // A whole operand must be fully materialized, which the open
-        // pipeline by definition has not done yet.
-        if (in_open) return false;
+        // pipeline by definition has not done yet. Nor may the pipeline
+        // already slice it: morsel scratch holds one tensor per node id.
+        if (in_open || sliced_in_[static_cast<size_t>(in)] == OpenIndex()) {
+          return false;
+        }
         continue;
       }
       if (in_open) continue;  // streamed hand-off
-      // Materialized aligned operand: only sliceable by driver offsets.
-      if (uf_.Find(card_[static_cast<size_t>(in)]) != uf_.Find(open_driver_)) {
+      // Materialized aligned operand: only sliceable by driver offsets, and
+      // only if the pipeline does not already bind it whole.
+      if (uf_.Find(card_[static_cast<size_t>(in)]) != uf_.Find(open_driver_) ||
+          whole_in_[static_cast<size_t>(in)] == OpenIndex()) {
         return false;
       }
     }
@@ -332,6 +370,10 @@ class Splitter {
         }
       }
       p.nodes.push_back(std::move(pn));
+    }
+    for (int src : p.sliced_sources) {
+      TQP_DCHECK(std::find(p.whole_sources.begin(), p.whole_sources.end(),
+                           src) == p.whole_sources.end());
     }
     plan_.pipelines.push_back(std::move(p));
     PipelineStep step;
@@ -434,6 +476,10 @@ class Splitter {
   std::vector<int> card_;
   std::vector<int> pipe_of_;
   std::vector<int> open_nodes_;
+  /// Per node: the last pipeline index that binds it sliced / whole. The
+  /// open pipeline (OpenIndex()) never binds one node both ways.
+  std::vector<int> sliced_in_;
+  std::vector<int> whole_in_;
   int open_driver_ = -1;
   PipelinePlan plan_;
 };

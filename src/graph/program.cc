@@ -101,6 +101,39 @@ void TensorProgram::MarkOutput(int node_id) {
   outputs_.push_back(node_id);
 }
 
+void TensorProgram::DropDeadNodes() {
+  const size_t n = nodes_.size();
+  std::vector<bool> live(n, false);
+  for (int out : outputs_) live[static_cast<size_t>(out)] = true;
+  for (size_t id = n; id-- > 0;) {
+    if (!live[id]) continue;
+    for (int in : nodes_[id].inputs) live[static_cast<size_t>(in)] = true;
+  }
+  std::vector<int> remap(n, -1);
+  std::vector<Tensor> constants;
+  int kept = 0;
+  for (size_t id = 0; id < n; ++id) {
+    OpNode& node = nodes_[id];
+    if (!live[id] && node.type != OpType::kInput) continue;
+    remap[id] = kept;
+    node.id = kept;
+    for (int& in : node.inputs) in = remap[static_cast<size_t>(in)];
+    if (node.type == OpType::kConstant) {
+      const size_t const_id = static_cast<size_t>(node.attrs.GetInt("const_id"));
+      node.attrs.Set("const_id", static_cast<int64_t>(constants.size()));
+      constants.push_back(std::move(constants_[const_id]));
+    }
+    if (static_cast<size_t>(kept) != id) {
+      nodes_[static_cast<size_t>(kept)] = std::move(node);
+    }
+    ++kept;
+  }
+  nodes_.resize(static_cast<size_t>(kept));
+  constants_ = std::move(constants);
+  for (int& id : input_ids_) id = remap[static_cast<size_t>(id)];
+  for (int& out : outputs_) out = remap[static_cast<size_t>(out)];
+}
+
 std::vector<int> TensorProgram::ComputeUseCounts() const {
   std::vector<int> uses(nodes_.size(), 0);
   for (const OpNode& n : nodes_) {

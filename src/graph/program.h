@@ -69,6 +69,11 @@ class TensorProgram {
   /// \brief Marks a node as a program output (ordered).
   void MarkOutput(int node_id);
 
+  /// \brief Drops every node no output depends on, and the constants only
+  /// they read; the rest keep their order. Inputs all stay, in order,
+  /// because callers bind them by position.
+  void DropDeadNodes();
+
   const std::vector<OpNode>& nodes() const { return nodes_; }
   const OpNode& node(int id) const { return nodes_[static_cast<size_t>(id)]; }
   const std::vector<int>& outputs() const { return outputs_; }

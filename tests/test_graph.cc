@@ -73,6 +73,50 @@ TEST(ProgramTest, UseCountsAndToString) {
   EXPECT_NE(text.find("where"), std::string::npos);
 }
 
+TEST(ProgramTest, DropDeadNodesKeepsEveryInputAndRenumbersConstants) {
+  auto program = std::make_shared<TensorProgram>();
+  const int x = program->AddInput("x");
+  const int five = program->AddConstant(
+      Tensor::Full(DType::kFloat64, 1, 1, 5.0).ValueOrDie(), "5");
+  const int y = program->AddInput("y");
+  const int two = program->AddConstant(
+      Tensor::Full(DType::kFloat64, 1, 1, 2.0).ValueOrDie(), "2");
+  const int unused = program->AddInput("unused");
+  const AttrMap add = OpAttr(static_cast<int64_t>(BinaryOpKind::kAdd));
+  const int dead = program->AddNode(OpType::kBinary, {x, five}, add);
+  program->AddNode(OpType::kBinary, {dead, unused}, add);
+  const int mul = program->AddNode(
+      OpType::kBinary, {y, two}, OpAttr(static_cast<int64_t>(BinaryOpKind::kMul)),
+      "y * 2");
+  program->MarkOutput(mul);
+  program->MarkOutput(x);
+  const std::vector<Tensor> inputs = {
+      Tensor::FromVector<double>({1, 2, 3}), Tensor::FromVector<double>({4, 5, 6}),
+      Tensor::FromVector<double>({7, 8, 9})};
+  const auto want =
+      MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie()->Run(inputs)
+          .ValueOrDie();
+
+  program->DropDeadNodes();
+  ASSERT_TRUE(program->Validate().ok()) << program->ToString();
+  EXPECT_EQ(program->input_names(),
+            (std::vector<std::string>{"x", "y", "unused"}));
+  EXPECT_EQ(program->num_nodes(), 5) << program->ToString();  // 3 inputs, 2, y * 2
+  ASSERT_EQ(program->constants().size(), 1u);
+  EXPECT_EQ(program->constant(0).data<double>()[0], 2.0);
+  EXPECT_EQ(program->node(program->outputs()[0]).label, "y * 2");
+  const auto got =
+      MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie()->Run(inputs)
+          .ValueOrDie();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].numel(), want[i].numel());
+    for (int64_t r = 0; r < want[i].numel(); ++r) {
+      EXPECT_EQ(got[i].data<double>()[r], want[i].data<double>()[r]);
+    }
+  }
+}
+
 TEST(ExecutorTest, AllTargetsAgreeOnSmallProgram) {
   auto program = MakeSmallProgram();
   Tensor x = Tensor::FromVector<double>({1, 2, 3, 4});

@@ -121,6 +121,104 @@ TEST_F(TpchFixture, AllTwentyTwoQueriesHaveText) {
   EXPECT_EQ(tpch::SupportedQueries().size(), 22u);
 }
 
+// ---- Program shape: lowering keeps only what the outputs read --------------
+
+CompiledQuery CompileTpch(int q, const Catalog& catalog) {
+  return QueryCompiler()
+      .CompileSql(tpch::QueryText(q).ValueOrDie(), catalog)
+      .ValueOrDie();
+}
+
+/// Op kinds of the nodes that read input `name` ("orders.o_comment").
+std::multiset<OpType> ReadersOfInput(const TensorProgram& program,
+                                     const std::string& name) {
+  const auto& names = program.input_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  if (it == names.end()) return {};
+  const int id = program.input_nodes()[static_cast<size_t>(it - names.begin())];
+  std::multiset<OpType> readers;
+  for (const OpNode& node : program.nodes()) {
+    if (std::count(node.inputs.begin(), node.inputs.end(), id) > 0) {
+      readers.insert(node.type);
+    }
+  }
+  return readers;
+}
+
+TEST_F(TpchFixture, Q6CompressesOnlyTheColumnsItsSumReads) {
+  // Q6 filters on four lineitem columns and sums over two of them.
+  const CompiledQuery q6 = CompileTpch(6, *catalog_);
+  const auto& nodes = q6.program().nodes();
+  EXPECT_EQ(std::count_if(nodes.begin(), nodes.end(),
+                          [](const OpNode& n) {
+                            return n.type == OpType::kCompress;
+                          }),
+            2)
+      << q6.program().ToString();
+}
+
+TEST_F(TpchFixture, PredicateOnlyStringsFeedOnlyTheirLike) {
+  // Q13's o_comment and Q9's p_name are read by a LIKE and by nothing above
+  // it: no filter compresses them and no join gathers them.
+  const std::multiset<OpType> like_only = {OpType::kStringLike};
+  EXPECT_EQ(ReadersOfInput(CompileTpch(13, *catalog_).program(),
+                           "orders.o_comment"),
+            like_only);
+  EXPECT_EQ(ReadersOfInput(CompileTpch(9, *catalog_).program(), "part.p_name"),
+            like_only);
+}
+
+/// Scan columns in lowering order (left child first): each becomes one
+/// program input, bound to its base-table column.
+void CollectScanColumns(const PlanNode& node, std::vector<std::string>* names,
+                        std::vector<CompiledQuery::InputBinding>* bindings) {
+  if (node.kind == PlanKind::kScan) {
+    for (int i = 0; i < node.output_schema.num_fields(); ++i) {
+      names->push_back(node.table_name + "." + node.output_schema.field(i).name);
+      bindings->push_back(
+          {node.table_name, node.scan_columns.empty()
+                                ? i
+                                : node.scan_columns[static_cast<size_t>(i)]});
+    }
+  }
+  for (const PlanPtr& child : node.children) {
+    CollectScanColumns(*child, names, bindings);
+  }
+}
+
+TEST_F(TpchFixture, EveryProgramNodeReachesAnOutputAndEveryScanColumnIsBound) {
+  QueryCompiler compiler;
+  for (int q = 1; q <= 22; ++q) {
+    const std::string what = "Q" + std::to_string(q);
+    const PlanPtr plan =
+        PlanQuery(tpch::QueryText(q).ValueOrDie(), *catalog_).ValueOrDie();
+    const CompiledQuery compiled = compiler.Compile(plan).ValueOrDie();
+    const TensorProgram& program = compiled.program();
+    std::vector<bool> live(static_cast<size_t>(program.num_nodes()), false);
+    for (int out : program.outputs()) live[static_cast<size_t>(out)] = true;
+    for (int id = program.num_nodes(); id-- > 0;) {
+      const OpNode& node = program.node(id);
+      if (node.type == OpType::kInput) continue;
+      EXPECT_TRUE(live[static_cast<size_t>(id)])
+          << what << ": node " << id << " " << OpTypeName(node.type)
+          << " reaches no output";
+      for (int in : node.inputs) live[static_cast<size_t>(in)] = true;
+    }
+    // Dead inputs stay: the catalog bindings are positional.
+    std::vector<std::string> names;
+    std::vector<CompiledQuery::InputBinding> bindings;
+    CollectScanColumns(*plan, &names, &bindings);
+    EXPECT_EQ(program.input_names(), names) << what;
+    ASSERT_EQ(compiled.input_bindings().size(), bindings.size()) << what;
+    for (size_t i = 0; i < bindings.size(); ++i) {
+      EXPECT_EQ(compiled.input_bindings()[i].table, bindings[i].table) << what;
+      EXPECT_EQ(compiled.input_bindings()[i].column, bindings[i].column)
+          << what << " input " << names[i];
+    }
+  }
+}
+
 TEST_F(TpchFixture, GeneratorRespectsRowCounts) {
   Table lineitem = catalog_->GetTable("lineitem").ValueOrDie();
   Table orders = catalog_->GetTable("orders").ValueOrDie();
