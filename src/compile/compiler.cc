@@ -1,5 +1,6 @@
 #include "compile/compiler.h"
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -499,34 +500,56 @@ class PlanCompiler {
       return out;
     }
 
-    // Expand matches: left row ids and right row ids of the join result.
-    const int left_arange =
-        program_->AddNode(OpType::kArangeLike, {kl}, {}, "join");
-    const int left_ids = program_->AddNode(
-        OpType::kRepeatInterleave, {left_arange, counts}, {}, "join: left ids");
-    const int incl = program_->AddNode(OpType::kCumSum, {counts}, {}, "join");
-    const int excl =
-        program_->AddNode(OpType::kBinary, {incl, counts}, sub, "join");
-    const int excl_rep = program_->AddNode(OpType::kRepeatInterleave,
-                                           {excl, counts}, {}, "join");
-    const int pos = program_->AddNode(OpType::kArangeLike, {left_ids}, {}, "join");
-    const int within =
-        program_->AddNode(OpType::kBinary, {pos, excl_rep}, sub, "join");
-    const int lo_rep =
-        program_->AddNode(OpType::kRepeatInterleave, {lo, counts}, {}, "join");
-    AttrMap add;
-    add.Set("op", static_cast<int64_t>(BinaryOpKind::kAdd));
-    const int rpos =
-        program_->AddNode(OpType::kBinary, {lo_rep, within}, add, "join");
-    const int right_ids = program_->AddNode(OpType::kGather, {perm_r, rpos}, {},
-                                            "join: right ids");
-
     ColumnsState joined;
     joined.schema = left.schema;
     for (const Field& f : right.schema.fields()) joined.schema.AddField(f);
-    for (int col : left.nodes) {
-      joined.nodes.push_back(program_->AddNode(OpType::kGather, {col, left_ids},
-                                               {}, "join: gather left"));
+    int left_arange = -1;
+    int left_ids = -1;
+    int right_ids = -1;
+    if (node.unique_build && !use_hash) {
+      // Each probe row matches at most once, at `lo`: the matched left rows
+      // in order, each paired with its one build row, are the expansion's
+      // pairs row for row.
+      TQP_ASSIGN_OR_RETURN(
+          TypedNode zero, ConstantScalar(Scalar(int64_t{0}), DType::kInt64, "0"));
+      AttrMap gt;
+      gt.Set("op", static_cast<int64_t>(CompareOpKind::kGt));
+      const int matched = program_->AddNode(OpType::kCompare, {counts, zero.node},
+                                            gt, "unique join: matched");
+      const int lo_matched = program_->AddNode(OpType::kCompress, {lo, matched},
+                                               {}, "unique join");
+      right_ids = program_->AddNode(OpType::kGather, {perm_r, lo_matched}, {},
+                                    "join: right ids");
+      for (int col : left.nodes) {
+        joined.nodes.push_back(program_->AddNode(
+            OpType::kCompress, {col, matched}, {}, "unique join: left"));
+      }
+    } else {
+      // Expand matches: left row ids and right row ids of the join result.
+      left_arange = program_->AddNode(OpType::kArangeLike, {kl}, {}, "join");
+      left_ids = program_->AddNode(OpType::kRepeatInterleave,
+                                   {left_arange, counts}, {}, "join: left ids");
+      const int incl = program_->AddNode(OpType::kCumSum, {counts}, {}, "join");
+      const int excl =
+          program_->AddNode(OpType::kBinary, {incl, counts}, sub, "join");
+      const int excl_rep = program_->AddNode(OpType::kRepeatInterleave,
+                                             {excl, counts}, {}, "join");
+      const int pos =
+          program_->AddNode(OpType::kArangeLike, {left_ids}, {}, "join");
+      const int within =
+          program_->AddNode(OpType::kBinary, {pos, excl_rep}, sub, "join");
+      const int lo_rep =
+          program_->AddNode(OpType::kRepeatInterleave, {lo, counts}, {}, "join");
+      AttrMap add;
+      add.Set("op", static_cast<int64_t>(BinaryOpKind::kAdd));
+      const int rpos =
+          program_->AddNode(OpType::kBinary, {lo_rep, within}, add, "join");
+      right_ids = program_->AddNode(OpType::kGather, {perm_r, rpos}, {},
+                                    "join: right ids");
+      for (int col : left.nodes) {
+        joined.nodes.push_back(program_->AddNode(
+            OpType::kGather, {col, left_ids}, {}, "join: gather left"));
+      }
     }
     for (int col : right.nodes) {
       joined.nodes.push_back(program_->AddNode(OpType::kGather, {col, right_ids},
@@ -842,6 +865,12 @@ Result<Table> CompiledQuery::Run(const Catalog& catalog) const {
 
 Result<std::vector<Tensor>> CompiledQuery::CollectInputs(
     const Catalog& catalog) const {
+  for (const InputBinding& key : primary_keys_) {
+    if (catalog.PrimaryKey(key.table) != key.column) {
+      return Status::Invalid("the plan joins on the primary key of '" + key.table +
+                             "', which is no longer declared; plan the query again");
+    }
+  }
   std::vector<Tensor> inputs;
   inputs.reserve(bindings_.size());
   for (const InputBinding& b : bindings_) {
@@ -896,7 +925,19 @@ Result<CompiledQuery> QueryCompiler::CompileSql(
   }();
   TQP_ASSIGN_OR_RETURN(PlanPtr plan, std::move(plan_or));
   obs::TraceSpan span("compile", "compile.lower");
-  return Compile(plan, options);
+  TQP_ASSIGN_OR_RETURN(CompiledQuery out, Compile(plan, options));
+  // A unique-build join holds only while the keys the planner saw do.
+  bool unique_build = false;
+  std::vector<CompiledQuery::InputBinding> keys;
+  const std::function<void(const PlanNode&)> visit = [&](const PlanNode& node) {
+    unique_build |= node.unique_build;
+    const int key = node.kind == PlanKind::kScan ? catalog.PrimaryKey(node.table_name) : -1;
+    if (key >= 0) keys.push_back({node.table_name, key});
+    for (const PlanPtr& c : node.children) visit(*c);
+  };
+  visit(*plan);
+  if (unique_build) out.primary_keys_ = std::move(keys);
+  return out;
 }
 
 }  // namespace tqp

@@ -38,6 +38,9 @@ class CompiledQuery {
   Result<Table> RunWithInputs(const std::vector<Tensor>& inputs) const;
 
   /// \brief Collects the input tensors this query needs from the catalog.
+  /// A query planned with unique-build joins (CompileSql) fails here if a
+  /// primary key it was planned against is no longer declared: its table
+  /// was registered again and may now hold duplicates.
   Result<std::vector<Tensor>> CollectInputs(const Catalog& catalog) const;
 
   const TensorProgram& program() const { return *program_; }
@@ -57,6 +60,7 @@ class CompiledQuery {
   std::unique_ptr<Executor> executor_;
   Schema output_schema_;
   std::vector<InputBinding> bindings_;
+  std::vector<InputBinding> primary_keys_;  // relied on by unique-build joins
 };
 
 /// \brief The TQP compilation stack (§2.2): consumes a physical plan from the

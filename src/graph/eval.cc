@@ -31,6 +31,16 @@ Result<Tensor> EvalGroupIds(const OpNode& node, const std::vector<Tensor>& value
   return ids;
 }
 
+Result<Tensor> EvalArgsort(const OpNode& node, const std::vector<Tensor>& values,
+                           const OrderedArgsortFn& argsort) {
+  bool ordered = false;
+  TQP_ASSIGN_OR_RETURN(Tensor perm, argsort(In(values, node, 0), &ordered));
+  if (obs::TraceSpan* span = obs::TraceSpan::Current()) {
+    span->AddArg("ordered", ordered ? 1 : 0);
+  }
+  return perm;
+}
+
 Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
                         const std::vector<Tensor>& values) {
   using namespace tqp::kernels;  // NOLINT: single dispatch point for all kernels
@@ -94,7 +104,9 @@ Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
                              count.ScalarAsInt64(0));
     }
     case OpType::kArgsortRows:
-      return ArgsortRows(In(values, node, 0), node.attrs.GetBool("ascending"));
+      return EvalArgsort(node, values, [&node](const Tensor& key, bool* ordered) {
+        return ArgsortRows(key, node.attrs.GetBool("ascending"), ordered);
+      });
     case OpType::kSearchSorted:
       return SearchSorted(In(values, node, 0), In(values, node, 1),
                           node.attrs.GetBool("right"));

@@ -1,6 +1,7 @@
 #ifndef TQP_GRAPH_EVAL_H_
 #define TQP_GRAPH_EVAL_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -21,6 +22,17 @@ Result<Tensor> EvalNode(const TensorProgram& program, const OpNode& node,
 /// the sort path.
 Result<Tensor> EvalGroupIds(const OpNode& node, const std::vector<Tensor>& values,
                             const kernels::ArgsortFn& argsort);
+
+/// \brief The argsort of a kArgsortRows node's input, whose last argument
+/// reports whether the rows already were in order.
+using OrderedArgsortFn =
+    std::function<Result<Tensor>(const Tensor& key, bool* ordered)>;
+
+/// \brief Evaluates a kArgsortRows node through `argsort` and records on the
+/// calling thread's innermost trace span arg `ordered`: 1 when the sort took
+/// the identity path, else 0.
+Result<Tensor> EvalArgsort(const OpNode& node, const std::vector<Tensor>& values,
+                           const OrderedArgsortFn& argsort);
 
 /// \brief Roofline cost of a node execution, fed to the simulated device
 /// clock. `irregular` is set for data-dependent access patterns (gather,

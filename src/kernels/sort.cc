@@ -59,11 +59,13 @@ uint64_t OrderedBits(T v) {
 }
 
 /// LSD radix argsort of p[0, n) (one key column) into out, as row ids offset
-/// by `base`. Sets *nan_found instead of sorting when a key is NaN.
+/// by `base`. Sets *nan_found instead of sorting when a key is NaN, and
+/// *ordered when the keys already are in order (the identity, written to
+/// out without a pass).
 template <typename T>
 Status RadixArgsort(const T* p, int64_t n, bool ascending, int64_t base,
                     int64_t* out, int64_t chunks, const TaskRunner& run,
-                    bool* nan_found) {
+                    bool* nan_found, bool* ordered) {
   const auto key = [ascending](T v) {
     const uint64_t k = OrderedBits(v);
     return ascending ? k : ~k;
@@ -76,14 +78,19 @@ Status RadixArgsort(const T* p, int64_t n, bool ascending, int64_t base,
     });
   };
 
-  // 1. Key range (and the NaN check that gates the radix path).
+  // 1. Key range, the NaN check that gates the radix path, and whether the
+  // keys are non-decreasing under key() (each chunk starts from its
+  // predecessor's last key, so chunk boundaries count too).
   std::vector<uint64_t> cmin(static_cast<size_t>(chunks),
                              std::numeric_limits<uint64_t>::max());
   std::vector<uint64_t> cmax(static_cast<size_t>(chunks), 0);
   std::vector<uint8_t> cnan(static_cast<size_t>(chunks), 0);
+  std::vector<uint8_t> cordered(static_cast<size_t>(chunks), 0);
   TQP_RETURN_NOT_OK(for_chunks([&](int64_t c, int64_t lo, int64_t hi) {
     uint64_t mn = std::numeric_limits<uint64_t>::max();
     uint64_t mx = 0;
+    uint64_t prev = lo > 0 && !IsNaN(p[lo - 1]) ? key(p[lo - 1]) : 0;
+    bool in_order = true;
     for (int64_t i = lo; i < hi; ++i) {
       if (IsNaN(p[i])) {
         cnan[static_cast<size_t>(c)] = 1;
@@ -92,20 +99,27 @@ Status RadixArgsort(const T* p, int64_t n, bool ascending, int64_t base,
       const uint64_t k = key(p[i]);
       mn = std::min(mn, k);
       mx = std::max(mx, k);
+      in_order &= prev <= k;
+      prev = k;
     }
     cmin[static_cast<size_t>(c)] = mn;
     cmax[static_cast<size_t>(c)] = mx;
+    cordered[static_cast<size_t>(c)] = in_order ? 1 : 0;
   }));
   if (std::find(cnan.begin(), cnan.end(), 1) != cnan.end()) {
     *nan_found = true;
     return Status::OK();
   }
+  // A stable sort of keys already in order is the identity (equal keys
+  // included: they keep ascending row order).
+  if (std::find(cordered.begin(), cordered.end(), 0) == cordered.end()) {
+    *ordered = true;
+    return for_chunks([&](int64_t, int64_t lo, int64_t hi) {
+      std::iota(out + lo, out + hi, base + lo);
+    });
+  }
   const uint64_t kmin = *std::min_element(cmin.begin(), cmin.end());
   const uint64_t range = *std::max_element(cmax.begin(), cmax.end()) - kmin;
-  if (range == 0) {
-    std::iota(out, out + n, base);
-    return Status::OK();
-  }
 
   // 2. Layout: (key - min) << index_bits | row when both fit in one word.
   const int key_bits = 64 - std::countl_zero(range);
@@ -271,18 +285,53 @@ Status ComparisonArgsort(const T* p, int64_t cols, int64_t begin, int64_t end,
   return Status::OK();
 }
 
+/// True when rows [begin, end) are already in order under CompareRows and
+/// hold no NaN, checked chunk by chunk (each chunk's first row against the
+/// row before it).
+template <typename T>
+Result<bool> RowsInOrder(const T* p, int64_t cols, int64_t begin, int64_t end,
+                         bool ascending, int64_t chunks, const TaskRunner& run) {
+  const int64_t n = end - begin;
+  std::vector<uint8_t> cordered(static_cast<size_t>(chunks), 0);
+  TQP_RETURN_NOT_OK(RunTasks(run, chunks, [&](int64_t cb, int64_t ce) -> Status {
+    for (int64_t c = cb; c < ce; ++c) {
+      const int64_t lo = begin + n * c / chunks;
+      const int64_t hi = begin + n * (c + 1) / chunks;
+      bool in_order = true;
+      for (int64_t i = lo; i < hi && in_order; ++i) {
+        for (int64_t j = 0; j < cols; ++j) in_order &= !IsNaN(p[i * cols + j]);
+        if (i > begin) {
+          const int cmp = CompareRows<T>(p + (i - 1) * cols, p + i * cols, cols);
+          in_order &= ascending ? cmp <= 0 : cmp >= 0;
+        }
+      }
+      cordered[static_cast<size_t>(c)] = in_order ? 1 : 0;
+    }
+    return Status::OK();
+  }));
+  return std::find(cordered.begin(), cordered.end(), 0) == cordered.end();
+}
+
 template <typename T>
 Status StableArgsortTyped(const Tensor& a, int64_t begin, int64_t end,
                           bool ascending, int64_t* out, int64_t chunks,
-                          const TaskRunner& run) {
+                          const TaskRunner& run, bool* ordered) {
   const T* p = a.data<T>();
   const int64_t n = end - begin;
   chunks = std::clamp<int64_t>(chunks, 1, std::max<int64_t>(1, n));
   if (a.cols() == 1 && n >= kRadixMinRows) {
     bool nan_found = false;
-    TQP_RETURN_NOT_OK(
-        RadixArgsort(p + begin, n, ascending, begin, out, chunks, run, &nan_found));
+    TQP_RETURN_NOT_OK(RadixArgsort(p + begin, n, ascending, begin, out, chunks,
+                                   run, &nan_found, ordered));
     if (!nan_found) return Status::OK();
+  } else {
+    TQP_ASSIGN_OR_RETURN(bool in_order, RowsInOrder(p, a.cols(), begin, end,
+                                                    ascending, chunks, run));
+    if (in_order) {
+      *ordered = true;
+      std::iota(out, out + n, begin);
+      return Status::OK();
+    }
   }
   return ComparisonArgsort(p, a.cols(), begin, end, ascending, out, chunks, run);
 }
@@ -422,20 +471,23 @@ void SearchSortedDispatch(const Tensor& sorted, const Tensor& values, bool right
 
 Status StableArgsortRange(const Tensor& a, int64_t begin, int64_t end,
                           bool ascending, int64_t* out, int64_t chunks,
-                          const TaskRunner& run) {
+                          const TaskRunner& run, bool* ordered) {
+  bool in_order = false;
+  bool* o = ordered != nullptr ? ordered : &in_order;
+  *o = false;
   switch (a.dtype()) {
     case DType::kBool:
-      return StableArgsortTyped<bool>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<bool>(a, begin, end, ascending, out, chunks, run, o);
     case DType::kUInt8:
-      return StableArgsortTyped<uint8_t>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<uint8_t>(a, begin, end, ascending, out, chunks, run, o);
     case DType::kInt32:
-      return StableArgsortTyped<int32_t>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<int32_t>(a, begin, end, ascending, out, chunks, run, o);
     case DType::kInt64:
-      return StableArgsortTyped<int64_t>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<int64_t>(a, begin, end, ascending, out, chunks, run, o);
     case DType::kFloat32:
-      return StableArgsortTyped<float>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<float>(a, begin, end, ascending, out, chunks, run, o);
     case DType::kFloat64:
-      return StableArgsortTyped<double>(a, begin, end, ascending, out, chunks, run);
+      return StableArgsortTyped<double>(a, begin, end, ascending, out, chunks, run, o);
   }
   return Status::Internal("StableArgsortRange: unknown dtype");
 }
@@ -579,11 +631,11 @@ Result<Tensor> GroupCount(const Tensor& ids) {
   return out;
 }
 
-Result<Tensor> ArgsortRows(const Tensor& a, bool ascending) {
+Result<Tensor> ArgsortRows(const Tensor& a, bool ascending, bool* ordered) {
   TQP_ASSIGN_OR_RETURN(Tensor out,
                        Tensor::Empty(DType::kInt64, a.rows(), 1, a.device()));
-  TQP_RETURN_NOT_OK(
-      StableArgsortRange(a, 0, a.rows(), ascending, out.mutable_data<int64_t>()));
+  TQP_RETURN_NOT_OK(StableArgsortRange(a, 0, a.rows(), ascending,
+                                       out.mutable_data<int64_t>(), 1, {}, ordered));
   return out;
 }
 

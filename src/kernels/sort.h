@@ -10,8 +10,11 @@ namespace tqp::kernels {
 
 /// \brief Stable argsort of an (n x m) tensor by lexicographic row order
 /// (torch.argsort analog; m == 1 is the common numeric case, m > 1 covers
-/// padded string tensors). Returns int64 (n x 1) permutation indices.
-Result<Tensor> ArgsortRows(const Tensor& a, bool ascending = true);
+/// padded string tensors). Returns int64 (n x 1) permutation indices. Rows
+/// already in order (and NaN-free) give the identity after one pass; then
+/// `*ordered`, when given, is set true.
+Result<Tensor> ArgsortRows(const Tensor& a, bool ascending = true,
+                           bool* ordered = nullptr);
 
 /// \brief Applies `perm` (from ArgsortRows) to produce the sorted tensor.
 /// Equivalent to Gather(a, perm); provided for symmetry with torch.sort.

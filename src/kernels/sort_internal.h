@@ -39,6 +39,11 @@ using TaskRunner = std::function<Status(
 /// out[0, end - begin), as absolute row ids. Equal rows keep ascending row
 /// order in both directions.
 ///
+/// Rows already in order give the identity after one pass and set
+/// `*ordered` (when given): the radix path folds the test into its key-range
+/// pass, the comparison path runs a chunked CompareRows pre-pass. NaN-bearing
+/// floats never count as ordered.
+///
 /// Single-column keys of at least 1024 rows take the LSD radix path:
 /// an order-preserving 64-bit key transform (floats fold -0.0 into +0.0),
 /// minus the minimum key, sorted 11 bits per pass over only the digits the
@@ -55,7 +60,7 @@ using TaskRunner = std::function<Status(
 /// `chunks`.
 Status StableArgsortRange(const Tensor& a, int64_t begin, int64_t end,
                           bool ascending, int64_t* out, int64_t chunks = 1,
-                          const TaskRunner& run = {});
+                          const TaskRunner& run = {}, bool* ordered = nullptr);
 
 /// \brief The ascending stable argsort GroupIds sorts keys with:
 /// kernels::ArgsortRows, or an executor's parallel or external sort (every

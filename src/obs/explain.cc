@@ -34,7 +34,8 @@ void AppendPadded(std::ostringstream& os, const std::string& s, size_t width,
 }
 
 /// Short description of one schedule step ("n5 sort" / "pipeline#2 [...]").
-/// `notes` holds run-time annotations per node id (a group_ids path).
+/// `notes` holds run-time annotations per node id (a group_ids path, an
+/// argsort's identity path).
 std::string DescribeStep(const TensorProgram& program, const PipelinePlan& plan,
                          size_t step_index,
                          const std::map<int64_t, std::string>& notes) {
@@ -215,18 +216,24 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   if (!step_rows.empty()) {
     by_step = true;
     // The path each group_ids node took: its op span's `domain` arg is the
-    // dense domain size, or -1 for the sort path.
+    // dense domain size, or -1 for the sort path. An argsort whose `ordered`
+    // arg is 1 found its keys in order and returned the identity.
     std::map<int64_t, std::string> notes;
     for (const TraceEvent& e : events) {
       if (e.phase == TraceEvent::Phase::kInstant ||
-          std::string_view(e.category) != "op" ||
-          std::string_view(e.name) != OpTypeName(OpType::kGroupIds)) {
+          std::string_view(e.category) != "op") {
         continue;
       }
-      const int64_t domain = EventArg(e, "domain", -2);
-      if (domain < -1) continue;
-      notes[EventArg(e, "node", -1)] =
-          domain < 0 ? "sort" : "dense " + std::to_string(domain);
+      const std::string_view name(e.name);
+      if (name == OpTypeName(OpType::kGroupIds)) {
+        const int64_t domain = EventArg(e, "domain", -2);
+        if (domain < -1) continue;
+        notes[EventArg(e, "node", -1)] =
+            domain < 0 ? "sort" : "dense " + std::to_string(domain);
+      } else if (name == OpTypeName(OpType::kArgsortRows) &&
+                 EventArg(e, "ordered") == 1) {
+        notes[EventArg(e, "node", -1)] = "ordered";
+      }
     }
     const PipelinePlan pipeline_plan = BuildPipelinePlan(plan->program());
     for (auto& [index, r] : step_rows) {

@@ -28,8 +28,13 @@ Result<PlanPtr> PlanQuery(const std::string& sql, const Catalog& catalog,
                           const PhysicalOptions& options = {},
                           const ModelCatalog* models = nullptr);
 
-/// \brief Applies physical choices to an already-bound logical plan.
-PlanPtr ChoosePhysical(const PlanPtr& plan, const PhysicalOptions& options);
+/// \brief Applies physical choices to an already-bound logical plan. With a
+/// `catalog`, its declared primary keys are carried up the plan, and an inner
+/// sort-merge join on a unique single numeric right key is marked
+/// `unique_build`; without one (a plan from an external frontend carries no
+/// key), no join is marked.
+PlanPtr ChoosePhysical(const PlanPtr& plan, const PhysicalOptions& options,
+                       const Catalog* catalog = nullptr);
 
 }  // namespace tqp
 

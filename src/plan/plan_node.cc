@@ -53,6 +53,7 @@ std::string PlanNode::ToString(int indent) const {
         os << "L#" << left_keys[i] << "=R#" << right_keys[i];
       }
       os << "]";
+      if (unique_build) os << " unique build";
       if (residual) os << " residual [" << residual->ToString() << "]";
       break;
     }

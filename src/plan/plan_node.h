@@ -64,6 +64,11 @@ struct PlanNode {
   std::vector<int> right_keys;
   BExpr residual;
   JoinAlgo join_algo = JoinAlgo::kHash;
+  // Set by the physical planner on a sort-merge inner join whose single
+  // numeric right key is unique (a declared primary key carried up the right
+  // child): every probe row matches at most once, so the compiler lowers the
+  // join without the match expansion.
+  bool unique_build = false;
 
   // kAggregate: empty group_exprs = global aggregation (one output row).
   std::vector<BExpr> group_exprs;

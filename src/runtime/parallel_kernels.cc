@@ -216,9 +216,9 @@ Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
 }
 
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
-                                   bool ascending) {
+                                   bool ascending, bool* ordered) {
   if (!ShouldParallelize(ctx, a.rows())) {
-    return kernels::ArgsortRows(a, ascending);
+    return kernels::ArgsortRows(a, ascending, ordered);
   }
   const int64_t n = a.rows();
   TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(DType::kInt64, n, 1, a.device()));
@@ -231,7 +231,7 @@ Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
         return ctx.pool->ParallelFor(tasks, 1, fn);
       };
   TQP_RETURN_NOT_OK(kernels::StableArgsortRange(
-      a, 0, n, ascending, out.mutable_data<int64_t>(), chunks, run));
+      a, 0, n, ascending, out.mutable_data<int64_t>(), chunks, run, ordered));
   return out;
 }
 
@@ -240,13 +240,15 @@ namespace {
 /// The argsort behind every breaker: the external merge sort when
 /// partitioned breakers are on, else ParallelArgsortRows. Partitioned
 /// breakers engage even with a 1-thread pool: the external merge sort's
-/// budget-sized spillable runs matter for memory, not just speed.
+/// budget-sized spillable runs matter for memory, not just speed. `ordered`
+/// reports only ParallelArgsortRows' identity path.
 Result<Tensor> BreakerArgsort(const ParallelContext& ctx, const Tensor& key,
                               bool ascending,
-                              const std::function<void()>& release_input = {}) {
+                              const std::function<void()>& release_input = {},
+                              bool* ordered = nullptr) {
   if (!ctx.partitioned_breakers || ctx.pool == nullptr ||
       key.rows() < ctx.min_parallel_rows) {
-    return ParallelArgsortRows(ctx, key, ascending);
+    return ParallelArgsortRows(ctx, key, ascending, ordered);
   }
   op::partitioned::PartitionConfig config;
   auto* scope = BufferPool::QueryScope::Current();
@@ -271,7 +273,10 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
         ctx.breaker_hooks->release_input(static_cast<int>(slot));
       };
     }
-    return BreakerArgsort(ctx, in(0), node.attrs.GetBool("ascending"), release);
+    return EvalArgsort(node, values, [&](const Tensor& key, bool* ordered) {
+      return BreakerArgsort(ctx, key, node.attrs.GetBool("ascending"), release,
+                            ordered);
+    });
   }
   if (node.type == OpType::kGroupIds) {
     return EvalGroupIds(node, values, [&ctx](const Tensor& key) {

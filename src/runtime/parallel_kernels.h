@@ -83,9 +83,10 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
 /// passes histogram and scatter chunks concurrently (offsets in (digit,
 /// chunk) order); the comparison fallback sorts chunks concurrently and
 /// merges them pairwise. A stable sort's permutation is unique, so this
-/// equals std::stable_sort's answer exactly.
+/// equals std::stable_sort's answer exactly. `*ordered`, when given, is set
+/// true when the rows already were in order (the identity, in one pass).
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
-                                   bool ascending);
+                                   bool ascending, bool* ordered = nullptr);
 
 /// \brief Row concatenation: an exclusive scan over part row counts gives
 /// each part's output offset, then parts copy concurrently into disjoint

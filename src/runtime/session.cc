@@ -77,6 +77,7 @@ Result<std::future<QueryOutcome>> QueryScheduler::Submit(const std::string& sql,
   const int64_t deadline_ms = ResolveDeadlineMs(options_.compile.deadline_ms);
   if (deadline_ms > 0) job.token->SetDeadlineAfterMs(deadline_ms);
   std::future<QueryOutcome> future = job.promise.get_future();
+  int spawn = 0;
   {
     MutexLock lock(mu_);
     if (shutdown_) {
@@ -155,8 +156,11 @@ Result<std::future<QueryOutcome>> QueryScheduler::Submit(const std::string& sql,
     tokens_.emplace(job.query_id, TokenEntry{job.token, priority});
     queues_[static_cast<size_t>(priority)].push_back(std::move(job));
     ++queued_total_;
-    DispatchLocked();
+    spawn = ReserveWorkersLocked();
   }
+  // Submit outside mu_: a pool may run the task inline (the task_submit
+  // fault seam does), and WorkerBody takes mu_.
+  for (int i = 0; i < spawn; ++i) pool_->Submit([this] { WorkerBody(); });
   return future;
 }
 
@@ -196,14 +200,16 @@ int QueryScheduler::PreemptLowPriority() {
   return static_cast<int>(victims.size());
 }
 
-void QueryScheduler::DispatchLocked() {
+int QueryScheduler::ReserveWorkersLocked() {
   // Workers that are spawned-but-not-executing will each pop one queued job
   // soon; spawn more only for jobs beyond that, up to max_concurrent.
+  int spawn = 0;
   while (active_workers_ < options_.max_concurrent &&
          queued_total_ > static_cast<size_t>(active_workers_ - executing_workers_)) {
     ++active_workers_;
-    pool_->Submit([this] { WorkerBody(); });
+    ++spawn;
   }
+  return spawn;
 }
 
 bool QueryScheduler::PopJobLocked(Job* job) {

@@ -195,8 +195,10 @@ class QueryScheduler {
     std::shared_ptr<CancellationToken> token;
   };
 
-  /// Spawns worker tasks on the pool while capacity and work both exist.
-  void DispatchLocked() TQP_REQUIRES(mu_);
+  /// Counts the worker tasks to spawn while capacity and work both exist
+  /// (as active workers already); the caller submits them after releasing
+  /// mu_.
+  int ReserveWorkersLocked() TQP_REQUIRES(mu_);
   /// Pops the highest-priority job (FIFO within a priority).
   bool PopJobLocked(Job* job) TQP_REQUIRES(mu_);
   /// One worker task: drains jobs until the queue is empty, then retires.

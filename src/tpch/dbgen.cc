@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/random.h"
 #include "relational/date.h"
@@ -328,6 +329,13 @@ Status GenerateAll(const DbgenOptions& options, Catalog* catalog) {
     }
     TQP_ASSIGN_OR_RETURN(Table t, GenerateTable(name, options));
     catalog->RegisterTable(name, std::move(t));
+  }
+  // The single-column primary keys; each is verified as it is declared.
+  for (const auto& [table, column] :
+       {std::pair{"orders", "o_orderkey"}, std::pair{"customer", "c_custkey"},
+        std::pair{"part", "p_partkey"}, std::pair{"supplier", "s_suppkey"},
+        std::pair{"nation", "n_nationkey"}, std::pair{"region", "r_regionkey"}}) {
+    TQP_RETURN_NOT_OK(catalog->DeclarePrimaryKey(table, column));
   }
   return Status::OK();
 }

@@ -26,7 +26,9 @@ struct DbgenOptions {
 /// fraction for Q4/Q12). Text comments are random filler, not grammar-based.
 Result<Table> GenerateTable(const std::string& table, const DbgenOptions& options);
 
-/// \brief Generates all eight tables into `catalog`.
+/// \brief Generates all eight tables into `catalog` and declares the
+/// single-column primary keys of orders, customer, part, supplier, nation
+/// and region.
 Status GenerateAll(const DbgenOptions& options, Catalog* catalog);
 
 }  // namespace tqp::tpch

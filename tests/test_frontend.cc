@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "baseline/volcano.h"
@@ -126,6 +127,45 @@ TEST_F(FrontendFixture, JoinPlanMatchesSql) {
               "AND l_shipdate < DATE '1995-10-01'")
           .ValueOrDie();
   EXPECT_TRUE(TablesEqualUnordered(from_json, from_sql).ok());
+}
+
+TEST_F(FrontendFixture, SparkPlanJoinKeepsTheExpansion) {
+  // A JSON plan carries no key information, so its join on part's primary
+  // key is not marked and lowers with the match expansion; the same join
+  // planned from SQL against the catalog is a unique build without it.
+  const std::string json = R"({
+    "node": "SortMergeJoin",
+    "joinType": "Inner",
+    "leftKeys": ["l_partkey"],
+    "rightKeys": ["p_partkey"],
+    "children": [
+      {"node": "Project", "projectList": ["l_partkey", "l_quantity"],
+       "children": [{"node": "Scan", "table": "lineitem"}]},
+      {"node": "Project", "projectList": ["p_partkey", "p_size"],
+       "children": [{"node": "Scan", "table": "part"}]}]
+  })";
+  const PlanPtr plan = frontend::FromSparkPlanJson(json, *catalog_).ValueOrDie();
+  ASSERT_EQ(plan->kind, PlanKind::kJoin);
+  EXPECT_FALSE(plan->unique_build);
+  const auto count_expansions = [](const CompiledQuery& q) {
+    const auto& nodes = q.program().nodes();
+    return std::count_if(nodes.begin(), nodes.end(), [](const OpNode& n) {
+      return n.type == OpType::kRepeatInterleave;
+    });
+  };
+  QueryCompiler compiler;
+  const CompiledQuery from_json = compiler.Compile(plan, CompileOptions{}).ValueOrDie();
+  EXPECT_GT(count_expansions(from_json), 0) << from_json.program().ToString();
+  const CompiledQuery from_sql =
+      compiler
+          .CompileSql("SELECT l_partkey, l_quantity, p_partkey, p_size "
+                      "FROM lineitem, part WHERE l_partkey = p_partkey",
+                      *catalog_)
+          .ValueOrDie();
+  EXPECT_EQ(count_expansions(from_sql), 0) << from_sql.program().ToString();
+  EXPECT_TRUE(TablesEqualUnordered(from_json.Run(*catalog_).ValueOrDie(),
+                                   from_sql.Run(*catalog_).ValueOrDie())
+                  .ok());
 }
 
 TEST_F(FrontendFixture, SemiJoinWithResidualCondition) {

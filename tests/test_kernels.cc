@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -782,6 +783,153 @@ TEST(ArgsortStringOracleTest, MultiColumnRowsMatchStdStableSort) {
     EXPECT_EQ(ToVector(ArgsortRows(keys, ascending).ValueOrDie()), want);
     EXPECT_EQ(ToVector(runtime::ParallelArgsortRows(ctx, keys, ascending).ValueOrDie()),
               want);
+  }
+}
+
+// ---- Already-ordered argsort input ----------------------------------------------
+// A stable sort of rows already in order is the identity; StableArgsortRange
+// returns it after one pass and reports `ordered`. Every case is pinned to
+// std::stable_sort, at 1, 4 and 7 chunks, on both the comparison path
+// (under 1024 rows, or multi-column rows) and the radix path.
+
+/// Non-decreasing keys with ties: bool as a run of false then true, numbers
+/// as a staircase, floats with -0.0 and +0.0 interleaved at zero.
+template <typename T>
+std::vector<T> OrderedKeys(int64_t n) {
+  std::vector<T> out;
+  for (int64_t i = 0; i < n; ++i) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out.push_back(i >= n / 8);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      const int64_t step = i / 3 - n / 6;
+      out.push_back(step == 0 ? (i % 2 == 0 ? T{-0.0} : T{0.0})
+                              : static_cast<T>(step) / 4);
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      out.push_back(static_cast<T>(i * 200 / std::max<int64_t>(n, 1)));
+    } else {
+      out.push_back(static_cast<T>(i / 3 - n / 6));
+    }
+  }
+  return out;
+}
+
+template <typename T>
+Tensor KeysTensor(const std::vector<T>& values) {
+  Tensor t = Tensor::Empty(DTypeOf<T>::value, static_cast<int64_t>(values.size()), 1)
+                 .ValueOrDie();
+  std::copy(values.begin(), values.end(), t.mutable_data<T>());
+  return t;
+}
+
+/// StableArgsortRange over every row of `keys` with `chunks` chunks on a
+/// 4-thread pool; `*ordered` receives the identity-path report.
+std::vector<int64_t> ChunkedArgsort(const Tensor& keys, bool ascending,
+                                    int64_t chunks, bool* ordered) {
+  static ThreadPool pool(4);
+  const kernels::TaskRunner run =
+      [](int64_t tasks, const std::function<Status(int64_t, int64_t)>& fn) {
+        return pool.ParallelFor(tasks, 1, fn);
+      };
+  std::vector<int64_t> out(static_cast<size_t>(keys.rows()));
+  EXPECT_TRUE(kernels::StableArgsortRange(keys, 0, keys.rows(), ascending,
+                                          out.data(), chunks, run, ordered)
+                  .ok());
+  return out;
+}
+
+template <typename T>
+class ArgsortOrderedTest : public ::testing::Test {};
+TYPED_TEST_SUITE(ArgsortOrderedTest, ArgsortKeyTypes);
+
+TYPED_TEST(ArgsortOrderedTest, OrderedInputIsTheIdentityAndInversionsSort) {
+  using T = TypeParam;
+  for (int64_t n : {int64_t{6}, kOracleMorsel - 1, 4 * kOracleMorsel + 3}) {
+    for (bool ascending : {true, false}) {
+      std::vector<T> values = OrderedKeys<T>(n);
+      if (!ascending) std::reverse(values.begin(), values.end());
+      for (int64_t chunks : {1, 4, 7}) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 (ascending ? " asc" : " desc") +
+                                 " chunks=" + std::to_string(chunks);
+        const Tensor keys = KeysTensor(values);
+        std::vector<int64_t> identity(values.size());
+        std::iota(identity.begin(), identity.end(), int64_t{0});
+        bool ordered = false;
+        EXPECT_EQ(ChunkedArgsort(keys, ascending, chunks, &ordered), identity)
+            << what;
+        EXPECT_EQ(OracleArgsort<T>(keys, ascending), identity) << what;
+        EXPECT_TRUE(ordered) << what;
+
+        // One inversion exactly where the first chunk ends (mid-input with
+        // one chunk): the smallest key moves to just after the boundary
+        // (ascending) or to just before it (descending).
+        if (n < 16) continue;
+        const int64_t boundary = n / (chunks == 1 ? 2 : chunks);
+        std::vector<T> inverted = values;
+        const T least = ascending ? values.front() : values.back();
+        inverted[static_cast<size_t>(ascending ? boundary : boundary - 1)] = least;
+        const Tensor broken = KeysTensor(inverted);
+        ordered = true;
+        EXPECT_EQ(ChunkedArgsort(broken, ascending, chunks, &ordered),
+                  OracleArgsort<T>(broken, ascending))
+            << what << " inverted at " << boundary;
+        EXPECT_FALSE(ordered) << what << " inverted at " << boundary;
+      }
+    }
+  }
+}
+
+TYPED_TEST(ArgsortOrderedTest, NaNBearingKeysTakeTheSort) {
+  using T = TypeParam;
+  if constexpr (std::is_floating_point_v<T>) {
+    for (int64_t n : {int64_t{6}, 4 * kOracleMorsel + 3}) {
+      std::vector<T> values = OrderedKeys<T>(n);
+      values[static_cast<size_t>(n / 2)] = std::numeric_limits<T>::quiet_NaN();
+      const Tensor keys = KeysTensor(values);
+      for (bool ascending : {true, false}) {
+        bool ordered = true;
+        EXPECT_EQ(ChunkedArgsort(keys, ascending, 1, &ordered),
+                  OracleArgsort<T>(keys, ascending))
+            << "n=" << n;
+        EXPECT_FALSE(ordered) << "n=" << n;
+        bool serial_ordered = true;
+        EXPECT_EQ(ToVector(ArgsortRows(keys, ascending, &serial_ordered).ValueOrDie()),
+                  OracleArgsort<T>(keys, ascending));
+        EXPECT_FALSE(serial_ordered);
+      }
+    }
+  }
+}
+
+TEST(ArgsortOrderedTest, OrderedMultiColumnRowsAreTheIdentity) {
+  std::vector<std::string> values;
+  for (int i = 0; i < 3 * kOracleMorsel; ++i) {
+    values.push_back(std::string(1, static_cast<char>('a' + i / 700)) +
+                     (i % 3 == 0 ? "" : std::string(1, static_cast<char>('a' + i / 300 % 20))));
+  }
+  std::sort(values.begin(), values.end());
+  for (bool ascending : {true, false}) {
+    std::vector<std::string> rows = values;
+    if (!ascending) std::reverse(rows.begin(), rows.end());
+    const Tensor keys = EncodeStrings(rows).ValueOrDie();
+    ASSERT_GT(keys.cols(), 1);
+    std::vector<int64_t> identity(rows.size());
+    std::iota(identity.begin(), identity.end(), int64_t{0});
+    for (int64_t chunks : {1, 4, 7}) {
+      bool ordered = false;
+      EXPECT_EQ(ChunkedArgsort(keys, ascending, chunks, &ordered), identity);
+      EXPECT_EQ(OracleArgsort<uint8_t>(keys, ascending), identity);
+      EXPECT_TRUE(ordered);
+      // The smallest row moves next to the first chunk boundary.
+      const size_t boundary = rows.size() / static_cast<size_t>(chunks == 1 ? 2 : chunks);
+      std::vector<std::string> inverted = rows;
+      inverted[ascending ? boundary : boundary - 1] = ascending ? rows.front() : rows.back();
+      const Tensor broken = EncodeStrings(inverted).ValueOrDie();
+      ordered = true;
+      EXPECT_EQ(ChunkedArgsort(broken, ascending, chunks, &ordered),
+                OracleArgsort<uint8_t>(broken, ascending));
+      EXPECT_FALSE(ordered);
+    }
   }
 }
 

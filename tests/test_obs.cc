@@ -559,6 +559,29 @@ TEST_F(ObsTpchTest, ExplainAnalyzeReportsGroupIdsPath) {
   }
 }
 
+TEST_F(ObsTpchTest, ExplainAnalyzeMarksOrderedArgsorts) {
+  // Q21's EXISTS / NOT EXISTS build sides sort lineitem on l_orderkey, the
+  // order dbgen writes it in: those argsorts return the identity. Its
+  // supplier join sorts lineitem on l_suppkey, which is not in order.
+  CompileOptions options;
+  options.target = ExecutorTarget::kPipelined;
+  options.num_threads = 2;
+  auto result_or =
+      obs::ExplainAnalyze(tpch::QueryText(21).ValueOrDie(), *catalog_, options);
+  ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
+  const std::string& text = result_or.ValueOrDie().text;
+  int ordered = 0;
+  int sorted = 0;
+  for (size_t row = text.find(OpTypeName(OpType::kArgsortRows));
+       row != std::string::npos;
+       row = text.find(OpTypeName(OpType::kArgsortRows), row + 1)) {
+    const std::string line = text.substr(row, text.find('\n', row) - row);
+    ++(line.find("[ordered]") != std::string::npos ? ordered : sorted);
+  }
+  EXPECT_GE(ordered, 2) << text;
+  EXPECT_GE(sorted, 1) << text;
+}
+
 TEST_F(ObsTpchTest, ExplainAnalyzeListsOperatorsOnSerialBackends) {
   for (const ExecutorTarget target :
        {ExecutorTarget::kStatic, ExecutorTarget::kInterp}) {

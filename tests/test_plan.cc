@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/volcano.h"
 #include "compile/compiler.h"
+#include "kernels/kernels.h"
 #include "plan/binder.h"
 #include "plan/expr_eval.h"
 #include "plan/optimizer.h"
@@ -735,6 +740,204 @@ TEST(PlanNodeTest, ExplainOutput) {
   EXPECT_NE(text.find("Aggregate"), std::string::npos);
   EXPECT_NE(text.find("Filter"), std::string::npos);
   EXPECT_NE(text.find("Scan items"), std::string::npos);
+}
+
+// ---- Keys: declared primary keys and unique-build joins --------------------
+
+TEST(CatalogKeyTest, DeclarePrimaryKeyRejectsDuplicatesByName) {
+  Catalog catalog = MakeCatalog();
+  EXPECT_TRUE(catalog.DeclarePrimaryKey("items", "id").ok());
+  EXPECT_EQ(catalog.PrimaryKey("items"), 0);
+  // sales.item_id holds 0..4 twice over.
+  const Status dup = catalog.DeclarePrimaryKey("sales", "item_id");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.ToString().find("sales"), std::string::npos) << dup.ToString();
+  EXPECT_NE(dup.ToString().find("item_id"), std::string::npos) << dup.ToString();
+  EXPECT_NE(dup.ToString().find("not unique"), std::string::npos)
+      << dup.ToString();
+  EXPECT_EQ(catalog.PrimaryKey("sales"), -1);
+  EXPECT_FALSE(catalog.DeclarePrimaryKey("sales", "no_such_column").ok());
+  EXPECT_FALSE(catalog.DeclarePrimaryKey("no_such_table", "id").ok());
+
+  // Unordered distinct values pass (the sort path); -0.0 and +0.0 compare
+  // equal, and NaN is no key.
+  const auto one_column = [](const std::vector<double>& values) {
+    Schema schema({Field{"k", LogicalType::kFloat64}});
+    TableBuilder b(schema);
+    for (double v : values) b.AppendDouble(0, v);
+    return b.Finish().ValueOrDie();
+  };
+  catalog.RegisterTable("f", one_column({3.0, -1.0, 2.5, 0.0}));
+  EXPECT_TRUE(catalog.DeclarePrimaryKey("f", "k").ok());
+  catalog.RegisterTable("f", one_column({1.0, -0.0, 2.0, 0.0}));
+  const Status zeros = catalog.DeclarePrimaryKey("f", "k");
+  EXPECT_FALSE(zeros.ok());
+  EXPECT_NE(zeros.ToString().find("f.k"), std::string::npos) << zeros.ToString();
+  catalog.RegisterTable("f", one_column({1.0, std::nan(""), 2.0}));
+  const Status nan = catalog.DeclarePrimaryKey("f", "k");
+  EXPECT_FALSE(nan.ok());
+  EXPECT_NE(nan.ToString().find("NaN"), std::string::npos) << nan.ToString();
+}
+
+TEST(CatalogKeyTest, ReplacingATableDropsItsKey) {
+  Catalog catalog = MakeCatalog();
+  ASSERT_TRUE(catalog.DeclarePrimaryKey("items", "id").ok());
+  const Table items = catalog.GetTable("items").ValueOrDie();
+  catalog.RegisterTable("items", items);
+  EXPECT_EQ(catalog.PrimaryKey("items"), -1);
+  // Without the key the join keeps the expansion.
+  const PlanPtr plan =
+      PlanQuery("SELECT qty, price FROM sales, items WHERE item_id = id",
+                catalog)
+          .ValueOrDie();
+  EXPECT_EQ(plan->ToString().find("unique build"), std::string::npos)
+      << plan->ToString();
+}
+
+TEST(CatalogKeyTest, QueryPlannedOnADroppedKeyIsRefused) {
+  Catalog catalog = MakeCatalog();
+  ASSERT_TRUE(catalog.DeclarePrimaryKey("items", "id").ok());
+  const std::string sql = "SELECT qty, price FROM sales, items WHERE item_id = id";
+  const CompiledQuery planned = QueryCompiler().CompileSql(sql, catalog).ValueOrDie();
+  const Table before = planned.Run(catalog).ValueOrDie();
+  EXPECT_EQ(before.num_rows(), 8);
+  // items again, every row twice: the unique-build lowering would keep one
+  // match per sales row.
+  const Table items = catalog.GetTable("items").ValueOrDie();
+  std::vector<Column> doubled;
+  for (int c = 0; c < items.num_columns(); ++c) {
+    const Tensor& t = items.column(c).tensor();
+    doubled.emplace_back(items.column(c).type(),
+                         kernels::ConcatRows({t, t}).ValueOrDie());
+  }
+  catalog.RegisterTable("items", Table::Make(items.schema(), doubled).ValueOrDie());
+  const auto stale = planned.Run(catalog);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.status().ToString().find("'items'"), std::string::npos)
+      << stale.status().ToString();
+  const Table replanned =
+      QueryCompiler().CompileSql(sql, catalog).ValueOrDie().Run(catalog).ValueOrDie();
+  EXPECT_EQ(replanned.num_rows(), 16);
+  EXPECT_TRUE(TablesEqualUnordered(
+                  replanned, VolcanoEngine(&catalog).ExecuteSql(sql).ValueOrDie())
+                  .ok());
+}
+
+class UniqueBuildTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog();
+    tpch::DbgenOptions options;
+    options.scale_factor = 0.001;
+    TQP_CHECK_OK(tpch::GenerateAll(options, catalog_));
+  }
+  static PlanPtr Plan(const std::string& sql) {
+    return PlanQuery(sql, *catalog_).ValueOrDie();
+  }
+  static Catalog* catalog_;
+};
+
+Catalog* UniqueBuildTest::catalog_ = nullptr;
+
+/// The joins of `node`'s subtree whose right child scans `table` first.
+std::vector<const PlanNode*> JoinsBuildingOn(const PlanNode& node,
+                                             const std::string& table) {
+  std::vector<const PlanNode*> out;
+  if (node.kind == PlanKind::kJoin && ScanOrder(*node.children[1]).front() == table) {
+    out.push_back(&node);
+  }
+  for (const PlanPtr& c : node.children) {
+    for (const PlanNode* j : JoinsBuildingOn(*c, table)) out.push_back(j);
+  }
+  return out;
+}
+
+TEST_F(UniqueBuildTest, TpchKeysAreDeclared) {
+  for (const auto& [table, column] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"orders", "o_orderkey"}, {"customer", "c_custkey"},
+           {"part", "p_partkey"}, {"supplier", "s_suppkey"},
+           {"nation", "n_nationkey"}, {"region", "r_regionkey"}}) {
+    const Schema schema = catalog_->GetSchema(table).ValueOrDie();
+    EXPECT_EQ(catalog_->PrimaryKey(table), schema.FieldIndex(column)) << table;
+  }
+  EXPECT_EQ(catalog_->PrimaryKey("lineitem"), -1);
+  EXPECT_EQ(catalog_->PrimaryKey("partsupp"), -1);
+}
+
+TEST_F(UniqueBuildTest, Q21MarksItsOrdersAndNationJoins) {
+  const PlanPtr plan = Plan(tpch::QueryText(21).ValueOrDie());
+  for (const char* table : {"orders", "nation"}) {
+    const std::vector<const PlanNode*> joins = JoinsBuildingOn(*plan, table);
+    ASSERT_EQ(joins.size(), 1u) << table << "\n" << plan->ToString();
+    EXPECT_TRUE(joins[0]->unique_build) << table << "\n" << plan->ToString();
+  }
+  // The build sides on lineitem are not unique: supplier ⋈ lineitem and the
+  // EXISTS / NOT EXISTS semi and anti joins.
+  for (const PlanNode* j : JoinsBuildingOn(*plan, "lineitem")) {
+    EXPECT_FALSE(j->unique_build) << plan->ToString();
+  }
+  const std::string text = plan->ToString();
+  size_t marks = 0;
+  for (size_t at = text.find("unique build"); at != std::string::npos;
+       at = text.find("unique build", at + 1)) {
+    ++marks;
+  }
+  EXPECT_EQ(marks, 2u) << text;
+}
+
+TEST_F(UniqueBuildTest, FanOutRightChildIsNotUnique) {
+  // orders ⋈ lineitem repeats o_orderkey once per lineitem.
+  const PlanPtr fan_out = Plan(
+      "SELECT o1.o_totalprice, ol.q FROM orders o1, "
+      "(SELECT o_orderkey AS k, l_quantity AS q FROM orders, lineitem "
+      "WHERE o_orderkey = l_orderkey) ol WHERE o1.o_orderkey = ol.k");
+  ASSERT_EQ(fan_out->kind, PlanKind::kProject) << fan_out->ToString();
+  const PlanNode& top = *fan_out->children[0];
+  ASSERT_EQ(top.kind, PlanKind::kJoin) << fan_out->ToString();
+  EXPECT_FALSE(top.unique_build) << fan_out->ToString();
+  // orders ⋈ customer keeps o_orderkey unique: the customer key is.
+  const PlanPtr one_to_one = Plan(
+      "SELECT o1.o_totalprice, oc.b FROM orders o1, "
+      "(SELECT o_orderkey AS k, c_acctbal AS b FROM orders, customer "
+      "WHERE o_custkey = c_custkey) oc WHERE o1.o_orderkey = oc.k");
+  ASSERT_EQ(one_to_one->kind, PlanKind::kProject) << one_to_one->ToString();
+  EXPECT_TRUE(one_to_one->children[0]->unique_build) << one_to_one->ToString();
+}
+
+TEST_F(UniqueBuildTest, GroupByKeyCountsAsUnique) {
+  const std::string sql =
+      "SELECT l_quantity, g.q FROM lineitem, "
+      "(SELECT l_orderkey AS k, SUM(l_quantity) AS q FROM lineitem "
+      "GROUP BY l_orderkey) g WHERE l_orderkey = g.k";
+  const PlanPtr grouped = Plan(sql);
+  ASSERT_EQ(grouped->kind, PlanKind::kProject) << grouped->ToString();
+  EXPECT_TRUE(grouped->children[0]->unique_build) << grouped->ToString();
+  // Two group keys: neither alone is unique.
+  const PlanPtr two_keys = Plan(
+      "SELECT l_quantity, g.q FROM lineitem, "
+      "(SELECT l_orderkey AS k, l_suppkey AS s, SUM(l_quantity) AS q "
+      "FROM lineitem GROUP BY l_orderkey, l_suppkey) g WHERE l_orderkey = g.k");
+  ASSERT_EQ(two_keys->kind, PlanKind::kProject) << two_keys->ToString();
+  EXPECT_FALSE(two_keys->children[0]->unique_build) << two_keys->ToString();
+  // Results match Volcano, which ignores the mark.
+  const Table tensor =
+      QueryCompiler().CompileSql(sql, *catalog_).ValueOrDie().Run(*catalog_)
+          .ValueOrDie();
+  const Table oracle = VolcanoEngine(catalog_).ExecuteSql(sql).ValueOrDie();
+  EXPECT_GT(tensor.num_rows(), 0);
+  EXPECT_TRUE(TablesEqualUnordered(tensor, oracle).ok());
+}
+
+TEST_F(UniqueBuildTest, HashJoinsAndPlansWithoutACatalogAreNotMarked) {
+  const std::string sql = tpch::QueryText(21).ValueOrDie();
+  PhysicalOptions hash;
+  hash.join_algo = JoinAlgo::kHash;
+  const PlanPtr hashed = PlanQuery(sql, *catalog_, hash).ValueOrDie();
+  EXPECT_EQ(hashed->ToString().find("unique build"), std::string::npos);
+  const PlanPtr marked = Plan(sql);
+  const PlanPtr no_catalog = ChoosePhysical(marked, PhysicalOptions{});
+  EXPECT_EQ(no_catalog->ToString().find("unique build"), std::string::npos);
 }
 
 }  // namespace

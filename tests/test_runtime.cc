@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/random.h"
 #include "compile/compiler.h"
 #include "kernels/kernels.h"
@@ -33,6 +34,30 @@ using runtime::ParallelContext;
 using runtime::StepScheduler;
 using runtime::TaskGraph;
 using runtime::ThreadPool;
+
+/// Occupies `pool`'s only worker until `gate` opens, so that what a test
+/// submits next queues behind it. Under TQP_FAULT_SPEC=task_submit:every=N a
+/// ThreadPool::Submit runs every Nth task inline on the caller: the jam
+/// itself would then block the caller, and a later submission would run
+/// instead of queueing. So with the seam armed, no-op probes first spend
+/// submissions until one runs inline; the next N - 1 submissions queue.
+void JamPool(ThreadPool* pool, std::shared_future<void> gate) {
+  FaultInjector* faults = FaultInjector::Global();
+  if (faults->enabled()) {
+    const int64_t fired = faults->fired(FaultSite::kTaskSubmit);
+    for (int i = 0; i < 64 && faults->fired(FaultSite::kTaskSubmit) == fired; ++i) {
+      pool->Submit([] {});
+    }
+  }
+  std::promise<void> jammed;
+  pool->Submit([&jammed, gate] {
+    jammed.set_value();
+    gate.wait();
+  });
+  // The worker pops its own queue LIFO: a task submitted before it picks up
+  // the gate would run ahead of it.
+  jammed.get_future().wait();
+}
 
 // ---- ThreadPool ------------------------------------------------------------
 
@@ -217,13 +242,7 @@ TEST(StepSchedulerTest, PriorityOrderOnJammedPool) {
   ThreadPool pool(1);
   StepScheduler steps(&pool);
   std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> jammed;
-  pool.Submit([&] {
-    jammed.set_value();
-    gate.wait();
-  });
-  jammed.get_future().wait();
+  JamPool(&pool, release.get_future().share());
 
   std::mutex mu;
   std::vector<int> order;
@@ -691,15 +710,7 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
   // kLow copy of the same statement hits the cache afterwards.
   ThreadPool pool(1);
   std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> jammed;
-  pool.Submit([&jammed, gate] {
-    jammed.set_value();
-    gate.wait();
-  });
-  // The worker pops its own queue LIFO: a job submitted before it picks up
-  // the gate would run ahead of it.
-  jammed.get_future().wait();
+  JamPool(&pool, release.get_future().share());
 
   runtime::SchedulerOptions options;
   options.pool = &pool;
@@ -721,15 +732,7 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
 TEST_F(SessionTest, BackpressureShedsLowPriorityFirst) {
   ThreadPool pool(1);
   std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> jammed;
-  pool.Submit([&jammed, gate] {
-    jammed.set_value();
-    gate.wait();
-  });
-  // The worker pops its own queue LIFO: a job submitted before it picks up
-  // the gate would run ahead of it.
-  jammed.get_future().wait();
+  JamPool(&pool, release.get_future().share());
 
   runtime::SchedulerOptions options;
   options.pool = &pool;

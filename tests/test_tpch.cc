@@ -219,6 +219,49 @@ TEST_F(TpchFixture, EveryProgramNodeReachesAnOutputAndEveryScanColumnIsBound) {
   }
 }
 
+/// Program nodes of type `type` in the lowering of `plan`.
+int64_t CountOps(const PlanPtr& plan, OpType type) {
+  const CompiledQuery compiled = QueryCompiler().Compile(plan).ValueOrDie();
+  const auto& nodes = compiled.program().nodes();
+  return std::count_if(nodes.begin(), nodes.end(),
+                       [type](const OpNode& n) { return n.type == type; });
+}
+
+void CollectUniqueBuildJoins(const PlanPtr& node, std::vector<PlanPtr>* out) {
+  if (node->unique_build) out->push_back(node);
+  for (const PlanPtr& c : node->children) CollectUniqueBuildJoins(c, out);
+}
+
+TEST_F(TpchFixture, UniqueBuildJoinsSkipTheMatchExpansion) {
+  // Lowered alone, a marked join's subtree holds exactly its children's
+  // repeat_interleave and cumsum nodes: every output column of both sides
+  // stays live, so an expansion of its own would show. Cleared of its mark,
+  // the same join adds them.
+  int marked = 0;
+  for (int q = 1; q <= 22; ++q) {
+    const PlanPtr plan =
+        PlanQuery(tpch::QueryText(q).ValueOrDie(), *catalog_).ValueOrDie();
+    std::vector<PlanPtr> joins;
+    CollectUniqueBuildJoins(plan, &joins);
+    for (const PlanPtr& join : joins) {
+      ++marked;
+      for (OpType type : {OpType::kRepeatInterleave, OpType::kCumSum}) {
+        EXPECT_EQ(CountOps(join, type),
+                  CountOps(join->children[0], type) +
+                      CountOps(join->children[1], type))
+            << "Q" << q << " " << OpTypeName(type) << "\n" << join->ToString();
+        auto expanded = std::make_shared<PlanNode>(*join);
+        expanded->unique_build = false;
+        EXPECT_GT(CountOps(expanded, type),
+                  CountOps(join->children[0], type) +
+                      CountOps(join->children[1], type))
+            << "Q" << q << " " << OpTypeName(type);
+      }
+    }
+  }
+  EXPECT_GE(marked, 14);
+}
+
 TEST_F(TpchFixture, GeneratorRespectsRowCounts) {
   Table lineitem = catalog_->GetTable("lineitem").ValueOrDie();
   Table orders = catalog_->GetTable("orders").ValueOrDie();
@@ -246,7 +289,7 @@ Result<Table> RunStatement(const sql::SelectStatement& stmt,
   Binder binder(&catalog);
   TQP_ASSIGN_OR_RETURN(PlanPtr logical, binder.Bind(stmt));
   TQP_ASSIGN_OR_RETURN(PlanPtr optimized, Optimize(logical));
-  PlanPtr physical = ChoosePhysical(optimized, PhysicalOptions{});
+  PlanPtr physical = ChoosePhysical(optimized, PhysicalOptions{}, &catalog);
   *plan_text = physical->ToString();
   CompileOptions options;
   options.target = target;
