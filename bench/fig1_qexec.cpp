@@ -1,7 +1,7 @@
 // FIG1 — reproduces Figure 1 of the paper: execution times for TPC-H Q6 and
 // Q14 on (a) the Spark stand-in (row-oriented Volcano engine, CPU), (b) TQP
 // on CPU (TorchScript-analog static executor), (c) TQP on the simulated GPU
-// (calibrated P100 roofline clock; see DESIGN.md §1), and (d) TQP on the
+// (calibrated P100 roofline clock, src/device/device.h), and (d) TQP on the
 // web-analog bytecode interpreter.
 //
 // The paper reports, at SF 1: TQP-CPU ~3x faster than Spark on both queries,

@@ -1,7 +1,7 @@
 // TXT2 — reproduces the paper's §1 claim: "on Q6 and Q14 at scale factor 1,
 // TQP is ... more than 4x faster than BlazingSQL on GPU".
 //
-// Both systems run on the simulated P100 (DESIGN.md §1): TQP executes its
+// Both systems run on the simulated P100 (src/device/device.h): TQP executes its
 // compiled program (fused pointwise chains, program-level planning); the
 // BlazingSQL stand-in is the columnar engine that launches one kernel per
 // expression node and materializes every intermediate — the same

@@ -87,7 +87,8 @@ int main() {
   // Cross-check the whole scenario against the row-oriented oracle.
   VolcanoEngine volcano(&catalog, &registry);
   Table oracle = volcano.ExecuteSql(fig4_sql).ValueOrDie();
+  const bool same = TablesEqualUnordered(sentiment, oracle).ok();
   std::printf("tensor engine matches row-engine oracle: %s\n",
-              TablesEqualUnordered(sentiment, oracle).ok() ? "yes" : "NO");
-  return 0;
+              same ? "yes" : "NO");
+  return same ? 0 : 1;
 }

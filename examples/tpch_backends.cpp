@@ -20,6 +20,7 @@ int main() {
   TQP_CHECK_OK(tpch::GenerateAll(gen, &catalog));
   QueryCompiler compiler;
 
+  bool all_identical = true;
   for (int q : {6, 14}) {
     const std::string sql = tpch::QueryText(q).ValueOrDie();
     std::printf("==== TPC-H Q%d ====\n", q);
@@ -46,14 +47,15 @@ int main() {
     const std::string bytecode = SerializeProgram(web_query.program());
     Table web_result = web_query.Run(catalog).ValueOrDie();
 
+    const bool gpu_same = TablesEqualUnordered(gpu_result, cpu_result).ok();
+    const bool web_same = TablesEqualUnordered(web_result, cpu_result).ok();
+    all_identical = all_identical && gpu_same && web_same;
     std::printf("cpu result rows: %lld; gpu identical: %s (sim %.3f ms); "
                 "web identical: %s (bytecode %zu bytes)\n",
                 static_cast<long long>(cpu_result.num_rows()),
-                TablesEqualUnordered(gpu_result, cpu_result).ok() ? "yes" : "NO",
-                gpu_ms,
-                TablesEqualUnordered(web_result, cpu_result).ok() ? "yes" : "NO",
+                gpu_same ? "yes" : "NO", gpu_ms, web_same ? "yes" : "NO",
                 bytecode.size());
     std::printf("%s\n", cpu_result.ToString(5).c_str());
   }
-  return 0;
+  return all_identical ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "baseline/columnar.h"
 
+#include <bit>
 #include <cmath>
 
 #include "kernels/kernels.h"
@@ -49,36 +50,67 @@ Result<Tensor> EvalCharged(const BoundExpr& expr, const Block& in, Ctx* ctx) {
   return out;
 }
 
-// Casts any numeric key to int64 for the index-based join/group algorithms;
-// hashes strings (exactness restored via verification below).
-Result<Tensor> KeyAsInt64(const Tensor& key, bool* hashed, Ctx* ctx) {
+// Int64 image of a float64 join key: equal exactly when `=` holds. -0.0
+// folds into +0.0, and every NaN becomes `nan_bits`, a NaN pattern no other
+// key on its side has; each side passes its own, so a NaN matches nothing.
+Result<Tensor> FloatKeyImage(const Tensor& key, uint64_t nan_bits) {
+  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(DType::kInt64, key.rows(), 1));
+  const double* p = key.data<double>();
+  int64_t* o = out.mutable_data<int64_t>();
+  for (int64_t i = 0; i < key.rows(); ++i) {
+    const double v = p[i] == 0.0 ? 0.0 : p[i];
+    o[i] = static_cast<int64_t>(v != v ? nan_bits : std::bit_cast<uint64_t>(v));
+  }
+  return out;
+}
+
+// One side's image of a join key column under `=`: numeric keys promote to
+// the pair's common type as the compiler's PromoteTypes/CastTo do, then
+// become int64 (integers by value, floats by FloatKeyImage). Strings hash;
+// `*hashed` asks for equality to be verified on the joined rows.
+Result<Tensor> JoinKeyImage(const Tensor& key, DType other, uint64_t nan_bits,
+                            bool* hashed, Ctx* ctx) {
   if (key.dtype() == DType::kUInt8) {
     *hashed = true;
     ctx->Charge(key.nbytes(), key.rows() * 8, /*irregular=*/true);
     return HashRows(key);
   }
-  if (key.dtype() == DType::kFloat32 || key.dtype() == DType::kFloat64) {
-    *hashed = true;
-    ctx->Charge(key.nbytes(), key.rows() * 8, /*irregular=*/true);
-    return HashRows(key);
-  }
   ctx->Charge(key.nbytes(), key.rows() * 8);
-  return Cast(key, DType::kInt64);
+  if (!IsFloatingPoint(PromoteTypes(key.dtype(), other))) {
+    return Cast(key, DType::kInt64);
+  }
+  TQP_ASSIGN_OR_RETURN(Tensor f, Cast(key, DType::kFloat64));
+  return FloatKeyImage(f, nan_bits);
 }
 
-Result<Tensor> CombineKeys(const std::vector<Tensor>& keys, bool* hashed,
-                           Ctx* ctx) {
-  bool h0 = false;
-  TQP_ASSIGN_OR_RETURN(Tensor acc, KeyAsInt64(keys[0], &h0, ctx));
-  *hashed = h0;
-  if (keys.size() == 1) return acc;
-  *hashed = true;
-  TQP_ASSIGN_OR_RETURN(acc, HashRows(acc));
-  for (size_t i = 1; i < keys.size(); ++i) {
-    ctx->Charge(keys[i].nbytes() + acc.nbytes(), acc.nbytes(), true);
-    TQP_ASSIGN_OR_RETURN(acc, HashCombine(acc, keys[i]));
+// Both sides' join keys as one int64 column each. Several keys mix into a
+// hash (`*hashed` set).
+Status CombineJoinKeys(const std::vector<Tensor>& lkeys,
+                       const std::vector<Tensor>& rkeys, Tensor* lk, Tensor* rk,
+                       bool* hashed, Ctx* ctx) {
+  // Quiet NaNs with distinct payloads: the left and right sides never share one.
+  constexpr uint64_t kLeftNaN = 0x7ff8000000000001;
+  constexpr uint64_t kRightNaN = 0x7ff8000000000002;
+  *hashed = lkeys.size() > 1;
+  for (size_t i = 0; i < lkeys.size(); ++i) {
+    TQP_ASSIGN_OR_RETURN(
+        Tensor l, JoinKeyImage(lkeys[i], rkeys[i].dtype(), kLeftNaN, hashed, ctx));
+    TQP_ASSIGN_OR_RETURN(
+        Tensor r, JoinKeyImage(rkeys[i], lkeys[i].dtype(), kRightNaN, hashed, ctx));
+    if (i == 0) {
+      *lk = std::move(l);
+      *rk = std::move(r);
+      if (lkeys.size() == 1) return Status::OK();
+      TQP_ASSIGN_OR_RETURN(*lk, HashRows(*lk));
+      TQP_ASSIGN_OR_RETURN(*rk, HashRows(*rk));
+      continue;
+    }
+    ctx->Charge(l.nbytes() + lk->nbytes(), lk->nbytes(), true);
+    TQP_ASSIGN_OR_RETURN(*lk, HashCombine(*lk, l));
+    ctx->Charge(r.nbytes() + rk->nbytes(), rk->nbytes(), true);
+    TQP_ASSIGN_OR_RETURN(*rk, HashCombine(*rk, r));
   }
-  return acc;
+  return Status::OK();
 }
 
 Result<Block> Exec(const PlanNode& node, Ctx* ctx);
@@ -179,11 +211,10 @@ Result<Block> ExecJoin(const PlanNode& node, Ctx* ctx) {
     lkeys.push_back(left.columns[static_cast<size_t>(node.left_keys[i])]);
     rkeys.push_back(right.columns[static_cast<size_t>(node.right_keys[i])]);
   }
-  bool lhashed = false;
-  bool rhashed = false;
-  TQP_ASSIGN_OR_RETURN(Tensor lk, CombineKeys(lkeys, &lhashed, ctx));
-  TQP_ASSIGN_OR_RETURN(Tensor rk, CombineKeys(rkeys, &rhashed, ctx));
-  const bool hashed = lhashed || rhashed;
+  Tensor lk;
+  Tensor rk;
+  bool hashed = false;
+  TQP_RETURN_NOT_OK(CombineJoinKeys(lkeys, rkeys, &lk, &rk, &hashed, ctx));
 
   // LEFT OUTER: matched pairs plus zero-filled unmatched left rows, with the
   // trailing __matched validity column ([8]'s NULL masks).
@@ -234,16 +265,10 @@ Result<Block> ExecJoin(const PlanNode& node, Ctx* ctx) {
     return out;
   }
 
-  op::JoinIndices indices;
-  if (node.join_algo == JoinAlgo::kHash) {
-    ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes() * 2, true);
-    TQP_ASSIGN_OR_RETURN(indices, op::HashJoinIndices(lk, rk));
-  } else {
-    const int64_t n = std::max<int64_t>(rk.rows(), 2);
-    ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes() * 2, true,
-                static_cast<int64_t>(std::ceil(std::log2(static_cast<double>(n)))));
-    TQP_ASSIGN_OR_RETURN(indices, op::SortMergeJoinIndices(lk, rk));
-  }
+  const int64_t n = std::max<int64_t>(rk.rows(), 2);
+  ctx->Charge(lk.nbytes() + rk.nbytes(), lk.nbytes() * 2, true,
+              static_cast<int64_t>(std::ceil(std::log2(static_cast<double>(n)))));
+  TQP_ASSIGN_OR_RETURN(op::JoinIndices indices, op::SortMergeJoinIndices(lk, rk));
   Block joined;
   for (const Tensor& c : left.columns) {
     ctx->Charge(c.nbytes(), indices.left_ids.rows() * DTypeSize(c.dtype()) *
@@ -362,20 +387,12 @@ Result<Block> ExecAggregate(const PlanNode& node, Ctx* ctx) {
     TQP_ASSIGN_OR_RETURN(Tensor k, EvalCharged(*g, in, ctx));
     keys.push_back(std::move(k));
   }
-  op::GroupIds groups;
-  if (node.agg_algo == AggAlgo::kHash) {
-    int64_t key_bytes = 0;
-    for (const Tensor& k : keys) key_bytes += k.nbytes();
-    ctx->Charge(key_bytes, in.rows * 8, true);
-    TQP_ASSIGN_OR_RETURN(groups, op::HashGroupIds(keys));
-  } else {
-    int64_t key_bytes = 0;
-    for (const Tensor& k : keys) key_bytes += k.nbytes();
-    const int64_t n = std::max<int64_t>(in.rows, 2);
-    ctx->Charge(key_bytes, in.rows * 8, true,
-                static_cast<int64_t>(std::ceil(std::log2(static_cast<double>(n)))));
-    TQP_ASSIGN_OR_RETURN(groups, op::SortGroupIds(keys));
-  }
+  int64_t key_bytes = 0;
+  for (const Tensor& k : keys) key_bytes += k.nbytes();
+  const int64_t n = std::max<int64_t>(in.rows, 2);
+  ctx->Charge(key_bytes, in.rows * 8, true,
+              static_cast<int64_t>(std::ceil(std::log2(static_cast<double>(n)))));
+  TQP_ASSIGN_OR_RETURN(op::GroupIds groups, op::SortGroupIds(keys));
   for (const Tensor& k : keys) {
     ctx->Charge(k.nbytes(), groups.num_groups * DTypeSize(k.dtype()) * k.cols(),
                 true);

@@ -21,11 +21,13 @@ namespace tqp {
 /// kernel launches are exactly what TQP's compiled programs avoid. Runs on
 /// the CPU or (with simulated timing) on the GPU device.
 ///
-/// Serial by design: hash joins and hash group-bys call the single-threaded
-/// operators in src/operators (op::HashJoinIndices, op::SemiJoinIndices,
-/// op::HashGroupIds, op::GroupedReduce), which keeps the baseline's numbers
-/// single-threaded and makes its results a reference the TPC-H
-/// differentials compare TQP's sort-based joins and group-bys against.
+/// Serial by design: joins and group-bys call the single-threaded operators
+/// in src/operators (op::SortMergeJoinIndices for inner joins,
+/// op::SemiJoinIndices and op::LeftOuterJoinIndices, op::SortGroupIds and
+/// op::GroupedReduce), which keeps the baseline's numbers single-threaded
+/// and makes its results a second reference, besides Volcano, that the
+/// differentials compare TQP against. Join keys compare as `=` does: mixed
+/// numeric types promote, -0.0 equals +0.0, and NaN matches nothing.
 class ColumnarEngine {
  public:
   ColumnarEngine(const Catalog* catalog, const ml::ModelRegistry* models = nullptr,

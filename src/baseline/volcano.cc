@@ -12,26 +12,49 @@ namespace {
 
 using Row = std::vector<Scalar>;
 
-// Serializes a key tuple for hash-map lookup (type-tagged, unambiguous).
+// Appends one key value to a hash-map key (type-tagged, unambiguous).
+void AppendKey(const Scalar& v, std::string* out) {
+  if (v.is_string()) {
+    *out += 's';
+    *out += v.string_value();
+  } else if (v.is_float()) {
+    *out += 'f';
+    const double d = v.float_value();
+    out->append(reinterpret_cast<const char*>(&d), 8);
+  } else {
+    *out += 'i';
+    const int64_t i = v.AsInt64();
+    out->append(reinterpret_cast<const char*>(&i), 8);
+  }
+  *out += '\x1f';
+}
+
+// Serializes a GROUP BY key tuple: byte-equal values group together, so
+// -0.0 and +0.0 are two groups.
 std::string EncodeKey(const Row& row, const std::vector<int>& cols) {
   std::string out;
-  for (int c : cols) {
-    const Scalar& v = row[static_cast<size_t>(c)];
-    if (v.is_string()) {
-      out += 's';
-      out += v.string_value();
-    } else if (v.is_float()) {
-      out += 'f';
-      const double d = v.float_value();
-      out.append(reinterpret_cast<const char*>(&d), 8);
-    } else {
-      out += 'i';
-      const int64_t i = v.AsInt64();
-      out.append(reinterpret_cast<const char*>(&i), 8);
-    }
-    out += '\x1f';
-  }
+  for (int c : cols) AppendKey(row[static_cast<size_t>(c)], &out);
   return out;
+}
+
+// Serializes a join key tuple so that two tuples encode equal exactly when
+// every key pair compares `=`: a pair with a float side compares as doubles
+// (the compiler's PromoteTypes), and -0.0 folds into +0.0. A NaN key equals
+// nothing; then this returns false and the row matches no row.
+bool EncodeJoinKey(const Row& row, const std::vector<int>& cols,
+                   const std::vector<bool>& as_double, std::string* out) {
+  out->clear();
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const Scalar& v = row[static_cast<size_t>(cols[k])];
+    if (!as_double[k]) {
+      AppendKey(v, out);
+      continue;
+    }
+    const double d = v.AsDouble();
+    if (d != d) return false;
+    AppendKey(Scalar(d == 0.0 ? 0.0 : d), out);
+  }
+  return true;
 }
 
 /// Volcano iterator interface.
@@ -129,18 +152,28 @@ class HashJoinOp : public Operator {
   HashJoinOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
              const PlanNode& node, RowPredictFn predict)
       : left_(std::move(left)), right_(std::move(right)), node_(node),
-        predict_(std::move(predict)) {}
+        predict_(std::move(predict)) {
+    const Schema& ls = node_.children[0]->output_schema;
+    const Schema& rs = node_.children[1]->output_schema;
+    for (size_t k = 0; k < node_.left_keys.size(); ++k) {
+      as_double_.push_back(ls.field(node_.left_keys[k]).type == LogicalType::kFloat64 ||
+                           rs.field(node_.right_keys[k]).type == LogicalType::kFloat64);
+    }
+  }
 
   Status Open() override {
     TQP_RETURN_NOT_OK(left_->Open());
     TQP_RETURN_NOT_OK(right_->Open());
     // Build on the right side.
     Row row;
+    std::string key;
     while (true) {
       auto has = right_->Next(&row);
       TQP_RETURN_NOT_OK(has.status());
       if (!has.ValueOrDie()) break;
-      table_[EncodeKey(row, node_.right_keys)].push_back(row);
+      if (EncodeJoinKey(row, node_.right_keys, as_double_, &key)) {
+        table_[key].push_back(row);
+      }
     }
     pending_.clear();
     pending_pos_ = 0;
@@ -159,7 +192,10 @@ class HashJoinOp : public Operator {
       Row left_row;
       TQP_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row));
       if (!has) return false;
-      const auto it = table_.find(EncodeKey(left_row, node_.left_keys));
+      std::string key;
+      const auto it = EncodeJoinKey(left_row, node_.left_keys, as_double_, &key)
+                          ? table_.find(key)
+                          : table_.end();
       if (semi || anti) {
         bool matched = it != table_.end() && !it->second.empty();
         if (matched && node_.residual) {
@@ -238,6 +274,7 @@ class HashJoinOp : public Operator {
   std::unique_ptr<Operator> right_;
   const PlanNode& node_;
   RowPredictFn predict_;
+  std::vector<bool> as_double_;  // per key pair: compare as doubles
   std::unordered_map<std::string, std::vector<Row>> table_;
   std::vector<Row> pending_;
   size_t pending_pos_ = 0;

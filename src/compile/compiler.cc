@@ -424,24 +424,16 @@ class PlanCompiler {
       }
       return CompileCrossJoin(node, left, right);
     }
-    // Key handling: the primary sort key must be numeric. Hash algo (or
-    // string/multi keys) mixes all keys into one int64 hash and verifies
-    // real equality afterwards on the joined rows.
+    // Key handling: a single numeric key is sorted as is. String or multi
+    // keys mix into one int64 hash, and real equality is verified afterwards
+    // on the joined rows.
     const LogicalType k0l =
         left.schema.field(node.left_keys[0]).type;
-    bool use_hash = node.join_algo == JoinAlgo::kHash ||
-                    k0l == LogicalType::kString || node.left_keys.size() > 1;
-    if (semi_anti && use_hash && node.join_algo == JoinAlgo::kHash &&
-        node.left_keys.size() == 1 && k0l != LogicalType::kString) {
-      use_hash = false;  // exactness beats the algo hint for semi/anti
-    }
-    if (left_outer) {
-      if (node.left_keys.size() > 1 || k0l == LogicalType::kString ||
-          node.residual) {
-        return Status::NotImplemented(
-            "LEFT JOIN compiles with a single numeric key and no residual");
-      }
-      use_hash = false;
+    const bool use_hash =
+        k0l == LogicalType::kString || node.left_keys.size() > 1;
+    if (left_outer && (use_hash || node.residual)) {
+      return Status::NotImplemented(
+          "LEFT JOIN compiles with a single numeric key and no residual");
     }
     // Semi/anti joins with hashed keys or a residual predicate go through the
     // pair expansion below and reduce verified matches per left row.

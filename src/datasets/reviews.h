@@ -7,7 +7,7 @@ namespace tqp::datasets {
 
 /// \brief Options for the synthetic product-review generator — the stand-in
 /// for the Kaggle "Consumer Reviews of Amazon Products" dataset of demo
-/// scenario 3 (unavailable offline; see DESIGN.md §1).
+/// scenario 3, which is unavailable offline.
 struct ReviewsOptions {
   int64_t num_reviews = 2000;
   uint64_t seed = 20220910;

@@ -13,8 +13,8 @@ namespace tqp {
 ///
 /// The paper runs on real CPUs and an NVIDIA P100. This environment has no
 /// GPU, so `kCudaSim` executes every kernel bit-exactly on the host while a
-/// roofline cost model accumulates a *simulated* device clock (see
-/// DESIGN.md §1). Results are identical across devices; only timing differs.
+/// roofline cost model accumulates a *simulated* device clock. Results are
+/// identical across devices; only timing differs.
 enum class DeviceKind : int8_t {
   kCpu = 0,
   kCudaSim = 1,

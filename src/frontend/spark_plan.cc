@@ -88,10 +88,10 @@ class PlanBuilder {
     if (kind == "Project") return BuildProject(node);
     if (kind == "SortMergeJoin" || kind == "ShuffledHashJoin" ||
         kind == "BroadcastHashJoin" || kind == "Join") {
-      return BuildJoin(node, kind);
+      return BuildJoin(node);
     }
     if (kind == "HashAggregate" || kind == "SortAggregate") {
-      return BuildAggregate(node, kind);
+      return BuildAggregate(node);
     }
     if (kind == "Sort") return BuildSort(node);
     if (kind == "LocalLimit" || kind == "GlobalLimit" ||
@@ -150,7 +150,7 @@ class PlanBuilder {
     return ReplaceScanLeaf(fragment, child);
   }
 
-  Result<PlanPtr> BuildJoin(const JsonValue& node, const std::string& kind) {
+  Result<PlanPtr> BuildJoin(const JsonValue& node) {
     TQP_ASSIGN_OR_RETURN(PlanPtr left, Child(node, 0));
     TQP_ASSIGN_OR_RETURN(PlanPtr right, Child(node, 1));
     std::string type_text = "Inner";
@@ -168,8 +168,6 @@ class PlanBuilder {
     auto join = std::make_shared<PlanNode>();
     join->kind = PlanKind::kJoin;
     join->join_type = type;
-    join->join_algo =
-        kind == "SortMergeJoin" ? JoinAlgo::kSortMerge : JoinAlgo::kHash;
     for (size_t i = 0; i < left_names.size(); ++i) {
       const int li = left->output_schema.FieldIndex(left_names[i]);
       const int ri = right->output_schema.FieldIndex(right_names[i]);
@@ -213,7 +211,7 @@ class PlanBuilder {
     return join;
   }
 
-  Result<PlanPtr> BuildAggregate(const JsonValue& node, const std::string& kind) {
+  Result<PlanPtr> BuildAggregate(const JsonValue& node) {
     TQP_ASSIGN_OR_RETURN(PlanPtr child, Child(node));
     TQP_ASSIGN_OR_RETURN(std::vector<std::string> groups,
                          node.GetStringArray("groupingExpressions"));
@@ -244,17 +242,7 @@ class PlanBuilder {
     }
     TQP_ASSIGN_OR_RETURN(PlanPtr fragment,
                          BindOverInput(child->output_schema, sql));
-    PlanPtr result = ReplaceScanLeaf(fragment, child);
-    // Honor the requested physical algorithm on the aggregate node.
-    PlanPtr cursor = result;
-    while (cursor && cursor->kind != PlanKind::kAggregate) {
-      cursor = cursor->children.empty() ? nullptr : cursor->children[0];
-    }
-    if (cursor) {
-      cursor->agg_algo =
-          kind == "HashAggregate" ? AggAlgo::kHash : AggAlgo::kSort;
-    }
-    return result;
+    return ReplaceScanLeaf(fragment, child);
   }
 
   Result<PlanPtr> BuildSort(const JsonValue& node) {

@@ -38,6 +38,10 @@ namespace tqp::frontend {
 ///  * `Sort` — `sortOrder` (entries like `"revenue DESC"`)
 ///  * `LocalLimit` / `GlobalLimit` / `CollectLimit` / `Limit` — `limit`
 ///
+/// The join and aggregate node kinds name Spark's algorithm choice; TQP does
+/// not use it. Every join lowers to sort + searchsorted and every aggregate
+/// to group ids + segmented reductions, whichever kind the plan names.
+///
 /// Expression strings are parsed with the same grammar as the SQL frontend
 /// and bound positionally against the child operator's output schema, so a
 /// JSON plan and the equivalent SQL text compile to identical tensor

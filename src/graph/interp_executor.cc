@@ -343,7 +343,15 @@ Result<bool> TryScalarEval(const TensorProgram& prog, const OpNode& node,
         for (int64_t j = 0; j < a.cols(); ++j) {
           const double vx = ReadBoxed(a, x, j);
           const double vy = ReadBoxed(a, y, j);
-          if (vx != vy) return ascending ? vx < vy : vx > vy;
+          if (vx == vy) continue;
+          // NaN after every number, as kernels::CompareRows orders it.
+          const bool x_nan = vx != vx;
+          const bool y_nan = vy != vy;
+          if (x_nan || y_nan) {
+            if (x_nan && y_nan) continue;
+            return ascending ? y_nan : x_nan;
+          }
+          return ascending ? vx < vy : vx > vy;
         }
         return false;
       });

@@ -2,7 +2,7 @@
 #define TQP_KERNELS_KERNELS_H_
 
 /// \file Umbrella header for the tensor kernel library (the PyTorch-analog
-/// layer of the TQP reproduction; see DESIGN.md §1).
+/// layer of the TQP reproduction).
 
 #include "kernels/elementwise.h"   // IWYU pragma: export
 #include "kernels/hash.h"          // IWYU pragma: export

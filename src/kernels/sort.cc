@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -420,6 +421,47 @@ void MarkStarts(const Tensor& key, const int64_t* perm, int64_t n,
   }
 }
 
+/// An argsort ties -0.0 with +0.0 (operator<), so in `perm` the two zeros
+/// of a float key may interleave, and MarkStarts would split each byte-equal
+/// zero group. When `key` holds a -0.0, returns `perm` with every run of
+/// zeros stably partitioned, -0.0 rows first; otherwise `perm` itself. Other
+/// keys keep their places, so the order stays a stable sort of `key`.
+template <typename T>
+Result<Tensor> SeparateZeros(const T* p, const Tensor& perm) {
+  using U = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+  constexpr U kNegativeZero = U{1} << (sizeof(U) * 8 - 1);
+  const int64_t n = perm.rows();
+  bool negative_zero = false;
+  for (int64_t i = 0; i < n; ++i) {
+    negative_zero |= std::bit_cast<U>(p[i]) == kNegativeZero;
+  }
+  if (!negative_zero) return perm;
+  const int64_t* pp = perm.data<int64_t>();
+  std::vector<int64_t> out(pp, pp + n);
+  const auto zero = [p](int64_t r) { return p[r] == T{0}; };
+  for (auto it = out.begin(); it != out.end();) {
+    if (!zero(*it)) {
+      ++it;
+      continue;
+    }
+    const auto end = std::find_if_not(it, out.end(), zero);
+    std::stable_partition(it, end, [p](int64_t r) { return std::signbit(p[r]); });
+    it = end;
+  }
+  return Tensor::FromVector(out);
+}
+
+/// `argsort(key)`, with the zeros of a float key separated (SeparateZeros).
+Result<Tensor> ArgsortForGroups(const Tensor& key, const ArgsortFn& argsort) {
+  TQP_ASSIGN_OR_RETURN(Tensor perm, argsort(key));
+  if (perm.rows() != key.rows() || perm.dtype() != DType::kInt64) {
+    return Status::Internal("GroupIdsBySort: argsort returned a bad permutation");
+  }
+  if (key.dtype() == DType::kFloat64) return SeparateZeros(key.data<double>(), perm);
+  if (key.dtype() == DType::kFloat32) return SeparateZeros(key.data<float>(), perm);
+  return perm;
+}
+
 // ---- Bound search -------------------------------------------------------------
 
 // Probes searched in lockstep: every probe of one call runs the same number
@@ -572,15 +614,13 @@ Result<Tensor> GroupIdsByRank(const std::vector<Tensor>& keys,
 Result<Tensor> GroupIdsBySort(const std::vector<Tensor>& keys,
                               const ArgsortFn& argsort) {
   const int64_t n = keys[0].rows();
-  // The composed stable multi-key sort: last key first.
-  TQP_ASSIGN_OR_RETURN(Tensor perm, argsort(keys.back()));
+  // The composed stable multi-key sort: last key first. Each key's zeros
+  // are separated, so byte-equal key tuples end up adjacent.
+  TQP_ASSIGN_OR_RETURN(Tensor perm, ArgsortForGroups(keys.back(), argsort));
   for (size_t i = keys.size() - 1; i-- > 0;) {
     TQP_ASSIGN_OR_RETURN(Tensor gathered, Gather(keys[i], perm));
-    TQP_ASSIGN_OR_RETURN(Tensor p2, argsort(gathered));
+    TQP_ASSIGN_OR_RETURN(Tensor p2, ArgsortForGroups(gathered, argsort));
     TQP_ASSIGN_OR_RETURN(perm, Gather(perm, p2));
-  }
-  if (perm.rows() != n || perm.dtype() != DType::kInt64) {
-    return Status::Internal("GroupIdsBySort: argsort returned a bad permutation");
   }
   const int64_t* pp = perm.data<int64_t>();
   std::vector<uint8_t> starts(static_cast<size_t>(n), 0);

@@ -10,9 +10,9 @@ namespace tqp::kernels {
 
 /// \brief Stable argsort of an (n x m) tensor by lexicographic row order
 /// (torch.argsort analog; m == 1 is the common numeric case, m > 1 covers
-/// padded string tensors). Returns int64 (n x 1) permutation indices. Rows
-/// already in order (and NaN-free) give the identity after one pass; then
-/// `*ordered`, when given, is set true.
+/// padded string tensors); NaN sorts after every number. Returns int64
+/// (n x 1) permutation indices. Rows already in order (and NaN-free) give
+/// the identity after one pass; then `*ordered`, when given, is set true.
 Result<Tensor> ArgsortRows(const Tensor& a, bool ascending = true,
                            bool* ordered = nullptr);
 
@@ -50,7 +50,8 @@ struct GroupIdsPath {
 /// of `keys` (one or more tensors with equal row counts): the int64 (n x 1)
 /// group id of every row, in row order. A group is a set of byte-equal key
 /// tuples; groups are numbered in the order the composed stable argsort
-/// (last key first, then each earlier key) lists them.
+/// (last key first, then each earlier key) lists them, with -0.0 ahead of
+/// +0.0 (the argsort ties them).
 ///
 /// When every key packs order-preservingly into 64 bits (bool, int32,
 /// int64, uint8 strings of at most 8 bytes) and the product of the key

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -20,12 +21,19 @@
 namespace tqp::kernels {
 
 /// \brief Three-way lexicographic comparison of two `cols`-wide rows under
-/// `operator<`. The one row comparator of every comparison sort and run merge.
+/// `operator<`, with NaN after every number (torch.sort's order): the order
+/// stays total, so a NaN cannot split a run of equal keys, and SearchSorted
+/// over the sorted column gives a NaN probe no match and a number no NaN.
+/// The one row comparator of every comparison sort and run merge.
 template <typename T>
 int CompareRows(const T* a, const T* b, int64_t cols) {
   for (int64_t c = 0; c < cols; ++c) {
     if (a[c] < b[c]) return -1;
     if (b[c] < a[c]) return 1;
+    if constexpr (std::is_floating_point_v<T>) {
+      const bool a_nan = a[c] != a[c];
+      if (a_nan != (b[c] != b[c])) return a_nan ? 1 : -1;
+    }
   }
   return 0;
 }
@@ -94,7 +102,8 @@ std::optional<DensePacking> PlanDensePacking(const std::vector<Tensor>& keys,
 Result<Tensor> GroupIdsByRank(const std::vector<Tensor>& keys,
                               const DensePacking& packing);
 
-/// \brief Sort path: the composed stable argsort through `argsort`, group
+/// \brief Sort path: the composed stable argsort through `argsort` (each
+/// float key's -0.0 rows moved ahead of the +0.0 rows they tie with), group
 /// starts found by comparing adjacent rows' bytes through the permutation,
 /// and the sorted segment ids scattered back to row order.
 Result<Tensor> GroupIdsBySort(const std::vector<Tensor>& keys,

@@ -55,7 +55,7 @@ class DecisionTree {
 };
 
 /// \brief Tensor-compilation strategies for trees — the two Hummingbird
-/// strategies TQP inherits (paper §3.3, DESIGN.md ABL4): kGemm turns the tree
+/// strategies TQP inherits (paper §3.3; bench/abl_hummingbird): kGemm turns the tree
 /// into three dense matmuls; kTreeTraversal iterates gather-based descent
 /// `depth` times.
 enum class TreeStrategy : int8_t { kGemm = 0, kTreeTraversal = 1 };

@@ -87,34 +87,31 @@ std::vector<bool> UniqueColumns(const PlanNode& node,
   return unique;
 }
 
-Planned Choose(const PlanPtr& plan, const PhysicalOptions& options,
-               const Catalog* catalog) {
+Planned Choose(const PlanPtr& plan, const Catalog* catalog) {
   auto out = std::make_shared<PlanNode>(*plan);
   std::vector<Planned> children;
   for (PlanPtr& c : out->children) {
-    children.push_back(Choose(c, options, catalog));
+    children.push_back(Choose(c, catalog));
     c = children.back().node;
   }
   if (out->kind == PlanKind::kJoin) {
-    out->join_algo = options.join_algo;
     out->unique_build =
-        out->join_algo == JoinAlgo::kSortMerge &&
         out->join_type == sql::JoinType::kInner && out->right_keys.size() == 1 &&
         children[1].unique[static_cast<size_t>(out->right_keys[0])] &&
         IsNumericType(children[1].node->output_schema.field(out->right_keys[0]).type) &&
         children[0].node->output_schema.field(out->left_keys[0]).type ==
             children[1].node->output_schema.field(out->right_keys[0]).type;
   }
-  if (out->kind == PlanKind::kAggregate) out->agg_algo = options.agg_algo;
   std::vector<bool> unique = UniqueColumns(*out, children, catalog);
   return Planned{std::move(out), std::move(unique)};
 }
 
 }  // namespace
 
-PlanPtr ChoosePhysical(const PlanPtr& plan, const PhysicalOptions& options,
+// `options` is unused: the signature stays for existing two-argument callers.
+PlanPtr ChoosePhysical(const PlanPtr& plan, const PhysicalOptions& /*options*/,
                        const Catalog* catalog) {
-  return Choose(plan, options, catalog).node;
+  return Choose(plan, catalog).node;
 }
 
 Result<PlanPtr> PlanQuery(const std::string& sql, const Catalog& catalog,

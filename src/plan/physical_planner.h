@@ -11,13 +11,11 @@
 
 namespace tqp {
 
-/// \brief Physical operator choices. The defaults are the paper's: TQP
-/// implements joins with sort + searchsorted and aggregation with sort +
-/// segmented reductions, both GPU-friendly tensor shapes; hash variants are
-/// provided for the ablation studies (DESIGN.md ABL2/ABL3).
+/// \brief Planner options. TQP implements joins with sort + searchsorted and
+/// aggregation with group ids + segmented reductions, both GPU-friendly
+/// tensor shapes (the paper's choice); the hash variants live on only as
+/// operators for the ABL2/ABL3 ablations (bench/abl_join, bench/abl_groupby).
 struct PhysicalOptions {
-  JoinAlgo join_algo = JoinAlgo::kSortMerge;
-  AggAlgo agg_algo = AggAlgo::kSort;
   OptimizerOptions optimizer;
 };
 
@@ -30,9 +28,9 @@ Result<PlanPtr> PlanQuery(const std::string& sql, const Catalog& catalog,
 
 /// \brief Applies physical choices to an already-bound logical plan. With a
 /// `catalog`, its declared primary keys are carried up the plan, and an inner
-/// sort-merge join on a unique single numeric right key is marked
-/// `unique_build`; without one (a plan from an external frontend carries no
-/// key), no join is marked.
+/// join on a unique single numeric right key is marked `unique_build`;
+/// without one (a plan from an external frontend carries no key), no join is
+/// marked.
 PlanPtr ChoosePhysical(const PlanPtr& plan, const PhysicalOptions& options,
                        const Catalog* catalog = nullptr);
 

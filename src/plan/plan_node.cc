@@ -46,8 +46,7 @@ std::string PlanNode::ToString(int indent) const {
       break;
     }
     case PlanKind::kJoin: {
-      os << " " << sql::JoinTypeName(join_type) << " "
-         << (join_algo == JoinAlgo::kHash ? "hash" : "sort-merge") << " on [";
+      os << " " << sql::JoinTypeName(join_type) << " sort-merge on [";
       for (size_t i = 0; i < left_keys.size(); ++i) {
         if (i > 0) os << ", ";
         os << "L#" << left_keys[i] << "=R#" << right_keys[i];
@@ -58,7 +57,7 @@ std::string PlanNode::ToString(int indent) const {
       break;
     }
     case PlanKind::kAggregate: {
-      os << " " << (agg_algo == AggAlgo::kHash ? "hash" : "sort") << " groups=[";
+      os << " sort groups=[";
       for (size_t i = 0; i < group_exprs.size(); ++i) {
         if (i > 0) os << ", ";
         os << group_exprs[i]->ToString();

@@ -22,13 +22,6 @@ enum class PlanKind : int8_t {
 
 const char* PlanKindName(PlanKind kind);
 
-/// \brief Physical join algorithm (chosen by the physical planner; the
-/// tensor compiler, Volcano and columnar engines all honor it).
-enum class JoinAlgo : int8_t { kHash = 0, kSortMerge };
-
-/// \brief Physical aggregation algorithm.
-enum class AggAlgo : int8_t { kHash = 0, kSort };
-
 struct SortKey {
   BExpr expr;  // over the node input schema
   bool ascending = true;
@@ -38,9 +31,9 @@ struct PlanNode;
 using PlanPtr = std::shared_ptr<PlanNode>;
 
 /// \brief A relational operator node. One structure serves as both logical
-/// and physical plan; the physical planner fills the algorithm fields
-/// (mirroring how Spark physical plans carry operator choices into TQP's
-/// parsing layer, §2.2).
+/// and physical plan. Each engine runs one algorithm family (TQP and the
+/// columnar engine sort, Volcano hashes), so a node names no join or
+/// aggregation algorithm; the physical planner only marks unique builds.
 struct PlanNode {
   PlanKind kind = PlanKind::kScan;
   Schema output_schema;
@@ -63,8 +56,7 @@ struct PlanNode {
   std::vector<int> left_keys;
   std::vector<int> right_keys;
   BExpr residual;
-  JoinAlgo join_algo = JoinAlgo::kHash;
-  // Set by the physical planner on a sort-merge inner join whose single
+  // Set by the physical planner on an inner join whose single
   // numeric right key is unique (a declared primary key carried up the right
   // child): every probe row matches at most once, so the compiler lowers the
   // join without the match expansion.
@@ -73,7 +65,6 @@ struct PlanNode {
   // kAggregate: empty group_exprs = global aggregation (one output row).
   std::vector<BExpr> group_exprs;
   std::vector<AggSpec> aggs;
-  AggAlgo agg_algo = AggAlgo::kSort;
 
   // kSort
   std::vector<SortKey> sort_keys;

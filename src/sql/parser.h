@@ -13,7 +13,7 @@ namespace tqp::sql {
 ///
 /// This is the "parsing layer" entry point of TQP's compilation stack (§2.2):
 /// in the paper the physical plan arrives from Spark; here the bundled SQL
-/// frontend (parser + binder + planner, DESIGN.md §1) produces it.
+/// frontend (parser + binder + planner) produces it.
 Result<std::unique_ptr<SelectStatement>> ParseSelect(const std::string& sql);
 
 }  // namespace tqp::sql

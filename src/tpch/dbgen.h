@@ -16,8 +16,8 @@ struct DbgenOptions {
 
 /// \brief Generates one TPC-H table.
 ///
-/// This is the reproduction's substitute for the official dbgen (DESIGN.md
-/// §1): it preserves the schema, the key structure (dense primary keys,
+/// This is the reproduction's substitute for the official dbgen: it
+/// preserves the schema, the key structure (dense primary keys,
 /// spec-conformant foreign keys, 1-7 lineitems per order with consistent
 /// dates), the value domains (quantities, discounts, dates, flags, segments,
 /// priorities, ship modes, brands/types/containers with dbgen's categorical

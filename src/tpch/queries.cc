@@ -344,9 +344,8 @@ FROM (SELECT SUBSTRING(c_phone FROM 1 FOR 2) AS cntrycode, c_acctbal
 GROUP BY cntrycode
 ORDER BY cntrycode)");
     default:
-      return Status::NotImplemented(
-          "TPC-H Q" + std::to_string(number) +
-          " needs features outside this reproduction's subset (see DESIGN.md)");
+      return Status::Invalid("TPC-H has queries 1-22; there is no Q" +
+                             std::to_string(number));
   }
 }
 

@@ -10,13 +10,14 @@ namespace tqp::tpch {
 
 /// \brief SQL text of TPC-H query `number` in TQP's dialect.
 ///
-/// Supported: Q1, Q3, Q4, Q5, Q6, Q10, Q12, Q14, Q18, Q19 — filters over all
-/// column types, multi-way joins, multi-key group-bys, CASE/LIKE/IN,
-/// EXISTS and IN-subquery (rewritten to semi-joins), ORDER BY + LIMIT.
-/// Q19 uses the standard factored form (join predicate outside the OR),
-/// which is the variant most engines and the dbgen qgen templates use.
-/// Unsupported query numbers return NotImplemented (they need NULL-aware
-/// outer joins or correlated scalar subqueries; see DESIGN.md §5).
+/// All 22 queries are supported: filters over all column types, multi-way
+/// joins, multi-key group-bys, CASE/LIKE/IN, EXISTS / NOT EXISTS and
+/// IN / NOT IN subqueries (rewritten to semi and anti joins), scalar and
+/// correlated scalar subqueries, LEFT OUTER JOIN, COUNT(DISTINCT), views
+/// (Q15 as a derived table), ORDER BY + LIMIT. Q19 uses the standard
+/// factored form (join predicate outside the OR), which is the variant most
+/// engines and the dbgen qgen templates use. A number outside 1-22 returns
+/// Invalid.
 Result<std::string> QueryText(int number);
 
 /// \brief The query numbers this reproduction supports, in order.

@@ -168,6 +168,46 @@ TEST_F(FrontendFixture, SparkPlanJoinKeepsTheExpansion) {
                   .ok());
 }
 
+TEST_F(FrontendFixture, EveryJoinKindCompilesLikeSortMergeJoin) {
+  // The node kind names Spark's join algorithm, which TQP does not use: a
+  // hash-join kind lowers to the same sort + searchsorted program, with no
+  // key hashing, and returns the same rows.
+  const auto plan_json = [](const std::string& kind) {
+    return R"({
+      "node": ")" + kind + R"(",
+      "joinType": "Inner",
+      "leftKeys": ["l_partkey"],
+      "rightKeys": ["p_partkey"],
+      "children": [
+        {"node": "Project", "projectList": ["l_partkey", "l_quantity"],
+         "children": [{"node": "Scan", "table": "lineitem"}]},
+        {"node": "Project", "projectList": ["p_partkey", "p_size"],
+         "children": [{"node": "Scan", "table": "part"}]}]
+    })";
+  };
+  QueryCompiler compiler;
+  const auto compile = [&](const std::string& kind) {
+    const PlanPtr plan =
+        frontend::FromSparkPlanJson(plan_json(kind), *catalog_).ValueOrDie();
+    return compiler.Compile(plan, CompileOptions{}).ValueOrDie();
+  };
+  const CompiledQuery sort_merge = compile("SortMergeJoin");
+  const Table expected = sort_merge.Run(*catalog_).ValueOrDie();
+  ASSERT_GT(expected.num_rows(), 0);
+  for (const std::string kind : {"ShuffledHashJoin", "BroadcastHashJoin", "Join"}) {
+    const CompiledQuery q = compile(kind);
+    const auto& nodes = q.program().nodes();
+    EXPECT_EQ(nodes.size(), sort_merge.program().nodes().size()) << kind;
+    EXPECT_TRUE(std::none_of(nodes.begin(), nodes.end(), [](const OpNode& n) {
+      return n.type == OpType::kHashRows;
+    })) << kind << "\n" << q.program().ToString();
+    EXPECT_EQ(q.program().ToString(), sort_merge.program().ToString()) << kind;
+    const Status same =
+        TablesEqualUnordered(q.Run(*catalog_).ValueOrDie(), expected);
+    EXPECT_TRUE(same.ok()) << kind << ": " << same.ToString();
+  }
+}
+
 TEST_F(FrontendFixture, SemiJoinWithResidualCondition) {
   const std::string json = R"({
     "node": "Project",

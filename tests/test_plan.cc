@@ -707,27 +707,6 @@ TEST(OptimizerTest, PruningPreservesResults) {
   EXPECT_TRUE(TablesEqualUnordered(unopt_result, opt_result).ok());
 }
 
-TEST(PhysicalPlannerTest, AlgorithmChoicesApplied) {
-  Catalog catalog = MakeCatalog();
-  PhysicalOptions options;
-  options.join_algo = JoinAlgo::kHash;
-  options.agg_algo = AggAlgo::kHash;
-  PlanPtr plan = PlanQuery(
-      "SELECT tag, COUNT(*) AS n FROM items, sales WHERE id = item_id "
-      "GROUP BY tag",
-      catalog, options).ValueOrDie();
-  std::function<void(const PlanNode&)> check = [&](const PlanNode& node) {
-    if (node.kind == PlanKind::kJoin) {
-      EXPECT_EQ(node.join_algo, JoinAlgo::kHash);
-    }
-    if (node.kind == PlanKind::kAggregate) {
-      EXPECT_EQ(node.agg_algo, AggAlgo::kHash);
-    }
-    for (const PlanPtr& c : node.children) check(*c);
-  };
-  check(*plan);
-}
-
 TEST(PlanNodeTest, ExplainOutput) {
   Catalog catalog = MakeCatalog();
   PlanPtr plan = PlanQuery(
@@ -929,13 +908,9 @@ TEST_F(UniqueBuildTest, GroupByKeyCountsAsUnique) {
   EXPECT_TRUE(TablesEqualUnordered(tensor, oracle).ok());
 }
 
-TEST_F(UniqueBuildTest, HashJoinsAndPlansWithoutACatalogAreNotMarked) {
-  const std::string sql = tpch::QueryText(21).ValueOrDie();
-  PhysicalOptions hash;
-  hash.join_algo = JoinAlgo::kHash;
-  const PlanPtr hashed = PlanQuery(sql, *catalog_, hash).ValueOrDie();
-  EXPECT_EQ(hashed->ToString().find("unique build"), std::string::npos);
-  const PlanPtr marked = Plan(sql);
+TEST_F(UniqueBuildTest, PlansWithoutACatalogAreNotMarked) {
+  const PlanPtr marked = Plan(tpch::QueryText(21).ValueOrDie());
+  ASSERT_NE(marked->ToString().find("unique build"), std::string::npos);
   const PlanPtr no_catalog = ChoosePhysical(marked, PhysicalOptions{});
   EXPECT_EQ(no_catalog->ToString().find("unique build"), std::string::npos);
 }

@@ -76,13 +76,10 @@ Table RunAllEngines(const std::string& sql, const Catalog& catalog) {
     const Status same = TablesEqualUnordered(result_or.ValueOrDie(), oracle);
     EXPECT_TRUE(same.ok()) << ExecutorTargetName(target) << ": " << same.ToString();
   }
-  for (JoinAlgo join : {JoinAlgo::kHash, JoinAlgo::kSortMerge}) {
-    PhysicalOptions phys;
-    phys.join_algo = join;
-    ColumnarEngine columnar(&catalog);
-    auto result_or = columnar.ExecuteSql(sql, phys);
-    EXPECT_TRUE(result_or.ok()) << "columnar: " << result_or.status().ToString();
-    if (!result_or.ok()) continue;
+  ColumnarEngine columnar(&catalog);
+  auto result_or = columnar.ExecuteSql(sql);
+  EXPECT_TRUE(result_or.ok()) << "columnar: " << result_or.status().ToString();
+  if (result_or.ok()) {
     const Status same = TablesEqualUnordered(result_or.ValueOrDie(), oracle);
     EXPECT_TRUE(same.ok()) << "columnar: " << same.ToString();
   }

@@ -89,20 +89,13 @@ TEST_P(TpchQueryTest, AllBackendsMatchOracle) {
     }
   }
 
-  // Columnar baseline, both join/agg algorithm families.
-  for (JoinAlgo join : {JoinAlgo::kHash, JoinAlgo::kSortMerge}) {
-    for (AggAlgo agg : {AggAlgo::kHash, AggAlgo::kSort}) {
-      PhysicalOptions phys;
-      phys.join_algo = join;
-      phys.agg_algo = agg;
-      ColumnarEngine columnar(catalog_);
-      auto result_or = columnar.ExecuteSql(sql, phys);
-      ASSERT_TRUE(result_or.ok()) << "Q" << q << " columnar failed: "
-                                  << result_or.status().ToString();
-      const Status same = TablesEqualUnordered(result_or.ValueOrDie(), oracle);
-      EXPECT_TRUE(same.ok()) << "Q" << q << " columnar: " << same.ToString();
-    }
-  }
+  // Columnar baseline.
+  ColumnarEngine columnar(catalog_);
+  auto result_or = columnar.ExecuteSql(sql);
+  ASSERT_TRUE(result_or.ok()) << "Q" << q << " columnar failed: "
+                              << result_or.status().ToString();
+  const Status same = TablesEqualUnordered(result_or.ValueOrDie(), oracle);
+  EXPECT_TRUE(same.ok()) << "Q" << q << " columnar: " << same.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(SupportedQueries, TpchQueryTest,
