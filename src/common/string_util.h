@@ -3,12 +3,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tqp {
-
-/// \brief Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> SplitString(std::string_view s, char sep);
 
 /// \brief ASCII lowercase copy.
 std::string ToLower(std::string_view s);
@@ -21,13 +17,6 @@ std::string_view TrimView(std::string_view s);
 
 /// \brief Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
-
-/// \brief True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// \brief Joins pieces with `sep`.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
 
 /// \brief SQL LIKE match with '%' (any run) and '_' (any single char).
 ///

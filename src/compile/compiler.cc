@@ -424,9 +424,10 @@ class PlanCompiler {
       }
       return CompileCrossJoin(node, left, right);
     }
-    // Key handling: a single numeric key is sorted as is. String or multi
-    // keys mix into one int64 hash, and real equality is verified afterwards
-    // on the joined rows.
+    // Key handling: each key pair is cast to the common type `=` compares it
+    // in. A single numeric key is sorted as is. String or multi keys mix into
+    // one int64 hash, and real equality is verified afterwards on the joined
+    // rows.
     const LogicalType k0l =
         left.schema.field(node.left_keys[0]).type;
     const bool use_hash =
@@ -440,19 +441,19 @@ class PlanCompiler {
     const bool general_semi =
         semi_anti && (use_hash || node.residual != nullptr);
 
-    int kl = -1;
-    int kr = -1;
+    std::vector<TypedNode> left_keys;
+    std::vector<TypedNode> right_keys;
+    for (size_t k = 0; k < node.left_keys.size(); ++k) {
+      auto [l, r] = PromotedKeyPair(left, node.left_keys[k], right,
+                                    node.right_keys[k]);
+      left_keys.push_back(l);
+      right_keys.push_back(r);
+    }
+    int kl = left_keys[0].node;
+    int kr = right_keys[0].node;
     if (use_hash) {
-      kl = HashKeys(left, node.left_keys);
-      kr = HashKeys(right, node.right_keys);
-    } else {
-      TypedNode l{left.nodes[static_cast<size_t>(node.left_keys[0])],
-                  PhysicalType(k0l)};
-      TypedNode r{right.nodes[static_cast<size_t>(node.right_keys[0])],
-                  PhysicalType(right.schema.field(node.right_keys[0]).type)};
-      const DType common = PromoteTypes(l.dtype, r.dtype);
-      kl = CastTo(l, common).node;
-      kr = CastTo(r, common).node;
+      kl = HashKeys(left_keys);
+      kr = HashKeys(right_keys);
     }
     // Sort the right (build) side and locate each probe key's match range.
     AttrMap asc;
@@ -614,31 +615,17 @@ class PlanCompiler {
     if (use_hash) {
       const int lw = static_cast<int>(left.nodes.size());
       for (size_t k = 0; k < node.left_keys.size(); ++k) {
-        const int lk = node.left_keys[k];
-        const int rk = node.right_keys[k];
-        const LogicalType lt = left.schema.field(lk).type;
-        TypedNode eq;
-        if (lt == LogicalType::kString) {
-          AttrMap attrs;
-          attrs.Set("op", static_cast<int64_t>(CompareOpKind::kEq));
-          eq = TypedNode{
-              program_->AddNode(
-                  OpType::kStringCompare,
-                  {joined.nodes[static_cast<size_t>(lk)],
-                   joined.nodes[static_cast<size_t>(lw + rk)]},
-                  attrs, "join: verify keys"),
-              DType::kBool};
-        } else {
-          AttrMap attrs;
-          attrs.Set("op", static_cast<int64_t>(CompareOpKind::kEq));
-          eq = TypedNode{
-              program_->AddNode(
-                  OpType::kCompare,
-                  {joined.nodes[static_cast<size_t>(lk)],
-                   joined.nodes[static_cast<size_t>(lw + rk)]},
-                  attrs, "join: verify keys"),
-              DType::kBool};
-        }
+        auto [l, r] = PromotedKeyPair(joined, node.left_keys[k], joined,
+                                      lw + node.right_keys[k]);
+        AttrMap attrs;
+        attrs.Set("op", static_cast<int64_t>(CompareOpKind::kEq));
+        const OpType compare = left.schema.field(node.left_keys[k]).type ==
+                                       LogicalType::kString
+                                   ? OpType::kStringCompare
+                                   : OpType::kCompare;
+        const TypedNode eq{program_->AddNode(compare, {l.node, r.node}, attrs,
+                                             "join: verify keys"),
+                           DType::kBool};
         mask = AndMasks(mask, eq);
       }
     }
@@ -703,14 +690,28 @@ class PlanCompiler {
         DType::kBool};
   }
 
-  int HashKeys(const ColumnsState& state, const std::vector<int>& keys) {
-    int h = program_->AddNode(OpType::kHashRows,
-                              {state.nodes[static_cast<size_t>(keys[0])]}, {},
+  /// Column `lcol` of `lhs` and column `rcol` of `rhs`, cast to the common
+  /// type `=` compares them in.
+  std::pair<TypedNode, TypedNode> PromotedKeyPair(const ColumnsState& lhs,
+                                                  int lcol,
+                                                  const ColumnsState& rhs,
+                                                  int rcol) {
+    const TypedNode l{lhs.nodes[static_cast<size_t>(lcol)],
+                      PhysicalType(lhs.schema.field(lcol).type)};
+    const TypedNode r{rhs.nodes[static_cast<size_t>(rcol)],
+                      PhysicalType(rhs.schema.field(rcol).type)};
+    const DType common = PromoteTypes(l.dtype, r.dtype);
+    return {CastTo(l, common), CastTo(r, common)};
+  }
+
+  /// One int64 hash per row over promoted key columns (kernels::HashRows
+  /// hashes -0.0 as +0.0, so keys `=` calls equal hash alike).
+  int HashKeys(const std::vector<TypedNode>& keys) {
+    int h = program_->AddNode(OpType::kHashRows, {keys[0].node}, {},
                               "join: hash keys");
     for (size_t k = 1; k < keys.size(); ++k) {
-      h = program_->AddNode(
-          OpType::kHashCombine,
-          {h, state.nodes[static_cast<size_t>(keys[k])]}, {}, "join: hash keys");
+      h = program_->AddNode(OpType::kHashCombine, {h, keys[k].node}, {},
+                            "join: hash keys");
     }
     return h;
   }

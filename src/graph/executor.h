@@ -46,7 +46,10 @@ ExprBackend ResolveExprBackend(ExprBackend backend);
 
 /// \brief Execution configuration: target hardware device plus per-executor
 /// knobs. Executors record per-operator time as "op" spans into the ambient
-/// trace session (obs/trace.h), not through an option here.
+/// trace session (obs/trace.h), not through an option here. Scheduling is
+/// not an option either: the pipelined executor overlaps independent steps
+/// unless the query runs under a memory budget, and then runs them one at a
+/// time (see PipelinedExecutor).
 struct ExecOptions {
   DeviceKind device = DeviceKind::kCpu;
   /// Rows per block for fused elementwise execution (StaticExecutor).
@@ -66,11 +69,6 @@ struct ExecOptions {
   /// the QueryScheduler runs every concurrent session on one cross-query
   /// pool instead of per-executor pools.
   runtime::ThreadPool* pool = nullptr;
-  /// Pipelined executor: schedule independent steps of the pipeline DAG
-  /// concurrently through the TaskGraph (each step still morsel-parallel
-  /// inside). Disable to force the sequential schedule walk — results are
-  /// bit-identical either way; this is the bench A/B switch.
-  bool pipeline_overlap = true;
   /// Pipelined/Static executors: lower maximal elementwise/selection runs
   /// into register-based ExprPrograms (src/compile/expr_program.h) executed
   /// single-pass per morsel/block by the vectorized interpreter

@@ -31,12 +31,6 @@ int64_t AttrMap::GetInt(const std::string& key) const {
   return std::get<int64_t>(*v);
 }
 
-double AttrMap::GetDouble(const std::string& key) const {
-  const AttrValue* v = Find(key);
-  TQP_DCHECK(v != nullptr && std::holds_alternative<double>(*v));
-  return std::get<double>(*v);
-}
-
 bool AttrMap::GetBool(const std::string& key) const {
   const AttrValue* v = Find(key);
   TQP_DCHECK(v != nullptr && std::holds_alternative<bool>(*v));
@@ -47,12 +41,6 @@ const std::string& AttrMap::GetString(const std::string& key) const {
   const AttrValue* v = Find(key);
   TQP_DCHECK(v != nullptr && std::holds_alternative<std::string>(*v));
   return std::get<std::string>(*v);
-}
-
-int64_t AttrMap::GetIntOr(const std::string& key, int64_t def) const {
-  const AttrValue* v = Find(key);
-  if (v == nullptr || !std::holds_alternative<int64_t>(*v)) return def;
-  return std::get<int64_t>(*v);
 }
 
 int TensorProgram::AddInput(const std::string& name) {

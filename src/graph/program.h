@@ -22,12 +22,8 @@ class AttrMap {
   bool Has(const std::string& key) const;
   /// Typed getters abort on missing key/wrong type (engine bug, not input).
   int64_t GetInt(const std::string& key) const;
-  double GetDouble(const std::string& key) const;
   bool GetBool(const std::string& key) const;
   const std::string& GetString(const std::string& key) const;
-
-  /// Lenient getters with defaults (used by the serializer).
-  int64_t GetIntOr(const std::string& key, int64_t def) const;
 
   const std::vector<std::pair<std::string, AttrValue>>& entries() const {
     return entries_;

@@ -339,9 +339,4 @@ Result<Tensor> Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Result<Tensor> Clamp(const Tensor& a, double lo, double hi) {
-  TQP_ASSIGN_OR_RETURN(Tensor lo_t, BinaryOpScalar(BinaryOpKind::kMax, a, Scalar(lo)));
-  return BinaryOpScalar(BinaryOpKind::kMin, lo_t, Scalar(hi));
-}
-
 }  // namespace tqp::kernels

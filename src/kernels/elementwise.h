@@ -37,9 +37,6 @@ Result<Tensor> Cast(const Tensor& a, DType to);
 /// \brief out[i] = cond[i] ? a[i] : b[i] (torch.where). a/b broadcast as above.
 Result<Tensor> Where(const Tensor& cond, const Tensor& a, const Tensor& b);
 
-/// \brief Clamp values into [lo, hi].
-Result<Tensor> Clamp(const Tensor& a, double lo, double hi);
-
 }  // namespace tqp::kernels
 
 #endif  // TQP_KERNELS_ELEMENTWISE_H_

@@ -17,30 +17,36 @@ template <typename T>
 void HashFixed(const Tensor& a, int64_t* out) {
   const T* p = a.data<T>();
   for (int64_t i = 0; i < a.rows(); ++i) {
+    // -0.0 == +0.0, so both zeros hash as +0.0.
+    const T v = p[i] == T{0} ? T{0} : p[i];
     uint64_t bits = 0;
     // Type-pun through a fixed-width integer of the value's size.
     if constexpr (sizeof(T) == 8) {
       uint64_t raw;
-      std::memcpy(&raw, &p[i], 8);
+      std::memcpy(&raw, &v, 8);
       bits = raw;
     } else if constexpr (sizeof(T) == 4) {
       uint32_t raw;
-      std::memcpy(&raw, &p[i], 4);
+      std::memcpy(&raw, &v, 4);
       bits = raw;
     } else {
-      bits = static_cast<uint64_t>(static_cast<uint8_t>(p[i]));
+      bits = static_cast<uint64_t>(static_cast<uint8_t>(v));
     }
     out[i] = static_cast<int64_t>(Mix64(bits));
   }
 }
 
+// Hashes the bytes before the zero padding, so a string hashes alike in
+// columns of any width (StringCompare ignores the padding too).
 void HashBytesRows(const Tensor& a, int64_t* out) {
   const uint8_t* p = a.data<uint8_t>();
   const int64_t m = a.cols();
   for (int64_t i = 0; i < a.rows(); ++i) {
     const uint8_t* row = p + i * m;
+    int64_t len = m;
+    while (len > 0 && row[len - 1] == 0) --len;
     uint64_t h = 1469598103934665603ull;  // FNV offset basis
-    for (int64_t j = 0; j < m; ++j) {
+    for (int64_t j = 0; j < len; ++j) {
       h ^= row[j];
       h *= 1099511628211ull;  // FNV prime
     }

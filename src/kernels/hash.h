@@ -7,8 +7,10 @@
 namespace tqp::kernels {
 
 /// \brief Hashes each row of `a` (numeric (n x 1) or string (n x m)) to an
-/// int64 (n x 1). Equal rows hash equal; the mix is SplitMix64 for fixed-width
-/// values and FNV-1a over the padded bytes for strings.
+/// int64 (n x 1). Rows that `=` calls equal hash equal: -0.0 hashes as +0.0,
+/// and a string hashes alike at any column width. The mix is SplitMix64 for
+/// fixed-width values and FNV-1a over the bytes before the zero padding for
+/// strings.
 Result<Tensor> HashRows(const Tensor& a);
 
 /// \brief Combines an existing hash column with the hash of another column:

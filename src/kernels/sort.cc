@@ -679,10 +679,6 @@ Result<Tensor> ArgsortRows(const Tensor& a, bool ascending, bool* ordered) {
   return out;
 }
 
-Result<Tensor> SortRows(const Tensor& a, const Tensor& perm) {
-  return Gather(a, perm);
-}
-
 Result<Tensor> SearchSorted(const Tensor& sorted, const Tensor& values,
                             bool right) {
   if (sorted.cols() != 1 || values.cols() != 1) {

@@ -16,10 +16,6 @@ namespace tqp::kernels {
 Result<Tensor> ArgsortRows(const Tensor& a, bool ascending = true,
                            bool* ordered = nullptr);
 
-/// \brief Applies `perm` (from ArgsortRows) to produce the sorted tensor.
-/// Equivalent to Gather(a, perm); provided for symmetry with torch.sort.
-Result<Tensor> SortRows(const Tensor& a, const Tensor& perm);
-
 /// \brief torch.searchsorted / bucketize: for each value v in `values`
 /// (k x 1), the insertion index into ascending `sorted` (n x 1) keeping order.
 /// `right` selects the upper-bound variant. Returns int64 (k x 1).

@@ -105,10 +105,6 @@ Result<Schema> Catalog::GetSchema(const std::string& name) const {
   return t.schema();
 }
 
-bool Catalog::HasTable(const std::string& name) const {
-  return tables_.find(name) != tables_.end();
-}
-
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

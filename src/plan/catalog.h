@@ -30,7 +30,6 @@ class Catalog {
 
   Result<Table> GetTable(const std::string& name) const;
   Result<Schema> GetSchema(const std::string& name) const;
-  bool HasTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 
  private:

@@ -259,16 +259,12 @@ Result<PlanPtr> Prune(const PlanPtr& node, std::vector<bool> needed,
 
 }  // namespace
 
-Result<PlanPtr> Optimize(const PlanPtr& plan, const OptimizerOptions& options) {
-  PlanPtr current = plan;
-  if (options.fold_constants) current = FoldPlan(current);
-  if (options.merge_filters) current = MergeFilters(current);
-  if (options.prune_columns) {
-    std::vector<bool> all(
-        static_cast<size_t>(current->output_schema.num_fields()), true);
-    std::vector<int> mapping;
-    TQP_ASSIGN_OR_RETURN(current, Prune(current, all, &mapping));
-  }
+Result<PlanPtr> Optimize(const PlanPtr& plan, const OptimizerOptions&) {
+  PlanPtr current = MergeFilters(FoldPlan(plan));
+  std::vector<bool> all(
+      static_cast<size_t>(current->output_schema.num_fields()), true);
+  std::vector<int> mapping;
+  TQP_ASSIGN_OR_RETURN(current, Prune(current, all, &mapping));
   return current;
 }
 

@@ -7,12 +7,9 @@
 namespace tqp {
 
 /// \brief Options for the rule-based optimizer (the paper's "optimization
-/// layer": IR-to-IR transformations, §2.2).
-struct OptimizerOptions {
-  bool fold_constants = true;
-  bool merge_filters = true;
-  bool prune_columns = true;
-};
+/// layer": IR-to-IR transformations, §2.2). Every rule always runs, so the
+/// struct is empty; it stays because callers pass PhysicalOptions::optimizer.
+struct OptimizerOptions {};
 
 /// \brief Applies the rewrite rules and returns the optimized plan.
 ///

@@ -808,23 +808,33 @@ Result<std::vector<Tensor>> PipelinedExecutor::Run(
   };
 
   // Each step becomes a task gated on the steps that materialize its
-  // sources; independent pipelines overlap. On the simulated device the
-  // sequential walk is kept so kernel metering order stays deterministic;
-  // TaskGraph::Run(nullptr) degenerates to exactly that walk (with the same
-  // eager release points).
-  const bool overlap = options_.pipeline_overlap && pool_ != nullptr &&
-                       pool_->num_threads() > 1 && !device->is_simulated();
+  // sources, so independent pipelines overlap. Under a memory budget each
+  // step is gated on the step before it instead, so the query runs one step
+  // at a time: two steps never pin their working sets at once, whatever the
+  // timing. Dispatch is the same either way, so a budgeted query's steps
+  // still interleave with other queries' by priority. Without a multi-thread
+  // pool, or on the simulated device (whose kernel metering order must stay
+  // deterministic), TaskGraph::Run(nullptr) walks the schedule inline, with
+  // the same release points.
+  const bool one_step_at_a_time = scope != nullptr && scope->spill_enabled();
+  const bool dispatch = pool_ != nullptr && pool_->num_threads() > 1 &&
+                        !device->is_simulated();
   runtime::TaskGraph graph;
   for (size_t si = 0; si < plan_.schedule.size(); ++si) {
     const PipelineStep& step = plan_.schedule[si];
+    std::vector<int> deps = step.deps;
+    if (one_step_at_a_time) {
+      deps.clear();
+      if (si > 0) deps.push_back(static_cast<int>(si) - 1);
+    }
     graph.AddTask(
         [&run_step, &step, si] {
           return run_step(static_cast<int>(si), step);
         },
-        step.deps);
+        deps);
   }
   Status run_status;
-  if (!overlap) {
+  if (!dispatch) {
     run_status = graph.Run(static_cast<ThreadPool*>(nullptr));
   } else if (options_.step_scheduler != nullptr &&
              options_.step_scheduler->pool() == pool_) {

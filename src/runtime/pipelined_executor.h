@@ -55,14 +55,17 @@ namespace tqp {
 /// becomes a TaskGraph task gated on the steps that materialize its sources,
 /// so independent pipelines (the build sides of a multi-join query) run
 /// concurrently — each still morsel-parallel inside — whenever a
-/// multi-thread pool is available and ExecOptions::pipeline_overlap is on.
+/// multi-thread pool is available. The memory budget decides the overlap:
+/// a query whose BufferPool::QueryScope has a budget gates each step on the
+/// step before it instead, so it runs one step at a time and two steps
+/// never pin their working sets at once; an unbudgeted query keeps the DAG.
 /// Node values carry consumer refcounts and release back to the BufferPool
-/// the moment their last consumer step completes, so overlap does not grow
-/// the peak working set; with overlap off the same refcounts make the
-/// sequential walk release at each step's last-use set. When
-/// ExecOptions::step_scheduler is set (the QueryScheduler's shared
-/// dispatcher), step tasks are tagged with the running query's priority and
-/// interleave with other queries' steps in priority order.
+/// the moment their last consumer step completes; one step at a time, that
+/// is exactly each step's last-use set. Steps dispatch the same way with or
+/// without a budget: when ExecOptions::step_scheduler is set (the
+/// QueryScheduler's shared dispatcher), step tasks are tagged with the
+/// running query's priority and interleave with other queries' steps in
+/// priority order.
 ///
 /// Scheduling: ExecOptions::pool, when set, is used directly (the shared
 /// cross-query pool of the QueryScheduler). Otherwise num_threads selects

@@ -1,10 +1,8 @@
 #include "runtime/plan_cache.h"
 
 #include <cctype>
-#include <cstdint>
 
 #include "obs/metrics.h"
-#include "operators/partitioned/partition.h"
 
 namespace tqp::runtime {
 
@@ -49,57 +47,10 @@ std::string NormalizeSql(const std::string& sql) {
   return out;
 }
 
-std::string PlanCache::MakeKey(const std::string& normalized_sql,
-                               const CompileOptions& options) {
-  // Every option that shapes the compiled artifact participates in the key:
-  // target/device pick the executor, charge_transfers changes what a
-  // simulated device is charged, fusion_block_rows/num_threads/morsel_rows
-  // are baked into the executor, and an explicit shared pool is bound at
-  // construction (a cache shared across schedulers must never hand one
-  // scheduler an executor wired to another's pool).
-  std::string key = normalized_sql;
-  key.push_back('\x1f');
-  key += std::to_string(static_cast<int>(options.target));
-  key.push_back('/');
-  key += std::to_string(static_cast<int>(options.device));
-  key.push_back('/');
-  key += options.charge_transfers ? '1' : '0';
-  key.push_back('/');
-  key += std::to_string(options.fusion_block_rows);
-  key.push_back('/');
-  key += std::to_string(options.num_threads);
-  key.push_back('/');
-  key += std::to_string(options.morsel_rows);
-  key.push_back('/');
-  key += std::to_string(reinterpret_cast<uintptr_t>(options.pool));
-  key.push_back('/');
-  key += options.pipeline_overlap ? '1' : '0';
-  key.push_back('/');
-  key += options.expr_fusion ? '1' : '0';
-  key.push_back('/');
-  key += options.adaptive_morsels ? '1' : '0';
-  key.push_back('/');
-  // Resolved, not raw: the TQP_PARTITIONED_BREAKERS default is stable
-  // within a process, so the unset option and its resolution are the same
-  // compiled artifact.
-  key += (options.partitioned_breakers ||
-          op::partitioned::DefaultPartitionedBreakers())
-             ? '1'
-             : '0';
-  key.push_back('/');
-  key += std::to_string(reinterpret_cast<uintptr_t>(options.step_scheduler));
-  key.push_back('/');
-  key += std::to_string(options.memory_budget_bytes);
-  key.push_back('/');
-  key += std::to_string(options.deadline_ms);
-  return key;
-}
-
 std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
-    const std::string& normalized_sql, const CompileOptions& options) {
-  const std::string key = MakeKey(normalized_sql, options);
+    const std::string& normalized_sql) {
   MutexLock lock(mu_);
-  auto it = index_.find(key);
+  auto it = index_.find(normalized_sql);
   // Process-wide mirror of the per-cache counters (all PlanCaches sum here).
   static obs::Counter* hits_metric = obs::MetricsRegistry::Global()->GetCounter(
       "tqp_plan_cache_hits_total", "Compiled-plan cache lookup hits");
@@ -118,19 +69,17 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
 }
 
 void PlanCache::Insert(const std::string& normalized_sql,
-                       const CompileOptions& options,
                        std::shared_ptr<const CompiledQuery> plan) {
   if (capacity_ == 0) return;
-  const std::string key = MakeKey(normalized_sql, options);
   MutexLock lock(mu_);
-  auto it = index_.find(key);
+  auto it = index_.find(normalized_sql);
   if (it != index_.end()) {
     it->second->plan = std::move(plan);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(plan)});
-  index_[key] = lru_.begin();
+  lru_.push_front(Entry{normalized_sql, std::move(plan)});
+  index_[normalized_sql] = lru_.begin();
   if (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();

@@ -19,8 +19,8 @@ namespace tqp::runtime {
 std::string NormalizeSql(const std::string& sql);
 
 /// \brief Thread-safe LRU cache of compiled queries, keyed on normalized SQL
-/// text plus every CompileOptions field baked into the compiled artifact
-/// (target, device, num_threads, morsel_rows).
+/// text. Its owner compiles every entry with one fixed set of
+/// CompileOptions (QueryScheduler's), so the text alone identifies a plan.
 ///
 /// Entries are shared_ptr<const CompiledQuery>: executors keep no per-run
 /// state, so concurrent sessions can Run() one cached plan simultaneously.
@@ -28,13 +28,12 @@ class PlanCache {
  public:
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
-  /// \brief Returns the cached plan for (sql, options) or null.
-  std::shared_ptr<const CompiledQuery> Lookup(const std::string& normalized_sql,
-                                              const CompileOptions& options);
+  /// \brief Returns the cached plan for `normalized_sql` or null.
+  std::shared_ptr<const CompiledQuery> Lookup(const std::string& normalized_sql);
 
   /// \brief Inserts (replacing any same-key entry), evicting the least
   /// recently used entry when over capacity. No-op for capacity 0.
-  void Insert(const std::string& normalized_sql, const CompileOptions& options,
+  void Insert(const std::string& normalized_sql,
               std::shared_ptr<const CompiledQuery> plan);
 
   void Clear();
@@ -45,9 +44,6 @@ class PlanCache {
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  static std::string MakeKey(const std::string& normalized_sql,
-                             const CompileOptions& options);
-
   struct Entry {
     std::string key;
     std::shared_ptr<const CompiledQuery> plan;

@@ -370,7 +370,7 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
   {
     MutexLock lock(compile_mu_);
     while (true) {
-      plan = plan_cache_.Lookup(normalized, options_.compile);
+      plan = plan_cache_.Lookup(normalized);
       if (plan != nullptr) break;
       if (compiling_.count(normalized) == 0) {
         compiling_.insert(normalized);  // our claim; compile below
@@ -402,7 +402,7 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
     if (compiled_or.ok()) {
       plan = std::make_shared<const CompiledQuery>(
           std::move(compiled_or).ValueOrDie());
-      plan_cache_.Insert(normalized, options_.compile, plan);
+      plan_cache_.Insert(normalized, plan);
     }
     {
       MutexLock lock(compile_mu_);

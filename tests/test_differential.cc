@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/columnar.h"
@@ -566,6 +567,55 @@ TEST(FloatKeyTest, JoinKeysCompareAsEquals) {
   ExpectExactAgreement(catalog,
                        "SELECT p.id, COUNT(y) AS n FROM p LEFT OUTER JOIN q "
                        "ON x = y GROUP BY p.id");
+  // Multi-key joins hash their keys: each pair is promoted to one type and
+  // -0.0 folds into +0.0 before hashing, as `=` compares them.
+  TableBuilder pk(Schema({Field{"k", LogicalType::kInt64},
+                          Field{"pv", LogicalType::kFloat64}}));
+  for (const auto& [k, v] : {std::pair{1, 0.0}, std::pair{2, 2.0}}) {
+    pk.AppendInt(0, k);
+    pk.AppendDouble(1, v);
+  }
+  catalog.RegisterTable("pk", pk.Finish().ValueOrDie());
+  TableBuilder qk(Schema({Field{"j", LogicalType::kInt64},
+                          Field{"qv", LogicalType::kFloat64},
+                          Field{"qi", LogicalType::kInt64}}));
+  for (const auto& [j, v] : {std::pair{1, -0.0}, std::pair{2, 2.0}}) {
+    qk.AppendInt(0, j);
+    qk.AppendDouble(1, v);
+    qk.AppendInt(2, 2);
+  }
+  catalog.RegisterTable("qk", qk.Finish().ValueOrDie());
+  EXPECT_EQ(ExpectExactAgreement(
+                catalog, "SELECT k, pv FROM pk, qk WHERE k = j AND pv = qv"),
+            2);
+  EXPECT_EQ(ExpectExactAgreement(
+                catalog, "SELECT k, pv FROM pk, qk WHERE k = j AND pv = qi"),
+            1);
+}
+
+TEST(StringKeyTest, KeysOfDifferentWidthsJoin) {
+  // A string column is as wide as its longest value, so "ab" sits in a
+  // 3-byte-wide column on one side and a 10-byte-wide one on the other.
+  // Hashed joins must ignore the zero padding, as `=` does.
+  Catalog catalog;
+  TableBuilder a(Schema({Field{"k", LogicalType::kInt64},
+                         Field{"s", LogicalType::kString}}));
+  TableBuilder b(Schema({Field{"j", LogicalType::kInt64},
+                         Field{"t", LogicalType::kString}}));
+  for (const auto& [k, s] : {std::pair{1, "ab"}, std::pair{2, "abc"}}) {
+    a.AppendInt(0, k);
+    a.AppendString(1, s);
+  }
+  for (const auto& [j, t] : {std::pair{1, "ab"}, std::pair{2, "abcdefghij"}}) {
+    b.AppendInt(0, j);
+    b.AppendString(1, t);
+  }
+  catalog.RegisterTable("a", a.Finish().ValueOrDie());
+  catalog.RegisterTable("b", b.Finish().ValueOrDie());
+  EXPECT_EQ(ExpectExactAgreement(catalog, "SELECT k FROM a, b WHERE s = t"), 1);
+  EXPECT_EQ(ExpectExactAgreement(catalog,
+                                 "SELECT k FROM a, b WHERE k = j AND s = t"),
+            1);
 }
 
 }  // namespace

@@ -1088,6 +1088,10 @@ TEST(HashTest, EqualRowsHashEqual) {
   Tensor s = EncodeStrings({"x", "y", "x"}).ValueOrDie();
   Tensor hs = HashRows(s).ValueOrDie();
   EXPECT_EQ(hs.at<int64_t>(0), hs.at<int64_t>(2));
+  // The zero padding is not hashed: "x" in a 5-byte-wide column hashes as
+  // "x" in a 1-byte-wide one.
+  Tensor wide = EncodeStrings({"x", "xxxxx"}).ValueOrDie();
+  EXPECT_EQ(HashRows(wide).ValueOrDie().at<int64_t>(0), hs.at<int64_t>(0));
   // Combine changes the hash but stays consistent.
   Tensor combined = HashCombine(h, a).ValueOrDie();
   EXPECT_EQ(combined.at<int64_t>(0), combined.at<int64_t>(2));

@@ -1,13 +1,15 @@
 // Tests for the observability layer: metrics registry (counter/gauge/
 // histogram math, Prometheus exposition, JSON snapshot), the whole-lifecycle
 // trace layer (span nesting and cross-thread parenting under the 8-thread
-// pipelined backend, Chrome trace export), EXPLAIN ANALYZE's step-sum-vs-wall
-// accounting, the per-operator "op" spans every executor records and their
-// one fold (the Figure-2 breakdown), and the differential that tracing on/off
-// leaves TPC-H results bit-identical on every backend.
+// pipelined backend, Chrome trace export), the step spans of a budgeted
+// query never overlapping, EXPLAIN ANALYZE's step-sum-vs-wall accounting,
+// the per-operator "op" spans every executor records and their one fold (the
+// Figure-2 breakdown), and the differential that tracing on/off leaves TPC-H
+// results bit-identical on every backend.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -15,9 +17,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compile/compiler.h"
+#include "compile/pipeline.h"
 #include "graph/executor.h"
 #include "graph/op_type.h"
 #include "obs/explain.h"
@@ -523,7 +527,6 @@ TEST_F(ObsTpchTest, EagerOpSpansFoldIntoBreakdown) {
 TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
   CompileOptions options;
   options.target = ExecutorTarget::kPipelined;
-  options.pipeline_overlap = false;
   options.num_threads = 1;  // serial schedule walk: spans tile the wall
   auto result_or =
       obs::ExplainAnalyze(tpch::QueryText(1).ValueOrDie(), *catalog_, options);
@@ -537,6 +540,57 @@ TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
                        static_cast<double>(result.wall_nanos);
   EXPECT_GT(ratio, 0.6) << result.text;
   EXPECT_LT(ratio, 1.15) << result.text;
+}
+
+TEST_F(ObsTpchTest, BudgetedPipelinedQ18RunsOneStepAtATime) {
+  // Under a memory budget the pipelined executor gates each schedule step on
+  // the one before it, so even at 4 threads no two "step" spans are in
+  // flight at once, and the result is bit-identical to the unbudgeted run.
+  // Q18's step DAG has several root steps, so the unbudgeted schedule could
+  // overlap them.
+  QueryCompiler compiler;
+  CompileOptions options;
+  options.target = ExecutorTarget::kPipelined;
+  options.num_threads = 4;
+  CompiledQuery compiled =
+      compiler.CompileSql(tpch::QueryText(18).ValueOrDie(), *catalog_, options)
+          .ValueOrDie();
+  const PipelinePlan plan = BuildPipelinePlan(compiled.program());
+  ASSERT_GE(plan.num_root_steps(), 2);
+
+  int64_t unbudgeted_peak = 0;
+  Table reference;
+  {
+    BufferPool::QueryScope scope;  // accounting only
+    BufferPool::QueryScope::Attach attach(&scope);
+    reference = compiled.Run(*catalog_).ValueOrDie();
+    unbudgeted_peak = scope.stats().peak_live_bytes;
+  }
+  ASSERT_GT(unbudgeted_peak, 0);
+
+  obs::TraceSession session;
+  Table budgeted;
+  {
+    BufferPool::QueryScope scope(unbudgeted_peak / 4);
+    BufferPool::QueryScope::Attach attach(&scope);
+    obs::TraceContext ctx(&session, session.NextQueryId());
+    budgeted = compiled.Run(*catalog_).ValueOrDie();
+  }
+  ExpectTablesIdentical(budgeted, reference, "budgeted Q18");
+
+  std::vector<std::pair<int64_t, int64_t>> steps;  // (begin, end)
+  for (const obs::TraceEvent& e : session.events()) {
+    if (e.phase == obs::TraceEvent::Phase::kSpan &&
+        std::string(e.category) == "step") {
+      steps.emplace_back(e.ts_nanos, e.ts_nanos + e.dur_nanos);
+    }
+  }
+  ASSERT_EQ(steps.size(), plan.schedule.size());
+  std::sort(steps.begin(), steps.end());
+  for (size_t i = 1; i < steps.size(); ++i) {
+    EXPECT_GE(steps[i].first, steps[i - 1].second)
+        << "step span " << i << " began before the one before it ended";
+  }
 }
 
 TEST_F(ObsTpchTest, ExplainAnalyzeReportsGroupIdsPath) {

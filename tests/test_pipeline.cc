@@ -3,8 +3,9 @@
 // cardinality tracking through filters and join expansions), the step DAG it
 // derives (dependency edges, last-consumer release sets), bit-identical
 // PipelinedExecutor results against the serial executors on TPC-H and ML
-// prediction pipelines at several thread counts and morsel sizes — with DAG
-// overlap on and off — driver choice under runtime broadcasts, the guard
+// prediction pipelines at several thread counts and morsel sizes — with and
+// without a memory budget, which decides whether steps overlap — the driving
+// source chosen under runtime broadcasts, the guard
 // that streamable ops run whole only as 1-row scalars, real concurrency of
 // independent steps, eager value release on both runtime backends, and the
 // size-classed BufferPool underneath it all.
@@ -320,12 +321,14 @@ TEST(PipelineSplitTest, TpchStepDagIsConsistent) {
 
 TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
   // Two independent argsort breakers. Their steps have no dependencies, so
-  // with DAG overlap the executor hands every step to the StepScheduler as a
-  // task that can be in flight next to the other (StepSchedulerTest.
+  // an unbudgeted run hands every step to the StepScheduler as a task that
+  // can be in flight next to the other (StepSchedulerTest.
   // IndependentGraphTasksOverlap proves dependency-free tasks on a
-  // StepScheduler run together). With overlap forced off it walks the
-  // schedule inline and submits nothing. Inputs are tiny so the kernels stay
-  // serial inside (no intra-op fan-out to entangle the pool).
+  // StepScheduler run together). A budgeted run chains the steps one at a
+  // time but still submits every one through the StepScheduler, so its
+  // steps keep interleaving with other queries' by priority. Inputs are tiny
+  // so the kernels stay serial inside (no intra-op fan-out to entangle the
+  // pool).
   auto program = std::make_shared<TensorProgram>();
   const int a = program->AddInput("a");
   const int b = program->AddInput("b");
@@ -357,20 +360,24 @@ TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
   auto expected = eager->Run({at, bt}).ValueOrDie();
 
   runtime::ThreadPool pool(2);
-  for (const bool overlap : {true, false}) {
+  // 0 = unbudgeted (an ambient scope overrides TQP_MEMORY_BUDGET_MB); 1 GiB
+  // is far above this program's peak, so it gates the schedule but never
+  // spills.
+  for (const int64_t budget : {int64_t{0}, int64_t{1} << 30}) {
     runtime::StepScheduler steps(&pool);
     ExecOptions options;
     options.pool = &pool;
     options.step_scheduler = &steps;
-    options.pipeline_overlap = overlap;
     auto pipelined =
         MakeExecutor(ExecutorTarget::kPipelined, program, options).ValueOrDie();
+    BufferPool::QueryScope scope(budget);
+    BufferPool::QueryScope::Attach attach(&scope);
     auto got = pipelined->Run({at, bt}).ValueOrDie();
     // Every step goes through the scheduler at the default (normal)
-    // priority when overlap is on, and none does when it is off.
-    EXPECT_EQ(steps.submitted()[1],
-              overlap ? static_cast<int64_t>(plan.schedule.size()) : 0)
-        << "overlap=" << overlap;
+    // priority, with or without a budget.
+    EXPECT_EQ(steps.submitted()[1], static_cast<int64_t>(plan.schedule.size()))
+        << "budget=" << budget;
+    EXPECT_EQ(scope.stats().spill_events, 0) << "budget=" << budget;
     ASSERT_EQ(got.size(), expected.size());
     ExpectTensorsIdentical(got[0], expected[0], "argsort a");
     ExpectTensorsIdentical(got[1], expected[1], "argsort b");
@@ -426,8 +433,8 @@ TEST(EagerReleaseTest, ColdFusionProbeHoldsLessThanUnfusedRun) {
   // kept every chain value until lowering finished peaked exactly at the
   // unfused run's level on Q4 and Q14. Q4's peak no longer sits in a probe
   // once its dead join columns are pruned (both runs hold 99,840 B), so Q19,
-  // whose probe still holds the peak, stands in for it. One thread and no
-  // step overlap make both peaks deterministic.
+  // whose probe still holds the peak, stands in for it. One thread makes
+  // both peaks deterministic.
   Catalog catalog;
   tpch::DbgenOptions gen;
   gen.scale_factor = 0.001;
@@ -438,7 +445,6 @@ TEST(EagerReleaseTest, ColdFusionProbeHoldsLessThanUnfusedRun) {
     options.target = ExecutorTarget::kPipelined;
     options.expr_fusion = expr_fusion;
     options.num_threads = 1;
-    options.pipeline_overlap = false;
     auto compiled =
         compiler.CompileSql(tpch::QueryText(q).ValueOrDie(), catalog, options)
             .ValueOrDie();
@@ -520,9 +526,10 @@ TEST_F(PipelineTpchTest, PipelinedExactAcrossMorselSizes) {
   }
 }
 
-TEST_F(PipelineTpchTest, OverlapOnOffBitIdentical) {
-  // The DAG schedule must be a pure reordering: results with overlap enabled
-  // and disabled are bit-identical to eager on multi-join queries.
+TEST_F(PipelineTpchTest, UnbudgetedAndBudgetedSchedulesBitIdentical) {
+  // The schedule must be a pure reordering: an unbudgeted run, whose
+  // independent steps overlap, and a budgeted one, which runs one step at a
+  // time, are both bit-identical to eager on multi-join queries.
   QueryCompiler compiler;
   for (int q : {3, 10}) {
     const std::string sql = tpch::QueryText(q).ValueOrDie();
@@ -532,21 +539,22 @@ TEST_F(PipelineTpchTest, OverlapOnOffBitIdentical) {
                           .ValueOrDie()
                           .Run(*catalog_)
                           .ValueOrDie();
-    for (bool overlap : {false, true}) {
+    // 0 = unbudgeted; 1 GiB is far above either query's peak, so it
+    // changes the schedule and nothing else.
+    for (const int64_t budget : {int64_t{0}, int64_t{1} << 30}) {
       CompileOptions options;
       options.target = ExecutorTarget::kPipelined;
       options.num_threads = 4;
       options.morsel_rows = 1500;
-      options.pipeline_overlap = overlap;
-      Table result = compiler.CompileSql(sql, *catalog_, options)
-                         .ValueOrDie()
-                         .Run(*catalog_)
-                         .ValueOrDie();
-      std::string what = "Q";
-      what += std::to_string(q);
-      what += " overlap=";
-      what += overlap ? "on" : "off";
+      CompiledQuery compiled =
+          compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
+      BufferPool::QueryScope scope(budget);
+      BufferPool::QueryScope::Attach attach(&scope);
+      Table result = compiled.Run(*catalog_).ValueOrDie();
+      const std::string what =
+          "Q" + std::to_string(q) + " budget=" + std::to_string(budget);
       ExpectTablesIdentical(result, reference, what);
+      EXPECT_EQ(scope.stats().spill_events, 0) << what;
     }
   }
 }

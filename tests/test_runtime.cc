@@ -543,38 +543,17 @@ TEST(PlanCacheTest, NormalizeSqlCanonicalizes) {
 
 TEST(PlanCacheTest, LruEvictionAndHitCounting) {
   runtime::PlanCache cache(2);
-  CompileOptions options;
   auto plan = std::make_shared<const CompiledQuery>();
-  cache.Insert("q1", options, plan);
-  cache.Insert("q2", options, plan);
-  EXPECT_EQ(cache.Lookup("q1", options), plan);  // bumps q1
-  cache.Insert("q3", options, plan);             // evicts q2 (LRU)
-  EXPECT_EQ(cache.Lookup("q2", options), nullptr);
-  EXPECT_NE(cache.Lookup("q1", options), nullptr);
-  EXPECT_NE(cache.Lookup("q3", options), nullptr);
+  cache.Insert("q1", plan);
+  cache.Insert("q2", plan);
+  EXPECT_EQ(cache.Lookup("q1"), plan);  // bumps q1
+  cache.Insert("q3", plan);             // evicts q2 (LRU)
+  EXPECT_EQ(cache.Lookup("q2"), nullptr);
+  EXPECT_NE(cache.Lookup("q1"), nullptr);
+  EXPECT_NE(cache.Lookup("q3"), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.hits(), 3);
   EXPECT_EQ(cache.misses(), 1);
-  // The same text on a different backend is a different plan.
-  CompileOptions other;
-  other.target = ExecutorTarget::kInterp;
-  EXPECT_EQ(cache.Lookup("q1", other), nullptr);
-}
-
-TEST(PlanCacheTest, KeyCoversEveryExecOption) {
-  // A simulated-device executor charges transfers only when asked, and the
-  // static executor bakes in its fusion block size: plans compiled under
-  // different values must not be served for each other.
-  runtime::PlanCache cache(4);
-  auto plan = std::make_shared<const CompiledQuery>();
-  cache.Insert("q1", CompileOptions{}, plan);
-  EXPECT_EQ(cache.Lookup("q1", CompileOptions{}), plan);
-  CompileOptions no_transfers;
-  no_transfers.charge_transfers = false;
-  EXPECT_EQ(cache.Lookup("q1", no_transfers), nullptr);
-  CompileOptions small_blocks;
-  small_blocks.fusion_block_rows = 1024;
-  EXPECT_EQ(cache.Lookup("q1", small_blocks), nullptr);
 }
 
 class SessionTest : public ::testing::Test {
@@ -823,24 +802,23 @@ TEST_F(SessionTest, SchedulerRunsPipelinedBackend) {
 
 TEST(PlanCacheTest, EvictionFollowsRecencyOrderExactly) {
   runtime::PlanCache cache(3);
-  CompileOptions options;
   auto plan = std::make_shared<const CompiledQuery>();
-  cache.Insert("q1", options, plan);
-  cache.Insert("q2", options, plan);
-  cache.Insert("q3", options, plan);
+  cache.Insert("q1", plan);
+  cache.Insert("q2", plan);
+  cache.Insert("q3", plan);
   // Recency now (most..least): q3 q2 q1. Touch q1 and q2; q3 becomes LRU.
-  EXPECT_NE(cache.Lookup("q1", options), nullptr);
-  EXPECT_NE(cache.Lookup("q2", options), nullptr);
-  cache.Insert("q4", options, plan);  // evicts q3
-  EXPECT_EQ(cache.Lookup("q3", options), nullptr);
+  EXPECT_NE(cache.Lookup("q1"), nullptr);
+  EXPECT_NE(cache.Lookup("q2"), nullptr);
+  cache.Insert("q4", plan);  // evicts q3
+  EXPECT_EQ(cache.Lookup("q3"), nullptr);
   // Recency: q4 q2 q1. Re-inserting an existing key bumps, not grows.
-  cache.Insert("q1", options, plan);
+  cache.Insert("q1", plan);
   EXPECT_EQ(cache.size(), 3u);
-  cache.Insert("q5", options, plan);  // evicts q2 (now least recent)
-  EXPECT_EQ(cache.Lookup("q2", options), nullptr);
-  EXPECT_NE(cache.Lookup("q1", options), nullptr);
-  EXPECT_NE(cache.Lookup("q4", options), nullptr);
-  EXPECT_NE(cache.Lookup("q5", options), nullptr);
+  cache.Insert("q5", plan);  // evicts q2 (now least recent)
+  EXPECT_EQ(cache.Lookup("q2"), nullptr);
+  EXPECT_NE(cache.Lookup("q1"), nullptr);
+  EXPECT_NE(cache.Lookup("q4"), nullptr);
+  EXPECT_NE(cache.Lookup("q5"), nullptr);
 }
 
 TEST_F(SessionTest, InFlightCompileDedupAcrossConcurrentSessions) {

@@ -504,20 +504,21 @@ TEST(SpillResidencyTest, IdleStepOutputsBoundedAtQuarterOfUnspilledPeak) {
   for (int threads : {1, 2}) {
     ExecOptions options;
     options.num_threads = threads;
-    // Sequential schedule walk: with DAG overlap two steps pin two working
-    // sets at once, which legitimately raises the floor past 25% on this
-    // program (the TPC-H differential covers the overlap contract). Morsel
-    // parallelism inside each step stays on.
-    options.pipeline_overlap = false;
     auto exec =
         MakeExecutor(ExecutorTarget::kPipelined, program, options).ValueOrDie();
 
+    // The reference runs under a budget it never reaches, so its schedule is
+    // the capped run's one step at a time: unbudgeted, two independent
+    // chains overlap and pin two working sets at once, which would raise the
+    // peak the budget below is derived from. Morsel parallelism inside each
+    // step stays on.
     int64_t uncapped_peak = 0;
     std::vector<Tensor> reference;
     {
-      BufferScope scope;
+      BufferScope scope(int64_t{1} << 40);
       BufferScope::Attach attach(&scope);
       reference = exec->Run({xt}).ValueOrDie();
+      ASSERT_EQ(scope.stats().spill_events, 0);
       uncapped_peak = scope.stats().peak_live_bytes;
     }
     // The idle chain outputs dominate: the unspilled peak must hold most of
