@@ -37,7 +37,7 @@
 //                                   counts, spillable runs (results
 //                                   bit-identical)
 //   \explain pipelines <sql>        print the pipeline step DAG for <sql>
-//                                   (steps, dependency edges, release sets),
+//                                   (steps, dependency edges),
 //                                   then run it once and show each
 //                                   pipeline's fused expression runs with
 //                                   instruction and register-slot counts
@@ -290,8 +290,7 @@ void PrintPlanOrProgram(const std::string& sql, const Catalog& catalog,
 }
 
 // Compiles <sql> for the pipelined backend and prints its step DAG: the
-// schedule with dependency edges (which steps can overlap) and per-step
-// last-release sets (where each intermediate's buffer returns to the pool).
+// schedule with dependency edges (which steps can overlap).
 void ExplainPipelines(const std::string& sql, const Catalog& catalog,
                       const ShellState& state) {
   QueryCompiler compiler;
@@ -311,15 +310,11 @@ void ExplainPipelines(const std::string& sql, const Catalog& catalog,
   const CompiledQuery& compiled = compiled_or.ValueOrDie();
   const PipelinePlan plan = BuildPipelinePlan(compiled.program());
   std::printf("%s", plan.ToString(compiled.program()).c_str());
-  int released = 0;
-  for (const PipelineStep& step : plan.schedule) {
-    released += static_cast<int>(step.releases.size());
-  }
   std::printf(
       "%zu steps (%zu pipelines, %d streamed ops), %d dependency edges, "
-      "%d roots can start immediately, %d values released before the end\n",
+      "%d roots can start immediately\n",
       plan.schedule.size(), plan.pipelines.size(), plan.num_streamed_nodes(),
-      plan.num_step_edges(), plan.num_root_steps(), released);
+      plan.num_step_edges(), plan.num_root_steps());
   if (!state.expr_fusion) {
     std::printf("expression fusion: off (\\fusion on to enable)\n");
     return;

@@ -81,23 +81,4 @@ int64_t ResolveDeadlineMs(int64_t option_deadline_ms) {
   return env_default;
 }
 
-namespace {
-
-CancellationToken* ResolveRunToken(int64_t option_deadline_ms,
-                                   std::unique_ptr<CancellationToken>* owned) {
-  CancellationToken* token = CancellationToken::Current();
-  if (token != nullptr) return token;
-  const int64_t deadline_ms = ResolveDeadlineMs(option_deadline_ms);
-  if (deadline_ms <= 0) return nullptr;
-  *owned = std::make_unique<CancellationToken>();
-  (*owned)->SetDeadlineAfterMs(deadline_ms);
-  return owned->get();
-}
-
-}  // namespace
-
-ScopedQueryDeadline::ScopedQueryDeadline(int64_t option_deadline_ms)
-    : token_(ResolveRunToken(option_deadline_ms, &owned_)),
-      attach_(token_) {}
-
 }  // namespace tqp

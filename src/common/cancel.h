@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "common/status.h"
 
@@ -29,9 +28,9 @@ const char* CancelReasonName(CancelReason reason);
 /// \brief Per-query cooperative cancellation flag plus optional deadline.
 ///
 /// One token is created per query and carried through the scheduler, thread
-/// pool, step scheduler, and morsel loops the same way
-/// `BufferPool::QueryScope` is: an ambient thread-local installed with the
-/// RAII `Attach` guard and re-attached inside every task the query submits.
+/// pool, step scheduler, and morsel loops as one piece of the query's
+/// `runtime::QueryContext`: an ambient thread-local installed with the RAII
+/// `Attach` guard and re-attached inside every task the query submits.
 /// Execution code polls `CheckCancelled()` at morsel and step boundaries;
 /// a non-OK result unwinds through the normal `Status` machinery, so every
 /// cleanup path (spill-record drop, chunk release, scope teardown) that
@@ -115,29 +114,6 @@ inline Status CheckAmbientCancelled() {
 /// field: positive values are explicit, 0 defers to the TQP_QUERY_TIMEOUT_MS
 /// env default, negative means explicitly none. Returns 0 for "no deadline".
 int64_t ResolveDeadlineMs(int64_t option_deadline_ms);
-
-/// \brief Resolves and attaches the cancellation token for one executor run,
-/// mirroring ScopedQueryBudget's precedence rule: the ambient token when one
-/// is attached (the QueryScheduler's per-admitted-query token, already armed
-/// with the query's deadline, takes precedence), else a locally owned token
-/// armed from the options deadline, else none. Both runtime executors share
-/// this one definition.
-class ScopedQueryDeadline {
- public:
-  explicit ScopedQueryDeadline(int64_t option_deadline_ms);
-
-  ScopedQueryDeadline(const ScopedQueryDeadline&) = delete;
-  ScopedQueryDeadline& operator=(const ScopedQueryDeadline&) = delete;
-
-  /// \brief The token this run polls (null when none is ambient and no
-  /// deadline applies).
-  CancellationToken* token() const { return token_; }
-
- private:
-  std::unique_ptr<CancellationToken> owned_;
-  CancellationToken* token_;
-  CancellationToken::Attach attach_;
-};
 
 }  // namespace tqp
 

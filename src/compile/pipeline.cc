@@ -414,9 +414,8 @@ class Splitter {
   }
 
   /// Turns the step list into an explicit DAG: per-step dependency edges
-  /// (the producers of everything the step reads), per-step read sets, and
-  /// per-node last-consumer release sets. Runs after FinalizePipelines so
-  /// pipeline output lists are final.
+  /// (the producers of everything the step reads) and per-step read sets.
+  /// Runs after FinalizePipelines so pipeline output lists are final.
   void BuildStepGraph() {
     const size_t n = static_cast<size_t>(prog_.num_nodes());
     plan_.producer_step.assign(n, -1);
@@ -435,7 +434,6 @@ class Splitter {
     // The schedule is emitted in topological program order, so a consumer
     // step always comes after the step that materializes its operand — deps
     // reference strictly earlier schedule indices.
-    std::vector<int> last_consumer(n, -1);
     for (size_t si = 0; si < plan_.schedule.size(); ++si) {
       PipelineStep& step = plan_.schedule[si];
       if (step.serial_node >= 0) {
@@ -448,24 +446,12 @@ class Splitter {
         for (int src : p.whole_sources) AddUnique(&step.reads, src);
       }
       for (int r : step.reads) {
-        last_consumer[static_cast<size_t>(r)] = static_cast<int>(si);
         const int producer = plan_.producer_step[static_cast<size_t>(r)];
         if (producer >= 0) step.deps.push_back(producer);
       }
       std::sort(step.deps.begin(), step.deps.end());
       step.deps.erase(std::unique(step.deps.begin(), step.deps.end()),
                       step.deps.end());
-    }
-    std::vector<bool> pinned(n, false);
-    for (int out : prog_.outputs()) pinned[static_cast<size_t>(out)] = true;
-    for (size_t id = 0; id < n; ++id) {
-      if (pinned[id]) continue;
-      int si = last_consumer[id];
-      if (si < 0) si = plan_.producer_step[id];  // produced, never consumed
-      if (si >= 0) {
-        plan_.schedule[static_cast<size_t>(si)].releases.push_back(
-            static_cast<int>(id));
-      }
     }
   }
 
@@ -520,13 +506,6 @@ std::string PipelinePlan::ToString(const TensorProgram& program) const {
       out << "  deps={";
       for (size_t i = 0; i < step.deps.size(); ++i) {
         out << (i > 0 ? "," : "") << "s" << step.deps[i];
-      }
-      out << "}";
-    }
-    if (!step.releases.empty()) {
-      out << "  releases={";
-      for (size_t i = 0; i < step.releases.size(); ++i) {
-        out << (i > 0 ? "," : "") << "n" << step.releases[i];
       }
       out << "}";
     }

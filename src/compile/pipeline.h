@@ -83,15 +83,10 @@ struct PipelineStep {
   /// immediately.
   std::vector<int> deps;
   /// Materialized node ids this step reads (deduped): a serial step's
-  /// inputs, or a pipeline's sliced + whole sources.
+  /// inputs, or a pipeline's sliced + whole sources. The executor releases
+  /// a value when the last step reading it completes (per-node consumer
+  /// refcounts over these sets).
   std::vector<int> reads;
-  /// Node ids whose *last* consumer under the sequential schedule order is
-  /// this step (program outputs excluded; a produced-but-never-read node is
-  /// released by its own producer step). A serial walk releases exactly
-  /// these sets after the step; the DAG executor reaches the same release
-  /// points through per-node consumer refcounts, which stay correct when
-  /// consumers overlap out of schedule order.
-  std::vector<int> releases;
 };
 
 /// \brief The full streaming plan for one tensor program.
@@ -108,7 +103,7 @@ struct PipelinePlan {
   /// \brief Steps with no dependencies (can start immediately).
   int num_root_steps() const;
   /// Human-readable listing (one line per step; pipelines show their chain;
-  /// each step shows its dependency edges and last-release set).
+  /// each step shows its dependency edges).
   std::string ToString(const TensorProgram& program) const;
 };
 

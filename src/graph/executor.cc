@@ -39,6 +39,11 @@ Result<std::unique_ptr<Executor>> MakeExecutor(
       return std::unique_ptr<Executor>(std::move(interp));
     }
     case ExecutorTarget::kPipelined:
+      if (options.device == DeviceKind::kCudaSim) {
+        return Status::Invalid(
+            "the pipelined executor runs on host cores only; compile for "
+            "eager or static to run on the simulated GPU");
+      }
       return std::unique_ptr<Executor>(
           new PipelinedExecutor(std::move(program), options));
   }

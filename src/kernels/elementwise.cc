@@ -140,13 +140,6 @@ Result<Tensor> BinaryOp(BinaryOpKind op, const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Result<Tensor> BinaryOpScalar(BinaryOpKind op, const Tensor& a, const Scalar& s) {
-  DType dt = PromoteTypes(a.dtype(), s.dtype());
-  if (dt == DType::kBool || dt == DType::kUInt8) dt = DType::kInt32;
-  TQP_ASSIGN_OR_RETURN(Tensor sb, ScalarTensor(s, dt));
-  return BinaryOp(op, a, sb);
-}
-
 Result<Tensor> Compare(CompareOpKind op, const Tensor& a, const Tensor& b) {
   int64_t rows = 0;
   int64_t cols = 0;

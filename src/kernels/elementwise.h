@@ -15,9 +15,6 @@ namespace tqp::kernels {
 /// \brief c = a <op> b with type promotion and broadcasting.
 Result<Tensor> BinaryOp(BinaryOpKind op, const Tensor& a, const Tensor& b);
 
-/// \brief Convenience: a <op> scalar.
-Result<Tensor> BinaryOpScalar(BinaryOpKind op, const Tensor& a, const Scalar& s);
-
 /// \brief Boolean mask = a <cmp> b (broadcasting as above).
 Result<Tensor> Compare(CompareOpKind op, const Tensor& a, const Tensor& b);
 

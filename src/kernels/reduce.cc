@@ -196,66 +196,4 @@ Status ScatterAddInPlace(Tensor* target, const Tensor& indices,
   return Status::OK();
 }
 
-Result<Tensor> ColumnSums(const Tensor& a) {
-  TQP_ASSIGN_OR_RETURN(Tensor ca, Cast(a, DType::kFloat64));
-  TQP_ASSIGN_OR_RETURN(Tensor out,
-                       Tensor::Full(DType::kFloat64, 1, a.cols(), 0.0, a.device()));
-  const double* p = ca.data<double>();
-  double* o = out.mutable_data<double>();
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) o[j] += p[i * a.cols() + j];
-  }
-  return out;
-}
-
-Result<Tensor> ReduceRows(ReduceOpKind op, const Tensor& a) {
-  if (op == ReduceOpKind::kCount) {
-    return Tensor::Full(DType::kInt64, a.rows(), 1, static_cast<double>(a.cols()),
-                        a.device());
-  }
-  TQP_ASSIGN_OR_RETURN(Tensor ca, Cast(a, DType::kFloat64));
-  const DType out_dt = op == ReduceOpKind::kSum ? DType::kFloat64 : a.dtype();
-  TQP_ASSIGN_OR_RETURN(Tensor out,
-                       Tensor::Empty(DType::kFloat64, a.rows(), 1, a.device()));
-  const double* p = ca.data<double>();
-  double* o = out.mutable_data<double>();
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    double acc = op == ReduceOpKind::kSum ? 0.0 : p[i * a.cols()];
-    for (int64_t j = op == ReduceOpKind::kSum ? 0 : 1; j < a.cols(); ++j) {
-      const double v = p[i * a.cols() + j];
-      if (op == ReduceOpKind::kSum) {
-        acc += v;
-      } else if (op == ReduceOpKind::kMin) {
-        acc = std::min(acc, v);
-      } else {
-        acc = std::max(acc, v);
-      }
-    }
-    o[i] = acc;
-  }
-  return Cast(out, out_dt);
-}
-
-Result<Tensor> ArgmaxRows(const Tensor& a) {
-  if (a.cols() < 1 || a.rows() < 0) return Status::Invalid("ArgmaxRows: bad shape");
-  TQP_ASSIGN_OR_RETURN(Tensor ca, Cast(a, DType::kFloat64));
-  TQP_ASSIGN_OR_RETURN(Tensor out,
-                       Tensor::Empty(DType::kInt64, a.rows(), 1, a.device()));
-  const double* p = ca.data<double>();
-  int64_t* o = out.mutable_data<int64_t>();
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    int64_t best = 0;
-    double best_v = p[i * a.cols()];
-    for (int64_t j = 1; j < a.cols(); ++j) {
-      const double v = p[i * a.cols() + j];
-      if (v > best_v) {
-        best_v = v;
-        best = j;
-      }
-    }
-    o[i] = best;
-  }
-  return out;
-}
-
 }  // namespace tqp::kernels

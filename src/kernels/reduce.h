@@ -30,16 +30,6 @@ Result<Tensor> SegmentedReduce(ReduceOpKind op, const Tensor& values,
 Status ScatterAddInPlace(Tensor* target, const Tensor& indices,
                          const Tensor& values);
 
-/// \brief Per-column sum of an (n x m) tensor -> (1 x m) float64.
-Result<Tensor> ColumnSums(const Tensor& a);
-
-/// \brief Row-wise reduction of an (n x m) tensor -> (n x 1).
-/// kSum in float64; kMin/kMax keep dtype.
-Result<Tensor> ReduceRows(ReduceOpKind op, const Tensor& a);
-
-/// \brief Row-wise argmax of an (n x m) tensor -> (n x 1) int64.
-Result<Tensor> ArgmaxRows(const Tensor& a);
-
 }  // namespace tqp::kernels
 
 #endif  // TQP_KERNELS_REDUCE_H_

@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "operators/partitioned/partition.h"
 #include "runtime/morsel.h"
+#include "runtime/query_context.h"
 #include "runtime/step_scheduler.h"
 #include "runtime/task_graph.h"
 
@@ -91,22 +92,59 @@ Result<Tensor> EvalMorselNode(const TensorProgram& prog, const OpNode& node,
   }
 }
 
+/// Resolves and attaches the query context one run executes under, with one
+/// precedence rule per piece: an ambient scope or token wins (the
+/// QueryScheduler's, already sized and armed for the query); otherwise the
+/// run owns a scope when ExecOptions::memory_budget_bytes (or
+/// TQP_MEMORY_BUDGET_MB) sets a budget, and a token when
+/// ExecOptions::deadline_ms (or TQP_QUERY_TIMEOUT_MS) sets a deadline.
+class RunContext {
+ public:
+  RunContext(int64_t option_budget_bytes, int64_t option_deadline_ms)
+      : attach_(Resolve(option_budget_bytes, option_deadline_ms)) {}
+
+  RunContext(const RunContext&) = delete;
+  RunContext& operator=(const RunContext&) = delete;
+
+ private:
+  runtime::QueryContext Resolve(int64_t option_budget_bytes,
+                                int64_t option_deadline_ms) {
+    runtime::QueryContext context = runtime::QueryContext::Capture();
+    if (context.scope == nullptr) {
+      const int64_t budget = BufferPool::ResolveMemoryBudget(option_budget_bytes);
+      if (budget > 0) {
+        owned_scope_ = std::make_unique<BufferPool::QueryScope>(budget);
+        context.scope = owned_scope_.get();
+      }
+    }
+    if (context.token == nullptr) {
+      const int64_t deadline_ms = ResolveDeadlineMs(option_deadline_ms);
+      if (deadline_ms > 0) {
+        owned_token_ = std::make_unique<CancellationToken>();
+        owned_token_->SetDeadlineAfterMs(deadline_ms);
+        context.token = owned_token_.get();
+      }
+    }
+    return context;
+  }
+
+  // Declared before attach_: constructed before Resolve fills them, and
+  // destroyed only after the context detaches.
+  std::unique_ptr<BufferPool::QueryScope> owned_scope_;
+  std::unique_ptr<CancellationToken> owned_token_;
+  runtime::QueryContext::Attach attach_;
+};
+
 }  // namespace
 
 Status PipelinedExecutor::EvalWholeNode(const OpNode& node,
                                         std::vector<Tensor>* values,
                                         const ParallelContext& ctx) {
-  Device* device = GetDevice(options_.device);
   obs::TraceSpan op_span("op", OpTypeName(node.type));
   if (op_span.enabled()) op_span.AddArg("node", node.id);
   TQP_ASSIGN_OR_RETURN(Tensor out,
                        runtime::ParallelEvalNode(ctx, *program_, node, *values));
   if (op_span.enabled()) op_span.AddArg("output_bytes", out.nbytes());
-  if (device->is_simulated()) {
-    bool irregular = false;
-    const KernelCost cost = EstimateNodeCost(node, *values, out, &irregular);
-    device->RecordKernel(cost, irregular);  // internally serialized
-  }
   (*values)[static_cast<size_t>(node.id)] = std::move(out);
   return Status::OK();
 }
@@ -643,31 +681,20 @@ Result<std::vector<Tensor>> PipelinedExecutor::Run(
                            std::to_string(prog.input_nodes().size()) +
                            " inputs, got " + std::to_string(inputs.size()));
   }
-  Device* device = GetDevice(options_.device);
   ParallelContext ctx;
   ctx.pool = pool_;
   ctx.morsel_rows = options_.morsel_rows;
   ctx.partitioned_breakers = options_.partitioned_breakers ||
                              op::partitioned::DefaultPartitionedBreakers();
 
-  // Per-query memory: the ambient scope (the QueryScheduler's) or a local
-  // one when this executor carries its own budget. Worker tasks inherit it
-  // through ThreadPool/StepScheduler submission.
-  ScopedQueryBudget budget_scope(options_.memory_budget_bytes);
-  BufferPool::QueryScope* const scope = budget_scope.scope();
-
-  // Per-query cancellation/deadline, same precedence as the memory scope:
-  // the ambient token (the QueryScheduler's) or a locally armed deadline
-  // from ExecOptions::deadline_ms / TQP_QUERY_TIMEOUT_MS. Morsel and step
-  // loops poll it through CheckAmbientCancelled().
-  ScopedQueryDeadline deadline_scope(options_.deadline_ms);
+  // The query context this run charges and polls; worker tasks and steps
+  // inherit it through ThreadPool/StepScheduler submission.
+  RunContext run_context(options_.memory_budget_bytes, options_.deadline_ms);
+  BufferPool::QueryScope* const scope = BufferPool::QueryScope::Current();
 
   std::vector<Tensor> values(static_cast<size_t>(prog.num_nodes()));
   for (size_t i = 0; i < inputs.size(); ++i) {
     values[static_cast<size_t>(prog.input_nodes()[i])] = inputs[i];
-    if (device->is_simulated() && options_.charge_transfers) {
-      device->RecordTransfer(inputs[i].nbytes());
-    }
   }
 
   // Spill bookkeeping (inert without a budget): a step output that stays
@@ -749,13 +776,7 @@ Result<std::vector<Tensor>> PipelinedExecutor::Run(
       }
     } else {
       const Pipeline& p = plan_.pipelines[static_cast<size_t>(step.pipeline)];
-      if (device->is_simulated()) {
-        // Stream-invisible kernel launches would undercharge the simulated
-        // clock; meter every node instead (results are identical).
-        TQP_RETURN_NOT_OK(RunPipelineSerial(p, &values, ctx));
-      } else {
-        TQP_RETURN_NOT_OK(RunPipeline(step.pipeline, p, &values, ctx));
-      }
+      TQP_RETURN_NOT_OK(RunPipeline(step.pipeline, p, &values, ctx));
     }
     if (step_span.enabled()) {
       int64_t out_rows = 0;
@@ -813,12 +834,10 @@ Result<std::vector<Tensor>> PipelinedExecutor::Run(
   // at a time: two steps never pin their working sets at once, whatever the
   // timing. Dispatch is the same either way, so a budgeted query's steps
   // still interleave with other queries' by priority. Without a multi-thread
-  // pool, or on the simulated device (whose kernel metering order must stay
-  // deterministic), TaskGraph::Run(nullptr) walks the schedule inline, with
-  // the same release points.
+  // pool, TaskGraph::Run(nullptr) walks the schedule inline, with the same
+  // release points.
   const bool one_step_at_a_time = scope != nullptr && scope->spill_enabled();
-  const bool dispatch = pool_ != nullptr && pool_->num_threads() > 1 &&
-                        !device->is_simulated();
+  const bool dispatch = pool_ != nullptr && pool_->num_threads() > 1;
   runtime::TaskGraph graph;
   for (size_t si = 0; si < plan_.schedule.size(); ++si) {
     const PipelineStep& step = plan_.schedule[si];
@@ -851,9 +870,6 @@ Result<std::vector<Tensor>> PipelinedExecutor::Run(
     // fault it back in before handing it to the caller.
     TQP_RETURN_NOT_OK(spill.PinSlot(static_cast<size_t>(id)));
     outputs.push_back(values[static_cast<size_t>(id)]);
-    if (device->is_simulated() && options_.charge_transfers) {
-      device->RecordTransfer(outputs.back().nbytes());
-    }
   }
   return outputs;
 }

@@ -72,11 +72,10 @@ namespace tqp {
 /// one: 0 = the process-wide pool, 1 = serial, N > 1 = a private N-thread
 /// pool owned by this executor.
 ///
-/// On a simulated accelerator device the executor falls back to whole-node
-/// evaluation so every kernel launch is metered — streaming would hide
-/// per-node costs from the simulated clock. Results are identical either
-/// way. Per-op "op" trace spans likewise cover only whole-node steps; a
-/// streamed pipeline records "pipeline" and "morsel" spans instead.
+/// The executor runs on host cores only: MakeExecutor rejects it for the
+/// simulated GPU, whose kernel metering the eager and static targets do.
+/// Per-op "op" trace spans cover only whole-node steps; a streamed pipeline
+/// records "pipeline" and "morsel" spans instead.
 class PipelinedExecutor : public Executor {
  public:
   PipelinedExecutor(std::shared_ptr<const TensorProgram> program,
@@ -132,8 +131,8 @@ class PipelinedExecutor : public Executor {
     std::vector<Tensor> outputs;  // parallel to Pipeline::outputs
   };
 
-  /// Evaluates one node whole (breakers, scalars, fallback pipelines) with
-  /// simulated-device metering and an "op" span; only breakers fan out.
+  /// Evaluates one node whole (breakers, scalars, fallback pipelines) under
+  /// an "op" span; only breakers fan out.
   Status EvalWholeNode(const OpNode& node, std::vector<Tensor>* values,
                        const runtime::ParallelContext& ctx);
 
@@ -155,8 +154,8 @@ class PipelinedExecutor : public Executor {
       const std::vector<bool>& slice_now, int64_t driver_rows,
       int64_t morsel_rows, ProbeResult* probe);
 
-  /// Whole-node evaluation of a pipeline (shape surprises, simulated
-  /// devices): same results, no streaming, serial kernels.
+  /// Whole-node evaluation of a pipeline (shape surprises such as a runtime
+  /// broadcast): same results, no streaming, serial kernels.
   Status RunPipelineSerial(const Pipeline& p, std::vector<Tensor>* values,
                            const runtime::ParallelContext& ctx);
 

@@ -11,6 +11,7 @@
 #include "runtime/parallel_kernels.h"    // IWYU pragma: export
 #include "runtime/pipelined_executor.h"  // IWYU pragma: export
 #include "runtime/plan_cache.h"          // IWYU pragma: export
+#include "runtime/query_context.h"       // IWYU pragma: export
 #include "runtime/session.h"             // IWYU pragma: export
 #include "runtime/step_scheduler.h"      // IWYU pragma: export
 #include "runtime/task_graph.h"          // IWYU pragma: export

@@ -7,6 +7,7 @@
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
+#include "runtime/query_context.h"
 #include "tensor/buffer_pool.h"
 
 namespace tqp::runtime {
@@ -327,12 +328,26 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
           obs::Histogram::LatencyBounds());
   queue_hist->Observe(static_cast<double>(outcome.stats.queue_nanos) * 1e-9);
 
-  // Ambient trace context for the whole query: every span below — and every
-  // span recorded by tasks the executor fans out — lands in the scheduler's
-  // session tagged with this query's id. With tracing off this attaches a
-  // null session, which doubles as a mask over any context the pool task
-  // running this worker might have inherited.
-  obs::TraceContext trace_ctx(options_.trace, job->trace_query_id);
+  // The query's context, ambient for the whole query and carried into every
+  // task and step its execution submits:
+  //  - trace: every span lands in the scheduler's session tagged with this
+  //    query's id (with tracing off, a null session);
+  //  - memory: every allocation charges this scope (a plan-cache miss's
+  //    compile included), and with a budget set
+  //    (CompileOptions::memory_budget_bytes / TQP_MEMORY_BUDGET_MB) an
+  //    over-budget query spills cold intermediates to disk instead of
+  //    growing resident memory;
+  //  - cancellation: the executor polls the token armed at admission
+  //    instead of arming a second deadline;
+  //  - priority: the query's steps enter the shared StepScheduler tagged
+  //    with its admission priority.
+  BufferPool::QueryScope memory_scope(
+      BufferPool::ResolveMemoryBudget(options_.compile.memory_budget_bytes));
+  const QueryContext context{&memory_scope, job->token.get(),
+                             obs::TraceContextState{options_.trace,
+                                                    job->trace_query_id, 0},
+                             static_cast<int>(job->priority)};
+  QueryContext::Attach attach(context);
   // Queued-too-long shedding and pre-execution cancellation: the token was
   // armed at admission, so a deadline that expired during the queue wait —
   // or a Cancel that landed before pickup — terminates the query here with
@@ -416,23 +431,6 @@ QueryOutcome QueryScheduler::Execute(Job* job) {
   }
 
   Stopwatch exec_timer;
-  // Ambient priority for the executor's step submissions: the query's
-  // pipeline step tasks enter the shared StepScheduler tagged with its
-  // admission priority and interleave with other queries' steps accordingly.
-  StepScheduler::ScopedPriority step_priority(
-      static_cast<int>(job->priority));
-  // Ambient per-query memory scope: every allocation the query makes — on
-  // this worker or on any task it fans out — charges this scope, and with a
-  // budget set (CompileOptions::memory_budget_bytes / TQP_MEMORY_BUDGET_MB)
-  // an over-budget query spills cold intermediates to disk instead of
-  // growing resident memory.
-  BufferPool::QueryScope memory_scope(
-      BufferPool::ResolveMemoryBudget(options_.compile.memory_budget_bytes));
-  BufferPool::QueryScope::Attach memory_attach(&memory_scope);
-  // Ambient cancellation token: the executors' ScopedQueryDeadline sees it
-  // and polls it (instead of arming a second deadline), and every task the
-  // query fans out re-attaches it via ThreadPool/StepScheduler submission.
-  CancellationToken::Attach token_attach(job->token.get());
   auto result_or = [&] {
     obs::TraceSpan exec_span("query", "execute");
     return plan->Run(*catalog_);

@@ -30,9 +30,9 @@ namespace tqp::runtime {
 ///
 /// This is the mechanism behind cross-query step interleaving: every query
 /// admitted by a QueryScheduler tags its execution-DAG steps with the query's
-/// QueryPriority (via the ambient ScopedPriority below), and all queries'
+/// QueryPriority (the priority of its ambient QueryContext), and all queries'
 /// steps merge into these queues instead of each query running as one opaque
-/// pool task.
+/// pool task. Each step runs under its submitter's QueryContext.
 class StepScheduler {
  public:
   /// Mirrors runtime::QueryPriority (kLow=0 < kNormal=1 < kHigh=2) without
@@ -64,28 +64,11 @@ class StepScheduler {
   /// \brief Steps that finished executing since construction.
   int64_t executed() const;
 
-  /// \brief RAII ambient priority for the calling thread. The QueryScheduler
-  /// wraps a query's execution in one of these so executors deep in the call
-  /// stack (TaskGraph::Run(StepScheduler*)) tag their step tasks with the
-  /// query's admission priority without threading a parameter through every
-  /// layer.
-  class ScopedPriority {
-   public:
-    explicit ScopedPriority(int priority);
-    ~ScopedPriority();
-    ScopedPriority(const ScopedPriority&) = delete;
-    ScopedPriority& operator=(const ScopedPriority&) = delete;
-
-   private:
-    int prev_;
-  };
-
-  /// \brief The calling thread's ambient priority (1 = normal by default).
-  static int CurrentPriority();
-
  private:
   /// Pops the highest-priority ready step.
   bool PopReadyLocked(std::function<void()>* step) TQP_REQUIRES(mu_);
+  /// Hands one pump task to the pool, under an empty query context.
+  void SpawnPump();
   /// One pump: run at most one step, then re-submit while work remains.
   void PumpOne();
 

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/sync.h"
+#include "runtime/query_context.h"
 #include "runtime/step_scheduler.h"
 
 namespace tqp::runtime {
@@ -61,13 +62,13 @@ Status TaskGraph::RunImpl(ThreadPool* pool, StepScheduler* steps) {
   }
 
   // Steps of one graph all carry the submitting query's ambient priority.
-  const int priority = StepScheduler::CurrentPriority();
+  const int priority = QueryContext::Capture().priority;
 
   // Submits `id` and, transitively, every successor that its completion
   // unblocks. Declared as a std::function so the lambda can recurse.
-  std::function<void(int)> submit = [&submit, state, pool, steps, priority,
+  std::function<void(int)> submit = [&submit, state, pool, steps, priority, n,
                                      this](int id) {
-    auto task = [&submit, state, this, id] {
+    auto task = [&submit, state, this, id, n] {
       const Node& node = nodes_[static_cast<size_t>(id)];
       if (!state->failed.load(std::memory_order_acquire)) {
         Status st = node.fn();
@@ -85,7 +86,9 @@ Status TaskGraph::RunImpl(ThreadPool* pool, StepScheduler* steps) {
           submit(succ);
         }
       }
-      if (state->completed.fetch_add(1, std::memory_order_acq_rel) == num_tasks() - 1) {
+      // The last completion lets Run return and the graph go away, so the
+      // task touches nothing but `state` from here on.
+      if (state->completed.fetch_add(1, std::memory_order_acq_rel) == n - 1) {
         MutexLock lock(state->mu);
         state->done_cv.NotifyAll();
       }

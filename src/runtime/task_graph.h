@@ -41,10 +41,10 @@ class TaskGraph {
   Status Run(ThreadPool* pool);
 
   /// \brief Executes the graph with ready tasks dispatched through a shared
-  /// StepScheduler at the calling thread's ambient priority
-  /// (StepScheduler::CurrentPriority()). Tasks of concurrent graphs — e.g.
-  /// the step DAGs of different admitted queries — then interleave on one
-  /// pool in priority order instead of first-come-first-served.
+  /// StepScheduler at the priority of the calling thread's ambient
+  /// QueryContext. Tasks of concurrent graphs — e.g. the step DAGs of
+  /// different admitted queries — then interleave on one pool in priority
+  /// order instead of first-come-first-served.
   Status Run(StepScheduler* steps);
 
  private:

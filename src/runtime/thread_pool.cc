@@ -9,9 +9,8 @@
 #include "common/env.h"
 #include "common/fault.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "runtime/morsel.h"
-#include "tensor/buffer_pool.h"
+#include "runtime/query_context.h"
 
 namespace tqp::runtime {
 
@@ -83,38 +82,15 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  // Tasks inherit the submitting thread's ambient query-memory scope: a
-  // query's morsel fan-out and DAG continuations charge the query's budget
-  // no matter which worker runs them. Fan-out joins (ParallelFor,
-  // TaskGraph::Run) complete before the scope dies, so the captured pointer
-  // outlives every task that dereferences it (Attach itself never does).
-  if (auto* scope = BufferPool::QueryScope::Current(); scope != nullptr) {
-    task = [scope, inner = std::move(task)] {
-      BufferPool::QueryScope::Attach attach(scope);
-      inner();
-    };
-  }
-  // And the ambient cancellation token, with the same lifetime argument: a
-  // cancelled query's fan-out observes the request at its next morsel/step
-  // poll no matter which worker picked the task up.
-  if (auto* token = CancellationToken::Current(); token != nullptr) {
-    task = [token, inner = std::move(task)] {
-      CancellationToken::Attach attach(token);
-      inner();
-    };
-  }
-  // Tasks likewise inherit the submitter's ambient trace context (session +
-  // query id + submitting span), so a traced query's fan-out records into
-  // its session from any worker, parented to the span that spawned it. The
-  // task signals its joiner before this context detaches and flushes, so
-  // the session waits for the detach before it is read or destroyed.
-  if (const obs::TraceContextState trace = obs::CaptureTraceContext();
-      trace.session != nullptr) {
-    task = [trace, inner = std::move(task)] {
-      obs::TraceContext ctx(trace);
-      inner();
-    };
-  }
+  // Tasks run under the submitter's query context: a query's morsel
+  // fan-out and DAG continuations charge its memory scope, poll its
+  // cancellation token and record into its trace session on any worker, and
+  // a task submitted outside any query runs with every piece masked.
+  // Fan-out joins (ParallelFor, TaskGraph::Run) complete before the scope
+  // and token die; a traced task signals its joiner before its context
+  // detaches and flushes, so the session waits for the detach before it is
+  // read or destroyed.
+  task = QueryContext::Capture().Wrap(std::move(task));
   // Fault seam: a hit degrades this submission to inline execution on the
   // submitting thread — a benign perturbation that reorders completion and
   // removes asynchrony, proving no caller depends on tasks actually running

@@ -574,27 +574,6 @@ Status BufferPool::QueryScope::FaultLocked(Record* rec) {
   return Status::OK();
 }
 
-// --------------------------------------------------------- ScopedQueryBudget
-
-namespace {
-
-BufferPool::QueryScope* ResolveRunScope(
-    int64_t option_budget_bytes,
-    std::unique_ptr<BufferPool::QueryScope>* owned) {
-  BufferPool::QueryScope* scope = BufferPool::QueryScope::Current();
-  if (scope != nullptr) return scope;
-  const int64_t budget = BufferPool::ResolveMemoryBudget(option_budget_bytes);
-  if (budget <= 0) return nullptr;
-  *owned = std::make_unique<BufferPool::QueryScope>(budget);
-  return owned->get();
-}
-
-}  // namespace
-
-ScopedQueryBudget::ScopedQueryBudget(int64_t option_budget_bytes)
-    : scope_(ResolveRunScope(option_budget_bytes, &owned_)),
-      attach_(scope_) {}
-
 // -------------------------------------------------------------- SpillableSet
 
 SpillableSet::SpillableSet(BufferPool::QueryScope* scope, size_t num_slots)

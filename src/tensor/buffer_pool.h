@@ -195,9 +195,9 @@ class BufferPool {
     /// \brief The scope ambient on the calling thread (null when none).
     static QueryScope* Current();
 
-    /// \brief RAII ambient scope for the calling thread, mirroring
-    /// StepScheduler::ScopedPriority: the QueryScheduler attaches the
-    /// query's scope around execution and allocations deep in the kernel
+    /// \brief RAII ambient scope for the calling thread (one piece of a
+    /// runtime::QueryContext, which attaches it around a query's execution
+    /// and every task the query submits); allocations deep in the kernel
     /// stack find it via Current(). `scope` may be null (masks any
     /// inherited scope). Attach only stores the pointer — it is
     /// dereferenced solely by allocations made while attached.
@@ -328,29 +328,6 @@ class BufferPool {
   mutable Mutex mu_;
   std::vector<uint8_t*> free_lists_[kNumClasses] TQP_GUARDED_BY(mu_);
   BufferPoolStats stats_ TQP_GUARDED_BY(mu_);
-};
-
-/// \brief Resolves and attaches the query-memory scope for one executor run:
-/// the ambient scope when one is attached (the QueryScheduler's
-/// per-admitted-query scope takes precedence), else a locally owned scope
-/// when the executor carries its own budget
-/// (ExecOptions::memory_budget_bytes / TQP_MEMORY_BUDGET_MB), else none.
-/// Both runtime executors share this one definition of the precedence rule.
-class ScopedQueryBudget {
- public:
-  explicit ScopedQueryBudget(int64_t option_budget_bytes);
-
-  ScopedQueryBudget(const ScopedQueryBudget&) = delete;
-  ScopedQueryBudget& operator=(const ScopedQueryBudget&) = delete;
-
-  /// \brief The scope this run charges (null when unbudgeted and no scope
-  /// is ambient).
-  BufferPool::QueryScope* scope() const { return scope_; }
-
- private:
-  std::unique_ptr<BufferPool::QueryScope> owned_;
-  BufferPool::QueryScope* scope_;
-  BufferPool::QueryScope::Attach attach_;
 };
 
 /// \brief RAII bookkeeping for one executor run's spillable registrations:

@@ -1,6 +1,7 @@
 // Golden fixture: must trigger exactly the `submit-propagation` rule.
-// This Submit re-attaches the query-memory scope and the cancellation token
-// but forgets the trace context — the exact bug class the rule exists for.
+// This Submit wraps its task by hand instead of through
+// QueryContext::Capture().Wrap(...), so its copy of the propagation can
+// drift from the other submission path.
 
 namespace tqp::runtime {
 

@@ -62,7 +62,8 @@ TEST(BinaryOpTest, IntegerDivisionTruncatesAndGuardsZero) {
 
 TEST(BinaryOpTest, ScalarBroadcast) {
   Tensor a = Tensor::FromVector<double>({1, 2, 3});
-  Tensor s = BinaryOpScalar(BinaryOpKind::kMul, a, Scalar(10.0)).ValueOrDie();
+  Tensor ten = Tensor::Full(DType::kFloat64, 1, 1, 10.0).ValueOrDie();
+  Tensor s = BinaryOp(BinaryOpKind::kMul, a, ten).ValueOrDie();
   EXPECT_DOUBLE_EQ(s.at<double>(2), 30.0);
 }
 
@@ -227,17 +228,6 @@ TEST(SegmentedReduceTest, SumCountMinMax) {
   // Out-of-range ids error.
   Tensor bad = Tensor::FromVector<int64_t>({0, 0, 1, 1, 5});
   EXPECT_FALSE(SegmentedReduce(ReduceOpKind::kSum, values, bad, 2).ok());
-}
-
-TEST(ReduceTest, RowwiseAndColumnwise) {
-  Tensor x = Tensor::FromVector2D<double>({1, 2, 3, 4, 5, 6}, 2, 3);
-  Tensor rows = ReduceRows(ReduceOpKind::kSum, x).ValueOrDie();
-  EXPECT_DOUBLE_EQ(rows.at<double>(0), 6);
-  EXPECT_DOUBLE_EQ(rows.at<double>(1), 15);
-  Tensor cols = ColumnSums(x).ValueOrDie();
-  EXPECT_DOUBLE_EQ(cols.at<double>(0, 2), 9);
-  Tensor amax = ArgmaxRows(x).ValueOrDie();
-  EXPECT_EQ(amax.at<int64_t>(1), 2);
 }
 
 // ---- Selection ---------------------------------------------------------------

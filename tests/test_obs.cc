@@ -14,7 +14,6 @@
 #include <cstring>
 #include <future>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -358,7 +357,9 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
   options.trace = &session;
   options.compile.target = ExecutorTarget::kPipelined;
   // SF 0.01 Q1 scans ~60k rows: 1,000-row morsels give it many morsels, so
-  // the fan-out below reaches several workers.
+  // the fan-out below can reach several workers. Which workers run it is up
+  // to the scheduler; that a task sees its query's context on any worker is
+  // QueryContextTest's check (test_runtime.cc).
   options.compile.morsel_rows = 1000;
   runtime::QueryScheduler scheduler(catalog_, options);
   const std::string sql = tpch::QueryText(1).ValueOrDie();
@@ -376,7 +377,6 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
   bool saw_compile = false;
   int step_spans = 0;
   int morsel_spans = 0;
-  std::set<uint32_t> threads;
   for (const obs::TraceEvent& e : events) {
     if (e.span_id != 0) by_span[e.span_id] = &e;
     const std::string name = e.name;
@@ -386,10 +386,7 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
     if (name == "queue.wait") saw_queue_wait = true;
     if (name == "compile") saw_compile = true;
     if (std::string(e.category) == "step") ++step_spans;
-    if (std::string(e.category) == "morsel") {
-      ++morsel_spans;
-      threads.insert(e.thread_id);
-    }
+    if (std::string(e.category) == "morsel") ++morsel_spans;
   }
   ASSERT_NE(root, nullptr);
   ASSERT_NE(execute, nullptr);
@@ -431,10 +428,6 @@ TEST_F(ObsTpchTest, PipelinedQ1SpansNestAcrossEightThreads) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
-
-  // Morsel work fanned out across workers (8 threads, SF 0.01 Q1 has many
-  // morsels; at least two distinct threads must have recorded).
-  EXPECT_GE(threads.size(), 2u);
 
   // The execute span covers at least 95% of the measured exec wall.
   EXPECT_GE(static_cast<double>(execute->dur_nanos),

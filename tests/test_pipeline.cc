@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -189,13 +188,12 @@ TEST(PipelineSplitTest, TpchPlansContainRealPipelines) {
   }
 }
 
-// ---- Step DAG: dependency edges + release sets -----------------------------
+// ---- Step DAG: dependency edges -------------------------------------------
 
 TEST(PipelineDagTest, IndependentChainsFormIndependentSteps) {
   // Two disjoint filter chains feeding one ConcatRows breaker: the two
-  // pipeline steps must not depend on each other (they can overlap), the
-  // concat must depend on both, and the chains' materialized outputs must be
-  // released exactly at the concat (their last consumer).
+  // pipeline steps must not depend on each other (they can overlap), and the
+  // concat must depend on both.
   auto program = std::make_shared<TensorProgram>();
   const int a = program->AddInput("t.a");
   const int b = program->AddInput("t.b");
@@ -221,15 +219,6 @@ TEST(PipelineDagTest, IndependentChainsFormIndependentSteps) {
   // Streamed-only nodes (the masks) never materialize.
   EXPECT_EQ(plan.producer_step[static_cast<size_t>(mask_a)], -1);
   EXPECT_EQ(plan.producer_step[static_cast<size_t>(mask_b)], -1);
-  // The concat consumes both compressed columns last and releases them; the
-  // program output is never released.
-  const auto& rel = plan.schedule[2].releases;
-  EXPECT_TRUE(std::find(rel.begin(), rel.end(), ca) != rel.end());
-  EXPECT_TRUE(std::find(rel.begin(), rel.end(), cb) != rel.end());
-  for (const PipelineStep& step : plan.schedule) {
-    EXPECT_TRUE(std::find(step.releases.begin(), step.releases.end(), cat) ==
-                step.releases.end());
-  }
 }
 
 TEST(PipelineSplitTest, TpchStepDagIsConsistent) {
@@ -265,48 +254,6 @@ TEST(PipelineSplitTest, TpchStepDagIsConsistent) {
       }
     }
 
-    // Every materialized non-output node is released exactly once; program
-    // outputs never are.
-    std::map<int, int> release_count;
-    for (const PipelineStep& step : plan.schedule) {
-      for (int id : step.releases) ++release_count[id];
-    }
-    const std::set<int> outputs(program.outputs().begin(),
-                                program.outputs().end());
-    for (int id = 0; id < program.num_nodes(); ++id) {
-      if (outputs.count(id) != 0) {
-        EXPECT_EQ(release_count.count(id), 0u)
-            << "Q" << q << ": output n" << id << " must stay pinned";
-      } else if (plan.producer_step[static_cast<size_t>(id)] >= 0) {
-        EXPECT_EQ(release_count[id], 1)
-            << "Q" << q << ": materialized n" << id
-            << " must be released exactly once";
-      }
-    }
-
-    // The plan's release sets must agree with what the executor actually
-    // does: the runtime derives release points from consumer refcounts over
-    // step.reads, so pin the two representations together — each step's
-    // releases must be exactly the non-output nodes whose last reader (in
-    // schedule order) is that step, plus its own dead stores.
-    std::vector<int> last_reader(static_cast<size_t>(program.num_nodes()), -1);
-    for (size_t si = 0; si < plan.schedule.size(); ++si) {
-      for (int r : plan.schedule[si].reads) {
-        last_reader[static_cast<size_t>(r)] = static_cast<int>(si);
-      }
-    }
-    for (size_t si = 0; si < plan.schedule.size(); ++si) {
-      std::vector<int> expected_releases;
-      for (int id = 0; id < program.num_nodes(); ++id) {
-        if (outputs.count(id) != 0) continue;
-        int at = last_reader[static_cast<size_t>(id)];
-        if (at < 0) at = plan.producer_step[static_cast<size_t>(id)];
-        if (at == static_cast<int>(si)) expected_releases.push_back(id);
-      }
-      EXPECT_EQ(plan.schedule[si].releases, expected_releases)
-          << "Q" << q << " step " << si
-          << ": releases drifted from the reads-derived release points";
-    }
     EXPECT_GE(plan.num_root_steps(), 1) << "Q" << q;
     // A multi-join query must expose real inter-pipeline parallelism: more
     // than one step can start immediately.
@@ -789,19 +736,20 @@ TEST_F(PipelineTpchTest, WholeNodeStreamableOpsAreScalars) {
   EXPECT_GT(streamable_whole, 0);
 }
 
-TEST_F(PipelineTpchTest, SimulatedDeviceStillMetersKernels) {
-  // On the GPU simulator the pipelined backend degrades to whole-node
-  // evaluation so every kernel launch hits the simulated clock.
+TEST_F(PipelineTpchTest, SimulatedDeviceIsRejected) {
+  // The pipelined backend runs on host cores only; the simulated GPU's
+  // kernel metering belongs to the eager and static targets.
   QueryCompiler compiler;
   const std::string sql = tpch::QueryText(6).ValueOrDie();
   CompileOptions options;
   options.target = ExecutorTarget::kPipelined;
   options.device = DeviceKind::kCudaSim;
-  auto compiled = compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-  GetDevice(DeviceKind::kCudaSim)->ResetClock();
-  Table result = compiled.Run(*catalog_).ValueOrDie();
-  EXPECT_GT(result.num_rows(), 0);
-  EXPECT_GT(GetDevice(DeviceKind::kCudaSim)->simulated_seconds(), 0.0);
+  auto compiled_or = compiler.CompileSql(sql, *catalog_, options);
+  ASSERT_FALSE(compiled_or.ok());
+  EXPECT_EQ(compiled_or.status().code(), StatusCode::kInvalidArgument)
+      << compiled_or.status().ToString();
+  EXPECT_NE(compiled_or.status().ToString().find("static"), std::string::npos)
+      << compiled_or.status().ToString();
 }
 
 // ---- BufferPool ------------------------------------------------------------

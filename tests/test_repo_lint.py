@@ -77,6 +77,17 @@ class RepoLintTest(unittest.TestCase):
         first = out.splitlines()[0]
         self.assertRegex(first, r"^.+\.(h|cc):\d+: \[naked-mutex\] ")
 
+    def test_submit_propagation_checks_submit_and_context(self):
+        # One finding per fixture file: the Submit that wraps by hand, and
+        # the context Attach that forgets the trace context.
+        root = os.path.join(FIXTURES, "submit_propagation")
+        _, out, _ = run_lint("--root", root)
+        flagged = sorted(line.split(":")[0] for line in out.splitlines()
+                         if "[submit-propagation]" in line)
+        self.assertEqual(flagged, ["src/runtime/query_context.h",
+                                   "src/runtime/thread_pool.cc"], out)
+        self.assertIn("obs::TraceContext", out)
+
 
 if __name__ == "__main__":
     unittest.main()

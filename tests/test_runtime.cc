@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "compile/compiler.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "runtime/query_context.h"
 #include "runtime/runtime.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -305,22 +310,132 @@ TEST(StepSchedulerTest, IndependentGraphTasksOverlap) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-TEST(StepSchedulerTest, AmbientPriorityTagsSubmissions) {
-  ThreadPool pool(2);
+// ---- QueryContext: one query's ambient state follows its work -------------
+
+/// What a task observed about the thread it ran on.
+struct SeenContext {
+  runtime::QueryContext context;
+  std::thread::id thread;
+};
+
+/// A task that reports the context it ran under, then opens a span
+/// (recorded only under a trace session).
+std::function<void()> ReportContext(std::promise<SeenContext>* seen) {
+  return [seen] {
+    const SeenContext here{runtime::QueryContext::Capture(),
+                           std::this_thread::get_id()};
+    obs::TraceSpan span("test", "task");
+    seen->set_value(here);
+  };
+}
+
+void ExpectSameContext(const runtime::QueryContext& got,
+                       const runtime::QueryContext& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.scope, want.scope) << what;
+  EXPECT_EQ(got.token, want.token) << what;
+  EXPECT_EQ(got.trace.session, want.trace.session) << what;
+  EXPECT_EQ(got.trace.query_id, want.trace.query_id) << what;
+  EXPECT_EQ(got.trace.parent_span, want.trace.parent_span) << what;
+  EXPECT_EQ(got.priority, want.priority) << what;
+}
+
+TEST(QueryContextTest, SubmittedWorkRunsUnderTheSubmittersContext) {
+  // A non-worker thread attaches a query context and submits through both
+  // paths, then waits on futures without helping, so pool workers run the
+  // work. Each task must see the submitter's scope, token, trace session,
+  // query id, parent span and priority; the step a pump pops next, submitted
+  // outside any query, must see none of them, and the pump running it must
+  // not hold the query's trace session open.
+  ThreadPool pool(1);
   StepScheduler steps(&pool);
-  EXPECT_EQ(StepScheduler::CurrentPriority(), 1);  // normal by default
+  FaultInjector* faults = FaultInjector::Global();
+  const std::thread::id submitter = std::this_thread::get_id();
+  BufferPool::QueryScope scope;
+  CancellationToken token;
+  obs::TraceSession session;
+  uint64_t submit_span = 0;
+  runtime::QueryContext want;
+  std::promise<SeenContext> by_pool, by_step, by_next;
+  std::promise<void> release, finish;
+  int64_t fired_before_steps = 0;
   {
-    StepScheduler::ScopedPriority scoped(2);
-    EXPECT_EQ(StepScheduler::CurrentPriority(), 2);
-    TaskGraph graph;
-    graph.AddTask([] { return Status::OK(); });
-    graph.AddTask([] { return Status::OK(); });
-    ASSERT_TRUE(graph.Run(&steps).ok());
+    obs::TraceContext root(&session, session.NextQueryId());
+    obs::TraceSpan span("test", "submit");
+    submit_span = obs::CaptureTraceContext().parent_span;
+    want = runtime::QueryContext::Capture();
+    want.scope = &scope;
+    want.token = &token;
+    want.priority = static_cast<int>(runtime::QueryPriority::kHigh);
+    runtime::QueryContext::Attach attach(want);
+
+    // The task_submit fault seam runs a hit submission inline instead.
+    const int64_t fired = faults->fired(FaultSite::kTaskSubmit);
+    pool.Submit(ReportContext(&by_pool));
+    const SeenContext seen = by_pool.get_future().get();
+    ExpectSameContext(seen.context, want, "ThreadPool::Submit");
+    if (faults->fired(FaultSite::kTaskSubmit) == fired) {
+      EXPECT_NE(seen.thread, submitter) << "ThreadPool::Submit";
+    }
+
+    // A TaskGraph dispatched through a StepScheduler tags its steps with the
+    // context's priority (a one-worker pool would run the graph inline).
+    {
+      ThreadPool graph_pool(2);
+      StepScheduler graph_steps(&graph_pool);
+      TaskGraph graph;
+      graph.AddTask([] { return Status::OK(); });
+      graph.AddTask([] { return Status::OK(); });
+      ASSERT_TRUE(graph.Run(&graph_steps).ok());
+      EXPECT_EQ(graph_steps.submitted(),
+                (std::array<int64_t, StepScheduler::kNumPriorities>{0, 0, 2}));
+    }
+
+    // Jam the only worker so the next two steps queue for one pump.
+    JamPool(&pool, release.get_future().share());
+    fired_before_steps = faults->fired(FaultSite::kTaskSubmit);
+    steps.Submit(ReportContext(&by_step), want.priority);
   }
-  EXPECT_EQ(StepScheduler::CurrentPriority(), 1);  // restored
-  const auto submitted = steps.submitted();
-  EXPECT_EQ(submitted[2], 2);
-  EXPECT_EQ(submitted[0] + submitted[1], 0);
+  // The next step stays running until the session has been read (unless a
+  // fault ran it inline on this thread).
+  std::shared_future<void> finished = finish.get_future().share();
+  steps.Submit(
+      [report = ReportContext(&by_next), finished, submitter] {
+        report();
+        if (std::this_thread::get_id() != submitter) finished.wait();
+      },
+      static_cast<int>(runtime::QueryPriority::kNormal));
+  release.set_value();
+  const SeenContext seen_step = by_step.get_future().get();
+  const SeenContext seen_next = by_next.get_future().get();
+  // The session's reads wait for every context counted into it; a pump that
+  // inherited the query's context would hold them until the step finishes.
+  auto events = std::async(std::launch::async, [&session] {
+    return session.events();
+  });
+  EXPECT_EQ(events.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a pump holds the query's trace session";
+  finish.set_value();
+  ExpectSameContext(seen_step.context, want, "StepScheduler::Submit");
+  ExpectSameContext(seen_next.context, runtime::QueryContext{}, "next step");
+  if (faults->fired(FaultSite::kTaskSubmit) == fired_before_steps) {
+    EXPECT_NE(seen_step.thread, submitter) << "StepScheduler::Submit";
+    EXPECT_NE(seen_next.thread, submitter) << "next step";
+  }
+  EXPECT_EQ(steps.submitted(),
+            (std::array<int64_t, StepScheduler::kNumPriorities>{0, 1, 1}));
+
+  // Both traced tasks recorded into the session under the submitting span;
+  // the untraced step recorded nothing.
+  int task_spans = 0;
+  for (const obs::TraceEvent& e : events.get()) {
+    if (std::string(e.name) != "task") continue;
+    ++task_spans;
+    EXPECT_EQ(e.parent_id, submit_span);
+    EXPECT_EQ(e.query_id, want.trace.query_id);
+  }
+  EXPECT_EQ(task_spans, 2);
 }
 
 // ---- Parallel kernels / operators: exactness vs serial ---------------------

@@ -70,7 +70,7 @@ TEST_P(TpchQueryTest, AllBackendsMatchOracle) {
       }
       if (target == ExecutorTarget::kPipelined &&
           device == DeviceKind::kCudaSim) {
-        continue;  // the morsel runtime targets host cores, not the simulator
+        continue;  // kPipelined runs on host cores only (MakeExecutor rejects it)
       }
       CompileOptions options;
       options.target = target;

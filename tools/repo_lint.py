@@ -10,12 +10,16 @@ naked-mutex          src/ must not name std::mutex / std::condition_variable /
                      src/common/sync.h. Everything locks through the annotated
                      tqp::Mutex / MutexLock / CondVar wrappers so the clang
                      thread-safety build sees every acquisition.
-submit-propagation   Every ThreadPool::Submit / StepScheduler::Submit wrapper
-                     body must re-attach all three ambient TLS contexts —
-                     query-memory scope (QueryScope::Attach), cancellation
-                     token (CancellationToken::Attach), and trace context
-                     (obs::TraceContext) — so work observes its query's
-                     budget/cancel/trace no matter which worker runs it.
+submit-propagation   A query's ambient state travels as one
+                     runtime::QueryContext. Every ThreadPool::Submit /
+                     StepScheduler::Submit body must wrap its task through
+                     QueryContext::Capture().Wrap(...) rather than by hand,
+                     and QueryContext's Attach must attach all three TLS
+                     pieces — query-memory scope (QueryScope::Attach),
+                     cancellation token (CancellationToken::Attach), and
+                     trace context (obs::TraceContext) — so work observes
+                     its query's budget/cancel/trace no matter which worker
+                     runs it.
 env-int              Every getenv("TQP_*") outside src/common/env.cc must
                      either be a known string-valued knob (allowlist below) or
                      go through EnvInt64OrDefault, which bounds-checks and
@@ -65,6 +69,7 @@ ANCHOR_FILES = [
     "src/common/sync.h",
     "src/runtime/thread_pool.cc",
     "src/runtime/step_scheduler.cc",
+    "src/runtime/query_context.h",
 ]
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
@@ -190,7 +195,11 @@ def check_naked_mutex(root):
 # so the first `) {` after the open paren is the real end of the signature.
 SUBMIT_DEF_RE = re.compile(
     r"void\s+(ThreadPool|StepScheduler)::Submit\s*\(.*?\)\s*\{", re.DOTALL)
-SUBMIT_CONTEXTS = [
+SUBMIT_CAPTURE_RE = re.compile(
+    r"QueryContext::Capture\s*\(\s*\)\s*\.\s*Wrap\s*\(")
+CONTEXT_DEF_RE = re.compile(r"\b(?:struct|class)\s+QueryContext\s*\{")
+CONTEXT_ATTACH_RE = re.compile(r"\bclass\s+Attach\s*\{")
+CONTEXT_PIECES = [
     ("QueryScope::Attach", "query-memory scope"),
     ("CancellationToken::Attach", "cancellation token"),
     ("obs::TraceContext", "trace context"),
@@ -219,13 +228,30 @@ def check_submit_propagation(root):
         code = strip_comments(text)
         for m in SUBMIT_DEF_RE.finditer(code):
             body, _ = matched_body(code, m.end() - 1)
-            for marker, what in SUBMIT_CONTEXTS:
-                if marker not in body:
+            if not SUBMIT_CAPTURE_RE.search(body):
+                findings.append(Finding(
+                    "submit-propagation", rel, line_of(code, m.start()),
+                    f"{m.group(1)}::Submit does not wrap its task through "
+                    "QueryContext::Capture().Wrap(...); a hand-made wrapper "
+                    "drifts from the other submission path and tasks lose "
+                    "part of their query's context on another worker"))
+        for m in CONTEXT_DEF_RE.finditer(code):
+            context_body, _ = matched_body(code, m.end() - 1)
+            attach = CONTEXT_ATTACH_RE.search(context_body)
+            if attach is None:
+                findings.append(Finding(
+                    "submit-propagation", rel, line_of(code, m.start()),
+                    "QueryContext defines no Attach guard to install it"))
+                continue
+            attach_body, _ = matched_body(context_body, attach.end() - 1)
+            for marker, what in CONTEXT_PIECES:
+                if marker not in attach_body:
                     findings.append(Finding(
-                        "submit-propagation", rel, line_of(code, m.start()),
-                        f"{m.group(1)}::Submit does not propagate the ambient "
-                        f"{what} ({marker}); tasks would silently lose their "
-                        "query's context on another worker"))
+                        "submit-propagation", rel,
+                        line_of(code, m.start() + attach.start()),
+                        f"QueryContext::Attach does not attach the {what} "
+                        f"({marker}); tasks would silently lose it on "
+                        "another worker"))
     return findings
 
 
