@@ -43,12 +43,14 @@ bool LikeMatch(std::string_view value, std::string_view pattern) {
   size_t star_p = std::string_view::npos;
   size_t star_v = 0;
   while (v < value.size()) {
-    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == value[v])) {
-      ++v;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
+    // '%' is a wildcard even where the value holds a literal '%'.
+    if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_v = v;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || pattern[p] == value[v])) {
+      ++v;
+      ++p;
     } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       v = ++star_v;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <vector>
 
 #include "common/string_util.h"
 #include "kernels/selection.h"
@@ -21,6 +23,13 @@ Status CheckStringTensor(const Tensor& a) {
 // Length of row i ignoring the zero padding.
 int64_t RowLen(const uint8_t* row, int64_t m) {
   int64_t len = m;
+  // Whole zero words first: the padding is often most of a wide column.
+  while (len >= 8) {
+    uint64_t word;
+    std::memcpy(&word, row + len - 8, sizeof(word));
+    if (word != 0) break;
+    len -= 8;
+  }
   while (len > 0 && row[len - 1] == 0) --len;
   return len;
 }
@@ -54,6 +63,44 @@ bool ApplyCompare(CompareOpKind op, int c) {
       return c >= 0;
   }
   return false;
+}
+
+// `pattern` split on '%' (at least two pieces when it holds a '%').
+std::vector<std::string_view> SplitOnPercent(std::string_view pattern) {
+  std::vector<std::string_view> pieces;
+  size_t begin = 0;
+  for (size_t pct = pattern.find('%'); pct != std::string_view::npos;
+       pct = pattern.find('%', begin)) {
+    pieces.push_back(pattern.substr(begin, pct - begin));
+    begin = pct + 1;
+  }
+  pieces.push_back(pattern.substr(begin));
+  return pieces;
+}
+
+// LIKE for a pattern made only of literals and '%', given as its '%'-split
+// `pieces`: the first piece must start the value, the last must end it
+// (without overlapping the first), and the pieces between must occur in
+// order in what lies between. Taking each middle piece's leftmost
+// occurrence leaves the most room for the rest, so one forward scan decides
+// the match without backtracking.
+bool MatchPercentPattern(std::string_view value,
+                         const std::vector<std::string_view>& pieces) {
+  const std::string_view head = pieces.front();
+  const std::string_view tail = pieces.back();
+  if (value.size() < head.size() + tail.size() || !value.starts_with(head) ||
+      !value.ends_with(tail)) {
+    return false;
+  }
+  std::string_view middle = value;
+  middle.remove_prefix(head.size());
+  middle.remove_suffix(tail.size());
+  for (size_t j = 1; j + 1 < pieces.size(); ++j) {
+    const size_t found = middle.find(pieces[j]);
+    if (found == std::string_view::npos) return false;
+    middle.remove_prefix(found + pieces[j].size());
+  }
+  return true;
 }
 
 }  // namespace
@@ -139,53 +186,30 @@ Result<Tensor> StringCompare(CompareOpKind op, const Tensor& a, const Tensor& b)
 
 Result<Tensor> StringLike(const Tensor& a, const std::string& pattern) {
   TQP_RETURN_NOT_OK(CheckStringTensor(a));
+  const bool has_underscore = pattern.find('_') != std::string::npos;
+  if (!has_underscore && pattern.find('%') == std::string::npos) {
+    // No wildcards: plain equality.
+    return StringCompareScalar(CompareOpKind::kEq, a, pattern);
+  }
   TQP_ASSIGN_OR_RETURN(Tensor out,
                        Tensor::Empty(DType::kBool, a.rows(), 1, a.device()));
   const uint8_t* p = a.data<uint8_t>();
   bool* o = out.mutable_data<bool>();
   const int64_t m = a.cols();
-
-  // Fast-path classification.
-  const bool has_underscore = pattern.find('_') != std::string::npos;
-  const int64_t pct_count =
-      std::count(pattern.begin(), pattern.end(), '%');
-
-  if (!has_underscore && pct_count == 0) {
-    // No wildcards: plain equality.
-    return StringCompareScalar(CompareOpKind::kEq, a, pattern);
-  }
-  if (!has_underscore && pct_count == 2 && pattern.size() >= 2 &&
-      pattern.front() == '%' && pattern.back() == '%') {
-    // '%needle%': substring search.
-    const std::string needle = pattern.substr(1, pattern.size() - 2);
-    for (int64_t i = 0; i < a.rows(); ++i) {
-      const uint8_t* row = p + i * m;
-      const int64_t len = RowLen(row, m);
-      std::string_view hay(reinterpret_cast<const char*>(row),
-                           static_cast<size_t>(len));
-      o[i] = hay.find(needle) != std::string_view::npos;
-    }
-    return out;
-  }
-  if (!has_underscore && pct_count == 1 && pattern.back() == '%') {
-    // 'prefix%'.
-    const std::string prefix = pattern.substr(0, pattern.size() - 1);
-    for (int64_t i = 0; i < a.rows(); ++i) {
-      const uint8_t* row = p + i * m;
-      const int64_t len = RowLen(row, m);
-      o[i] = len >= static_cast<int64_t>(prefix.size()) &&
-             std::memcmp(row, prefix.data(), prefix.size()) == 0;
-    }
-    return out;
-  }
-  // General path: backtracking matcher per row.
-  for (int64_t i = 0; i < a.rows(); ++i) {
+  auto value = [p, m](int64_t i) {
     const uint8_t* row = p + i * m;
-    const int64_t len = RowLen(row, m);
-    std::string_view value(reinterpret_cast<const char*>(row),
-                           static_cast<size_t>(len));
-    o[i] = LikeMatch(value, pattern);
+    return std::string_view(reinterpret_cast<const char*>(row),
+                            static_cast<size_t>(RowLen(row, m)));
+  };
+  if (!has_underscore) {
+    const std::vector<std::string_view> pieces = SplitOnPercent(pattern);
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      o[i] = MatchPercentPattern(value(i), pieces);
+    }
+    return out;
   }
+  // '_' needs the general backtracking matcher per row.
+  for (int64_t i = 0; i < a.rows(); ++i) o[i] = LikeMatch(value(i), pattern);
   return out;
 }
 

@@ -36,9 +36,11 @@ Result<Tensor> StringCompare(CompareOpKind op, const Tensor& a, const Tensor& b)
 
 /// \brief SQL LIKE against a pattern with % and _ -> bool (n x 1).
 ///
-/// Fast paths: no wildcards (equality), '%s%' (substring search),
-/// 'prefix%' and '%suffix'; the general case runs the backtracking matcher
-/// per row over the padded bytes.
+/// A pattern without wildcards is an equality compare. A pattern of
+/// literals and '%' (no '_') matches without backtracking: an anchored
+/// prefix and suffix, and each literal between them found in turn from
+/// where the previous one ended. Patterns with '_' run the backtracking
+/// LikeMatch per row over the padded bytes.
 Result<Tensor> StringLike(const Tensor& a, const std::string& pattern);
 
 /// \brief Byte substring: out row = a[row][start, start+len) (0-based),

@@ -12,6 +12,7 @@
 #include "compile/pipeline.h"
 #include "graph/op_type.h"
 #include "obs/trace.h"
+#include "tensor/buffer_pool.h"
 
 namespace tqp::obs {
 
@@ -134,11 +135,25 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   ExplainAnalyzeResult out;
   TraceSession session;
 
+  // The query's memory scope: the one ambient on the calling thread (a
+  // caller's or scheduler's), else one attached here with the options'
+  // budget. The header reports its peak and spilled bytes, counted in the
+  // pool's size classes as the budget counts them.
+  BufferPool::QueryScope* scope = BufferPool::QueryScope::Current();
+  std::optional<BufferPool::QueryScope> own_scope;
+  if (scope == nullptr) {
+    own_scope.emplace(
+        BufferPool::ResolveMemoryBudget(options.memory_budget_bytes));
+    scope = &*own_scope;
+  }
+  const int64_t spilled_before = scope->stats().spilled_bytes;
+
   // The context lives in a nested scope: its detach flushes this thread's
   // buffered spans into the session, which must happen before the
   // aggregation below snapshots session.events().
   std::optional<CompiledQuery> plan;
   {
+    BufferPool::QueryScope::Attach attach(scope);
     TraceContext ctx(&session, session.NextQueryId());
     QueryCompiler compiler;
     Stopwatch compile_timer;
@@ -258,7 +273,13 @@ Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
   os << "EXPLAIN ANALYZE  target=" << ExecutorTargetName(options.target);
   os << "  wall=" << FormatDouble(wall_ms, 3) << " ms"
      << "  compile=" << FormatDouble(static_cast<double>(out.compile_nanos) / 1e6, 3)
-     << " ms  rows=" << out.result_rows << "\n";
+     << " ms  rows=" << out.result_rows;
+  const QueryMemoryStats mem = scope->stats();
+  auto mib = [](int64_t bytes) {
+    return FormatDouble(static_cast<double>(bytes) / (1024.0 * 1024.0), 2);
+  };
+  os << "  peak=" << mib(mem.peak_live_bytes) << " MiB  spilled="
+     << mib(mem.spilled_bytes - spilled_before) << " MiB\n";
   os << (by_step ? "step" : "    ")
      << "   total(ms)   share    calls        rows     out(MB)  "
      << (by_step ? "what" : "operator") << "\n";

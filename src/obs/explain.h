@@ -50,7 +50,10 @@ struct ExplainAnalyzeResult {
 /// \brief Compiles and runs `sql` with tracing forced on, then renders the
 /// per-step breakdown. `options` picks the backend exactly as for a normal
 /// run. The run records into a private session that replaces, for its
-/// duration, any trace context ambient on the calling thread.
+/// duration, any trace context ambient on the calling thread. Compile and
+/// run charge the BufferPool::QueryScope ambient on the calling thread, or
+/// one attached for the call with `options.memory_budget_bytes`; the header
+/// reports that scope's peak charged MiB and the MiB the run spilled.
 Result<ExplainAnalyzeResult> ExplainAnalyze(const std::string& sql,
                                             const Catalog& catalog,
                                             const CompileOptions& options);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -142,15 +143,29 @@ BufferPool::~BufferPool() { Trim(); }
 
 int BufferPool::ClassIndex(int64_t size) {
   if (size > (int64_t{1} << kMaxClassLog2)) return -1;
-  int cls = 0;
-  while ((int64_t{1} << (kMinClassLog2 + cls)) < size) ++cls;
-  return cls;
+  const auto last = static_cast<uint64_t>(std::max<int64_t>(size, 1) - 1);
+  if (last < (uint64_t{1} << kQuarterBaseLog2)) {
+    // 64, 128, 256 B: the power of two at or above `size`, from 64.
+    return std::max(0, static_cast<int>(std::bit_width(last)) - kMinClassLog2);
+  }
+  // `last` lies in octave [2^k, 2^(k+1)); its quarter q picks the class
+  // 2^k + (q + 1) * 2^(k-2), the smallest quarter step >= size.
+  const int k = static_cast<int>(std::bit_width(last)) - 1;
+  const int q = static_cast<int>((last >> (k - 2)) & 3);
+  return kNumSmallClasses + 4 * (k - kQuarterBaseLog2) + q;
+}
+
+int64_t BufferPool::ClassSize(int cls) {
+  if (cls < kNumSmallClasses) return int64_t{1} << (kMinClassLog2 + cls);
+  const int k = kQuarterBaseLog2 + (cls - kNumSmallClasses) / 4;
+  const int q = (cls - kNumSmallClasses) % 4;
+  return (int64_t{1} << k) + (int64_t{q + 1} << (k - 2));
 }
 
 int64_t BufferPool::AllocSizeFor(int64_t size) {
   const int cls = ClassIndex(size);
   if (cls < 0) return ((size + kAlignment - 1) / kAlignment) * kAlignment;
-  return int64_t{1} << (kMinClassLog2 + cls);
+  return ClassSize(cls);
 }
 
 uint8_t* BufferPool::Acquire(int64_t size, int64_t* alloc_size) {
@@ -174,7 +189,7 @@ uint8_t* BufferPool::Acquire(int64_t size, int64_t* alloc_size) {
     stats_.peak_live_bytes = std::max(stats_.peak_live_bytes, stats_.live_bytes);
     return mem;
   }
-  const int64_t alloc = int64_t{1} << (kMinClassLog2 + cls);
+  const int64_t alloc = ClassSize(cls);
   *alloc_size = alloc;
   uint8_t* mem = nullptr;
   {
@@ -220,7 +235,7 @@ void BufferPool::Release(uint8_t* data, int64_t alloc_size) {
   {
     MutexLock lock(mu_);
     stats_.live_bytes -= alloc_size;
-    if (cls >= 0 && (int64_t{1} << (kMinClassLog2 + cls)) == alloc_size &&
+    if (cls >= 0 && ClassSize(cls) == alloc_size &&
         stats_.cached_bytes + alloc_size <= max_cached_bytes_) {
       free_lists_[cls].push_back(data);
       stats_.cached_bytes += alloc_size;

@@ -75,12 +75,15 @@ void DischargeQueryMemory(QueryMemoryLedger* ledger, int64_t bytes);
 ///
 /// Kernels allocate a fresh output per op, so a streaming executor churns
 /// through morsel-sized scratch buffers at a very high rate. The pool parks
-/// freed blocks on power-of-two free lists and hands them back zeroed, which
+/// freed blocks on size-class free lists and hands them back zeroed, which
 /// turns that churn into a handful of resident blocks shared across
-/// operators, pipelines and concurrent queries. Blocks above the max pooled
-/// class bypass the free lists (allocated and freed directly) but still count
-/// toward the live/peak gauges, so `peak_live_bytes` is a faithful
-/// peak-allocation proxy for a query's working set.
+/// operators, pipelines and concurrent queries. The classes are 64, 128 and
+/// 256 B, then quarter-octave steps (2^k x {1, 1.25, 1.5, 1.75}) up to
+/// 16 MiB, so a block above 256 B is at most 1.25x the request it serves
+/// (power-of-two classes would waste up to half of it). Blocks above the
+/// max pooled class bypass the free lists (allocated and freed directly) but
+/// still count toward the live/peak gauges, so `peak_live_bytes` is a
+/// faithful peak-allocation proxy for a query's working set.
 ///
 /// Zeroing on reuse is deliberate: padded string tensors rely on zero padding
 /// bytes (hashing and comparisons read the full width), so recycled memory
@@ -111,9 +114,11 @@ class BufferPool {
   void Release(uint8_t* data, int64_t alloc_size);
 
   /// \brief The block size Acquire would report for a request of `size`
-  /// bytes (size-class rounding, or 64-byte alignment rounding above the max
-  /// pooled class). Per-query charging uses this so budgets account the
-  /// bytes actually held, not the bytes asked for.
+  /// bytes: its size class (at most 1.25x the request above 256 B), or
+  /// 64-byte alignment rounding above the max pooled class. Per-query
+  /// charging, budgets, spill decisions and `peak_live_bytes` all count
+  /// these class bytes, so they account the bytes actually held, not the
+  /// bytes asked for.
   static int64_t AllocSizeFor(int64_t size);
 
   BufferPoolStats stats() const;
@@ -316,13 +321,22 @@ class BufferPool {
   };
 
  private:
-  // Pooled classes: 64 B (2^6) .. 16 MiB (2^24); larger requests bypass.
-  static constexpr int kMinClassLog2 = 6;
+  // Pooled classes: 64, 128 and 256 B, then four per octave,
+  // 2^k x {1.25, 1.5, 1.75, 2} for k = 8 .. 23, up to 16 MiB (2^24); larger
+  // requests bypass. Every class is a multiple of the 64-byte alignment.
+  static constexpr int kMinClassLog2 = 6;     // 64 B
+  static constexpr int kQuarterBaseLog2 = 8;  // first octave split in four
   static constexpr int kMaxClassLog2 = 24;
-  static constexpr int kNumClasses = kMaxClassLog2 - kMinClassLog2 + 1;
+  static constexpr int kNumSmallClasses =
+      kQuarterBaseLog2 - kMinClassLog2 + 1;  // 64, 128, 256
+  static constexpr int kNumClasses =
+      kNumSmallClasses + 4 * (kMaxClassLog2 - kQuarterBaseLog2);
 
-  /// Class index for `size`, or -1 when it exceeds the max pooled class.
+  /// Class index for `size` (O(1) bit arithmetic), or -1 when it exceeds
+  /// the max pooled class.
   static int ClassIndex(int64_t size);
+  /// Block size of class `cls`.
+  static int64_t ClassSize(int cls);
 
   const int64_t max_cached_bytes_;
   mutable Mutex mu_;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "kernels/kernels.h"
 #include "kernels/sort_internal.h"
 #include "operators/partitioned/external_sort.h"
@@ -1031,6 +1032,50 @@ TEST(StringTest, LikeAllPatternShapes) {
   Tensor suffix = StringLike(t, "%TIN").ValueOrDie();
   EXPECT_TRUE(suffix.at<bool>(0));
   EXPECT_FALSE(suffix.at<bool>(2));
+}
+
+TEST(StringTest, LikeWithoutUnderscoreMatchesLikeMatch) {
+  // Edge cases first: empty pieces, '%%', and an anchored prefix and suffix
+  // that would overlap ('ab%ba' on 'aba' needs 4 bytes, the row has 3).
+  const std::vector<std::string> fixed_rows{"", "a", "ab", "aba", "abba",
+                                            "abcba", "xabay", "%", "a%b"};
+  const std::vector<std::string> fixed_patterns{
+      "%",    "%%",   "%%%", "a%",    "%a",   "%a%",  "a%%b", "%%a%%",
+      "ab%ba", "ab%%ba", "a%b%a", "%b%b%", "aba%", "%aba", "a%a%a", "%ab%ba%"};
+  // Seeded random patterns over a three-letter alphabet (so pieces recur
+  // and overlap) with '%' mixed in, against rows padded to a fixed width.
+  Rng rng(5);
+  auto random_string = [&rng](int64_t max_len, bool with_percent) {
+    std::string out;
+    const int64_t len = rng.Uniform(0, max_len);
+    for (int64_t i = 0; i < len; ++i) {
+      const int64_t c = rng.Uniform(0, with_percent ? 3 : 2);
+      out.push_back(c == 3 ? '%' : static_cast<char>('a' + c));
+    }
+    return out;
+  };
+  std::vector<std::string> rows = fixed_rows;
+  for (int i = 0; i < 200; ++i) rows.push_back(random_string(12, false));
+  std::vector<std::string> patterns = fixed_patterns;
+  for (int i = 0; i < 300; ++i) patterns.push_back(random_string(8, true));
+
+  Tensor t = EncodeStrings(rows, /*min_width=*/16).ValueOrDie();
+  const std::vector<std::string> trimmed = DecodeStrings(t).ValueOrDie();
+  for (const std::string& pattern : patterns) {
+    Tensor got = StringLike(t, pattern).ValueOrDie();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(got.at<bool>(static_cast<int64_t>(i)),
+                LikeMatch(trimmed[i], pattern))
+          << "'" << trimmed[i] << "' LIKE '" << pattern << "'";
+    }
+  }
+  Tensor overlap = StringLike(EncodeStrings({"aba"}).ValueOrDie(), "ab%ba")
+                       .ValueOrDie();
+  EXPECT_FALSE(overlap.at<bool>(0));
+  // A '%' in the value is a literal byte; a '%' in the pattern stays a
+  // wildcard even where it meets one.
+  EXPECT_TRUE(LikeMatch("a%b", "a%"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%%b"));
 }
 
 TEST(StringTest, SubstringBytes) {

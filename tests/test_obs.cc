@@ -517,12 +517,30 @@ TEST_F(ObsTpchTest, EagerOpSpansFoldIntoBreakdown) {
   EXPECT_NE(session.ToChromeTrace().find("\"ph\":\"X\""), std::string::npos);
 }
 
+/// The MiB figure after `key` ("peak=" / "spilled=") in an EXPLAIN ANALYZE
+/// header, or -1 when the header has none.
+double HeaderMiB(const std::string& text, const std::string& key) {
+  const std::string header = text.substr(0, text.find('\n'));
+  const size_t at = header.find("  " + key);
+  if (at == std::string::npos) return -1;
+  const size_t value = at + 2 + key.size();
+  const size_t unit = header.find(" MiB", value);
+  if (unit == std::string::npos) return -1;
+  return std::stod(header.substr(value, unit - value));
+}
+
 TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
   CompileOptions options;
   options.target = ExecutorTarget::kPipelined;
   options.num_threads = 1;  // serial schedule walk: spans tile the wall
-  auto result_or =
-      obs::ExplainAnalyze(tpch::QueryText(1).ValueOrDie(), *catalog_, options);
+  // Run under an ambient accounting scope: the header's peak is that
+  // scope's, and an unbudgeted run spills nothing.
+  BufferPool::QueryScope scope;
+  auto result_or = [&] {
+    BufferPool::QueryScope::Attach attach(&scope);
+    return obs::ExplainAnalyze(tpch::QueryText(1).ValueOrDie(), *catalog_,
+                               options);
+  }();
   ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
   const obs::ExplainAnalyzeResult& result = result_or.ValueOrDie();
   EXPECT_GT(result.wall_nanos, 0);
@@ -533,6 +551,23 @@ TEST_F(ObsTpchTest, ExplainAnalyzeStepSumTracksWall) {
                        static_cast<double>(result.wall_nanos);
   EXPECT_GT(ratio, 0.6) << result.text;
   EXPECT_LT(ratio, 1.15) << result.text;
+
+  const double peak_mib =
+      static_cast<double>(scope.stats().peak_live_bytes) / (1024.0 * 1024.0);
+  ASSERT_GT(peak_mib, 0.1);
+  EXPECT_NEAR(HeaderMiB(result.text, "peak="), peak_mib, 0.006) << result.text;
+  EXPECT_EQ(HeaderMiB(result.text, "spilled="), 0.0) << result.text;
+
+  // With no scope ambient, EXPLAIN ANALYZE attaches one with the options'
+  // budget: under a quarter of the peak, the run spills and says so.
+  options.memory_budget_bytes = scope.stats().peak_live_bytes / 4;
+  auto budgeted_or =
+      obs::ExplainAnalyze(tpch::QueryText(1).ValueOrDie(), *catalog_, options);
+  ASSERT_TRUE(budgeted_or.ok()) << budgeted_or.status().ToString();
+  const std::string& budgeted = budgeted_or.ValueOrDie().text;
+  EXPECT_GT(HeaderMiB(budgeted, "peak="), 0.0) << budgeted;
+  EXPECT_LT(HeaderMiB(budgeted, "peak="), peak_mib) << budgeted;
+  EXPECT_GT(HeaderMiB(budgeted, "spilled="), 0.0) << budgeted;
 }
 
 TEST_F(ObsTpchTest, BudgetedPipelinedQ18RunsOneStepAtATime) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -759,28 +760,114 @@ TEST(BufferPoolTest, RecyclesSizeClassesZeroed) {
   int64_t alloc = 0;
   uint8_t* block = pool.Acquire(1000, &alloc);
   ASSERT_NE(block, nullptr);
-  EXPECT_EQ(alloc, 1024);  // next power of two
+  EXPECT_EQ(alloc, 1024);  // quarter-octave class above 896
   std::memset(block, 0xab, 1000);
   pool.Release(block, alloc);
   EXPECT_EQ(pool.stats().cached_bytes, 1024);
 
+  // A request in the class below (769..896 B) takes its own block: the
+  // 1024 B block would be over 1.25x the request.
+  int64_t alloc_below = 0;
+  uint8_t* below = pool.Acquire(800, &alloc_below);
+  ASSERT_NE(below, nullptr);
+  EXPECT_NE(below, block);
+  EXPECT_EQ(alloc_below, 896);
+  pool.Release(below, alloc_below);
+
   // Same class comes back recycled — and zeroed, despite the scribble.
   int64_t alloc2 = 0;
-  uint8_t* again = pool.Acquire(600, &alloc2);
+  uint8_t* again = pool.Acquire(900, &alloc2);
   ASSERT_EQ(again, block);
   EXPECT_EQ(alloc2, 1024);
-  for (int i = 0; i < 600; ++i) ASSERT_EQ(again[i], 0) << "byte " << i;
+  for (int i = 0; i < 900; ++i) ASSERT_EQ(again[i], 0) << "byte " << i;
   pool.Release(again, alloc2);
 
   const BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.allocations, 2);
+  EXPECT_EQ(stats.allocations, 3);
   EXPECT_EQ(stats.pool_hits, 1);
-  EXPECT_EQ(stats.pool_misses, 1);
+  EXPECT_EQ(stats.pool_misses, 2);
   EXPECT_EQ(stats.recycled_bytes, 1024);
   EXPECT_EQ(stats.live_bytes, 0);
   EXPECT_EQ(stats.peak_live_bytes, 1024);
+  EXPECT_EQ(stats.cached_bytes, 1024 + 896);
   pool.Trim();
   EXPECT_EQ(pool.stats().cached_bytes, 0);
+}
+
+TEST(BufferPoolTest, SizeClassesAreBoundedMonotoneAndAligned) {
+  constexpr int64_t kMaxPooled = int64_t{1} << 24;
+  // Every request size near each class boundary, plus a seeded sweep.
+  std::vector<int64_t> sizes;
+  for (int64_t base = 64; base <= kMaxPooled; base *= 2) {
+    for (int64_t step : {base / 4, base / 2, 3 * base / 4, base}) {
+      const int64_t edge = base + step;
+      for (int64_t d = -65; d <= 65; ++d) sizes.push_back(edge + d);
+    }
+  }
+  for (int64_t s = 1; s <= 4096; ++s) sizes.push_back(s);
+  std::mt19937_64 rng(33);
+  for (int i = 0; i < 20000; ++i) {
+    sizes.push_back(1 + static_cast<int64_t>(rng() % (kMaxPooled + 1)));
+  }
+  sizes.push_back(kMaxPooled);
+  sizes.push_back(kMaxPooled + 1);
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+
+  int64_t prev = 0;
+  for (int64_t size : sizes) {
+    if (size < 1) continue;
+    const int64_t alloc = BufferPool::AllocSizeFor(size);
+    ASSERT_GE(alloc, size) << "size " << size;
+    ASSERT_GE(alloc, prev) << "classes must be monotone; size " << size;
+    ASSERT_EQ(alloc % 64, 0) << "aligned_alloc needs a multiple of 64; size "
+                             << size;
+    if (size > 256 && size <= kMaxPooled) {
+      ASSERT_LE(alloc * 4, size * 5) << "over 1.25x; size " << size;
+    }
+    prev = alloc;
+  }
+  EXPECT_EQ(BufferPool::AllocSizeFor(1), 64);
+  EXPECT_EQ(BufferPool::AllocSizeFor(65), 128);
+  EXPECT_EQ(BufferPool::AllocSizeFor(256), 256);
+  EXPECT_EQ(BufferPool::AllocSizeFor(257), 320);
+  EXPECT_EQ(BufferPool::AllocSizeFor(4795416), 5 << 20);  // 599,427 int64s
+  EXPECT_EQ(BufferPool::AllocSizeFor(1200000), 1310720);   // 1.25 MiB
+  EXPECT_EQ(BufferPool::AllocSizeFor(16384 * 8), 16384 * 8);
+  EXPECT_EQ(BufferPool::AllocSizeFor(kMaxPooled), kMaxPooled);
+  EXPECT_EQ(BufferPool::AllocSizeFor(kMaxPooled + 1), kMaxPooled + 64);
+
+  // Blocks recycle per class: a block returns to exactly the requests of
+  // its own class, zeroed over the requested bytes.
+  BufferPool pool(/*max_cached_bytes=*/int64_t{64} << 20);
+  for (int64_t size : {int64_t{100}, int64_t{300}, int64_t{5000},
+                       int64_t{4795416}, kMaxPooled}) {
+    int64_t alloc = 0;
+    uint8_t* block = pool.Acquire(size, &alloc);
+    ASSERT_NE(block, nullptr);
+    ASSERT_EQ(alloc, BufferPool::AllocSizeFor(size));
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(block) % 64, 0u);
+    std::memset(block, 0xcd, static_cast<size_t>(alloc));
+    pool.Release(block, alloc);
+    int64_t again_alloc = 0;
+    uint8_t* again = pool.Acquire(size, &again_alloc);
+    ASSERT_EQ(again, block) << "size " << size;
+    ASSERT_EQ(again_alloc, alloc);
+    ASSERT_EQ(std::count(again, again + size, uint8_t{0}), size)
+        << "size " << size << ": recycled block not zeroed";
+    pool.Release(again, again_alloc);
+  }
+  const int64_t cached = pool.stats().cached_bytes;
+  // Over the max pooled class: allocated and freed directly, never parked.
+  int64_t big_alloc = 0;
+  uint8_t* big = pool.Acquire(kMaxPooled + 1, &big_alloc);
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(big_alloc, kMaxPooled + 64);
+  EXPECT_EQ(pool.stats().bypass, 1);
+  pool.Release(big, big_alloc);
+  EXPECT_EQ(pool.stats().cached_bytes, cached);
+  EXPECT_EQ(pool.stats().live_bytes, 0);
+  pool.Trim();
 }
 
 TEST(BufferPoolTest, CapAndBypassRespected) {

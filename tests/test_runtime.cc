@@ -46,7 +46,10 @@ using runtime::ThreadPool;
 /// itself would then block the caller, and a later submission would run
 /// instead of queueing. So with the seam armed, no-op probes first spend
 /// submissions until one runs inline; the next N - 1 submissions queue.
-void JamPool(ThreadPool* pool, std::shared_future<void> gate) {
+/// Returns false when the jam task still ran inline (N = 1: every
+/// submission does), in which case no worker is held and nothing queues;
+/// callers skip, since the premise of their test cannot be set up.
+[[nodiscard]] bool JamPool(ThreadPool* pool, std::shared_future<void> gate) {
   FaultInjector* faults = FaultInjector::Global();
   if (faults->enabled()) {
     const int64_t fired = faults->fired(FaultSite::kTaskSubmit);
@@ -54,15 +57,20 @@ void JamPool(ThreadPool* pool, std::shared_future<void> gate) {
       pool->Submit([] {});
     }
   }
-  std::promise<void> jammed;
-  pool->Submit([&jammed, gate] {
-    jammed.set_value();
-    gate.wait();
+  std::promise<bool> jammed;
+  pool->Submit([&jammed, gate, caller = std::this_thread::get_id()] {
+    const bool on_worker = std::this_thread::get_id() != caller;
+    jammed.set_value(on_worker);
+    if (on_worker) gate.wait();
   });
   // The worker pops its own queue LIFO: a task submitted before it picks up
   // the gate would run ahead of it.
-  jammed.get_future().wait();
+  return jammed.get_future().get();
 }
+
+constexpr char kJamRanInline[] =
+    "every task submission runs inline (TQP_FAULT_SPEC task_submit:every=1), "
+    "so no worker can be held busy";
 
 // ---- ThreadPool ------------------------------------------------------------
 
@@ -247,7 +255,9 @@ TEST(StepSchedulerTest, PriorityOrderOnJammedPool) {
   ThreadPool pool(1);
   StepScheduler steps(&pool);
   std::promise<void> release;
-  JamPool(&pool, release.get_future().share());
+  if (!JamPool(&pool, release.get_future().share())) {
+    GTEST_SKIP() << kJamRanInline;
+  }
 
   std::mutex mu;
   std::vector<int> order;
@@ -392,7 +402,9 @@ TEST(QueryContextTest, SubmittedWorkRunsUnderTheSubmittersContext) {
     }
 
     // Jam the only worker so the next two steps queue for one pump.
-    JamPool(&pool, release.get_future().share());
+    if (!JamPool(&pool, release.get_future().share())) {
+      GTEST_SKIP() << kJamRanInline;
+    }
     fired_before_steps = faults->fired(FaultSite::kTaskSubmit);
     steps.Submit(ReportContext(&by_step), want.priority);
   }
@@ -804,7 +816,9 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
   // kLow copy of the same statement hits the cache afterwards.
   ThreadPool pool(1);
   std::promise<void> release;
-  JamPool(&pool, release.get_future().share());
+  if (!JamPool(&pool, release.get_future().share())) {
+    GTEST_SKIP() << kJamRanInline;
+  }
 
   runtime::SchedulerOptions options;
   options.pool = &pool;
@@ -826,7 +840,9 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
 TEST_F(SessionTest, BackpressureShedsLowPriorityFirst) {
   ThreadPool pool(1);
   std::promise<void> release;
-  JamPool(&pool, release.get_future().share());
+  if (!JamPool(&pool, release.get_future().share())) {
+    GTEST_SKIP() << kJamRanInline;
+  }
 
   runtime::SchedulerOptions options;
   options.pool = &pool;

@@ -214,6 +214,20 @@ TEST(QueryScopeTest, ChargesAndDischargesAmbientAllocations) {
   EXPECT_EQ(after.spill_events, 0);
 }
 
+TEST(QueryScopeTest, ChargesTheQuarterOctaveClass) {
+  // An SF 0.1 lineitem-sized int64 column (4,795,416 B) is charged its
+  // 5 MiB class, not the 8 MiB power of two above it.
+  BufferScope scope;
+  {
+    BufferScope::Attach attach(&scope);
+    Tensor column = Tensor::Empty(DType::kInt64, 599427, 1).ValueOrDie();
+    EXPECT_EQ(column.nbytes(), 4795416);
+    EXPECT_EQ(scope.stats().live_bytes, int64_t{5} << 20);
+  }
+  EXPECT_EQ(scope.stats().live_bytes, 0);
+  EXPECT_EQ(scope.stats().peak_live_bytes, int64_t{5} << 20);
+}
+
 TEST(QueryScopeTest, AllocationsOutsideAttachAreNotCharged) {
   BufferScope scope;
   Tensor a = PatternTensor(1);  // no scope ambient
