@@ -173,27 +173,4 @@ Result<Tensor> SegmentedReduce(ReduceOpKind op, const Tensor& values,
   return Cast(acc, out_dt);
 }
 
-Status ScatterAddInPlace(Tensor* target, const Tensor& indices,
-                         const Tensor& values) {
-  if (target->dtype() != DType::kFloat64 || values.cols() != 1 ||
-      target->cols() != 1) {
-    return Status::TypeError("ScatterAddInPlace requires float64 (n x 1) tensors");
-  }
-  if (indices.dtype() != DType::kInt64 || indices.rows() != values.rows()) {
-    return Status::Invalid("ScatterAddInPlace: bad indices");
-  }
-  TQP_ASSIGN_OR_RETURN(Tensor cv, Cast(values, DType::kFloat64));
-  const int64_t* idx = indices.data<int64_t>();
-  const double* p = cv.data<double>();
-  double* o = target->mutable_data<double>();
-  for (int64_t i = 0; i < values.rows(); ++i) {
-    const int64_t r = idx[i];
-    if (r < 0 || r >= target->rows()) {
-      return Status::IndexError("ScatterAddInPlace: index out of range");
-    }
-    o[r] += p[i];
-  }
-  return Status::OK();
-}
-
 }  // namespace tqp::kernels

@@ -25,11 +25,6 @@ Result<Tensor> CumSum(const Tensor& a);
 Result<Tensor> SegmentedReduce(ReduceOpKind op, const Tensor& values,
                                const Tensor& segment_ids, int64_t num_segments);
 
-/// \brief target[index[i]] += values[i] (torch.Tensor.scatter_add_ analog)
-/// over (n x 1) tensors; `target` is modified in place.
-Status ScatterAddInPlace(Tensor* target, const Tensor& indices,
-                         const Tensor& values);
-
 }  // namespace tqp::kernels
 
 #endif  // TQP_KERNELS_REDUCE_H_

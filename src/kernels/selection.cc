@@ -138,29 +138,38 @@ Result<Tensor> GatherCols(const Tensor& a, const Tensor& idx) {
   return out;
 }
 
-Result<Tensor> ConcatRows(const std::vector<Tensor>& parts) {
+Result<RowsShape> ConcatRowsShape(const std::vector<RowsShape>& parts) {
   if (parts.empty()) return Status::Invalid("ConcatRows: no inputs");
-  const DType dt = parts[0].dtype();
-  int64_t m = parts[0].cols();
-  int64_t total = 0;
-  for (const Tensor& t : parts) {
-    if (t.dtype() != dt) {
+  RowsShape out = parts[0];
+  out.rows = 0;
+  for (const RowsShape& part : parts) {
+    if (part.dtype != out.dtype) {
       return Status::TypeError("ConcatRows: mismatched dtype");
     }
-    if (t.cols() != m) {
+    if (part.cols != out.cols) {
       // Padded strings may legitimately differ in width (e.g. a LEFT JOIN's
       // zero-sentinel side); right-pad the narrower parts with 0 bytes.
-      if (dt != DType::kUInt8) {
+      if (out.dtype != DType::kUInt8) {
         return Status::TypeError("ConcatRows: mismatched cols");
       }
-      m = std::max(m, t.cols());
+      out.cols = std::max(out.cols, part.cols);
     }
-    total += t.rows();
+    out.rows += part.rows;
   }
-  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(dt, total, m, parts[0].device()));
+  return out;
+}
+
+Result<Tensor> ConcatRows(const std::vector<Tensor>& parts) {
+  std::vector<RowsShape> shapes;
+  shapes.reserve(parts.size());
+  for (const Tensor& t : parts) shapes.push_back({t.dtype(), t.rows(), t.cols()});
+  TQP_ASSIGN_OR_RETURN(RowsShape shape, ConcatRowsShape(shapes));
+  TQP_ASSIGN_OR_RETURN(
+      Tensor out,
+      Tensor::Empty(shape.dtype, shape.rows, shape.cols, parts[0].device()));
   uint8_t* dst = static_cast<uint8_t*>(out.raw_mutable_data());
   for (const Tensor& t : parts) {
-    AppendRowsPadded(t, m, &dst);
+    AppendRowsPadded(t, shape.cols, &dst);
   }
   return out;
 }

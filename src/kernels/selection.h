@@ -31,12 +31,26 @@ Result<Tensor> GatherCols(const Tensor& a, const Tensor& idx);
 /// \brief Concatenates tensors over rows. All inputs share dtype and cols.
 Result<Tensor> ConcatRows(const std::vector<Tensor>& parts);
 
+/// \brief One row-concatenation operand's shape.
+struct RowsShape {
+  DType dtype = DType::kFloat64;
+  int64_t rows = 0;
+  int64_t cols = 0;
+};
+
+/// \brief The shape ConcatRows gives parts of these shapes: rows add up, and
+/// parts share dtype and cols, except that narrower uint8 (padded string)
+/// parts widen to the widest. A mismatch is ConcatRows' TypeError. The one
+/// statement of those rules: pipeline assembly sizes its output through it
+/// while some chunks sit on disk.
+Result<RowsShape> ConcatRowsShape(const std::vector<RowsShape>& parts);
+
 /// \brief Appends `part`'s rows at `*dst`, laid out for an output of
 /// `out_cols` columns, and advances `*dst` past them. Rows narrower than
 /// `out_cols` (padded uint8 strings) are right-padded with zero bytes. The
-/// single definition of the row-concat byte layout: ConcatRows and the
-/// spill-aware pipeline assembly both call it, so out-of-core runs cannot
-/// drift from the kernel.
+/// single definition of the row-concat byte layout: ConcatRows and pipeline
+/// assembly both call it, so streamed and out-of-core runs cannot drift from
+/// the kernel.
 void AppendRowsPadded(const Tensor& part, int64_t out_cols, uint8_t** dst);
 
 /// \brief Concatenates (n x c_i) tensors side by side into (n x sum c_i).

@@ -728,9 +728,4 @@ Result<Tensor> SegmentBoundaries(const Tensor& keys) {
   return out;
 }
 
-Result<Tensor> UniqueSorted(const Tensor& sorted_keys) {
-  TQP_ASSIGN_OR_RETURN(Tensor mask, SegmentBoundaries(sorted_keys));
-  return Compress(sorted_keys, mask);
-}
-
 }  // namespace tqp::kernels

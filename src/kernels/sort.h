@@ -31,10 +31,6 @@ Result<Tensor> SearchSorted(const Tensor& sorted, const Tensor& values,
 /// On lexicographically sorted keys this marks group starts.
 Result<Tensor> SegmentBoundaries(const Tensor& keys);
 
-/// \brief Deduplicates a *sorted* (n x m) tensor: keeps rows where
-/// SegmentBoundaries is true.
-Result<Tensor> UniqueSorted(const Tensor& sorted_keys);
-
 /// \brief Which path GroupIds took: `dense` ranked packed key codes over a
 /// presence array of `domain` codes; otherwise it sorted.
 struct GroupIdsPath {

@@ -1,7 +1,6 @@
 #include "runtime/parallel_kernels.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "graph/eval.h"
@@ -164,57 +163,6 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
   return kernels::Cast(acc_t, out_dt);
 }
 
-Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
-                                  const std::vector<Tensor>& parts) {
-  if (parts.empty()) return kernels::ConcatRows(parts);  // serial error path
-  const DType dt = parts[0].dtype();
-  int64_t m = parts[0].cols();
-  int64_t total = 0;
-  for (const Tensor& t : parts) {
-    if (t.dtype() != dt) return kernels::ConcatRows(parts);  // serial error path
-    if (t.cols() != m) {
-      if (dt != DType::kUInt8) return kernels::ConcatRows(parts);
-      m = std::max(m, t.cols());
-    }
-    total += t.rows();
-  }
-  if (!ShouldParallelize(ctx, total)) return kernels::ConcatRows(parts);
-  // Exclusive scan over part row counts: each part's output row offset.
-  std::vector<int64_t> row_offsets(parts.size() + 1, 0);
-  for (size_t i = 0; i < parts.size(); ++i) {
-    row_offsets[i + 1] = row_offsets[i] + parts[i].rows();
-  }
-  TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(dt, total, m, parts[0].device()));
-  const int64_t elem = DTypeSize(dt);
-  const int64_t out_row_bytes = m * elem;
-  uint8_t* dst = static_cast<uint8_t*>(out.raw_mutable_data());
-  // Parts copy concurrently into disjoint row ranges; the wide parts go
-  // through one big memcpy, narrower uint8 parts pad per row like the serial
-  // kernel (Tensor::Empty memory is already zeroed, so the pad bytes hold).
-  TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
-      static_cast<int64_t>(parts.size()), 1,
-      [&](int64_t pb, int64_t pe) -> Status {
-        for (int64_t pi = pb; pi < pe; ++pi) {
-          const Tensor& t = parts[static_cast<size_t>(pi)];
-          uint8_t* base = dst + row_offsets[static_cast<size_t>(pi)] * out_row_bytes;
-          if (t.cols() == m) {
-            if (t.nbytes() > 0) {
-              std::memcpy(base, t.raw_data(), static_cast<size_t>(t.nbytes()));
-            }
-            continue;
-          }
-          const auto* src = static_cast<const uint8_t*>(t.raw_data());
-          const size_t row_bytes = static_cast<size_t>(t.cols() * elem);
-          for (int64_t r = 0; r < t.rows(); ++r) {
-            std::memcpy(base + r * out_row_bytes,
-                        src + static_cast<size_t>(r) * row_bytes, row_bytes);
-          }
-        }
-        return Status::OK();
-      }));
-  return out;
-}
-
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
                                    bool ascending, bool* ordered) {
   if (!ShouldParallelize(ctx, a.rows())) {
@@ -285,14 +233,6 @@ Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
   }
   if (ctx.parallel()) {
     switch (node.type) {
-      case OpType::kConcatRows: {
-        std::vector<Tensor> parts;
-        parts.reserve(node.inputs.size());
-        for (size_t i = 0; i < node.inputs.size(); ++i) {
-          parts.push_back(in(static_cast<int>(i)));
-        }
-        return ParallelConcatRows(ctx, parts);
-      }
       case OpType::kReduceAll:
         return ParallelReduceAll(
             ctx, static_cast<ReduceOpKind>(node.attrs.GetInt("op")), in(0));

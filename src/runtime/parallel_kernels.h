@@ -88,18 +88,13 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
 Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
                                    bool ascending, bool* ordered = nullptr);
 
-/// \brief Row concatenation: an exclusive scan over part row counts gives
-/// each part's output offset, then parts copy concurrently into disjoint
-/// ranges (byte-for-byte the serial kernel's layout, including the
-/// zero-padding of narrower uint8 string parts).
-Result<Tensor> ParallelConcatRows(const ParallelContext& ctx,
-                                  const std::vector<Tensor>& parts);
-
 /// \brief Evaluates one tensor-program op whole: argsort and group_ids sort
 /// through the breaker argsort (external merge sort under partitioned
-/// breakers), concat_rows and the reductions fan out through the kernels
-/// above, and every other op runs the serial EvalNode. Drop-in replacement
-/// for EvalNode: bit-identical results.
+/// breakers), the reductions fan out through the kernels above, and every
+/// other op runs the serial EvalNode — concat_rows included: a pipeline's
+/// own morsel chunks assemble in PipelinedExecutor, and the one whole-node
+/// concat (a LEFT JOIN's matched and unmatched sides) runs the serial
+/// kernel. Drop-in replacement for EvalNode: bit-identical results.
 Result<Tensor> ParallelEvalNode(const ParallelContext& ctx,
                                 const TensorProgram& program, const OpNode& node,
                                 const std::vector<Tensor>& values);

@@ -238,45 +238,26 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
       driver_rows == 0 ? 1 : (driver_rows + morsel - 1) / morsel;
   const size_t num_nodes = static_cast<size_t>(program_->num_nodes());
 
-  std::vector<std::vector<Tensor>> chunks(
-      p.outputs.size(), std::vector<Tensor>(static_cast<size_t>(num_morsels)));
-
-  // Out-of-core streaming: under a memory budget, every *completed* morsel
-  // chunk registers as an eviction candidate — the accumulation phase of a
-  // long pipeline holds only the chunks the budget allows, the rest wait on
-  // disk, and assembly below faults them back one at a time. Per-chunk
-  // shape metadata is recorded at evaluation time so assembly can size the
-  // output without touching spilled chunks.
-  BufferPool::QueryScope* scope = BufferPool::QueryScope::Current();
-  const bool spill_chunks = scope != nullptr && scope->spill_enabled();
-  struct ChunkMeta {
-    int64_t rows = 0;
-    int64_t cols = 0;
-    DType dtype = DType::kFloat64;
+  // Each output's morsel chunks and their shapes. Under a spilling scope a
+  // completed chunk registers as an eviction candidate (slot
+  // oi * morsels + m), so a long pipeline holds only the chunks the budget
+  // allows and the rest wait on disk; the shapes size the output without
+  // touching a spilled chunk. `chunk_spill` is declared after `chunks`, so
+  // its destructor drops every registration (error paths included) before
+  // the chunks it points into go.
+  const size_t morsels = static_cast<size_t>(num_morsels);
+  std::vector<std::vector<Tensor>> chunks(p.outputs.size(),
+                                          std::vector<Tensor>(morsels));
+  std::vector<std::vector<kernels::RowsShape>> shapes(
+      p.outputs.size(), std::vector<kernels::RowsShape>(morsels));
+  SpillableSet chunk_spill(BufferPool::QueryScope::Current(),
+                           p.outputs.size() * morsels);
+  const auto store_chunk = [&](size_t oi, size_t m, Tensor chunk) {
+    Tensor& slot = chunks[oi][m];
+    slot = std::move(chunk);
+    shapes[oi][m] = {slot.dtype(), slot.rows(), slot.cols()};
+    chunk_spill.Register(oi * morsels + m, &slot);
   };
-  std::vector<std::vector<uint64_t>> chunk_ids;
-  std::vector<std::vector<ChunkMeta>> chunk_meta;
-  if (spill_chunks) {
-    chunk_ids.assign(p.outputs.size(),
-                     std::vector<uint64_t>(static_cast<size_t>(num_morsels), 0));
-    chunk_meta.assign(
-        p.outputs.size(),
-        std::vector<ChunkMeta>(static_cast<size_t>(num_morsels)));
-  }
-  // Registered chunk records point into `chunks`; drop them on every exit
-  // path (assembly zeroes the ids it consumes) so no record outlives it.
-  struct ChunkSpillGuard {
-    BufferPool::QueryScope* scope;
-    std::vector<std::vector<uint64_t>>* ids;
-    ~ChunkSpillGuard() {
-      if (scope == nullptr) return;
-      for (auto& per_output : *ids) {
-        for (uint64_t id : per_output) {
-          if (id != 0) scope->Drop(id);
-        }
-      }
-    }
-  } chunk_guard{spill_chunks ? scope : nullptr, &chunk_ids};
 
   // Per-slot morsel state: the node-indexed scratch, the fused runs'
   // register arena, and a bound flag so unchanged non-driver sources
@@ -293,7 +274,7 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
                          MorselSlot* slot) -> Status {
     // Cooperative cancellation poll: a cancelled/expired query stops before
     // the next morsel evaluates, and the resulting non-OK status unwinds
-    // through the same cleanup every real error takes (chunk guard, spill
+    // through the same cleanup every real error takes (chunk and value spill
     // drops, scope teardown).
     TQP_RETURN_NOT_OK(CheckAmbientCancelled());
     morsel_evals_.fetch_add(1, std::memory_order_relaxed);
@@ -356,13 +337,8 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
       // Move, not copy: the scratch slot is re-produced before its next
       // read (topological order), and leaving a second reference would keep
       // an evicted chunk's bytes resident.
-      Tensor& chunk = chunks[oi][static_cast<size_t>(m)];
-      chunk = std::move(scratch[static_cast<size_t>(p.outputs[oi])]);
-      if (spill_chunks) {
-        chunk_meta[oi][static_cast<size_t>(m)] = {chunk.rows(), chunk.cols(),
-                                                  chunk.dtype()};
-        chunk_ids[oi][static_cast<size_t>(m)] = scope->AddSpillable(&chunk);
-      }
+      store_chunk(oi, static_cast<size_t>(m),
+                  std::move(scratch[static_cast<size_t>(p.outputs[oi])]));
     }
     if (adaptive_ != nullptr) {
       adaptive_->Observe(e - b, morsel_timer.ElapsedNanos());
@@ -375,12 +351,7 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
   const bool seeded = probe.probed;
   if (seeded) {
     for (size_t oi = 0; oi < p.outputs.size(); ++oi) {
-      chunks[oi][0] = std::move(probe.outputs[oi]);
-      if (spill_chunks) {
-        chunk_meta[oi][0] = {chunks[oi][0].rows(), chunks[oi][0].cols(),
-                             chunks[oi][0].dtype()};
-        chunk_ids[oi][0] = scope->AddSpillable(&chunks[oi][0]);
-      }
+      store_chunk(oi, 0, std::move(probe.outputs[oi]));
     }
   }
 
@@ -403,66 +374,55 @@ Status PipelinedExecutor::RunPipeline(int pipeline_index, const Pipeline& p,
         }));
   }
 
-  // Assemble pipeline outputs from chunks in morsel order — the stable
-  // per-morsel decomposition makes the concatenation bit-identical to the
-  // serial evaluation of the whole chain. Under a budget, chunks fault back
-  // from disk one at a time and release right after their copy, so assembly
-  // holds one output plus one chunk instead of one output plus all chunks
-  // (the layout below mirrors ConcatRows exactly, zero-padded narrow uint8
-  // parts included).
+  // Assemble each output from its chunks in morsel order: the stable
+  // per-morsel decomposition makes it bit-identical to evaluating the chain
+  // whole. The output is allocated once from the chunk shapes, then each
+  // chunk is pinned (faulted back if it went to disk), copied to its row
+  // offset and released. Under a spilling scope the copies run one at a
+  // time, so assembly holds the output plus one chunk; otherwise they fan
+  // out over the pool.
   for (size_t oi = 0; oi < p.outputs.size(); ++oi) {
     std::vector<Tensor>& parts = chunks[oi];
+    const size_t first_slot = oi * morsels;
     Tensor& dst = (*values)[static_cast<size_t>(p.outputs[oi])];
-    if (parts.size() == 1) {
-      if (spill_chunks) {
-        TQP_RETURN_NOT_OK(scope->Pin(chunk_ids[oi][0]));
-        scope->Drop(chunk_ids[oi][0]);
-        chunk_ids[oi][0] = 0;
-      }
+    if (morsels == 1) {
+      TQP_RETURN_NOT_OK(chunk_spill.PinSlot(first_slot));
+      chunk_spill.DropSlot(first_slot);
       dst = std::move(parts[0]);
-    } else if (!spill_chunks) {
-      TQP_ASSIGN_OR_RETURN(dst, runtime::ParallelConcatRows(ctx, parts));
-    } else {
-      const std::vector<ChunkMeta>& meta = chunk_meta[oi];
-      const DType dt = meta[0].dtype;
-      int64_t total = 0;
-      int64_t out_cols = meta[0].cols;
-      bool mixed_width = false;
-      for (const ChunkMeta& cm : meta) {
-        total += cm.rows;
-        if (cm.cols != out_cols) mixed_width = true;
-        out_cols = std::max(out_cols, cm.cols);
-      }
-      if (mixed_width && dt != DType::kUInt8) {
-        // Mirror ConcatRows: only padded strings may differ in width.
-        // Fault everything back and let the kernel raise its error.
-        for (size_t m = 0; m < parts.size(); ++m) {
-          TQP_RETURN_NOT_OK(scope->Pin(chunk_ids[oi][m]));
-          scope->Drop(chunk_ids[oi][m]);
-          chunk_ids[oi][m] = 0;
-        }
-        TQP_ASSIGN_OR_RETURN(dst, runtime::ParallelConcatRows(ctx, parts));
-        parts.clear();
-        continue;
-      }
-      TQP_ASSIGN_OR_RETURN(
-          Tensor out, Tensor::Empty(dt, total, out_cols, options_.device));
-      auto* out_bytes = static_cast<uint8_t*>(out.raw_mutable_data());
-      for (size_t m = 0; m < parts.size(); ++m) {
-        TQP_RETURN_NOT_OK(scope->Pin(chunk_ids[oi][m]));
-        const Tensor& c = parts[m];
-        if (c.defined() && c.nbytes() > 0) {
-          // The one shared definition of the row-concat byte layout
-          // (mixed-width uint8 padding included) — see ConcatRows.
-          kernels::AppendRowsPadded(c, out_cols, &out_bytes);
-        }
-        scope->Drop(chunk_ids[oi][m]);
-        chunk_ids[oi][m] = 0;
-        parts[m] = Tensor();  // one chunk resident at a time
-      }
-      dst = std::move(out);
+      continue;
     }
-    parts.clear();  // release morsel chunks back to the buffer pool early
+    TQP_ASSIGN_OR_RETURN(kernels::RowsShape shape,
+                         kernels::ConcatRowsShape(shapes[oi]));
+    TQP_ASSIGN_OR_RETURN(Tensor out, Tensor::Empty(shape.dtype, shape.rows,
+                                                   shape.cols, options_.device));
+    std::vector<int64_t> row_offsets(morsels, 0);
+    for (size_t m = 1; m < morsels; ++m) {
+      row_offsets[m] = row_offsets[m - 1] + shapes[oi][m - 1].rows;
+    }
+    const int64_t row_bytes = shape.cols * DTypeSize(shape.dtype);
+    auto* out_bytes = static_cast<uint8_t*>(out.raw_mutable_data());
+    const auto copy_chunk = [&](size_t m) -> Status {
+      TQP_RETURN_NOT_OK(chunk_spill.PinSlot(first_slot + m));
+      uint8_t* at = out_bytes + row_offsets[m] * row_bytes;
+      kernels::AppendRowsPadded(parts[m], shape.cols, &at);
+      chunk_spill.DropSlot(first_slot + m);
+      parts[m] = Tensor();  // back to the buffer pool
+      return Status::OK();
+    };
+    if (!chunk_spill.enabled() && runtime::ShouldParallelize(ctx, shape.rows)) {
+      TQP_RETURN_NOT_OK(ctx.pool->ParallelFor(
+          num_morsels, 1, [&](int64_t mb, int64_t me) -> Status {
+            for (int64_t m = mb; m < me; ++m) {
+              TQP_RETURN_NOT_OK(copy_chunk(static_cast<size_t>(m)));
+            }
+            return Status::OK();
+          }));
+    } else {
+      for (size_t m = 0; m < morsels; ++m) {
+        TQP_RETURN_NOT_OK(copy_chunk(m));
+      }
+    }
+    dst = std::move(out);
   }
   return Status::OK();
 }

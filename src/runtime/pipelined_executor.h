@@ -29,8 +29,8 @@ namespace tqp {
 /// to the serial executors for any thread count and morsel size). Pipeline
 /// breakers (sorts, reductions, scans, concats) evaluate whole through
 /// runtime::ParallelEvalNode, whose exact morsel-parallel kernels cover the
-/// sorts, concats and reductions; streamable ops run parallel only here,
-/// inside pipelines.
+/// sorts and reductions; streamable ops run parallel only here, inside
+/// pipelines.
 ///
 /// Morsel scratch churn is soaked up by the process-wide BufferPool, so a
 /// streamed chain re-uses a handful of recycled blocks instead of allocating

@@ -40,16 +40,15 @@ using runtime::StepScheduler;
 using runtime::TaskGraph;
 using runtime::ThreadPool;
 
-/// Occupies `pool`'s only worker until `gate` opens, so that what a test
-/// submits next queues behind it. Under TQP_FAULT_SPEC=task_submit:every=N a
-/// ThreadPool::Submit runs every Nth task inline on the caller: the jam
-/// itself would then block the caller, and a later submission would run
-/// instead of queueing. So with the seam armed, no-op probes first spend
-/// submissions until one runs inline; the next N - 1 submissions queue.
-/// Returns false when the jam task still ran inline (N = 1: every
-/// submission does), in which case no worker is held and nothing queues;
-/// callers skip, since the premise of their test cannot be set up.
-[[nodiscard]] bool JamPool(ThreadPool* pool, std::shared_future<void> gate) {
+/// Submits `task` to `pool` and returns whether it ran on a worker rather
+/// than inline on the caller. Under TQP_FAULT_SPEC=task_submit:every=N a
+/// ThreadPool::Submit runs every Nth task inline on the caller. So with the
+/// seam armed, no-op probes first spend submissions until one runs inline;
+/// `task` and the next N - 2 submissions then queue. Returns false when
+/// `task` still ran inline (N = 1: every submission does); callers whose
+/// premise needs a task on a worker skip.
+[[nodiscard]] bool SubmitToWorker(ThreadPool* pool,
+                                  std::function<void(bool on_worker)> task) {
   FaultInjector* faults = FaultInjector::Global();
   if (faults->enabled()) {
     const int64_t fired = faults->fired(FaultSite::kTaskSubmit);
@@ -57,15 +56,24 @@ using runtime::ThreadPool;
       pool->Submit([] {});
     }
   }
-  std::promise<bool> jammed;
-  pool->Submit([&jammed, gate, caller = std::this_thread::get_id()] {
+  std::promise<bool> started;
+  pool->Submit([&started, task = std::move(task),
+                caller = std::this_thread::get_id()] {
     const bool on_worker = std::this_thread::get_id() != caller;
-    jammed.set_value(on_worker);
-    if (on_worker) gate.wait();
+    started.set_value(on_worker);
+    task(on_worker);
   });
   // The worker pops its own queue LIFO: a task submitted before it picks up
-  // the gate would run ahead of it.
-  return jammed.get_future().get();
+  // `task` would run ahead of it.
+  return started.get_future().get();
+}
+
+/// Occupies `pool`'s only worker until `gate` opens, so that what a test
+/// submits next queues behind it. False when no worker could be held.
+[[nodiscard]] bool JamPool(ThreadPool* pool, std::shared_future<void> gate) {
+  return SubmitToWorker(pool, [gate](bool on_worker) {
+    if (on_worker) gate.wait();
+  });
 }
 
 constexpr char kJamRanInline[] =
@@ -299,6 +307,11 @@ TEST(StepSchedulerTest, IndependentGraphTasksOverlap) {
   // on a 2-thread pool must be in flight simultaneously: each waits (with a
   // generous deadline) for the other to start before returning.
   ThreadPool pool(2);
+  if (!SubmitToWorker(&pool, [](bool) {})) {
+    GTEST_SKIP() << "every task submission runs inline (TQP_FAULT_SPEC "
+                    "task_submit:every=1), so two tasks cannot be in flight "
+                    "at once";
+  }
   StepScheduler steps(&pool);
   std::atomic<int> arrived{0};
   auto rendezvous = [&arrived]() -> Status {
@@ -548,36 +561,6 @@ TEST(ParallelKernelTest, FloatSumsBitIdenticalToSerialOrder) {
   EXPECT_FALSE(runtime::ParallelSegmentedReduce(ctx, ReduceOpKind::kSum, values,
                                                 ids, groups)
                    .ok());
-}
-
-TEST(ParallelKernelTest, ConcatRowsMatchesSerial) {
-  ThreadPool pool(4);
-  const ParallelContext ctx = SmallMorselContext(&pool);
-  Rng rng(55);
-  // Numeric parts of assorted lengths.
-  std::vector<Tensor> parts;
-  for (int64_t rows : {4000, 1, 0, 9000, 2500}) {
-    Tensor t = Tensor::Empty(DType::kInt64, rows, 1).ValueOrDie();
-    for (int64_t i = 0; i < rows; ++i) {
-      t.mutable_data<int64_t>()[i] = rng.Uniform(-1000, 1000);
-    }
-    parts.push_back(std::move(t));
-  }
-  ExpectTensorsIdentical(runtime::ParallelConcatRows(ctx, parts).ValueOrDie(),
-                         kernels::ConcatRows(parts).ValueOrDie(), "concat int64");
-  // Padded uint8 string parts with differing widths (the LEFT JOIN shape).
-  std::vector<Tensor> strings;
-  for (auto [rows, width] : std::vector<std::pair<int64_t, int64_t>>{
-           {6000, 8}, {4000, 3}, {5000, 8}}) {
-    Tensor t = Tensor::Empty(DType::kUInt8, rows, width).ValueOrDie();
-    for (int64_t i = 0; i < rows * width; ++i) {
-      t.mutable_data<uint8_t>()[i] = static_cast<uint8_t>(rng.Uniform('a', 'z'));
-    }
-    strings.push_back(std::move(t));
-  }
-  ExpectTensorsIdentical(runtime::ParallelConcatRows(ctx, strings).ValueOrDie(),
-                         kernels::ConcatRows(strings).ValueOrDie(),
-                         "concat padded strings");
 }
 
 TEST(ParallelKernelTest, StableArgsortMatchesSerial) {

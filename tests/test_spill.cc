@@ -560,6 +560,148 @@ TEST(SpillResidencyTest, IdleStepOutputsBoundedAtQuarterOfUnspilledPeak) {
   }
 }
 
+// ---- pipeline chunk assembly -------------------------------------------------
+
+/// One streamed pipeline, no breaker: a filter on x > y, then an int64
+/// projection (x + y) and a padded uint8 string column (up to 8 bytes, the
+/// rest zero) compressed by it. Run in 4096-row morsels over 65,536 rows,
+/// each output has 16 chunks of about 16 KiB, all spillable.
+struct ChunkedPipeline {
+  static constexpr int64_t kRows = int64_t{1} << 16;
+  static constexpr int64_t kWidth = 8;
+
+  ChunkedPipeline() : program(std::make_shared<TensorProgram>()) {
+    const int x = program->AddInput("t.x");
+    const int y = program->AddInput("t.y");
+    const int s = program->AddInput("t.s");
+    AttrMap gt;
+    gt.Set("op", static_cast<int64_t>(CompareOpKind::kGt));
+    const int mask = program->AddNode(OpType::kCompare, {x, y}, gt);
+    AttrMap add;
+    add.Set("op", static_cast<int64_t>(BinaryOpKind::kAdd));
+    const int sum = program->AddNode(OpType::kBinary, {x, y}, add);
+    program->MarkOutput(program->AddNode(OpType::kCompress, {sum, mask}, {}));
+    program->MarkOutput(program->AddNode(OpType::kCompress, {s, mask}, {}));
+
+    Tensor xt = Tensor::Empty(DType::kInt64, kRows, 1).ValueOrDie();
+    Tensor yt = Tensor::Empty(DType::kInt64, kRows, 1).ValueOrDie();
+    Tensor st = Tensor::Empty(DType::kUInt8, kRows, kWidth).ValueOrDie();
+    for (int64_t i = 0; i < kRows; ++i) {
+      xt.mutable_data<int64_t>()[i] = (i * 7919) % 1000;
+      yt.mutable_data<int64_t>()[i] = (i * 104729) % 1000;
+      uint8_t* row = st.mutable_data<uint8_t>() + i * kWidth;
+      for (int64_t c = 0; c < i % (kWidth + 1); ++c) {
+        row[c] = static_cast<uint8_t>('a' + (i + c) % 26);
+      }
+    }
+    inputs = {xt, yt, st};
+  }
+
+  /// A fresh executor per run, so an adaptive morsel controller
+  /// (TQP_ADAPTIVE_MORSEL) starts every run at the same 4096 rows.
+  Result<std::vector<Tensor>> Run(ExecutorTarget target, int threads) const {
+    ExecOptions options;
+    options.num_threads = threads;
+    options.morsel_rows = 4096;
+    TQP_ASSIGN_OR_RETURN(auto exec, MakeExecutor(target, program, options));
+    return exec->Run(inputs);
+  }
+
+  std::shared_ptr<TensorProgram> program;
+  std::vector<Tensor> inputs;
+};
+
+TEST(ChunkAssemblyTest, MultiMorselOutputsBitIdenticalWithAndWithoutSpill) {
+  // Every multi-morsel output assembles through one loop: chunks register
+  // as spill candidates only under a spilling scope, and whether they stay
+  // resident, spill or fan out over the pool, the result is the eager one.
+  ScopedSpillDir dir;
+  const ChunkedPipeline pipeline;
+  const std::vector<Tensor> want =
+      pipeline.Run(ExecutorTarget::kEager, 1).ValueOrDie();
+  ASSERT_EQ(want.size(), 2u);
+  ASSERT_GT(want[0].rows(), 0);
+  ASSERT_EQ(want[1].cols(), ChunkedPipeline::kWidth);
+  const auto expect_identical = [&want](const std::vector<Tensor>& got,
+                                        const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    ExpectTensorsIdentical(got[0], want[0], what + " int64 output");
+    ExpectTensorsIdentical(got[1], want[1], what + " uint8 output");
+  };
+  for (int threads : {1, 4}) {
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    // No scope of its own (TQP_MEMORY_BUDGET_MB, when set, still gives one).
+    expect_identical(
+        pipeline.Run(ExecutorTarget::kPipelined, threads).ValueOrDie(),
+        "no scope" + at);
+
+    // A budget the run never reaches: chunks register, none spills.
+    QueryMemoryStats roomy;
+    {
+      BufferScope scope(int64_t{1} << 40);
+      BufferScope::Attach attach(&scope);
+      expect_identical(
+          pipeline.Run(ExecutorTarget::kPipelined, threads).ValueOrDie(),
+          "non-spilling budget" + at);
+      roomy = scope.stats();
+    }
+    EXPECT_EQ(roomy.spill_events, 0) << at;
+
+    // Half that peak: chunks go to disk and fault back one at a time while
+    // the outputs assemble.
+    QueryMemoryStats tight;
+    {
+      BufferScope scope(roomy.peak_live_bytes / 2);
+      BufferScope::Attach attach(&scope);
+      expect_identical(
+          pipeline.Run(ExecutorTarget::kPipelined, threads).ValueOrDie(),
+          "spilling budget" + at);
+      tight = scope.stats();
+    }
+    EXPECT_GT(tight.spill_events, 0) << at;
+    EXPECT_GT(tight.fault_events, 0) << at;
+    EXPECT_EQ(tight.spilled_now_bytes, 0) << at;
+  }
+  EXPECT_TRUE(dir.SpillFiles().empty());
+}
+
+TEST(ChunkAssemblyTest, SpillReadFaultDuringAssemblyFailsAtPoolBaseline) {
+  // Chunks fault back only while their output assembles, so a read fault
+  // armed for the whole run fails it there. The chunk registrations still
+  // on disk must drop with the failed run: nothing stays spilled, charged
+  // or in the pool.
+  ScopedSpillDir dir;
+  const ChunkedPipeline pipeline;
+  int64_t peak = 0;
+  {
+    BufferScope scope(int64_t{1} << 40);
+    BufferScope::Attach attach(&scope);
+    TQP_CHECK_OK(pipeline.Run(ExecutorTarget::kPipelined, 1).status());
+    peak = scope.stats().peak_live_bytes;
+  }
+  for (int threads : {1, 4}) {
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    const int64_t baseline = BufferPool::Global()->stats().live_bytes;
+    {
+      BufferScope scope(peak / 2);
+      BufferScope::Attach attach(&scope);
+      TQP_CHECK_OK(
+          FaultInjector::Global()->SetSpecForTesting("spill_read:every=1"));
+      const Status st =
+          pipeline.Run(ExecutorTarget::kPipelined, threads).status();
+      TQP_CHECK_OK(FaultInjector::Global()->SetSpecForTesting(""));
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString() << at;
+      const QueryMemoryStats mem = scope.stats();
+      EXPECT_GT(mem.spill_events, 0) << at;
+      EXPECT_EQ(mem.spilled_now_bytes, 0)
+          << "a chunk registration outlived the failed run" << at;
+      EXPECT_EQ(mem.live_bytes, 0) << at;
+    }
+    EXPECT_EQ(BufferPool::Global()->stats().live_bytes, baseline) << at;
+  }
+  EXPECT_TRUE(dir.SpillFiles().empty());
+}
+
 // ---- out-of-core TPC-H differential ----------------------------------------
 
 class SpillTpchTest : public ::testing::Test {
